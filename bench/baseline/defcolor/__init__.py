@@ -1,0 +1,48 @@
+"""Defective (1, k)-coloring of embedded girth-5 graphs.
+
+The package has four layers: rotation-system embeddings (embedding),
+defective colorings with an exact solver (coloring), the exact-rational
+charge redistribution rules and structural audit (discharging), and a
+constructive colorer driven by reducible configurations (colorer), plus
+corpus generation (generate) and plain-text documents (graphio).
+"""
+
+from .builder import PlanarBuilder
+from .colorer import (ColoringTrace, ColorResult, ExtensionFailedError,
+                      ReductionKind, ReductionStep, capacity, color,
+                      extend_coloring, find_reduction, replay_trace)
+from .coloring import (Coloring, ColoringError, PartialColoringError,
+                       SolveResult, SolveStatus, UncoloredError,
+                       induced_max_degrees, is_saturated, is_valid,
+                       solve_exact)
+from .discharging import (AuditReport, ChargeLedger, FaceClass, SponsorKind,
+                          Transfer, apply_rules, audit, classify_face,
+                          classify_faces, initial_charges, ledger_csv,
+                          sponsor_instances, sponsor_relation, transfers_csv)
+from .embedding import (AsymmetricError, DisconnectedError, EmbeddedGraph,
+                        Face, GirthTooSmallError, GraphError, NonSimpleError,
+                        NotOnFaceError, VertexClass, build_graph,
+                        classify_vertex, euler_genus, f_external_neighbors,
+                        girth, induced_embedding)
+from .generate import gen_girth5_small, gen_planar_girth5
+from .graphio import (ParseError, parse_coloring, parse_graph,
+                      serialize_coloring, serialize_graph)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "AsymmetricError", "AuditReport", "ChargeLedger", "ColorResult",
+    "Coloring", "ColoringError", "ColoringTrace", "DisconnectedError",
+    "EmbeddedGraph", "ExtensionFailedError", "Face", "FaceClass",
+    "GirthTooSmallError", "GraphError", "NonSimpleError", "NotOnFaceError",
+    "ParseError", "PartialColoringError", "PlanarBuilder", "ReductionKind",
+    "ReductionStep", "SolveResult", "SolveStatus", "SponsorKind", "Transfer",
+    "UncoloredError", "VertexClass", "apply_rules", "audit", "build_graph",
+    "capacity", "classify_face", "classify_faces", "classify_vertex",
+    "color", "euler_genus", "extend_coloring", "f_external_neighbors",
+    "find_reduction", "gen_girth5_small", "gen_planar_girth5", "girth",
+    "induced_embedding", "induced_max_degrees", "initial_charges",
+    "is_saturated", "is_valid", "ledger_csv", "parse_coloring", "parse_graph",
+    "replay_trace", "serialize_coloring", "serialize_graph", "solve_exact",
+    "sponsor_instances", "sponsor_relation", "transfers_csv",
+]

@@ -1,0 +1,439 @@
+"""Constructive (1, t)-coloring by reducible configurations.
+
+The colorer repeatedly finds one of four local configurations, deletes
+its witness vertices, colors the rest, and extends the coloring back:
+
+  1. a vertex of degree at most one,
+  2. two adjacent 2-vertices,
+  3. a (t+1)-.vertex all of whose neighbors are (t+1)-.vertices,
+  4. a (t+2)+-vertex with more incident Terrible faces than
+     min(d//3, d - t - 2), from which a 2-vertex is deleted.
+
+On girth-5 graphs each extension is guaranteed to succeed, so the
+recursion yields a valid coloring with defects (1, t).  If no
+configuration exists the colorer falls back to the exact solver; with
+t = 10 on a genus <= 1 input that fallback is flagged as an anomaly,
+since such a graph would be a counterexample to the coloring theorem
+this machinery implements.
+
+Class 0 is the defect-1 class, class 1 the defect-t class.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from typing import Mapping, Sequence
+
+from .coloring import Coloring, SolveStatus, is_valid, solve_exact
+from .discharging import FaceClass, classify_faces
+from .embedding import (EmbeddedGraph, GirthTooSmallError, girth,
+                        induced_embedding)
+
+C_SMALL = 0  # defect-1 class (paper color "1")
+C_BIG = 1    # defect-t class (paper color "10")
+
+
+class ExtensionFailedError(RuntimeError):
+    """No recoloring branch extended the sub-coloring; carries a witness.
+
+    Never expected on valid inputs: it would mean either an implementation
+    bug or a counterexample to the reduction lemma that produced the step.
+    """
+
+    def __init__(self, message: str, step: "ReductionStep", phi: dict):
+        super().__init__(message)
+        self.step = step
+        self.phi = dict(phi)
+
+
+class ReductionKind(Enum):
+    DEGREE_AT_MOST_ONE = "degree-at-most-one"
+    ADJACENT_TWO_VERTICES = "adjacent-two-vertices"
+    ALL_LOW_DEGREE_NEIGHBORS = "all-low-degree-neighbors"
+    TERRIBLE_RICH_HIGH_VERTEX = "terrible-rich-high-vertex"
+
+
+@dataclass(frozen=True)
+class ReductionStep:
+    kind: ReductionKind
+    deleted: tuple[int, ...]
+    witness: dict
+    t: int
+
+
+@dataclass(frozen=True)
+class TraceEntry:
+    step: ReductionStep
+    actions: tuple[tuple[int, int], ...]  # (vertex, class) in order applied
+
+
+@dataclass
+class ColoringTrace:
+    """Deletion-ordered steps plus the base coloring of the irreducible rest.
+
+    Replaying the entries in reverse order on top of the base assignments
+    reproduces the final coloring exactly.
+    """
+
+    steps: list[TraceEntry]
+    base: dict[int, int]
+    fallback: bool
+    anomaly: bool
+    t: int
+
+
+@dataclass
+class ColorResult:
+    coloring: Coloring | None
+    trace: ColoringTrace
+    fallback: bool
+    anomaly: bool
+    solve_status: SolveStatus | None = None
+
+
+def capacity(genus: int) -> int:
+    """Defect threshold guaranteeing colorability at this Euler genus:
+    max(10, 4*genus + 3)."""
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
+    return max(10, 4 * genus + 3)
+
+
+# ---------------------------------------------------------------------------
+# Reduction search
+# ---------------------------------------------------------------------------
+
+
+def _present_neighbors(graph, present, v):
+    return [u for u in graph.rotation[v] if u in present]
+
+
+def _scan_reduction(graph: EmbeddedGraph, present: set[int],
+                    deg: Sequence[int], t: int) -> ReductionStep | None:
+    for v in range(graph.n):
+        if v in present and deg[v] <= 1:
+            return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
+    for u in range(graph.n):
+        if u in present and deg[u] == 2:
+            two = [w for w in graph.rotation[u]
+                   if w in present and deg[w] == 2]
+            if two:
+                v = min(two)
+                return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
+                                     (u, v), {}, t)
+    for v in range(graph.n):
+        if v in present and deg[v] <= t + 1:
+            nbrs = _present_neighbors(graph, present, v)
+            if all(deg[u] <= t + 1 for u in nbrs):
+                return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
+                                     (v,), {}, t)
+    return _find_terrible_reduction(graph, present, deg, t)
+
+
+def _components(graph, present):
+    seen = set()
+    comps = []
+    for start in range(graph.n):
+        if start not in present or start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in graph.rotation[v]:
+                if u in present and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
+                             deg: Sequence[int], t: int) -> ReductionStep | None:
+    """Kind-(4) scan: a high vertex with too many incident Terrible faces.
+
+    The deleted 2-vertex is picked so that the face three rotation steps
+    earlier is not terrible, matching the reduction's case analysis.
+    """
+    for comp in _components(graph, present):
+        if len(comp) < 5:
+            continue
+        sub, remap = induced_embedding(graph, comp)
+        inv = {new: old for old, new in remap.items()}
+        classes = classify_faces(sub)
+        for v in range(sub.n):
+            d = sub.degree(v)
+            if d < t + 2:
+                continue
+            rot = sub.rotation[v]
+            # ring[i] = face of the passage between rotation neighbors
+            # rot[i-1] and rot[i]
+            by_pair = {}
+            for fi, pos in sub.passages(v):
+                face = sub.faces[fi]
+                pair = frozenset((face.verts[pos - 1],
+                                  face.verts[(pos + 1) % face.degree]))
+                by_pair[pair] = fi
+            ring = [by_pair[frozenset((rot[i - 1], rot[i]))] for i in range(d)]
+            terrible = [i for i in range(d)
+                        if classes[ring[i]] is FaceClass.TERRIBLE]
+            if len(terrible) <= min(d // 3, d - t - 2):
+                continue
+            pick = next((j for j in terrible
+                         if classes[ring[(j - 3) % d]] is not FaceClass.TERRIBLE),
+                        terrible[0])
+            v4, v5 = rot[pick - 1], rot[pick % d]
+            face = sub.faces[ring[pick]]
+            u4 = next(u for u in sub.rotation[v4] if u != v)
+            u5 = next(u for u in sub.rotation[v5] if u != v)
+            w4 = next((u for u in sub.rotation[u4]
+                       if u not in (v4, u5) and sub.degree(u) <= t + 1), None)
+            ring_two = []
+            for i in range(d):
+                vi = rot[i]
+                if sub.degree(vi) == 2 and vi != v4:
+                    ui = next(u for u in sub.rotation[vi] if u != v)
+                    ring_two.append((inv[vi], inv[ui]))
+            witness = {
+                "hub": inv[v],
+                "v4": inv[v4],
+                "u4": inv[u4],
+                "u5": inv[u5],
+                "w4": inv[w4] if w4 is not None else None,
+                "face": tuple(inv[u] for u in face.verts),
+                "ring_two": tuple(ring_two),
+            }
+            return ReductionStep(ReductionKind.TERRIBLE_RICH_HIGH_VERTEX,
+                                 (inv[v4],), witness, t)
+    return None
+
+
+def find_reduction(graph: EmbeddedGraph, t: int = 10) -> ReductionStep | None:
+    """First reducible configuration in the fixed search order, or None."""
+    if t < 10:
+        raise ValueError(f"threshold t must be at least 10, got {t}")
+    present = set(range(graph.n))
+    deg = [graph.degree(v) for v in range(graph.n)]
+    return _scan_reduction(graph, present, deg, t)
+
+
+# ---------------------------------------------------------------------------
+# Extension
+# ---------------------------------------------------------------------------
+
+
+def _same_class_count(graph, present, phi, v):
+    c = phi[v]
+    return sum(1 for u in graph.rotation[v]
+               if u in present and phi.get(u) == c)
+
+
+def _vertex_ok(graph, present, phi, defects, v):
+    return _same_class_count(graph, present, phi, v) <= defects[phi[v]]
+
+
+def _apply_extension(graph: EmbeddedGraph, present: set[int],
+                     phi: dict[int, int], step: ReductionStep
+                     ) -> tuple[tuple[int, int], ...]:
+    """Extend phi over step.deleted (already added back to present).
+
+    Mutates phi; returns the (vertex, class) actions in application
+    order, recolorings included.  Raises ExtensionFailedError when no
+    branch restores validity, which no valid input should reach.
+    """
+    t = step.t
+    kind = step.kind
+    actions: list[tuple[int, int]] = []
+
+    def nbrs(v):
+        return _present_neighbors(graph, present, v)
+
+    if kind is ReductionKind.DEGREE_AT_MOST_ONE:
+        (v,) = step.deleted
+        around = nbrs(v)
+        c = C_BIG if not around else 1 - phi[around[0]]
+        phi[v] = c
+        actions.append((v, c))
+        return tuple(actions)
+
+    if kind is ReductionKind.ADJACENT_TWO_VERTICES:
+        u, v = step.deleted
+        up = next(w for w in nbrs(u) if w != v)
+        vp = next(w for w in nbrs(v) if w != u)
+        if phi[up] == phi[vp]:
+            c = 1 - phi[up]
+            phi[u] = phi[v] = c
+            actions += [(u, c), (v, c)]
+        else:
+            phi[u] = 1 - phi[up]
+            phi[v] = 1 - phi[vp]
+            actions += [(u, phi[u]), (v, phi[v])]
+        return tuple(actions)
+
+    if kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
+        (v,) = step.deleted
+        around = nbrs(v)
+        if not any(phi[u] == C_SMALL for u in around):
+            phi[v] = C_SMALL
+            actions.append((v, C_SMALL))
+            return tuple(actions)
+        saturated = [u for u in around
+                     if phi[u] == C_BIG
+                     and _same_class_count(graph, present, phi, u) == t]
+        for u in saturated:
+            phi[u] = C_SMALL
+            actions.append((u, C_SMALL))
+        phi[v] = C_BIG
+        actions.append((v, C_BIG))
+        return tuple(actions)
+
+    return _extend_terrible(graph, present, phi, step)
+
+
+def _extend_terrible(graph, present, phi, step):
+    """Try the reduction's recoloring branches in proof order."""
+    t = step.t
+    defects = (1, t)
+    w = step.witness
+    (v4,) = step.deleted
+    u4, hub, w4 = w["u4"], w["hub"], w["w4"]
+
+    moves: list[dict[int, int]] = [
+        {v4: C_SMALL},
+        {v4: C_BIG},
+        {u4: C_SMALL, v4: C_BIG},
+        {u4: C_BIG, v4: C_SMALL},
+    ]
+    if w4 is not None:
+        moves.append({w4: C_SMALL, u4: C_BIG, v4: C_SMALL})
+        moves.append({w4: C_SMALL, v4: C_BIG})
+    for vi, ui in w["ring_two"]:
+        moves.append({v4: C_BIG, vi: C_SMALL})
+        moves.append({v4: C_BIG, vi: C_SMALL, ui: C_BIG})
+
+    for move in moves:
+        saved = {x: phi.get(x) for x in move}
+        phi.update(move)
+        touched = set(move)
+        for x in move:
+            touched.update(u for u in graph.rotation[x] if u in present)
+        if all(_vertex_ok(graph, present, phi, defects, x) for x in touched):
+            return tuple(move.items())
+        for x, old in saved.items():
+            if old is None:
+                del phi[x]
+            else:
+                phi[x] = old
+    raise ExtensionFailedError(
+        f"no recoloring branch extends past vertex {v4}", step, phi)
+
+
+def extend_coloring(graph: EmbeddedGraph, phi_sub: Mapping[int, int],
+                    step: ReductionStep) -> Coloring:
+    """Extend a valid (1, t)-coloring of graph minus step.deleted to all
+    of graph.  phi_sub maps the surviving vertex ids to classes 0/1."""
+    present = set(range(graph.n))
+    phi = dict(phi_sub)
+    missing = present - set(phi) - set(step.deleted)
+    if missing:
+        raise ValueError(f"phi_sub misses vertices {sorted(missing)}")
+    _apply_extension(graph, present, phi, step)
+    coloring = Coloring(tuple(phi[v] for v in range(graph.n)), (1, step.t))
+    if not is_valid(graph, coloring):
+        raise ExtensionFailedError("extension produced an invalid coloring",
+                                   step, phi)
+    return coloring
+
+
+# ---------------------------------------------------------------------------
+# Full constructive coloring
+# ---------------------------------------------------------------------------
+
+
+def color(graph: EmbeddedGraph, t: int | None = None,
+          budget: int = 10 ** 7) -> ColorResult:
+    """Color the whole graph with defects (1, t); t defaults to the
+    genus capacity.  Requires girth at least 5.
+
+    The fallback exact solve only runs when no reducible configuration
+    exists; on genus <= 1 inputs at t = 10 that is flagged as an anomaly.
+    Every extension is validity-checked; the final coloring passes
+    is_valid or an ExtensionFailedError is raised.
+    """
+    g = girth(graph)
+    if g < 5:
+        raise GirthTooSmallError(f"coloring requires girth >= 5, got {g}")
+    if t is None:
+        t = capacity(graph.genus)
+    if t < 10:
+        raise ValueError(f"threshold t must be at least 10, got {t}")
+
+    present = set(range(graph.n))
+    deg = [graph.degree(v) for v in range(graph.n)]
+    steps: list[ReductionStep] = []
+    fallback = False
+    anomaly = False
+    base: dict[int, int] = {}
+    solve_status: SolveStatus | None = None
+
+    while present:
+        step = _scan_reduction(graph, present, deg, t)
+        if step is None:
+            fallback = True
+            anomaly = graph.genus <= 1 and t == 10
+            solve_status = SolveStatus.FOUND
+            for comp in _components(graph, present):
+                sub, remap = induced_embedding(graph, comp)
+                res = solve_exact(sub, (1, t), budget)
+                if not res.found:
+                    solve_status = res.status
+                    break
+                for old, new in remap.items():
+                    base[old] = res.coloring.assignment[new]
+            break
+        steps.append(step)
+        for v in step.deleted:
+            present.discard(v)
+            for u in graph.rotation[v]:
+                if u in present:
+                    deg[u] -= 1
+
+    entries: list[TraceEntry] = []
+    coloring: Coloring | None = None
+    if solve_status in (None, SolveStatus.FOUND):
+        phi = dict(base)
+        for step in reversed(steps):
+            for v in step.deleted:
+                present.add(v)
+            actions = _apply_extension(graph, present, phi, step)
+            entries.append(TraceEntry(step, actions))
+            defects = (1, t)
+            touched = {v for v, _ in actions}
+            for v, _ in actions:
+                touched.update(u for u in graph.rotation[v] if u in present)
+            for x in touched:
+                if not _vertex_ok(graph, present, phi, defects, x):
+                    raise ExtensionFailedError(
+                        f"extension broke validity at vertex {x}", step, phi)
+        entries.reverse()
+        coloring = Coloring(tuple(phi[v] for v in range(graph.n)), (1, t))
+        if not is_valid(graph, coloring):
+            raise ExtensionFailedError("final coloring invalid",
+                                       steps[-1] if steps else None, phi)
+    else:
+        entries = []
+
+    trace = ColoringTrace(entries, base, fallback, anomaly, t)
+    return ColorResult(coloring, trace, fallback, anomaly, solve_status)
+
+
+def replay_trace(graph: EmbeddedGraph, trace: ColoringTrace) -> Coloring:
+    """Reproduce the final coloring from the recorded trace."""
+    phi = dict(trace.base)
+    for entry in reversed(trace.steps):
+        for v, c in entry.actions:
+            phi[v] = c
+    return Coloring(tuple(phi[v] for v in range(graph.n)), (1, trace.t))

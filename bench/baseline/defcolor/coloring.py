@@ -1,0 +1,194 @@
+"""Defective colorings and an exact backtracking solver.
+
+A coloring partitions the vertices into classes 0..r-1 with a defect
+vector (d_0, ..., d_{r-1}); it is valid when class i induces a subgraph
+of maximum degree at most d_i.  The paper-style color names "1" and "10"
+are the classes whose defects are 1 and 10.
+
+All functions are pure; solve_exact is single-threaded and deterministic
+for fixed inputs.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import dataclass
+from enum import Enum
+from typing import Mapping, Sequence
+
+from .embedding import EmbeddedGraph, GraphError
+
+
+class ColoringError(ValueError):
+    pass
+
+
+class PartialColoringError(ColoringError):
+    """An operation needing a total coloring was given a partial one."""
+
+
+class UncoloredError(ColoringError):
+    """The queried vertex has no assigned class."""
+
+
+def validate_defects(defects: Sequence[int]) -> tuple[int, ...]:
+    d = tuple(int(x) for x in defects)
+    if len(d) < 1 or any(x < 0 for x in d):
+        raise ColoringError(f"defect vector must be non-empty and non-negative: {d}")
+    return d
+
+
+@dataclass(frozen=True)
+class Coloring:
+    """Total class assignment (0-based) with its defect vector."""
+
+    assignment: tuple[int, ...]
+    defects: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "defects", validate_defects(self.defects))
+        r = len(self.defects)
+        for v, c in enumerate(self.assignment):
+            if c is None or not (0 <= c < r):
+                raise PartialColoringError(f"vertex {v} has no class in 0..{r - 1}")
+
+    def classes(self) -> int:
+        return len(self.defects)
+
+
+def _assignment_of(phi, n: int):
+    """Accept a Coloring or a mapping/sequence; None marks uncolored."""
+    if isinstance(phi, Coloring):
+        return phi.assignment
+    if isinstance(phi, Mapping):
+        return [phi.get(v) for v in range(n)]
+    return list(phi)
+
+
+def induced_max_degrees(graph: EmbeddedGraph, phi) -> list[int]:
+    """Maximum degree of each color class's induced subgraph (0 if empty)."""
+    assign = _assignment_of(phi, graph.n)
+    if len(assign) != graph.n or any(c is None for c in assign):
+        raise PartialColoringError("coloring must assign every vertex")
+    r = (phi.classes() if isinstance(phi, Coloring) else max(assign) + 1)
+    out = [0] * r
+    for v in range(graph.n):
+        c = assign[v]
+        same = sum(1 for u in graph.rotation[v] if assign[u] == c)
+        if same > out[c]:
+            out[c] = same
+    return out
+
+
+def is_valid(graph: EmbeddedGraph, phi: Coloring,
+             defects: Sequence[int] | None = None) -> bool:
+    """True iff every class's induced maximum degree is within its defect."""
+    d = validate_defects(defects) if defects is not None else phi.defects
+    if len(d) != phi.classes():
+        raise ColoringError(
+            f"defect vector has {len(d)} entries for {phi.classes()} classes")
+    degs = induced_max_degrees(graph, phi)
+    return all(degs[i] <= d[i] for i in range(len(d)))
+
+
+def is_saturated(graph: EmbeddedGraph, phi, v: int,
+                 defects: Sequence[int] | None = None) -> bool:
+    """True iff v has exactly defect(class(v)) neighbors of its own class."""
+    assign = _assignment_of(phi, graph.n)
+    c = assign[v]
+    if c is None:
+        raise UncoloredError(f"vertex {v} is uncolored")
+    d = validate_defects(defects) if defects is not None else phi.defects
+    same = sum(1 for u in graph.rotation[v] if assign[u] == c)
+    return same == d[c]
+
+
+class SolveStatus(Enum):
+    FOUND = "found"
+    INFEASIBLE = "infeasible"
+    UNKNOWN = "unknown"
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    status: SolveStatus
+    coloring: Coloring | None
+    nodes: int
+
+    @property
+    def found(self) -> bool:
+        return self.status is SolveStatus.FOUND
+
+
+def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
+                budget: int = 10 ** 7) -> SolveResult:
+    """Exhaustive search for a valid defective coloring.
+
+    Depth-first over vertices in decreasing-degree order (ties by id),
+    pruning as soon as some already-assigned vertex exceeds its class
+    defect among assigned neighbors.  FOUND results always pass is_valid;
+    INFEASIBLE means the whole search space was exhausted; UNKNOWN means
+    the node budget ran out first.
+    """
+    if budget <= 0:
+        raise ColoringError("budget must be positive")
+    d = validate_defects(defects)
+    r = len(d)
+    n = graph.n
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    assign: list[int | None] = [None] * n
+    same = [0] * n  # assigned same-class neighbor count
+    nodes = 0
+
+    def place(v: int, c: int) -> bool:
+        cnt = 0
+        for u in graph.rotation[v]:
+            if assign[u] == c:
+                cnt += 1
+                if same[u] + 1 > d[c]:
+                    return False
+        if cnt > d[c]:
+            return False
+        assign[v] = c
+        same[v] = cnt
+        for u in graph.rotation[v]:
+            if assign[u] == c:
+                same[u] += 1
+        return True
+
+    def remove(v: int) -> None:
+        c = assign[v]
+        for u in graph.rotation[v]:
+            if assign[u] == c:
+                same[u] -= 1
+        assign[v] = None
+        same[v] = 0
+
+    def dfs(i: int) -> str:
+        nonlocal nodes
+        if i == n:
+            return "found"
+        v = order[i]
+        for c in range(r):
+            nodes += 1
+            if nodes > budget:
+                return "out"
+            if place(v, c):
+                res = dfs(i + 1)
+                if res != "none":
+                    return res
+                remove(v)
+        return "none"
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, n + 100))
+    try:
+        res = dfs(0)
+    finally:
+        sys.setrecursionlimit(old)
+    if res == "found":
+        coloring = Coloring(tuple(assign), d)  # type: ignore[arg-type]
+        return SolveResult(SolveStatus.FOUND, coloring, nodes)
+    if res == "out":
+        return SolveResult(SolveStatus.UNKNOWN, None, nodes)
+    return SolveResult(SolveStatus.INFEASIBLE, None, nodes)

@@ -1,0 +1,354 @@
+"""Rotation-system embeddings of simple connected graphs.
+
+A graph together with a cyclic order of neighbors at each vertex (and an
+optional set of "twisted" edges) determines a cellular embedding in a
+surface.  Faces are traced from the rotation data and the Euler genus
+follows from ``|V| - |E| + |F| = 2 - genus``.
+
+For an all-positive signature the boundary faces are exactly the orbits of
+the successor rule: after dart ``(u, v)`` comes ``(v, w)`` where ``w``
+follows ``u`` in the rotation of ``v``.  Twisted edges flip the traversal
+sense, which lets the same machinery trace embeddings in non-orientable
+surfaces (odd Euler genus).
+
+EmbeddedGraph instances are immutable after construction; all queries are
+pure, so they are safe to share between threads.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from functools import cached_property
+from typing import Iterable, Sequence
+
+
+class GraphError(ValueError):
+    """Base class for invalid graph construction or queries."""
+
+
+class NonSimpleError(GraphError):
+    """A rotation contains a loop or a repeated neighbor."""
+
+
+class AsymmetricError(GraphError):
+    """u lists v as a neighbor but v does not list u."""
+
+
+class DisconnectedError(GraphError):
+    """The graph is not connected; embeddings require one component."""
+
+
+class NotOnFaceError(GraphError):
+    """The queried vertex does not lie on the given face."""
+
+
+class GirthTooSmallError(GraphError):
+    """The operation requires girth at least 5."""
+
+
+Dart = tuple[int, int]
+
+
+class VertexClass(Enum):
+    """Degree classes: low <= 4, five = 5, medium 6..t+1, high >= t+2."""
+
+    LOW = "low"
+    FIVE = "five"
+    MEDIUM = "medium"
+    HIGH = "high"
+
+
+@dataclass(frozen=True)
+class Face:
+    """One face of an embedding, as a closed boundary walk of darts.
+
+    ``darts[k] = (verts[k], verts[k+1])``; the walk may revisit vertices
+    (a bridge contributes two darts).  ``degree`` is the walk length.
+    """
+
+    index: int
+    darts: tuple[Dart, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.darts)
+
+    @cached_property
+    def verts(self) -> tuple[int, ...]:
+        return tuple(d[0] for d in self.darts)
+
+    @cached_property
+    def vert_set(self) -> frozenset[int]:
+        return frozenset(self.verts)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Face({self.index}, {'-'.join(map(str, self.verts))})"
+
+
+class EmbeddedGraph:
+    """Simple connected graph with a rotation system and traced faces.
+
+    Parameters
+    ----------
+    rotation:
+        One cyclic neighbor sequence per vertex, vertices named 0..n-1.
+    twists:
+        Optional edges carrying a sign flip (as (u, v) pairs).  An empty
+        set gives an orientable embedding.
+    """
+
+    def __init__(self, rotation: Sequence[Sequence[int]],
+                 twists: Iterable[tuple[int, int]] = ()) -> None:
+        rot = tuple(tuple(nbrs) for nbrs in rotation)
+        n = len(rot)
+        if n == 0:
+            raise GraphError("graph must have at least one vertex")
+        for v, nbrs in enumerate(rot):
+            for u in nbrs:
+                if not isinstance(u, int) or not (0 <= u < n):
+                    raise GraphError(f"vertex {v}: neighbor id {u!r} out of range")
+                if u == v:
+                    raise NonSimpleError(f"vertex {v} lists itself (loop)")
+            if len(set(nbrs)) != len(nbrs):
+                raise NonSimpleError(f"vertex {v} repeats a neighbor (multi-edge)")
+        nbr_sets = tuple(frozenset(nbrs) for nbrs in rot)
+        for v, nbrs in enumerate(rot):
+            for u in nbrs:
+                if v not in nbr_sets[u]:
+                    raise AsymmetricError(f"{v} lists {u} but {u} does not list {v}")
+
+        self.n = n
+        self.rotation = rot
+        self._nbr_sets = nbr_sets
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            sorted((v, u) for v in range(n) for u in rot[v] if v < u))
+
+        tw = set()
+        for u, v in twists:
+            e = (min(u, v), max(u, v))
+            if e[0] == e[1] or e[1] >= n or e[0] < 0 or e[1] not in nbr_sets[e[0]]:
+                raise GraphError(f"twist {u}-{v} is not an edge")
+            tw.add(e)
+        self.twists: frozenset[tuple[int, int]] = frozenset(tw)
+
+        self._check_connected()
+        self.faces: tuple[Face, ...] = self._trace_faces()
+        self.genus: int = 2 - (self.n - len(self.edges) + len(self.faces))
+        if self.genus < 0:
+            raise AssertionError("face tracing produced negative genus")
+
+        # Per-vertex face passages: (face index, boundary position) pairs.
+        passages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        dart_sides: dict[Dart, list[tuple[int, int]]] = {}
+        for f in self.faces:
+            for pos, d in enumerate(f.darts):
+                passages[d[0]].append((f.index, pos))
+                dart_sides.setdefault(d, []).append((f.index, pos))
+        self._passages = tuple(tuple(p) for p in passages)
+        self._dart_sides = dart_sides
+        for v in range(n):
+            if len(self._passages[v]) != len(rot[v]):
+                raise AssertionError("face tracing lost a vertex passage")
+
+    # -- basic queries ---------------------------------------------------
+
+    def degree(self, v: int) -> int:
+        return len(self.rotation[v])
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors of v in rotation order."""
+        return self.rotation[v]
+
+    def neighbor_set(self, v: int) -> frozenset[int]:
+        return self._nbr_sets[v]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._nbr_sets[u]
+
+    def passages(self, v: int) -> tuple[tuple[int, int], ...]:
+        """All (face index, position) boundary passages through v.
+
+        A vertex has exactly degree(v) passages, counted with multiplicity.
+        """
+        return self._passages[v]
+
+    def dart_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
+        """Faces (with positions) whose boundary uses the dart (u, v)."""
+        return tuple(self._dart_sides.get((u, v), ()))
+
+    def edge_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
+        """The two (face, position) sides of edge {u, v}."""
+        return self.dart_sides(u, v) + self.dart_sides(v, u)
+
+    # -- construction internals ------------------------------------------
+
+    def _check_connected(self) -> None:
+        seen = {0}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for u in self.rotation[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != self.n:
+            raise DisconnectedError(
+                f"graph has {self.n - len(seen)} unreachable vertices")
+
+    def _trace_faces(self) -> tuple[Face, ...]:
+        if not self.edges:
+            # A single vertex embeds in the sphere with one face.
+            return (Face(0, ()),)
+
+        succ: list[dict[int, int]] = []
+        pred: list[dict[int, int]] = []
+        for nbrs in self.rotation:
+            k = len(nbrs)
+            succ.append({nbrs[i]: nbrs[(i + 1) % k] for i in range(k)})
+            pred.append({nbrs[i]: nbrs[(i - 1) % k] for i in range(k)})
+        twisted = self.twists
+
+        def step(state: tuple[int, int, int]) -> tuple[int, int, int]:
+            u, v, s = state
+            s2 = s ^ (1 if (min(u, v), max(u, v)) in twisted else 0)
+            w = succ[v][u] if s2 == 0 else pred[v][u]
+            return (v, w, s2)
+
+        # Orbits over (dart, side) states; mutually-reverse orbit pairs
+        # are one face each.  Sense bit 0 follows the successor rule, so
+        # untwisted graphs yield it as the canonical traversal.
+        orbit_of: dict[tuple[int, int, int], int] = {}
+        orbits: list[list[tuple[int, int, int]]] = []
+        for u, v in self.edges:
+            for a, b in ((u, v), (v, u)):
+                for s in (0, 1):
+                    start = (a, b, s)
+                    if start in orbit_of:
+                        continue
+                    idx = len(orbits)
+                    seq = []
+                    cur = start
+                    while cur not in orbit_of:
+                        orbit_of[cur] = idx
+                        seq.append(cur)
+                        cur = step(cur)
+                    if cur != start:
+                        raise AssertionError("face walk did not close")
+                    orbits.append(seq)
+
+        def reverse_state(state: tuple[int, int, int]) -> tuple[int, int, int]:
+            u, v, s = state
+            flip = 1 if (min(u, v), max(u, v)) in twisted else 0
+            return (v, u, 1 ^ s ^ flip)
+
+        faces: list[tuple[tuple[int, int, int], list[tuple[int, int, int]]]] = []
+        done: set[int] = set()
+        for idx, seq in enumerate(orbits):
+            if idx in done:
+                continue
+            partner = orbit_of[reverse_state(seq[0])]
+            if partner == idx:
+                raise AssertionError("orbit paired with itself")
+            done.add(idx)
+            done.add(partner)
+            best = min(seq, key=lambda st: (st[2], st[0], st[1]))
+            other = orbits[partner]
+            best2 = min(other, key=lambda st: (st[2], st[0], st[1]))
+            key = (best[2], best[0], best[1])
+            key2 = (best2[2], best2[0], best2[1])
+            if key2 < key:
+                seq, best = other, best2
+            k = seq.index(best)
+            faces.append((best, seq[k:] + seq[:k]))
+
+        faces.sort(key=lambda item: (item[0][2], item[0][0], item[0][1]))
+        out = tuple(Face(i, tuple((st[0], st[1]) for st in seq))
+                    for i, (_, seq) in enumerate(faces))
+        if sum(f.degree for f in out) != 2 * len(self.edges):
+            raise AssertionError("face degrees do not sum to 2|E|")
+        return out
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"EmbeddedGraph(n={self.n}, m={len(self.edges)}, "
+                f"f={len(self.faces)}, genus={self.genus})")
+
+
+def build_graph(rotation: Sequence[Sequence[int]],
+                twists: Iterable[tuple[int, int]] = ()) -> EmbeddedGraph:
+    """Validate a rotation spec and trace its faces and genus.
+
+    Raises NonSimpleError, AsymmetricError or DisconnectedError on bad input.
+    """
+    return EmbeddedGraph(rotation, twists)
+
+
+def euler_genus(graph: EmbeddedGraph) -> int:
+    """Euler genus of the embedding: 2 - (|V| - |E| + |F|)."""
+    return graph.genus
+
+
+def girth(graph: EmbeddedGraph) -> float:
+    """Length of a shortest cycle; math.inf when the graph is acyclic."""
+    best = math.inf
+    n = graph.n
+    for src in range(n):
+        dist = {src: 0}
+        parent = {src: -1}
+        queue = [src]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            if 2 * dist[v] >= best:
+                break
+            for u in graph.rotation[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    parent[u] = v
+                    queue.append(u)
+                elif u != parent[v]:
+                    cycle = dist[v] + dist[u] + 1
+                    if cycle < best:
+                        best = cycle
+    return best
+
+
+def classify_vertex(graph: EmbeddedGraph, v: int, t: int = 10) -> VertexClass:
+    """Degree class of v for threshold t (high means degree >= t + 2)."""
+    if t < 10:
+        raise ValueError(f"threshold t must be at least 10, got {t}")
+    d = graph.degree(v)
+    if d >= t + 2:
+        return VertexClass.HIGH
+    if d >= 6:
+        return VertexClass.MEDIUM
+    if d == 5:
+        return VertexClass.FIVE
+    return VertexClass.LOW
+
+
+def f_external_neighbors(graph: EmbeddedGraph, v: int, face: Face) -> list[int]:
+    """Neighbors of v that do not appear on the boundary walk of face."""
+    if v not in face.vert_set:
+        raise NotOnFaceError(f"vertex {v} is not on face {face.index}")
+    return [u for u in graph.rotation[v] if u not in face.vert_set]
+
+
+def induced_embedding(graph: EmbeddedGraph,
+                      vertices: Iterable[int]) -> tuple[EmbeddedGraph, dict[int, int]]:
+    """Embedded subgraph induced by a connected vertex set.
+
+    Rotation order of surviving neighbors is preserved, so the result is
+    the embedding obtained by deleting the other vertices.  Returns the
+    new graph and the old-id -> new-id map.
+    """
+    keep = sorted(set(vertices))
+    remap = {old: new for new, old in enumerate(keep)}
+    rotation = []
+    for old in keep:
+        rotation.append([remap[u] for u in graph.rotation[old] if u in remap])
+    twists = [(remap[u], remap[v]) for u, v in graph.twists
+              if u in remap and v in remap]
+    return EmbeddedGraph(rotation, twists), remap

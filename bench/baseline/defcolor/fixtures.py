@@ -1,0 +1,276 @@
+"""Named graphs and hand-built face configurations.
+
+The dodecahedron rotation was derived from icosahedral coordinates by
+sorting each vertex's neighbors around its outward normal; the Petersen
+embedding is the antipodal quotient of the dodecahedron (six pentagonal
+faces in the projective plane, Euler genus 1).  Both are frozen literals
+re-verified by the test suite.
+
+The face fixtures realize one instance of each classified 5-face kind
+(Special, X1, X2, Y1, Y2, Terrible).  Each builder takes degree knobs so
+tests can perturb a single vertex degree and check the class changes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .builder import PlanarBuilder
+from .embedding import EmbeddedGraph, Face
+
+DODECAHEDRON_ROTATION = [
+    [10, 9, 8],
+    [16, 11, 9],
+    [10, 14, 12],
+    [16, 12, 17],
+    [8, 15, 13],
+    [15, 11, 19],
+    [18, 14, 13],
+    [17, 18, 19],
+    [0, 4, 14],
+    [0, 1, 15],
+    [0, 2, 16],
+    [1, 17, 5],
+    [3, 2, 18],
+    [4, 19, 6],
+    [2, 8, 6],
+    [9, 5, 4],
+    [1, 10, 3],
+    [3, 7, 11],
+    [12, 6, 7],
+    [5, 7, 13],
+]
+
+PETERSEN_ROTATION = [
+    [6, 5, 4],
+    [9, 7, 5],
+    [6, 7, 8],
+    [9, 8, 4],
+    [0, 3, 7],
+    [0, 1, 8],
+    [0, 2, 9],
+    [1, 4, 2],
+    [3, 2, 5],
+    [3, 6, 1],
+]
+
+PETERSEN_TWISTS = [(1, 9), (2, 7), (3, 4), (3, 9), (4, 7), (5, 8), (6, 9)]
+
+
+def c5() -> EmbeddedGraph:
+    """The 5-cycle with its planar embedding (two pentagonal faces)."""
+    return EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)])
+
+
+def path_graph(n: int) -> EmbeddedGraph:
+    """Path on n vertices (a tree; single face)."""
+    rot = [[i - 1, i + 1] for i in range(n)]
+    rot[0] = [1]
+    rot[-1] = [n - 2]
+    return EmbeddedGraph(rot)
+
+
+def star(k: int) -> EmbeddedGraph:
+    """Star with k leaves; center is vertex 0."""
+    rot = [list(range(1, k + 1))] + [[0] for _ in range(k)]
+    return EmbeddedGraph(rot)
+
+
+def dodecahedron() -> EmbeddedGraph:
+    """Planar dodecahedron: 3-regular, twelve 5-faces, genus 0."""
+    return EmbeddedGraph(DODECAHEDRON_ROTATION)
+
+
+def petersen_projective() -> EmbeddedGraph:
+    """Petersen graph embedded in the projective plane (genus 1, 6 faces)."""
+    return EmbeddedGraph(PETERSEN_ROTATION, PETERSEN_TWISTS)
+
+
+# ---------------------------------------------------------------------------
+# Face-class fixtures
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaceFixture:
+    graph: EmbeddedGraph
+    face_verts: tuple[int, ...]
+
+    @property
+    def face(self) -> Face:
+        return find_face(self.graph, self.face_verts)
+
+
+def find_face(graph: EmbeddedGraph, verts) -> Face:
+    """The unique face whose boundary visits exactly these vertices."""
+    want = sorted(verts)
+    hits = [f for f in graph.faces if sorted(f.verts) == want]
+    if len(hits) != 1:
+        raise ValueError(f"face {verts} matched {len(hits)} faces")
+    return hits[0]
+
+
+def _pump(b: PlanarBuilder, v: int, target: int) -> list[int]:
+    added = []
+    while b.degree(v) < target:
+        added.append(b.attach_leaf_at(v))
+    return added
+
+
+def special_face(hub: int = 12, p_deg: int = 5, q_deg: int = 3) -> FaceFixture:
+    """5-face with degrees (2, hub, 2, p, q) around vertices (0, 1, 2, 3, 4)."""
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)
+    _pump(b, 1, hub)
+    _pump(b, 3, p_deg)
+    _pump(b, 4, q_deg)
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
+
+
+def x1_face(h1: int = 12, h2: int = 12, s_deg: int = 3,
+            external_high: bool = False) -> FaceFixture:
+    """Pentagon (2, h1, 2, h2, s); the 3-vertex's outside neighbor is low
+    unless external_high pumps it to 12."""
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)
+    x = b.attach_leaf_at(4)
+    _pump(b, 4, s_deg)
+    _pump(b, 1, h1)
+    _pump(b, 3, h2)
+    if external_high:
+        _pump(b, x, 12)
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
+
+
+def x2_face(h1: int = 12, h2: int = 12, u_deg: int = 4,
+            y_deg: int = 2) -> FaceFixture:
+    """Pentagon (2, h1, 2, h2, 4); the 4-vertex's rotation reads
+    (h2, a, x, y) so its neighbor degrees match (11-, 2, 12+, 2+)."""
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)
+    x = b.attach_leaf_at(4)
+    y = b.attach_leaf_at(4)
+    _pump(b, 4, u_deg)
+    _pump(b, y, y_deg)
+    _pump(b, 1, h1)
+    _pump(b, 3, h2)
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4)), x, y
+
+
+def y1_face(h_deg: int = 12, w_extra: int = 0, u_extra: int = 0,
+            p_deg: int = 2):
+    """Pentagon f = (a, h, b, u, w) with degrees (2, 12+, 2, 4, 3), the
+    4-vertex pattern (2, 3, 11-, 12+), and cross-faces X1 and X2.
+
+    Returns (fixture for f, builder) so callers can keep growing.
+    """
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)  # f = [a=0, h=1, b=2, u=3, w=4]
+    outer = 1
+    # X1 face g_a = [h, a, w, h', b'] across the 2-vertex a
+    g_hex, g_a, (hp, bp) = b.insert_path(outer, 1, 4, 3)
+    b.reserved.add(g_a)
+    # X2 face g_b = [u, b, h, c, z] across the 2-vertex b
+    g_b, seven, (z, c) = b.insert_path(g_hex, 1, 3, 3)
+    b.reserved.add(g_b)
+    p = b.attach_leaf_at(3)  # lands between w and z in u's rotation
+    _pump(b, p, p_deg)
+    _pump(b, 1, h_deg)
+    _pump(b, hp, 12)
+    _pump(b, z, 12)
+    if w_extra:
+        _pump(b, 4, 3 + w_extra)
+    if u_extra:
+        _pump(b, 3, 4 + u_extra)
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4)), b
+
+
+def y2_face(h_deg: int = 12, s_extra: int = 0, r_extra: int = 0) -> FaceFixture:
+    """Pentagon f = (a, h, b, s, r) with degrees (2, 12+, 2, 3, 3) and both
+    cross-faces X1."""
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)  # f = [a=0, h=1, b=2, s=3, r=4]
+    outer = 1
+    g_hex, g_a, (hp, bp) = b.insert_path(outer, 1, 4, 3)
+    b.reserved.add(g_a)  # [h, a, r, h', b']
+    g_b, seven, (hpp, c) = b.insert_path(g_hex, 1, 3, 3)
+    b.reserved.add(g_b)  # [s, b, h, c, h'']
+    _pump(b, 1, h_deg)
+    _pump(b, hp, 12)
+    _pump(b, hpp, 12)
+    if s_extra:
+        _pump(b, 3, 3 + s_extra)
+    if r_extra:
+        _pump(b, 4, 3 + r_extra)
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
+
+
+def terrible_face(v_deg: int = 12, u4_extra: int = 0,
+                  w4_children: int = 1):
+    """Pentagon f = (v4, v, v5, u5, u4) with degrees (2, 12+, 2, 4, 4),
+    both 4-vertex patterns (2, 4, 11-, 12+), and both cross-faces X2.
+
+    Returns (fixture, names) where names maps the configuration labels to
+    vertex ids (v, v4, v5, u4, u5, w4, w5, h4, h5, c4, c5).
+    """
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)  # f = [v4=0, v=1, v5=2, u5=3, u4=4]
+    outer = 1
+    g_hex, g4, (h4, c4) = b.insert_path(outer, 1, 4, 3)
+    b.reserved.add(g4)  # [v, v4, u4, h4, c4]
+    g5, seven, (h5, c5) = b.insert_path(g_hex, 1, 3, 3)
+    b.reserved.add(g5)  # [u5, v5, v, c5, h5]
+    w4 = b.attach_leaf_at(4)  # between h4 and u5 in u4's rotation
+    w5 = b.attach_leaf_at(3)  # between u4 and h5 in u5's rotation
+    for _ in range(w4_children):
+        b.attach_leaf_at(w4)
+    b.attach_leaf_at(w5)
+    _pump(b, 1, v_deg)
+    _pump(b, h4, 12)
+    _pump(b, h5, 12)
+    if u4_extra:
+        _pump(b, 4, 4 + u4_extra)
+    names = {"v": 1, "v4": 0, "v5": 2, "u4": 4, "u5": 3,
+             "w4": w4, "w5": w5, "h4": h4, "h5": h5, "c4": c4, "c5": c5}
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4)), names
+
+
+def genus2_bad_face_gadget():
+    """Y1 configuration with a degree-13 hub on an Euler-genus-2 embedding.
+
+    The hub's final charge is 0, below the general-surface floor
+    2*genus - 3.5 = 0.5 at t = 11, so the audit must flag it.  Girth
+    stays 5; the extra handle lives far from the classified faces.
+
+    Returns (graph, face_verts, hub).
+    """
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)
+    outer = 1
+    g_hex, g_a, (hp, bp) = b.insert_path(outer, 1, 4, 3)
+    b.reserved.add(g_a)
+    g_b, seven, (z, c) = b.insert_path(g_hex, 1, 3, 3)
+    b.reserved.add(g_b)
+    p = b.attach_leaf_at(3)
+    b.attach_leaf_at(p)
+    _pump(b, hp, 12)
+    _pump(b, z, 12)
+    # hub to degree 13: two chains of length 3 plus plain leaves
+    a1 = b.attach_leaf_at(1)
+    a2 = b.attach_leaf_at(a1)
+    a3 = b.attach_leaf_at(a2)
+    b1 = b.attach_leaf_at(1)
+    b2 = b.attach_leaf_at(b1)
+    b3 = b.attach_leaf_at(b2)
+    _pump(b, 1, 13)
+    # split the outer region between the chain tips, then join the two
+    # sides by an extra edge: the merge raises the Euler genus to 2
+    big = next(fid for fid in b.faces
+               if fid not in b.reserved and a3 in b.face_verts(fid))
+    i = b.occurrences(big, a3)[0]
+    j = b.occurrences(big, b3)[0]
+    # both chains cross the cut, so a2 and b2 occur once on each side
+    s1, s2, _ = b.insert_path(big, i, j, 4)
+    b.add_handle_edge(s1, b.occurrences(s1, a2)[0],
+                      s2, b.occurrences(s2, b2)[0])
+    return b.graph(), (0, 1, 2, 3, 4), 1

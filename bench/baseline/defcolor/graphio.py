@@ -1,0 +1,132 @@
+"""Plain-text graph and coloring documents.
+
+Graph document: a header line ``graph <n> <m>`` (optionally followed by
+the token ``girth5``, which makes the parser verify girth >= 5), then
+one line per vertex ``<id>: <nbr> <nbr> ...`` in rotation order, then
+optional ``twist <u> <v>`` lines naming sign-flipped edges.  Rotation
+order round-trips exactly.
+
+Coloring document: ``coloring <n> defects <d1>,<d2>,...`` then one line
+``<vertex> <class>`` per vertex with 1-based class indices.
+"""
+
+from __future__ import annotations
+
+from .coloring import Coloring
+from .embedding import EmbeddedGraph, GirthTooSmallError, girth
+
+
+class ParseError(ValueError):
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def parse_graph(text: str) -> EmbeddedGraph:
+    """Parse a graph document; build errors surface unchanged."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty document")
+    head = lines[0].split()
+    if len(head) not in (3, 4) or head[0] != "graph":
+        raise ParseError(1, "expected header 'graph <n> <m> [girth5]'")
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:
+        raise ParseError(1, "vertex/edge counts must be integers") from None
+    check_girth = len(head) == 4
+    if check_girth and head[3] != "girth5":
+        raise ParseError(1, f"unknown header flag {head[3]!r}")
+
+    rotation: list[list[int] | None] = [None] * n
+    twists: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("twist"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(lineno, "expected 'twist <u> <v>'")
+            try:
+                twists.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise ParseError(lineno, "twist endpoints must be integers") from None
+            continue
+        if ":" not in line:
+            raise ParseError(lineno, "expected '<vertex>: <neighbors>'")
+        left, _, right = line.partition(":")
+        try:
+            v = int(left)
+            nbrs = [int(x) for x in right.split()]
+        except ValueError:
+            raise ParseError(lineno, "vertex ids must be integers") from None
+        if not (0 <= v < n):
+            raise ParseError(lineno, f"vertex id {v} out of range 0..{n - 1}")
+        if rotation[v] is not None:
+            raise ParseError(lineno, f"vertex {v} listed twice")
+        rotation[v] = nbrs
+
+    missing = [v for v in range(n) if rotation[v] is None]
+    if missing:
+        raise ParseError(len(lines), f"missing rotation lines for {missing[:5]}")
+    graph = EmbeddedGraph(rotation, twists)  # type: ignore[arg-type]
+    if len(graph.edges) != m:
+        raise ParseError(1, f"header says {m} edges, found {len(graph.edges)}")
+    if check_girth and girth(graph) < 5:
+        raise GirthTooSmallError(
+            f"document declares girth5 but girth is {girth(graph)}")
+    return graph
+
+
+def serialize_graph(graph: EmbeddedGraph, declare_girth5: bool = False) -> str:
+    flag = " girth5" if declare_girth5 else ""
+    lines = [f"graph {graph.n} {len(graph.edges)}{flag}"]
+    for v in range(graph.n):
+        lines.append(f"{v}: " + " ".join(str(u) for u in graph.rotation[v]))
+    for u, v in sorted(graph.twists):
+        lines.append(f"twist {u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_coloring(text: str) -> Coloring:
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty document")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "coloring" or head[2] != "defects":
+        raise ParseError(1, "expected header 'coloring <n> defects <d1>,<d2>,...'")
+    try:
+        n = int(head[1])
+        defects = tuple(int(x) for x in head[3].split(","))
+    except ValueError:
+        raise ParseError(1, "bad counts or defect vector") from None
+    assign: list[int | None] = [None] * n
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(lineno, "expected '<vertex> <class>'")
+        try:
+            v, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(lineno, "expected integers") from None
+        if not (0 <= v < n):
+            raise ParseError(lineno, f"vertex id {v} out of range")
+        if not (1 <= c <= len(defects)):
+            raise ParseError(lineno, f"class {c} out of range 1..{len(defects)}")
+        assign[v] = c - 1
+    missing = [v for v in range(n) if assign[v] is None]
+    if missing:
+        raise ParseError(len(lines), f"vertices without classes: {missing[:5]}")
+    return Coloring(tuple(assign), defects)  # type: ignore[arg-type]
+
+
+def serialize_coloring(coloring: Coloring) -> str:
+    defects = ",".join(str(d) for d in coloring.defects)
+    lines = [f"coloring {len(coloring.assignment)} defects {defects}"]
+    for v, c in enumerate(coloring.assignment):
+        lines.append(f"{v} {c + 1}")
+    return "\n".join(lines) + "\n"
