@@ -1,0 +1,402 @@
+"""Golden SHA-256 digests of outputs that refactors must keep byte-identical.
+
+Two groups are pinned:
+
+* every 10th corpus graph and every large-corpus graph, run through the
+  CLI: the ``color --trace`` JSON, the coloring document, the
+  ``audit --format csv`` output and the text report (with exit codes);
+* every face fixture and knob perturbation of acceptance criterion 2,
+  the genus-2 gadget and the projective Petersen graph: the face classes,
+  the audit CSV and the violated-lemma set at t = 10, 11 and 15.
+
+The corpus never yields a Y1, Y2 or Terrible face, so only the fixtures
+pin those branches of the face matcher.
+
+After an intended output change, print fresh tables with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from defcolor import fixtures as fx
+from defcolor.cli import main
+from defcolor.discharging import audit, classify_faces, ledger_csv, transfers_csv
+from defcolor.graphio import serialize_graph
+
+from conftest import CORPUS_COUNT, LARGE_SIZES, corpus_spec
+
+THRESHOLDS = (10, 11, 15)
+
+# (builder name, keyword arguments); the builders return a FaceFixture, a
+# tuple led by one, or a tuple led by the graph itself.
+FIXTURE_CASES = [
+    ("special_face", {}), ("special_face", {"hub": 11}),
+    ("special_face", {"p_deg": 6}), ("special_face", {"q_deg": 4}),
+    ("x1_face", {}), ("x1_face", {"h1": 11}), ("x1_face", {"s_deg": 4}),
+    ("x1_face", {"external_high": True}),
+    ("x2_face", {}), ("x2_face", {"h2": 11}), ("x2_face", {"u_deg": 5}),
+    ("x2_face", {"y_deg": 1}),
+    ("y1_face", {}), ("y1_face", {"h_deg": 11}), ("y1_face", {"w_extra": 1}),
+    ("y1_face", {"u_extra": 1}),
+    ("y2_face", {}), ("y2_face", {"h_deg": 11}), ("y2_face", {"s_extra": 1}),
+    ("y2_face", {"r_extra": 1}),
+    ("terrible_face", {}), ("terrible_face", {"v_deg": 11}),
+    ("terrible_face", {"u4_extra": 1}), ("terrible_face", {"w4_children": 0}),
+    ("genus2_bad_face_gadget", {}),
+    ("petersen_projective", {}),
+]
+
+
+def _digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(str(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _case_name(name, kwargs) -> str:
+    return f"{name}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
+
+
+def _fixture_graph(name, kwargs):
+    built = getattr(fx, name)(**kwargs)
+    if isinstance(built, tuple):
+        built = built[0]
+    return built.graph if isinstance(built, fx.FaceFixture) else built
+
+
+def cli_digest(graph, workdir: Path) -> str:
+    gpath = workdir / "g.txt"
+    gpath.write_text(serialize_graph(graph))
+    out = {name: workdir / name for name in ("col", "trace", "csv", "text")}
+    codes = [
+        main(["color", "--input", str(gpath), "--output", str(out["col"]),
+              "--trace", str(out["trace"])]),
+        main(["audit", "--input", str(gpath), "--format", "csv",
+              "--output", str(out["csv"])]),
+        main(["audit", "--input", str(gpath), "--output", str(out["text"])]),
+    ]
+    return _digest(codes + [p.read_text() for p in out.values()])
+
+
+def fixture_digest(graph) -> str:
+    parts = [",".join(c.value for c in classify_faces(graph))]
+    for t in THRESHOLDS:
+        rep = audit(graph, t)
+        parts += [t, ledger_csv(rep.ledger) + transfers_csv(rep.transfers),
+                  sorted(rep.violated_lemmas)]
+    return _digest(parts)
+
+
+def corpus_digests(corpus, corpus_large) -> dict[str, str]:
+    graphs = [(f"corpus[{i}]", corpus[i]) for i in range(0, len(corpus), 10)]
+    graphs += [(f"large[{i}]", g) for i, g in enumerate(corpus_large)]
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: cli_digest(g, Path(tmp)) for name, g in graphs}
+
+
+def fixture_digests() -> dict[str, str]:
+    return {_case_name(name, kw): fixture_digest(_fixture_graph(name, kw))
+            for name, kw in FIXTURE_CASES}
+
+
+CORPUS_GOLDEN = {
+    "corpus[0]":
+        "b2db437384c571cc6fbabdbedddc3b932273b3e200765fa669d73f83ea99656c",
+    "corpus[10]":
+        "b7e1f6b2df5b291e3fea386078cc6e1c237ab45bbfe909858afef585e8de7208",
+    "corpus[20]":
+        "078e377f0b511ff431d4068ccba9f6a19b68fb851a5635638680e617208b3264",
+    "corpus[30]":
+        "d4f4ef8a683996198327a494e45e3da256332d24e4d125323038baa40874d23d",
+    "corpus[40]":
+        "a44e3a31206a377a4d0b4d03dcd5fa5cf762f56469dd4cf3c23c44b125857353",
+    "corpus[50]":
+        "0762b7796491cf63b25ae84234767e3891fee354a601566296b7289d37c8b7ec",
+    "corpus[60]":
+        "feca4c9e3379be5f98b6892543bb244a69a138d95f7c2cc41c04190f96cf29fb",
+    "corpus[70]":
+        "d763e8876bb33eeedc4676fcc94a71289da9667b413195354bee7d4ffa74a0b9",
+    "corpus[80]":
+        "17dfff145de01c898226151f1bae0db3469bf91455b58ed29b6a2447f408b9de",
+    "corpus[90]":
+        "a7589df4cec30196bd419f5943e470b62cfa3bbe12863393787ccef728633a1b",
+    "corpus[100]":
+        "1c1c9c3ed96c30c7069342d03ba6a4fb698e9c18d59905afca9abb51a2079a52",
+    "corpus[110]":
+        "1eb4e128ff8c9f14d886c51edaa39cdd9730892f4dbdce032abb8e193d2b9053",
+    "corpus[120]":
+        "85311334fa0e818a3f94c19551e920bcc2cde0a2bc4ebb7491159694a894a9c9",
+    "corpus[130]":
+        "c81c3a98bfde645e51c33d203dbda987b4512596d3e78f1a0ae8a7d533eb032c",
+    "corpus[140]":
+        "cc6e14860d051f97dbf526c4a683dd4fe0c050c5887fbcf6d3f1ed75884e646f",
+    "corpus[150]":
+        "d7dcae07a263ea2996d29302987fac98dff881d5d9f7ce12cbcf88e4becf55a0",
+    "corpus[160]":
+        "8fed78ac838d70d7bd0b05e08cf4fb02dcf02857769c368498aef6fbd9068b0d",
+    "corpus[170]":
+        "5da8fe895f7d9416a6eef2cb08dd8dfde36475cd71437bbc2b192302b6bbd7b3",
+    "corpus[180]":
+        "cfb8ced5c9c57c0796ee2f7463474ece23354640c10fdb8c67c96f85e9df5ee4",
+    "corpus[190]":
+        "3bbb97d332fc2e3059a97272358441ea019286f299b0df3a818f1ccc8ed25de4",
+    "corpus[200]":
+        "be971b5c6beeed412f03c4ee8e474d45bb040266ae60a69b5727845e5941e78a",
+    "corpus[210]":
+        "41d6042bdbce99bc31185911f4cf4034a640a76741b65c36abc5349442a6517b",
+    "corpus[220]":
+        "40513b2d0fb587c62699e382f513083ec03812eb1513c8cc28febe6a37c520c7",
+    "corpus[230]":
+        "0cf48424fe8084ff9f6b80c5de7e36e6fbc684fc6c9f11789a5f0ff9e17b364d",
+    "corpus[240]":
+        "dcdaa806e2ba76dd6c2bdd189d62c8242bad9a50ae17b6b4290095f08ffadf2d",
+    "corpus[250]":
+        "ee58edfc8546a999d8f393f26ed23dc249b50307b9535872384e6ec1aea736b9",
+    "corpus[260]":
+        "9d4499bea9eba4493c3a4e737dfd5e5a855e50d588f5bcaa187ea50f98b855f9",
+    "corpus[270]":
+        "0475444d08e67b65c813af8863103bed1634df276b26d8d6f7d9d9cf58a971fc",
+    "corpus[280]":
+        "f669e32fdf7b86525ac8038a77215c17a90cf632661cd81a6adf8cc1f33eb633",
+    "corpus[290]":
+        "69cbcba02e189f755790cb32b7540eb8a6619ceac2b2604487310006e578d65c",
+    "corpus[300]":
+        "c4f8fb40fb679dc9615c847665b885dbe4e80ca84337f014843d722901047046",
+    "corpus[310]":
+        "b13c5ef0bd63dbaa62ee40831181fd1492cf4328c4d262335fd178bd1a754381",
+    "corpus[320]":
+        "cfbbb9ac864acdf81f4d8500fef39907b2cf5c56d494c4cbd7e94dd7d239d029",
+    "corpus[330]":
+        "c3c2add733b2a692a3a0fca934c230de7b2996f089b9a9ab7d82877d39624782",
+    "corpus[340]":
+        "f1b98ef40c59cd76160bc19c0c739a4fc0b6f50b9f6f910300cd589c71620308",
+    "corpus[350]":
+        "e633726a547a26ecf749d485a0c9068d9300edb8466030d11c6ba59b43bb89d8",
+    "corpus[360]":
+        "9764dcc56e6c96657d3a670cce5dbe39cb82ff0af5713c87be73fd57ad98a8c4",
+    "corpus[370]":
+        "f7da68acdce1727dfa3892bde824b31e1a29b55cf21e7eb4edf108733f113401",
+    "corpus[380]":
+        "a2dae5f9fa7fbdde65da15e6372173f92697565cdb19f12ff995e7b4c32a5c56",
+    "corpus[390]":
+        "fc1b2200a1a3770ded80b3382d0494fd8bb5b098822a1fa8a3c6759ad9ae44e1",
+    "corpus[400]":
+        "2d20807f20062bb0efbd4171f27541eff877889955bcdef9df53555f2980336e",
+    "corpus[410]":
+        "8979110fb956bdcb3e354784c98a9fda2cac33ee4087674d10bf45d4bb3f21c4",
+    "corpus[420]":
+        "5f1df300055da00c1b6f3f03af0b4f67e7376404e620e22a5e24408381ce7fd2",
+    "corpus[430]":
+        "5222dcefa2037620924bba25c086f514ddde631e5dcdb3930ecb700214afc442",
+    "corpus[440]":
+        "f7bf3d30552cd9ab25ebe4f807f9140fc37b53293e108debf1f75f5452c6dec7",
+    "corpus[450]":
+        "e897e89715f36537fa48dcd1997cb408072d63c4192b459c0f34971740dab5f0",
+    "corpus[460]":
+        "f132a6a7fcc47c4ccaafb060bd26019a46972c8dbdf9924d1bee33a7e8a15279",
+    "corpus[470]":
+        "67c6c7efff3b8e7713a297b8ee54d0c1ddc12382aa5518c4fab719f963350cce",
+    "corpus[480]":
+        "22417f7fccc4afc708108fccdaaf36a3ab76116e0fbd59765e2cb0fc3e119c47",
+    "corpus[490]":
+        "8cdcbadf031d9d78a5f2c6613c7b501848543f2eb732cb3b83bfb191b507a52c",
+    "corpus[500]":
+        "5064e62b8951e3bf3357f79e6db40d88d7423728fd91f16af3bb81c781d22178",
+    "corpus[510]":
+        "f45b8a6f8db9bf9ac9bf023edeee3a6a286291c05dc1902017d164d25f9446ee",
+    "corpus[520]":
+        "46422d8237ae70174480ae53c3e1c04c2682aafdf0c1362e7016650e1cdaf497",
+    "corpus[530]":
+        "49c90b0d7c5ec2303d5f6a3082b73438ebef769f187c025d9bfce0f9cbf31b23",
+    "corpus[540]":
+        "e07c4a1588fc004c1aeb83d9ff0d8da79383ee2941531268f68f175d7230002d",
+    "corpus[550]":
+        "6b4cb74a91f4fabbdff475f8cbb8175de4b5a7d4f43634561c52aad44db1683d",
+    "corpus[560]":
+        "a595a074be5a44f550c8eef6b8acf777422202b01c15147c6c2b20c1ed0daac3",
+    "corpus[570]":
+        "e0f90506873f49838cb00980ab25cd512b052649a77fc743bc6ca1fbf42c8e5c",
+    "corpus[580]":
+        "a9d97180b65359293ec551490be412653b37d8263f5468ee013ecc0629fe5f84",
+    "corpus[590]":
+        "210424e68f1af1046a5d2b943e37e427a3ff14b4a256f877a516a2c04a490975",
+    "corpus[600]":
+        "7e14ff9a270354163d5c356c73d30a04d8d6c931c6cb57227f7aa90a4f518e9d",
+    "corpus[610]":
+        "3b5e005aee3c3c29c152feaf478fb5d7a441f9d0a308f6c2fac842897f31ecce",
+    "corpus[620]":
+        "ff5e73b9d9e9194ded9bca547429d8b15c755f0800b044a3a5c6ccb5a4911e58",
+    "corpus[630]":
+        "c796bca0985b3ea2bbdfe14200d4fd8dd3bc3f26c55d2b6b9b111d45a1ff8ef3",
+    "corpus[640]":
+        "6d35e0be3d8b4553f129c99c8a0887bbf0e4a267e5ff95fe8d9ee258edc5bb3a",
+    "corpus[650]":
+        "04b72634601390f22d70a930484ccbb033cced730fdd28ce105696fd77a7e342",
+    "corpus[660]":
+        "83257e7bb559a98f9c6a2bd2b8f3ffeadc218b41d88336ae5a648ec3abfb2f92",
+    "corpus[670]":
+        "bccc7492be9fd03c453a64b50df691702bce8ff5cbefda111744efda18491667",
+    "corpus[680]":
+        "d07eb599d8873a66b84a9181fd8f2ec630c042927b84ade2724f34c83233c0ed",
+    "corpus[690]":
+        "9b17bde7eb8310b07e562f7b9d5ece7f3afbf8a49b500d8e44c581bd02e86c4a",
+    "corpus[700]":
+        "c7698d4e5fc7669987d4b17c289dc696fd18ff07e394fe384fb084f0484f1f3a",
+    "corpus[710]":
+        "77bd78934dc0f0e1cbdcb8d1116957a7ebb3bb283ac707f1a643776b784739fb",
+    "corpus[720]":
+        "701b134545b214df26b79f0ccbcbeeecfa19ba098934afc0d632f7d35a6277b1",
+    "corpus[730]":
+        "e19bf1804baca9b40d3c24f6266d43ecc4ebd4bab4c30ccff40abecc98c20963",
+    "corpus[740]":
+        "226c27ece0842ae7a16b38d0d3539c4a8e32834bd95112a645ae7badb05440f6",
+    "corpus[750]":
+        "cf889c1afeb1256dfff6bd6da682d44553af5de18c966fa340281897a4ded7f2",
+    "corpus[760]":
+        "79a7bdf68b814f7c146d2dfb705465be8c5a9271f310d4938e170f69fb754ea4",
+    "corpus[770]":
+        "f8941d9999df1dde9b0d4872c996798c66c2e5236da268654e4bea941a70618b",
+    "corpus[780]":
+        "d4bbc81dbee6e6b4e4b33c39f65ca7a92770dc3930c0bfa26419f79266c9dc92",
+    "corpus[790]":
+        "9fb47203958f395894a4c9b3f17242aa446c7f02aadfaf6baabeeaec34176c5e",
+    "corpus[800]":
+        "bbd26bbfbaa3fd8c27e9c9af1273246a95c82c2a193153a8d320abdac6ddefa0",
+    "corpus[810]":
+        "1ff222828bc7a0a00c70adc1e7975fe6e0bb539a7eef11ece2da89b3796319c1",
+    "corpus[820]":
+        "2c91490e43631bd6aa86ab78bbfc41821f7136dc7029d472007a3b75cd746366",
+    "corpus[830]":
+        "024ce8bd902637e561a0be00580492c6041450abd7bb5be2cc855dd483902270",
+    "corpus[840]":
+        "16d96dd1d67473210169062dca5450d1a3cfd07da264760f470132b8f668ab9b",
+    "corpus[850]":
+        "a5e04c8e36bb078eaaab5774bc44d8638170dc6a505b7c4ea248ef502d154fd3",
+    "corpus[860]":
+        "fed4d2eab680921ca78dd7255a72cb87539beed2388a4173471fa103b0cef2cf",
+    "corpus[870]":
+        "374cd26e2e8f31f171a2728805c145e132c51fc07ac2605c0eea3427a7d8686e",
+    "corpus[880]":
+        "4a3f2ee7825f29466c53cb6e2f6fac7c72c6cfd965f6e71d3bf75dd9419c0b26",
+    "corpus[890]":
+        "4eab79d3c997b6f8433a450126be02a8497f1db6df6d1e019497c895864f2fc7",
+    "corpus[900]":
+        "895b9963ab1125bb4e356ed1ff7b73c8a010d18972636971ef15c6836bc9ec85",
+    "corpus[910]":
+        "c9352ff977730546217cee935f2cd91f7f59131521a92424e48b68113730f41e",
+    "corpus[920]":
+        "ae7642a1fa9f617e95a23ba0754e14bf192d20d9134b14cf3c6bab90e540dbec",
+    "corpus[930]":
+        "319df6069a72b0b639769ba0b192afeb510dc8124a992ec8dccab80b6e264742",
+    "corpus[940]":
+        "d40194e26bcc492fbb3529d09b51bcf404c52cb46f13cbcba495355d942c249b",
+    "corpus[950]":
+        "7b80ab83a417ae7bd026317d8d78d0c014b9472172563816d297117e00aa8ab9",
+    "corpus[960]":
+        "d2a9fe0c0396ed80607b1fa80ab9b38d3dfe4854ed14d33764690eafb9060dbe",
+    "corpus[970]":
+        "05fa9f322a468ad2962f42fff019f005c163295e6f7370e9574c3d6ac4cfc8e3",
+    "corpus[980]":
+        "10446d1909e07dd4b4d076b8142d78420015b5f4282a13c9ba3864db915a012f",
+    "corpus[990]":
+        "7d80ac67ef8cda87aa0c9d20e0f96454497e168c1d3b7a292fa076ce2d5c3947",
+    "large[0]":
+        "3923aef3f37ea3a4147408e734050cdbc66553922c73a4ea7383fa0187a56bd8",
+    "large[1]":
+        "3173af7753746ac50c1958ae1bb2035b45e997672794506f33d9ad754b2a7712",
+    "large[2]":
+        "57ccdb10b4f7bc2d15b41a9ac0821572fa91d65a4336f55731f27c8117201779",
+    "large[3]":
+        "83d682f129ec1c3523f3fafe70a1bcf593e8aa1b6c70bf73a240bddd52677492",
+    "large[4]":
+        "cd01a2ae197017be78d745a07e9208a2db47c3197e306f435669759c1877f6b3",
+    "large[5]":
+        "c2375b3c9e3b5a88f7d874ff5e1d74642ec51a6311c2724da38d5070d7e1df10",
+    "large[6]":
+        "7bded4490b9a97e466e69b5b56fe359f9ae25012749c537bb31a065cb2d5307b",
+}
+
+FIXTURE_GOLDEN = {
+    "special_face()":
+        "3a6f575cc9c1b37eb0f8d8da9b50738e1b8b1163660c71ba2d32bde0b2c0457a",
+    "special_face(hub=11)":
+        "5113423de1c8cec3012edd230155a1e30f11311300a470e9cdd006e5fde36a04",
+    "special_face(p_deg=6)":
+        "193a864f1a13103562b681dbd4ac560dbdbd0298d394143ce6a14601e0cd4d36",
+    "special_face(q_deg=4)":
+        "ce81ee5809a35c0c15c4372c8f0ec56f43ae886120479ec91e9cb35d41e59b2d",
+    "x1_face()":
+        "005fe67930f5a27e4683f8b257f2fee1d6181807fdea49a6a5082b7d98f0fd04",
+    "x1_face(h1=11)":
+        "a1933341fa294088dd0e3e1b4244fdd157b2475012ff1708122bc1966742e42b",
+    "x1_face(s_deg=4)":
+        "429841f10f6349c20b3274339faa17a58f21a648b02230f9ddf8859fb1b23ed2",
+    "x1_face(external_high=True)":
+        "6b26e61c800ed0d098d73badd5dbb318a16c619f5a8658c4b3c1a2c6943e1614",
+    "x2_face()":
+        "3f0b2adafb5b9c061868d6f365f289e924be2d9b5575356b276c351581665d00",
+    "x2_face(h2=11)":
+        "8b754c196cb8f3bba0f51b6d5dcac7a983662fc5704a8d43cc8c8a344e38c484",
+    "x2_face(u_deg=5)":
+        "6b3b31f0a2c0b154aa2cbd46defdd6fa40e2d3431a460787cfac5cf664baffc3",
+    "x2_face(y_deg=1)":
+        "429841f10f6349c20b3274339faa17a58f21a648b02230f9ddf8859fb1b23ed2",
+    "y1_face()":
+        "f06dec84a30a5c03c42031f229b5f527cc91b154d495b37852b3897a5a217799",
+    "y1_face(h_deg=11)":
+        "00e0b89046cba0dbe569c2cf1ac4e26c80ed998ccd56c04138b2ef964e9f644c",
+    "y1_face(w_extra=1)":
+        "9a8ec905b9ade59af72623ac1589bcb25e0d3f3ad49c2bf7c5edb33e05b6087b",
+    "y1_face(u_extra=1)":
+        "10fa4658dbd747a8bbf0ac025b106f02a023ec217a6d5b1eb05bf9d66822c41a",
+    "y2_face()":
+        "4574e28de0eb22b80537c4b2b03eb3327551315d98e15434c8799fa9b614d192",
+    "y2_face(h_deg=11)":
+        "a82b982b6879469aceff85552a76fb2e2418b1ab13754e1204628ded9c4b831f",
+    "y2_face(s_extra=1)":
+        "e9f574341215369f21ccf5e98b16ead00dfddc2fbeb5336fd1dbe2b720ffb33c",
+    "y2_face(r_extra=1)":
+        "57d849e3c013f40a49ed4721db4c8b1595151c4310b20ad09991c6295f518b62",
+    "terrible_face()":
+        "607e3539fe4f7c8e9b7a678c8d994d87a2fa0ad106656fc43873741fa1c8047a",
+    "terrible_face(v_deg=11)":
+        "895b4efb684bd13c1be6cbfec3ac167e8b1ff9253032548eb612f195c0075087",
+    "terrible_face(u4_extra=1)":
+        "c14e0b6da50e85cbd47040512a48f1cd70a07f25a28931ace1083a5f8163472d",
+    "terrible_face(w4_children=0)":
+        "0112fee1d675a42b1ec88deeab5d47b8364dc85f8e0f6257dc5329a8916355ba",
+    "genus2_bad_face_gadget()":
+        "358627c21c100e9927535b1c62987c7ee61e875084ffb621307e131c9e76fb19",
+    "petersen_projective()":
+        "db6169f47faf594fe2c0e448634b15de3199c923d739e00037548ff65d433908",
+}
+
+
+def test_corpus_outputs_match_golden(corpus, corpus_large):
+    assert corpus_digests(corpus, corpus_large) == CORPUS_GOLDEN
+
+
+def test_fixture_outputs_match_golden():
+    assert fixture_digests() == FIXTURE_GOLDEN
+
+
+if __name__ == "__main__":
+    from defcolor.generate import gen_planar_girth5
+
+    corpus = [gen_planar_girth5(*corpus_spec(i)) if i % 10 == 0 else None
+              for i in range(CORPUS_COUNT)]
+    large = [gen_planar_girth5(77000 + i, size)
+             for i, size in enumerate(LARGE_SIZES)]
+    for title, table in (("CORPUS_GOLDEN", corpus_digests(corpus, large)),
+                         ("FIXTURE_GOLDEN", fixture_digests())):
+        print(f"{title} = {{")
+        for key, value in table.items():
+            print(f'    "{key}":\n        "{value}",')
+        print("}\n")
