@@ -21,9 +21,8 @@ from .discharging import (AuditReport, ChargeLedger, FaceClass, SponsorKind,
                           sponsor_instances, sponsor_relation, transfers_csv)
 from .embedding import (AsymmetricError, DisconnectedError, EmbeddedGraph,
                         Face, GirthTooSmallError, GraphError, NonSimpleError,
-                        NotOnFaceError, VertexClass, build_graph,
-                        classify_vertex, euler_genus, f_external_neighbors,
-                        girth, induced_embedding)
+                        NotOnFaceError, build_graph, euler_genus,
+                        f_external_neighbors, girth, induced_embedding)
 from .generate import gen_girth5_small, gen_planar_girth5
 from .graphio import (ParseError, parse_coloring, parse_graph,
                       serialize_coloring, serialize_graph)
@@ -37,9 +36,8 @@ __all__ = [
     "GirthTooSmallError", "GraphError", "NonSimpleError", "NotOnFaceError",
     "ParseError", "PartialColoringError", "PlanarBuilder", "ReductionKind",
     "ReductionStep", "SolveResult", "SolveStatus", "SponsorKind", "Transfer",
-    "UncoloredError", "VertexClass", "apply_rules", "audit", "build_graph",
-    "capacity", "classify_face", "classify_faces", "classify_vertex",
-    "color", "euler_genus", "extend_coloring", "f_external_neighbors",
+    "UncoloredError", "apply_rules", "audit", "build_graph",
+    "capacity", "classify_face", "classify_faces", "color", "euler_genus", "extend_coloring", "f_external_neighbors",
     "find_reduction", "gen_girth5_small", "gen_planar_girth5", "girth",
     "induced_embedding", "induced_max_degrees", "initial_charges",
     "is_saturated", "is_valid", "ledger_csv", "parse_coloring", "parse_graph",

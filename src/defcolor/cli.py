@@ -13,11 +13,11 @@ import json
 import sys
 from collections import Counter
 
-from .colorer import capacity, color
+from .colorer import color
 from .coloring import SolveStatus, is_valid, solve_exact
 from .discharging import (audit, classify_faces, ledger_csv, report_text,
                           transfers_csv)
-from .embedding import GraphError, girth
+from .embedding import GraphError
 from .generate import gen_planar_girth5
 from .graphio import (ParseError, parse_coloring, parse_graph,
                       serialize_coloring, serialize_graph)
@@ -76,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="constructive (1,t)-coloring")
     add_common(p)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--genus-auto", action="store_true",
-                   help="take t = capacity(genus) (default when --t absent)")
+    p.add_argument("--t", type=int, default=None,
+                   help="defect threshold (default capacity(genus))")
     p.add_argument("--trace", default=None, help="write the reduction trace (JSON)")
     p.add_argument("--budget", type=int, default=10 ** 7)
 
@@ -128,10 +127,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_color(args) -> int:
     graph = parse_graph(_read(args.input))
-    t = args.t
-    if t is None or args.genus_auto:
-        t = capacity(graph.genus)
-    res = color(graph, t, args.budget)
+    res = color(graph, args.t, args.budget)
     if args.trace:
         payload = {
             "t": res.trace.t,
@@ -181,7 +177,7 @@ def _cmd_gen(args) -> int:
 def _cmd_stats(args) -> int:
     graph = parse_graph(_read(args.input))
     degs = Counter(graph.degree(v) for v in range(graph.n))
-    g = girth(graph)
+    g = graph.girth
     classes = Counter(c.value for c in classify_faces(graph))
     faces = Counter(f.degree for f in graph.faces)
     rows = [

@@ -5,16 +5,21 @@ its witness vertices, colors the rest, and extends the coloring back:
 
   1. a vertex of degree at most one,
   2. two adjacent 2-vertices,
-  3. a (t+1)-.vertex all of whose neighbors are (t+1)-.vertices,
-  4. a (t+2)+-vertex with more incident Terrible faces than
-     min(d//3, d - t - 2), from which a 2-vertex is deleted.
+  3. a low vertex all of whose neighbors are low,
+  4. a high vertex with more incident Terrible faces than
+     terrible_bound(d, high), from which a 2-vertex is deleted.
+
+Low and high are the structural degree thresholds for t that
+discharging.structural_thresholds owns; the Terrible faces themselves
+are classified with the fixed high degree 12 of the face patterns.
 
 On girth-5 graphs each extension is guaranteed to succeed, so the
 recursion yields a valid coloring with defects (1, t).  If no
 configuration exists the colorer falls back to the exact solver; with
 t = 10 on a genus <= 1 input that fallback is flagged as an anomaly,
 since such a graph would be a counterexample to the coloring theorem
-this machinery implements.
+this machinery implements.  Each extension step is checked locally
+(the changed vertices and their neighbors) before the next one runs.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -26,9 +31,11 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .coloring import Coloring, SolveStatus, is_valid, solve_exact
-from .discharging import FaceClass, classify_faces
-from .embedding import (EmbeddedGraph, GirthTooSmallError, girth,
-                        induced_embedding)
+from .discharging import (MIN_T, FaceClass, classify_faces,
+                          structural_thresholds, terrible_bound)
+from .embedding import EmbeddedGraph, GirthTooSmallError, induced_embedding
+# bench/selftest.py checks that tracing also rebinds girth under this module
+from .embedding import girth  # noqa: F401
 
 C_SMALL = 0  # defect-1 class (paper color "1")
 C_BIG = 1    # defect-t class (paper color "10")
@@ -97,7 +104,7 @@ def capacity(genus: int) -> int:
     max(10, 4*genus + 3)."""
     if genus < 0:
         raise ValueError("genus must be non-negative")
-    return max(10, 4 * genus + 3)
+    return max(MIN_T, 4 * genus + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +118,7 @@ def _present_neighbors(graph, present, v):
 
 def _scan_reduction(graph: EmbeddedGraph, present: set[int],
                     deg: Sequence[int], t: int) -> ReductionStep | None:
+    low, _ = structural_thresholds(t)
     for v in range(graph.n):
         if v in present and deg[v] <= 1:
             return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
@@ -123,9 +131,9 @@ def _scan_reduction(graph: EmbeddedGraph, present: set[int],
                 return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
                                      (u, v), {}, t)
     for v in range(graph.n):
-        if v in present and deg[v] <= t + 1:
+        if v in present and deg[v] <= low:
             nbrs = _present_neighbors(graph, present, v)
-            if all(deg[u] <= t + 1 for u in nbrs):
+            if all(deg[u] <= low for u in nbrs):
                 return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
                                      (v,), {}, t)
     return _find_terrible_reduction(graph, present, deg, t)
@@ -158,6 +166,7 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
     The deleted 2-vertex is picked so that the face three rotation steps
     earlier is not terrible, matching the reduction's case analysis.
     """
+    low, high = structural_thresholds(t)
     for comp in _components(graph, present):
         if len(comp) < 5:
             continue
@@ -166,7 +175,7 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
         classes = classify_faces(sub)
         for v in range(sub.n):
             d = sub.degree(v)
-            if d < t + 2:
+            if d < high:
                 continue
             rot = sub.rotation[v]
             # ring[i] = face of the passage between rotation neighbors
@@ -180,7 +189,7 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
             ring = [by_pair[frozenset((rot[i - 1], rot[i]))] for i in range(d)]
             terrible = [i for i in range(d)
                         if classes[ring[i]] is FaceClass.TERRIBLE]
-            if len(terrible) <= min(d // 3, d - t - 2):
+            if len(terrible) <= terrible_bound(d, high):
                 continue
             pick = next((j for j in terrible
                          if classes[ring[(j - 3) % d]] is not FaceClass.TERRIBLE),
@@ -190,7 +199,7 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
             u4 = next(u for u in sub.rotation[v4] if u != v)
             u5 = next(u for u in sub.rotation[v5] if u != v)
             w4 = next((u for u in sub.rotation[u4]
-                       if u not in (v4, u5) and sub.degree(u) <= t + 1), None)
+                       if u not in (v4, u5) and sub.degree(u) <= low), None)
             ring_two = []
             for i in range(d):
                 vi = rot[i]
@@ -212,9 +221,9 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
 
 
 def find_reduction(graph: EmbeddedGraph, t: int = 10) -> ReductionStep | None:
-    """First reducible configuration in the fixed search order, or None."""
-    if t < 10:
-        raise ValueError(f"threshold t must be at least 10, got {t}")
+    """First reducible configuration in the fixed search order, or None.
+
+    Raises ValueError when t is below 10."""
     present = set(range(graph.n))
     deg = [graph.degree(v) for v in range(graph.n)]
     return _scan_reduction(graph, present, deg, t)
@@ -231,8 +240,16 @@ def _same_class_count(graph, present, phi, v):
                if u in present and phi.get(u) == c)
 
 
-def _vertex_ok(graph, present, phi, defects, v):
-    return _same_class_count(graph, present, phi, v) <= defects[phi[v]]
+def _first_invalid(graph, present, phi, t, changed):
+    """A vertex among changed and their present neighbors whose class
+    exceeds its defect in (1, t), or None when all are within bounds."""
+    defects = (1, t)
+    touched = set(changed)
+    for x in changed:
+        touched.update(u for u in graph.rotation[x] if u in present)
+    return next((x for x in touched
+                 if _same_class_count(graph, present, phi, x) > defects[phi[x]]),
+                None)
 
 
 def _apply_extension(graph: EmbeddedGraph, present: set[int],
@@ -241,8 +258,9 @@ def _apply_extension(graph: EmbeddedGraph, present: set[int],
     """Extend phi over step.deleted (already added back to present).
 
     Mutates phi; returns the (vertex, class) actions in application
-    order, recolorings included.  Raises ExtensionFailedError when no
-    branch restores validity, which no valid input should reach.
+    order, recolorings included.  Every step is checked around the
+    vertices it colored; ExtensionFailedError is raised when no branch
+    restores validity, which no valid input should reach.
     """
     t = step.t
     kind = step.kind
@@ -257,9 +275,7 @@ def _apply_extension(graph: EmbeddedGraph, present: set[int],
         c = C_BIG if not around else 1 - phi[around[0]]
         phi[v] = c
         actions.append((v, c))
-        return tuple(actions)
-
-    if kind is ReductionKind.ADJACENT_TWO_VERTICES:
+    elif kind is ReductionKind.ADJACENT_TWO_VERTICES:
         u, v = step.deleted
         up = next(w for w in nbrs(u) if w != v)
         vp = next(w for w in nbrs(v) if w != u)
@@ -271,32 +287,34 @@ def _apply_extension(graph: EmbeddedGraph, present: set[int],
             phi[u] = 1 - phi[up]
             phi[v] = 1 - phi[vp]
             actions += [(u, phi[u]), (v, phi[v])]
-        return tuple(actions)
-
-    if kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
+    elif kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
         (v,) = step.deleted
         around = nbrs(v)
         if not any(phi[u] == C_SMALL for u in around):
             phi[v] = C_SMALL
             actions.append((v, C_SMALL))
-            return tuple(actions)
-        saturated = [u for u in around
-                     if phi[u] == C_BIG
-                     and _same_class_count(graph, present, phi, u) == t]
-        for u in saturated:
-            phi[u] = C_SMALL
-            actions.append((u, C_SMALL))
-        phi[v] = C_BIG
-        actions.append((v, C_BIG))
-        return tuple(actions)
+        else:
+            saturated = [u for u in around
+                         if phi[u] == C_BIG
+                         and _same_class_count(graph, present, phi, u) == t]
+            for u in saturated:
+                phi[u] = C_SMALL
+                actions.append((u, C_SMALL))
+            phi[v] = C_BIG
+            actions.append((v, C_BIG))
+    else:
+        return _extend_terrible(graph, present, phi, step)
 
-    return _extend_terrible(graph, present, phi, step)
+    bad = _first_invalid(graph, present, phi, t, [v for v, _ in actions])
+    if bad is not None:
+        raise ExtensionFailedError(
+            f"extension broke validity at vertex {bad}", step, phi)
+    return tuple(actions)
 
 
 def _extend_terrible(graph, present, phi, step):
-    """Try the reduction's recoloring branches in proof order."""
-    t = step.t
-    defects = (1, t)
+    """Try the reduction's recoloring branches in proof order; the first
+    one that keeps every touched vertex within its defect wins."""
     w = step.witness
     (v4,) = step.deleted
     u4, hub, w4 = w["u4"], w["hub"], w["w4"]
@@ -317,10 +335,7 @@ def _extend_terrible(graph, present, phi, step):
     for move in moves:
         saved = {x: phi.get(x) for x in move}
         phi.update(move)
-        touched = set(move)
-        for x in move:
-            touched.update(u for u in graph.rotation[x] if u in present)
-        if all(_vertex_ok(graph, present, phi, defects, x) for x in touched):
+        if _first_invalid(graph, present, phi, step.t, move) is None:
             return tuple(move.items())
         for x, old in saved.items():
             if old is None:
@@ -356,20 +371,19 @@ def extend_coloring(graph: EmbeddedGraph, phi_sub: Mapping[int, int],
 def color(graph: EmbeddedGraph, t: int | None = None,
           budget: int = 10 ** 7) -> ColorResult:
     """Color the whole graph with defects (1, t); t defaults to the
-    genus capacity.  Requires girth at least 5.
+    genus capacity.  Requires girth at least 5; the first reduction
+    scan raises ValueError when t is below 10.
 
     The fallback exact solve only runs when no reducible configuration
     exists; on genus <= 1 inputs at t = 10 that is flagged as an anomaly.
     Every extension is validity-checked; the final coloring passes
     is_valid or an ExtensionFailedError is raised.
     """
-    g = girth(graph)
+    g = graph.girth
     if g < 5:
         raise GirthTooSmallError(f"coloring requires girth >= 5, got {g}")
     if t is None:
         t = capacity(graph.genus)
-    if t < 10:
-        raise ValueError(f"threshold t must be at least 10, got {t}")
 
     present = set(range(graph.n))
     deg = [graph.degree(v) for v in range(graph.n)]
@@ -383,7 +397,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
         step = _scan_reduction(graph, present, deg, t)
         if step is None:
             fallback = True
-            anomaly = graph.genus <= 1 and t == 10
+            anomaly = graph.genus <= 1 and t == MIN_T
             solve_status = SolveStatus.FOUND
             for comp in _components(graph, present):
                 sub, remap = induced_embedding(graph, comp)
@@ -410,14 +424,6 @@ def color(graph: EmbeddedGraph, t: int | None = None,
                 present.add(v)
             actions = _apply_extension(graph, present, phi, step)
             entries.append(TraceEntry(step, actions))
-            defects = (1, t)
-            touched = {v for v, _ in actions}
-            for v, _ in actions:
-                touched.update(u for u in graph.rotation[v] if u in present)
-            for x in touched:
-                if not _vertex_ok(graph, present, phi, defects, x):
-                    raise ExtensionFailedError(
-                        f"extension broke validity at vertex {x}", step, phi)
         entries.reverse()
         coloring = Coloring(tuple(phi[v] for v in range(graph.n)), (1, t))
         if not is_valid(graph, coloring):

@@ -16,9 +16,19 @@ elements without changing the total:
   R8  a (2,4)/(4,2)-sponsor sends 1/2 if it is an X2-face (R8A) and 1
       otherwise (R8B).
 
-"High" means degree >= 12 throughout the rules; incidences are counted
-per boundary-walk occurrence, so a vertex visiting a face twice pays or
-collects twice.  All arithmetic is exact (fractions.Fraction).
+Incidences are counted per boundary-walk occurrence, so a vertex
+visiting a face twice pays or collects twice.  All arithmetic is exact
+(fractions.Fraction).
+
+This module owns both degree thresholds.  The face patterns and rules
+R1-R8 read degrees through one symbol map: 2, 3, 4 and 5 stand for
+themselves, medium is 6..11, high is HIGH_DEGREE = 12 or more, whatever
+the defect threshold t.  The structural conclusions, checked by audit
+and used by the colorer's reductions, depend on t: a vertex is low at
+degree <= t + 1 and high at degree >= t + 2 (structural_thresholds).
+At t = 10 the two notions of high coincide.  Above it (genus >= 2,
+where t = capacity(genus)) a Terrible face still needs only a 12+ hub,
+while the bound on a hub's Terrible faces applies from degree t + 2 on.
 """
 
 from __future__ import annotations
@@ -27,16 +37,31 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import product
+from typing import Sequence
 
-from .embedding import (EmbeddedGraph, Face, GirthTooSmallError, girth)
+from .embedding import EmbeddedGraph, Face, GirthTooSmallError
 
-HIGH_DEGREE = 12
+HIGH_DEGREE = 12  # "high" in the face patterns and rules R1-R8
+MIN_T = 10        # smallest defect threshold the structural lemmas cover
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 THREE_HALVES = Fraction(3, 2)
 TWO = Fraction(2)
+
+
+def structural_thresholds(t: int) -> tuple[int, int]:
+    """(low, high) = (t + 1, t + 2) degree thresholds of the structural
+    lemmas: (t+1)-.vertices are low, (t+2)+-vertices are high."""
+    if t < MIN_T:
+        raise ValueError(f"threshold t must be at least {MIN_T}, got {t}")
+    return t + 1, t + 2
+
+
+def terrible_bound(d: int, high: int) -> int:
+    """Most Terrible (or bad) faces a degree-d vertex, d >= high, may carry."""
+    return min(d // 3, d - high)
 
 
 class FaceClass(Enum):
@@ -53,139 +78,131 @@ class FaceClass(Enum):
         return self in (FaceClass.Y1, FaceClass.Y2)
 
 
-def _is2(d: int) -> bool:
-    return d == 2
+# Degree symbols indexed by degree below HIGH_DEGREE: "o" (0, 1), the
+# digits 2-5, "M" for medium; every higher degree is "H".
+_SYMBOLS = "oo2345" + "M" * (HIGH_DEGREE - 6)
 
 
-def _is3(d: int) -> bool:
-    return d == 3
+def _symbol(d: int) -> str:
+    return _SYMBOLS[d] if d < HIGH_DEGREE else "H"
 
 
-def _is4(d: int) -> bool:
-    return d == 4
+def _canonical(word: str) -> str:
+    """Least rotation of the word or of its reversal."""
+    back = word[::-1]
+    return min(w[i:] + w[:i] for w in (word, back) for i in range(len(word)))
 
 
-def _is5(d: int) -> bool:
-    return d == 5
-
-
-def _high(d: int) -> bool:
-    return d >= HIGH_DEGREE
-
-
-def _low11(d: int) -> bool:
-    return d <= 11
-
-
-def _two_plus(d: int) -> bool:
-    return d >= 2
-
-
-_DEGREES = {
-    FaceClass.SPECIAL: (_is2, _high, _is2, _is5, _is3),
-    FaceClass.X1: (_is2, _high, _is2, _high, _is3),
-    FaceClass.X2: (_is2, _high, _is2, _high, _is4),
-    FaceClass.Y1: (_is2, _high, _is2, _is4, _is3),
-    FaceClass.Y2: (_is2, _high, _is2, _is3, _is3),
-    FaceClass.TERRIBLE: (_is2, _high, _is2, _is4, _is4),
+# Degree patterns around a 5-face, and around the 4-vertex that the X2,
+# Y1 and Terrible conditions inspect; "L" stands for 11- and "+" for 2+.
+_FACE_PATTERNS = {
+    FaceClass.SPECIAL: "2H253",
+    FaceClass.X1: "2H2H3",
+    FaceClass.X2: "2H2H4",
+    FaceClass.Y1: "2H243",
+    FaceClass.Y2: "2H233",
+    FaceClass.TERRIBLE: "2H244",
 }
+_FOUR_VERTEX_PATTERNS = {
+    FaceClass.X2: "L2H+",
+    FaceClass.Y1: "23LH",
+    FaceClass.TERRIBLE: "24LH",
+}
+_WILDCARDS = {"L": "o2345M", "+": "2345MH"}
 
-_X2_NBRS = (_low11, _is2, _high, _two_plus)
-_Y1_NBRS = (_is2, _is3, _low11, _high)
-_TERRIBLE_NBRS = (_is2, _is4, _low11, _high)
+
+def _pattern_table() -> dict[str, frozenset[FaceClass]]:
+    """Every signature a pattern matches, mapped to the matching classes.
+
+    Wildcards are expanded, so a lookup is an exact match.  Face keys
+    have five symbols and 4-vertex keys four, so the two never collide.
+    """
+    table: dict[str, set[FaceClass]] = {}
+    for patterns in (_FACE_PATTERNS, _FOUR_VERTEX_PATTERNS):
+        for cls, pattern in patterns.items():
+            for word in product(*(_WILDCARDS.get(c, c) for c in pattern)):
+                table.setdefault(_canonical("".join(word)), set()).add(cls)
+    return {sig: frozenset(classes) for sig, classes in table.items()}
 
 
-def _match_cyclic(values: Sequence[int],
-                  preds: Sequence[Callable[[int], bool]]) -> bool:
-    """Match predicates against a cyclic sequence, either direction."""
-    n = len(values)
-    if n != len(preds):
-        return False
-    for seq in (tuple(values), tuple(reversed(values))):
-        for shift in range(n):
-            if all(preds[k](seq[(shift + k) % n]) for k in range(n)):
-                return True
-    return False
+_PATTERNS = _pattern_table()
+_NO_MATCH: frozenset[FaceClass] = frozenset()
+
+
+def _matches(graph: EmbeddedGraph, verts: Sequence[int]) -> frozenset[FaceClass]:
+    """Classes whose pattern the degrees around the cyclic verts match."""
+    word = "".join(_symbol(graph.degree(u)) for u in verts)
+    return _PATTERNS.get(_canonical(word), _NO_MATCH)
 
 
 def _cross_face(graph: EmbeddedGraph, face: Face, w: int) -> int | None:
     """Index of the other face at 2-vertex w, or None if it is face again."""
     others = [fi for fi, _ in graph.passages(w) if fi != face.index]
-    if len(others) != 1:
-        return None
-    return others[0]
+    return others[0] if len(others) == 1 else None
 
 
 def _verts_of_degree(graph: EmbeddedGraph, face: Face, d: int) -> list[int]:
     return [u for u in dict.fromkeys(face.verts) if graph.degree(u) == d]
 
 
-def _x_status(graph: EmbeddedGraph, face: Face) -> FaceClass | None:
+def _four_matches(graph: EmbeddedGraph, v: int, cls: FaceClass) -> bool:
+    return cls in _matches(graph, graph.neighbors(v))
+
+
+def _x_status(graph: EmbeddedGraph, face: Face,
+              pattern: frozenset[FaceClass]) -> FaceClass | None:
     """X1/X2 status from the face's own pattern (no other-face conditions)."""
-    if face.degree != 5:
-        return None
-    degs = [graph.degree(u) for u in face.verts]
-    if _match_cyclic(degs, _DEGREES[FaceClass.X1]):
+    if FaceClass.X1 in pattern:
         threes = _verts_of_degree(graph, face, 3)
         if len(threes) == 1:
             ext = [u for u in graph.neighbors(threes[0]) if u not in face.vert_set]
-            if len(ext) == 1 and not _high(graph.degree(ext[0])):
+            if len(ext) == 1 and graph.degree(ext[0]) < HIGH_DEGREE:
                 return FaceClass.X1
-        return None
-    if _match_cyclic(degs, _DEGREES[FaceClass.X2]):
+    elif FaceClass.X2 in pattern:
         fours = _verts_of_degree(graph, face, 4)
-        if len(fours) == 1:
-            nbr_degs = [graph.degree(u) for u in graph.neighbors(fours[0])]
-            if _match_cyclic(nbr_degs, _X2_NBRS):
-                return FaceClass.X2
-        return None
+        if len(fours) == 1 and _four_matches(graph, fours[0], FaceClass.X2):
+            return FaceClass.X2
     return None
 
 
 def classify_faces(graph: EmbeddedGraph) -> tuple[FaceClass, ...]:
-    """Class of every face of the embedding (most face are PLAIN)."""
-    x_status = {f.index: _x_status(graph, f) for f in graph.faces if f.degree == 5}
-
-    def cross_status(face: Face, w: int) -> FaceClass | None:
-        other = _cross_face(graph, face, w)
-        return x_status.get(other) if other is not None else None
-
-    out = []
-    for face in graph.faces:
-        out.append(_classify_one(graph, face, x_status, cross_status))
-    return tuple(out)
+    """Class of every face of the embedding (most faces are PLAIN)."""
+    pattern = {f.index: _matches(graph, f.verts)
+               for f in graph.faces if f.degree == 5}
+    x_status = {fi: _x_status(graph, graph.faces[fi], pat)
+                for fi, pat in pattern.items()}
+    return tuple(_classify_one(graph, face, pattern.get(face.index, _NO_MATCH),
+                               x_status)
+                 for face in graph.faces)
 
 
-def _classify_one(graph, face, x_status, cross_status) -> FaceClass:
-    if face.degree != 5:
-        return FaceClass.PLAIN
-    degs = [graph.degree(u) for u in face.verts]
+def _classify_one(graph, face, pattern, x_status) -> FaceClass:
+    def cross_status(w: int) -> FaceClass | None:
+        return x_status.get(_cross_face(graph, face, w))
 
-    if _match_cyclic(degs, _DEGREES[FaceClass.TERRIBLE]):
+    if FaceClass.TERRIBLE in pattern:
         fours = _verts_of_degree(graph, face, 4)
         twos = _verts_of_degree(graph, face, 2)
         if (len(fours) == 2 and len(twos) == 2
-                and all(_match_cyclic([graph.degree(u) for u in graph.neighbors(q)],
-                                      _TERRIBLE_NBRS) for q in fours)
-                and all(cross_status(face, w) is FaceClass.X2 for w in twos)):
+                and all(_four_matches(graph, q, FaceClass.TERRIBLE) for q in fours)
+                and all(cross_status(w) is FaceClass.X2 for w in twos)):
             return FaceClass.TERRIBLE
         return FaceClass.PLAIN
 
-    if _match_cyclic(degs, _DEGREES[FaceClass.Y1]):
+    if FaceClass.Y1 in pattern:
         fours = _verts_of_degree(graph, face, 4)
         twos = _verts_of_degree(graph, face, 2)
-        if len(fours) == 1 and len(twos) == 2:
-            nbr_degs = [graph.degree(u) for u in graph.neighbors(fours[0])]
-            crosses = {cross_status(face, w) for w in twos}
-            if (_match_cyclic(nbr_degs, _Y1_NBRS)
-                    and crosses == {FaceClass.X1, FaceClass.X2}):
-                return FaceClass.Y1
+        if (len(fours) == 1 and len(twos) == 2
+                and _four_matches(graph, fours[0], FaceClass.Y1)
+                and {cross_status(w) for w in twos}
+                == {FaceClass.X1, FaceClass.X2}):
+            return FaceClass.Y1
         return FaceClass.PLAIN
 
-    if _match_cyclic(degs, _DEGREES[FaceClass.Y2]):
+    if FaceClass.Y2 in pattern:
         twos = _verts_of_degree(graph, face, 2)
         if (len(twos) == 2
-                and all(cross_status(face, w) is FaceClass.X1 for w in twos)):
+                and all(cross_status(w) is FaceClass.X1 for w in twos)):
             return FaceClass.Y2
         return FaceClass.PLAIN
 
@@ -193,7 +210,7 @@ def _classify_one(graph, face, x_status, cross_status) -> FaceClass:
     if status is not None:
         return status
 
-    if _match_cyclic(degs, _DEGREES[FaceClass.SPECIAL]):
+    if FaceClass.SPECIAL in pattern:
         return FaceClass.SPECIAL
     return FaceClass.PLAIN
 
@@ -201,15 +218,6 @@ def _classify_one(graph, face, x_status, cross_status) -> FaceClass:
 def classify_face(graph: EmbeddedGraph, face: Face) -> FaceClass:
     """Classification of one face (direction-invariant, deterministic)."""
     return classify_faces(graph)[face.index]
-
-
-def raw_pattern_matches(graph: EmbeddedGraph, face: Face) -> tuple[FaceClass, ...]:
-    """All degree patterns the face matches, before the extra conditions."""
-    if face.degree != 5:
-        return ()
-    degs = [graph.degree(u) for u in face.verts]
-    return tuple(cls for cls, preds in _DEGREES.items()
-                 if _match_cyclic(degs, preds))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +263,7 @@ def sponsor_instances(graph: EmbeddedGraph,
             u2, u3 = face.darts[pos]
             u1 = face.verts[pos - 1]
             u4 = face.verts[(pos + 2) % n]
-            if _high(graph.degree(u1)) and _high(graph.degree(u4)):
+            if graph.degree(u1) >= HIGH_DEGREE and graph.degree(u4) >= HIGH_DEGREE:
                 kind = SponsorKind(graph.degree(u2), graph.degree(u3),
                                    classes[fi] is FaceClass.X1,
                                    classes[fi] is FaceClass.X2)
@@ -320,18 +328,22 @@ def initial_charges(graph: EmbeddedGraph) -> ChargeLedger:
     return ChargeLedger(v, f, v, f)
 
 
-def apply_rules(graph: EmbeddedGraph) -> tuple[ChargeLedger, list[Transfer]]:
+def apply_rules(graph: EmbeddedGraph,
+                classes: Sequence[FaceClass] | None = None
+                ) -> tuple[ChargeLedger, list[Transfer]]:
     """Run R1-R8 and return the settled ledger plus the transfer log.
 
     The log is sorted by rule id, then source, then witness.  Girth
     below 5 only triggers a warning; the rules stay well defined.
     """
-    if girth(graph) < 5:
+    if graph.girth < 5:
         warnings.warn("discharging rules assume girth >= 5", stacklevel=2)
-    classes = classify_faces(graph)
+    if classes is None:
+        classes = classify_faces(graph)
     transfers: list[Transfer] = []
 
-    high_nbrs = [tuple(u for u in graph.neighbors(v) if _high(graph.degree(u)))
+    high_nbrs = [tuple(u for u in graph.neighbors(v)
+                       if graph.degree(u) >= HIGH_DEGREE)
                  for v in range(graph.n)]
 
     def face_has_high_nbr(fi: int, v: int) -> bool:
@@ -340,17 +352,18 @@ def apply_rules(graph: EmbeddedGraph) -> tuple[ChargeLedger, list[Transfer]]:
 
     for v in range(graph.n):
         d = graph.degree(v)
-        if d == 4:
+        sym = _symbol(d)
+        if sym == "4":
             for fi, pos in graph.passages(v):
                 transfers.append(Transfer("R1", ("v", v), ("f", fi), HALF, (pos,)))
-        elif d == 5:
+        elif sym == "5":
             for fi, pos in graph.passages(v):
                 if classes[fi] is FaceClass.SPECIAL:
                     transfers.append(Transfer("R2", ("v", v), ("f", fi),
                                               THREE_HALVES, (pos,)))
                 elif not face_has_high_nbr(fi, v):
                     transfers.append(Transfer("R2", ("v", v), ("f", fi), ONE, (pos,)))
-        elif 6 <= d <= 11:
+        elif sym == "M":
             eligible = [(fi, pos) for fi, pos in graph.passages(v)
                         if not face_has_high_nbr(fi, v)]
             if eligible:
@@ -358,7 +371,7 @@ def apply_rules(graph: EmbeddedGraph) -> tuple[ChargeLedger, list[Transfer]]:
                 for fi, pos in eligible:
                     transfers.append(Transfer("R3", ("v", v), ("f", fi),
                                               amount, (pos,)))
-        elif d >= HIGH_DEGREE:
+        elif sym == "H":
             for fi, pos in graph.passages(v):
                 amount = TWO if classes[fi].is_bad else THREE_HALVES
                 transfers.append(Transfer("R4", ("v", v), ("f", fi), amount, (pos,)))
@@ -392,19 +405,14 @@ def apply_rules(graph: EmbeddedGraph) -> tuple[ChargeLedger, list[Transfer]]:
 
     transfers.sort(key=lambda tr: (tr.rule, tr.source, tr.target, tr.witness))
 
-    v_final = [Fraction(2 * graph.degree(u) - 6) for u in range(graph.n)]
-    f_final = [Fraction(face.degree - 6) for face in graph.faces]
+    initial = initial_charges(graph)
+    final = {"v": list(initial.vertex_initial), "f": list(initial.face_initial)}
     for tr in transfers:
-        for sign, (kind, idx) in ((-1, tr.source), (1, tr.target)):
-            if kind == "v":
-                v_final[idx] += sign * tr.amount
-            else:
-                f_final[idx] += sign * tr.amount
+        final[tr.source[0]][tr.source[1]] -= tr.amount
+        final[tr.target[0]][tr.target[1]] += tr.amount
 
-    ledger = ChargeLedger(
-        tuple(Fraction(2 * graph.degree(u) - 6) for u in range(graph.n)),
-        tuple(Fraction(face.degree - 6) for face in graph.faces),
-        tuple(v_final), tuple(f_final))
+    ledger = ChargeLedger(initial.vertex_initial, initial.face_initial,
+                          tuple(final["v"]), tuple(final["f"]))
     return ledger, transfers
 
 
@@ -440,7 +448,6 @@ class AuditReport:
     ledger: ChargeLedger
     transfers: list[Transfer]
     face_classes: tuple[FaceClass, ...]
-    raw_matches: dict[int, tuple[FaceClass, ...]]
     claim_violations: list[ClaimViolation]
     lemma_violations: list[LemmaViolation]
     high_vertex_flags: list[HighVertexFlag]
@@ -463,13 +470,12 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
     a cycle exists.  Finally every (t+2)+ vertex's final charge is
     checked against the general-surface floor 2*genus - 3.5.
     """
-    if t < 10:
-        raise ValueError(f"threshold t must be at least 10, got {t}")
-    g = girth(graph)
+    low, high = structural_thresholds(t)
+    g = graph.girth
     if g < 5:
         raise GirthTooSmallError(f"audit requires girth >= 5, got {g}")
-    ledger, transfers = apply_rules(graph)
     classes = classify_faces(graph)
+    ledger, transfers = apply_rules(graph, classes)
 
     claims: list[ClaimViolation] = []
     for v, final in enumerate(ledger.vertex_final):
@@ -497,8 +503,8 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
         d = graph.degree(v)
         if d <= 1:
             lemmas.append(LemmaViolation("min-degree", (v,)))
-        if d <= t + 1 and not any(graph.degree(u) >= t + 2
-                                  for u in graph.neighbors(v)):
+        if d <= low and not any(graph.degree(u) >= high
+                                for u in graph.neighbors(v)):
             lemmas.append(LemmaViolation("vx-degree", (v,)))
     for u, v in graph.edges:
         if graph.degree(u) == 2 and graph.degree(v) == 2:
@@ -510,8 +516,8 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
                         if classes[fi] is FaceClass.SPECIAL)
             if count > 2:
                 lemmas.append(LemmaViolation("special-faces-num", (v, count)))
-        elif d >= t + 2:
-            bound = min(d // 3, d - t - 2)
+        elif d >= high:
+            bound = terrible_bound(d, high)
             terr = sum(1 for fi, _ in graph.passages(v)
                        if classes[fi] is FaceClass.TERRIBLE)
             bad = sum(1 for fi, _ in graph.passages(v) if classes[fi].is_bad)
@@ -520,18 +526,16 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
             if bad > bound:
                 lemmas.append(LemmaViolation("bad-faces-num", (v, bad)))
     if g != float("inf"):
-        high_count = sum(1 for v in range(graph.n) if graph.degree(v) >= t + 2)
+        high_count = sum(1 for v in range(graph.n) if graph.degree(v) >= high)
         if high_count < 3:
             lemmas.append(LemmaViolation("vx-high-general", (high_count,)))
 
     floor = Fraction(2 * graph.genus) - Fraction(7, 2)
     flags = [HighVertexFlag(v, ledger.vertex_final[v], floor)
              for v in range(graph.n)
-             if graph.degree(v) >= t + 2 and ledger.vertex_final[v] < floor]
+             if graph.degree(v) >= high and ledger.vertex_final[v] < floor]
 
-    raw = {f.index: raw_pattern_matches(graph, f)
-           for f in graph.faces if f.degree == 5}
-    return AuditReport(t, graph.genus, ledger, transfers, classes, raw,
+    return AuditReport(t, graph.genus, ledger, transfers, classes,
                        claims, lemmas, flags)
 
 

@@ -12,14 +12,14 @@ sense, which lets the same machinery trace embeddings in non-orientable
 surfaces (odd Euler genus).
 
 EmbeddedGraph instances are immutable after construction; all queries are
-pure, so they are safe to share between threads.
+pure (girth is computed on first use and cached), so they are safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -49,15 +49,6 @@ class GirthTooSmallError(GraphError):
 
 
 Dart = tuple[int, int]
-
-
-class VertexClass(Enum):
-    """Degree classes: low <= 4, five = 5, medium 6..t+1, high >= t+2."""
-
-    LOW = "low"
-    FIVE = "five"
-    MEDIUM = "medium"
-    HIGH = "high"
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,6 @@ class EmbeddedGraph:
 
         self.n = n
         self.rotation = rot
-        self._nbr_sets = nbr_sets
         self.edges: tuple[tuple[int, int], ...] = tuple(
             sorted((v, u) for v in range(n) for u in rot[v] if v < u))
 
@@ -136,6 +126,7 @@ class EmbeddedGraph:
         self._check_connected()
         self.faces: tuple[Face, ...] = self._trace_faces()
         self.genus: int = 2 - (self.n - len(self.edges) + len(self.faces))
+        self._girth: float | None = None
         if self.genus < 0:
             raise AssertionError("face tracing produced negative genus")
 
@@ -161,11 +152,16 @@ class EmbeddedGraph:
         """Neighbors of v in rotation order."""
         return self.rotation[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._nbr_sets[v]
+    @property
+    def girth(self) -> float:
+        """Length of a shortest cycle (math.inf if acyclic), computed once.
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        Cached in an attribute set by __init__ rather than by cached_property,
+        whose write through __dict__ slows every later attribute read.
+        """
+        if self._girth is None:
+            self._girth = girth(self)
+        return self._girth
 
     def passages(self, v: int) -> tuple[tuple[int, int], ...]:
         """All (face index, position) boundary passages through v.
@@ -290,7 +286,10 @@ def euler_genus(graph: EmbeddedGraph) -> int:
 
 
 def girth(graph: EmbeddedGraph) -> float:
-    """Length of a shortest cycle; math.inf when the graph is acyclic."""
+    """Length of a shortest cycle; math.inf when the graph is acyclic.
+
+    Recomputes on every call; graph.girth caches the value per graph.
+    """
     best = math.inf
     n = graph.n
     for src in range(n):
@@ -313,20 +312,6 @@ def girth(graph: EmbeddedGraph) -> float:
                     if cycle < best:
                         best = cycle
     return best
-
-
-def classify_vertex(graph: EmbeddedGraph, v: int, t: int = 10) -> VertexClass:
-    """Degree class of v for threshold t (high means degree >= t + 2)."""
-    if t < 10:
-        raise ValueError(f"threshold t must be at least 10, got {t}")
-    d = graph.degree(v)
-    if d >= t + 2:
-        return VertexClass.HIGH
-    if d >= 6:
-        return VertexClass.MEDIUM
-    if d == 5:
-        return VertexClass.FIVE
-    return VertexClass.LOW
 
 
 def f_external_neighbors(graph: EmbeddedGraph, v: int, face: Face) -> list[int]:

@@ -13,7 +13,7 @@ Coloring document: ``coloring <n> defects <d1>,<d2>,...`` then one line
 from __future__ import annotations
 
 from .coloring import Coloring
-from .embedding import EmbeddedGraph, GirthTooSmallError, girth
+from .embedding import EmbeddedGraph, GirthTooSmallError
 
 
 class ParseError(ValueError):
@@ -73,9 +73,9 @@ def parse_graph(text: str) -> EmbeddedGraph:
     graph = EmbeddedGraph(rotation, twists)  # type: ignore[arg-type]
     if len(graph.edges) != m:
         raise ParseError(1, f"header says {m} edges, found {len(graph.edges)}")
-    if check_girth and girth(graph) < 5:
+    if check_girth and graph.girth < 5:
         raise GirthTooSmallError(
-            f"document declares girth5 but girth is {girth(graph)}")
+            f"document declares girth5 but girth is {graph.girth}")
     return graph
 
 

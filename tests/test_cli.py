@@ -87,9 +87,9 @@ def test_usage_error():
 
 
 def test_genus_auto_on_projective_input(tmp_path):
+    # without --t, color takes t = capacity(genus) = 10 on the projective plane
     gpath = write_graph(tmp_path, fx.petersen_projective())
     cpath = tmp_path / "col.txt"
-    assert main(["color", "--input", gpath, "--genus-auto",
-                 "--output", str(cpath)]) == 0
+    assert main(["color", "--input", gpath, "--output", str(cpath)]) == 0
     coloring = parse_coloring(cpath.read_text())
     assert coloring.defects == (1, 10)

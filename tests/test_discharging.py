@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from defcolor import fixtures as fx
-from defcolor.discharging import (FaceClass, apply_rules, audit,
+from defcolor.discharging import (_PATTERNS, _canonical, _symbol,
+                                  FaceClass, apply_rules, audit,
                                   classify_face, classify_faces,
                                   format_fraction, initial_charges,
                                   ledger_csv, sponsor_instances,
@@ -135,6 +137,52 @@ def test_classification_direction_invariance_and_c5_plain():
     g = fx.c5()
     for f in g.faces:
         assert classify_face(g, f) is FaceClass.PLAIN
+
+
+# The paper's degree patterns: d exact, d+ at least d, d- at most d.
+PAPER_FACE_PATTERNS = {
+    FaceClass.SPECIAL: "2 12+ 2 5 3",
+    FaceClass.X1: "2 12+ 2 12+ 3",
+    FaceClass.X2: "2 12+ 2 12+ 4",
+    FaceClass.Y1: "2 12+ 2 4 3",
+    FaceClass.Y2: "2 12+ 2 3 3",
+    FaceClass.TERRIBLE: "2 12+ 2 4 4",
+}
+PAPER_FOUR_VERTEX_PATTERNS = {
+    FaceClass.X2: "11- 2 12+ 2+",
+    FaceClass.Y1: "2 3 11- 12+",
+    FaceClass.TERRIBLE: "2 4 11- 12+",
+}
+
+
+def _degree_tests(pattern):
+    tests = []
+    for tok in pattern.split():
+        k = int(tok.rstrip("+-"))
+        tests.append((lambda d, k=k: d >= k) if tok.endswith("+") else
+                     (lambda d, k=k: d <= k) if tok.endswith("-") else
+                     (lambda d, k=k: d == k))
+    return tests
+
+
+def _cyclic_match(degs, tests):
+    """Whether some rotation of degs, or of its reversal, passes the tests."""
+    n = len(degs)
+    return any(all(test(seq[(s + i) % n]) for i, test in enumerate(tests))
+               for seq in (degs, degs[::-1]) for s in range(n))
+
+
+@pytest.mark.parametrize("patterns, length, degrees", [
+    (PAPER_FACE_PATTERNS, 5, (1, 2, 3, 4, 5, 11, 12)),
+    (PAPER_FOUR_VERTEX_PATTERNS, 4, (1, 2, 3, 4, 5, 6, 11, 12, 13)),
+])
+def test_pattern_table_agrees_with_paper_patterns(patterns, length, degrees):
+    compiled = {cls: _degree_tests(pat) for cls, pat in patterns.items()}
+    for degs in product(degrees, repeat=length):
+        want = {cls for cls, tests in compiled.items()
+                if _cyclic_match(degs, tests)}
+        word = _canonical("".join(_symbol(d) for d in degs))
+        assert _PATTERNS.get(word, frozenset()) == want, degs
 
 
 def test_bad_face_gets_two_from_high_vertex():
@@ -294,6 +342,18 @@ def test_audit_flags_high_vertex_below_general_floor():
     fl = next(fl for fl in rep.high_vertex_flags if fl.vertex == hub)
     assert fl.final == Fraction(0)
     assert fl.bound == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("hub_degree, fires_at", [(12, 10), (13, 11), (17, 15)])
+def test_terrible_bound_reads_structural_high(hub_degree, fires_at):
+    # The face pattern's high is fixed at 12, so the face stays Terrible at
+    # every t; the hub's bound min(d // 3, d - t - 2) reads the structural
+    # high t + 2 and drops to 0, below its one Terrible face, only at d = t + 2.
+    fix, _ = fx.terrible_face(v_deg=hub_degree)
+    for t in (10, 11, 15):
+        rep = audit(fix.graph, t)
+        assert rep.face_classes[fix.face.index] is FaceClass.TERRIBLE
+        assert ("terrible-faces-num" in rep.violated_lemmas) == (t == fires_at)
 
 
 def test_audit_no_flags_on_clean_planar_inputs():

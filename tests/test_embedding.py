@@ -6,9 +6,8 @@ import pytest
 from defcolor import fixtures as fx
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, NonSimpleError, NotOnFaceError,
-                                VertexClass, build_graph, classify_vertex,
-                                euler_genus, f_external_neighbors, girth,
-                                induced_embedding)
+                                build_graph, euler_genus, f_external_neighbors,
+                                girth, induced_embedding)
 from defcolor.generate import gen_girth5_small, gen_planar_girth5
 
 from oracles import girth_oracle, relabeled
@@ -91,33 +90,7 @@ def test_girth_matches_oracle_on_small_graphs():
         assert girth(g) == girth_oracle(g)
     for seed in range(10):
         g = gen_planar_girth5(seed, 5 + 4 * seed)
-        assert girth(g) == girth_oracle(g)
-
-
-def test_classify_vertex_thresholds():
-    g = fx.star(12)
-    assert classify_vertex(g, 0, 10) is VertexClass.HIGH
-    assert classify_vertex(g, 1, 10) is VertexClass.LOW
-    g7 = fx.star(7)
-    assert classify_vertex(g7, 0, 10) is VertexClass.MEDIUM
-    assert classify_vertex(fx.star(5), 0, 10) is VertexClass.FIVE
-    assert classify_vertex(fx.star(11), 0, 10) is VertexClass.MEDIUM
-    # general threshold: high means degree >= t + 2
-    assert classify_vertex(fx.star(12), 0, 11) is VertexClass.MEDIUM
-    assert classify_vertex(fx.star(13), 0, 11) is VertexClass.HIGH
-    with pytest.raises(ValueError):
-        classify_vertex(g, 0, 9)
-
-
-def test_classify_vertex_partitions_degrees():
-    for t in (10, 11, 14):
-        for d in range(0, t + 5):
-            g = fx.star(d) if d else build_graph([[]])
-            cls = classify_vertex(g, 0, t)
-            want = (VertexClass.HIGH if d >= t + 2 else
-                    VertexClass.MEDIUM if d >= 6 else
-                    VertexClass.FIVE if d == 5 else VertexClass.LOW)
-            assert cls is want
+        assert girth(g) == girth_oracle(g) == g.girth
 
 
 def test_f_external_neighbors():
