@@ -13,6 +13,17 @@ Low and high are the structural degree thresholds for t that
 discharging.structural_thresholds owns; the Terrible faces themselves
 are classified with the fixed high degree 12 of the face patterns.
 
+Each step takes the first configuration in a fixed search order: the
+lowest kind that occurs, and within it the smallest witness id (for
+kind 2 the smaller 2-vertex u, paired with its smallest 2-neighbor).
+_Residual keeps the shrinking graph and, for kinds 1-3, one min-heap of
+candidate ids.  Deleting a vertex re-offers only its present neighbors
+and their neighbors, and a heap entry is re-checked when it reaches the
+top, so the search costs O(sum of deg(v)^2 * log n) over the whole run
+instead of a rescan of the residual graph per step.  Kind 4 is still a
+whole-residual scan (induced_embedding and classify_faces per
+component); it runs only when all three heaps are empty.
+
 On girth-5 graphs each extension is guaranteed to succeed, so the
 recursion yields a valid coloring with defects (1, t).  If no
 configuration exists the colorer falls back to the exact solver; with
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .coloring import Coloring, SolveStatus, is_valid, solve_exact
@@ -116,27 +128,92 @@ def _present_neighbors(graph, present, v):
     return [u for u in graph.rotation[v] if u in present]
 
 
-def _scan_reduction(graph: EmbeddedGraph, present: set[int],
-                    deg: Sequence[int], t: int) -> ReductionStep | None:
-    low, _ = structural_thresholds(t)
-    for v in range(graph.n):
-        if v in present and deg[v] <= 1:
+class _Residual:
+    """The shrinking graph of a reduction run and its kind-1..3 worklist.
+
+    present and deg describe the residual graph.  heaps[k] holds the ids
+    of vertices that may be the kind-(k + 1) witness, each id at most
+    once (queued[k]); an entry is re-checked against the residual graph
+    when it reaches the top and dropped when stale.  Every vertex that
+    qualifies is queued: initially all qualifying vertices are, and a
+    deletion can only change the status of the deleted vertices' present
+    neighbors and their neighbors, which delete offers again.
+    """
+
+    def __init__(self, graph: EmbeddedGraph, t: int):
+        self.graph = graph
+        self.t = t
+        self.low, _ = structural_thresholds(t)
+        self.present = set(range(graph.n))
+        self.deg = [graph.degree(v) for v in range(graph.n)]
+        # ascending lists are already heaps
+        self.heaps = tuple([v for v in range(graph.n) if ok(self, v)]
+                           for ok in self._TESTS)
+        self.queued = tuple(set(heap) for heap in self.heaps)
+
+    def _degree_le1(self, v):
+        return v in self.present and self.deg[v] <= 1
+
+    def _two_neighbors(self, u):
+        return [w for w in self.graph.rotation[u]
+                if w in self.present and self.deg[w] == 2]
+
+    def _adjacent_two(self, u):
+        return (u in self.present and self.deg[u] == 2
+                and bool(self._two_neighbors(u)))
+
+    def _all_low(self, v):
+        deg, low = self.deg, self.low
+        return (v in self.present and deg[v] <= low
+                and all(deg[u] <= low
+                        for u in _present_neighbors(self.graph, self.present, v)))
+
+    # Unbound, so that no instance refers to itself through its tests.
+    _TESTS = (_degree_le1, _adjacent_two, _all_low)
+
+    def _top(self, k):
+        heap, queued, ok = self.heaps[k], self.queued[k], self._TESTS[k]
+        while heap and not ok(self, heap[0]):
+            queued.discard(heappop(heap))
+        return heap[0] if heap else None
+
+    def _offer(self, v):
+        for heap, queued, ok in zip(self.heaps, self.queued, self._TESTS):
+            if v not in queued and ok(self, v):
+                queued.add(v)
+                heappush(heap, v)
+
+    def next_step(self) -> ReductionStep | None:
+        """First reducible configuration of the residual graph in the fixed
+        search order: kind 1 to 4, smallest witness id within a kind."""
+        t = self.t
+        v = self._top(0)
+        if v is not None:
             return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
-    for u in range(graph.n):
-        if u in present and deg[u] == 2:
-            two = [w for w in graph.rotation[u]
-                   if w in present and deg[w] == 2]
-            if two:
-                v = min(two)
-                return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
-                                     (u, v), {}, t)
-    for v in range(graph.n):
-        if v in present and deg[v] <= low:
-            nbrs = _present_neighbors(graph, present, v)
-            if all(deg[u] <= low for u in nbrs):
-                return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
-                                     (v,), {}, t)
-    return _find_terrible_reduction(graph, present, deg, t)
+        u = self._top(1)
+        if u is not None:
+            return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
+                                 (u, min(self._two_neighbors(u))), {}, t)
+        v = self._top(2)
+        if v is not None:
+            return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
+                                 (v,), {}, t)
+        return _find_terrible_reduction(self.graph, self.present, self.deg, t)
+
+    def delete(self, vertices: Sequence[int]) -> None:
+        """Remove vertices from the residual graph and re-offer every
+        vertex whose kind-1..3 status the removal can change."""
+        rotation, present, deg = self.graph.rotation, self.present, self.deg
+        for v in vertices:
+            present.discard(v)
+            for u in rotation[v]:
+                if u in present:
+                    deg[u] -= 1
+        for v in vertices:
+            for u in _present_neighbors(self.graph, present, v):
+                self._offer(u)
+                for w in _present_neighbors(self.graph, present, u):
+                    self._offer(w)
 
 
 def _components(graph, present):
@@ -224,9 +301,7 @@ def find_reduction(graph: EmbeddedGraph, t: int = 10) -> ReductionStep | None:
     """First reducible configuration in the fixed search order, or None.
 
     Raises ValueError when t is below 10."""
-    present = set(range(graph.n))
-    deg = [graph.degree(v) for v in range(graph.n)]
-    return _scan_reduction(graph, present, deg, t)
+    return _Residual(graph, t).next_step()
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +446,8 @@ def extend_coloring(graph: EmbeddedGraph, phi_sub: Mapping[int, int],
 def color(graph: EmbeddedGraph, t: int | None = None,
           budget: int = 10 ** 7) -> ColorResult:
     """Color the whole graph with defects (1, t); t defaults to the
-    genus capacity.  Requires girth at least 5; the first reduction
-    scan raises ValueError when t is below 10.
+    genus capacity.  Requires girth at least 5; raises ValueError when
+    t is below 10.
 
     The fallback exact solve only runs when no reducible configuration
     exists; on genus <= 1 inputs at t = 10 that is flagged as an anomaly.
@@ -385,8 +460,8 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     if t is None:
         t = capacity(graph.genus)
 
-    present = set(range(graph.n))
-    deg = [graph.degree(v) for v in range(graph.n)]
+    residual = _Residual(graph, t)
+    present = residual.present
     steps: list[ReductionStep] = []
     fallback = False
     anomaly = False
@@ -394,7 +469,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     solve_status: SolveStatus | None = None
 
     while present:
-        step = _scan_reduction(graph, present, deg, t)
+        step = residual.next_step()
         if step is None:
             fallback = True
             anomaly = graph.genus <= 1 and t == MIN_T
@@ -409,11 +484,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
                     base[old] = res.coloring.assignment[new]
             break
         steps.append(step)
-        for v in step.deleted:
-            present.discard(v)
-            for u in graph.rotation[v]:
-                if u in present:
-                    deg[u] -= 1
+        residual.delete(step.deleted)
 
     entries: list[TraceEntry] = []
     coloring: Coloring | None = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .embedding import EmbeddedGraph, GraphError
+from .embedding import EmbeddedGraph
 
 
 class ColoringError(ValueError):

@@ -19,8 +19,8 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -61,18 +61,19 @@ class Face:
 
     index: int
     darts: tuple[Dart, ...]
+    # Set once at construction: filling them on first read would write
+    # through the instance __dict__ and slow every later attribute read.
+    verts: tuple[int, ...] = field(init=False, compare=False)
+    vert_set: frozenset[int] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        verts = tuple(map(itemgetter(0), self.darts))
+        object.__setattr__(self, "verts", verts)
+        object.__setattr__(self, "vert_set", frozenset(verts))
 
     @property
     def degree(self) -> int:
         return len(self.darts)
-
-    @cached_property
-    def verts(self) -> tuple[int, ...]:
-        return tuple(d[0] for d in self.darts)
-
-    @cached_property
-    def vert_set(self) -> frozenset[int]:
-        return frozenset(self.verts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Face({self.index}, {'-'.join(map(str, self.verts))})"

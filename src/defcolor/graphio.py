@@ -22,6 +22,14 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _check_vertex_count(n: int, lines: list[str]) -> None:
+    """Each vertex takes one body line, so a header n beyond the body is
+    rejected before anything is allocated per vertex."""
+    if n > len(lines) - 1:
+        raise ParseError(1, f"header declares {n} vertices but the document "
+                            f"has {len(lines) - 1} body lines")
+
+
 def parse_graph(text: str) -> EmbeddedGraph:
     """Parse a graph document; build errors surface unchanged."""
     lines = text.splitlines()
@@ -37,6 +45,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
     check_girth = len(head) == 4
     if check_girth and head[3] != "girth5":
         raise ParseError(1, f"unknown header flag {head[3]!r}")
+    _check_vertex_count(n, lines)
 
     rotation: list[list[int] | None] = [None] * n
     twists: list[tuple[int, int]] = []
@@ -101,6 +110,7 @@ def parse_coloring(text: str) -> Coloring:
         defects = tuple(int(x) for x in head[3].split(","))
     except ValueError:
         raise ParseError(1, "bad counts or defect vector") from None
+    _check_vertex_count(n, lines)
     assign: list[int | None] = [None] * n
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()

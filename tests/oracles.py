@@ -2,7 +2,9 @@
 
 Deliberately different algorithms from the implementations under test:
 girth via per-edge deletion distances, defective 2-colorability via full
-enumeration of all 2^n class assignments (vectorized with numpy).
+enumeration of all 2^n class assignments (vectorized with numpy), and the
+colorer's reduction order via a full rescan of the residual graph before
+every deletion (quadratic, for comparison with its worklist).
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ import itertools
 import math
 
 import numpy as np
+
+from defcolor.colorer import (ReductionKind, ReductionStep,
+                              _find_terrible_reduction)
+from defcolor.discharging import structural_thresholds
 
 
 def girth_oracle(graph) -> float:
@@ -87,3 +93,45 @@ def relabeled(graph_cls, graph, perm):
         rot[perm[v]] = [perm[u] for u in graph.rotation[v]]
     twists = [(perm[u], perm[v]) for u, v in graph.twists]
     return graph_cls(rot, twists)
+
+
+def reference_scan(graph, present, deg, t):
+    """First reducible configuration of the residual graph (present, deg):
+    scan every vertex from 0 for kind 1, then kind 2, then kind 3, then
+    fall through to the colorer's kind-4 search."""
+    low, _ = structural_thresholds(t)
+    for v in range(graph.n):
+        if v in present and deg[v] <= 1:
+            return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
+    for u in range(graph.n):
+        if u in present and deg[u] == 2:
+            two = [w for w in graph.rotation[u]
+                   if w in present and deg[w] == 2]
+            if two:
+                return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
+                                     (u, min(two)), {}, t)
+    for v in range(graph.n):
+        if v in present and deg[v] <= low:
+            if all(deg[u] <= low for u in graph.rotation[v] if u in present):
+                return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
+                                     (v,), {}, t)
+    return _find_terrible_reduction(graph, present, deg, t)
+
+
+def reference_steps(graph, t):
+    """Steps of the reduction phase, rescanning the shrinking residual
+    graph before every deletion, until it is empty or irreducible."""
+    present = set(range(graph.n))
+    deg = [graph.degree(v) for v in range(graph.n)]
+    steps = []
+    while present:
+        step = reference_scan(graph, present, deg, t)
+        if step is None:
+            break
+        steps.append(step)
+        for v in step.deleted:
+            present.discard(v)
+            for u in graph.rotation[v]:
+                if u in present:
+                    deg[u] -= 1
+    return steps

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from defcolor import fixtures as fx
-from defcolor.colorer import capacity, color, replay_trace
+from defcolor.colorer import capacity, color
 from defcolor.coloring import SolveStatus, is_valid, solve_exact
 from defcolor.discharging import FaceClass, audit, classify_face
 from defcolor.embedding import euler_genus, girth

@@ -1,6 +1,6 @@
 from defcolor import fixtures as fx
 from defcolor.cli import main
-from defcolor.graphio import parse_coloring, parse_graph, serialize_graph
+from defcolor.graphio import parse_coloring, serialize_graph
 from defcolor.coloring import is_valid
 
 
@@ -80,6 +80,20 @@ def test_input_error_category(tmp_path, capsys):
     bad.write_text("graph 2 1\n0: 1\n")
     assert main(["stats", "--input", str(bad)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_hostile_vertex_count_is_a_parse_error(tmp_path, capsys):
+    # a header n beyond the body must not allocate n slots first
+    huge = 2 ** 61
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"graph {huge} 0\n")
+    assert main(["stats", "--input", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: parse: line 1:")
+
+    gpath = write_graph(tmp_path, fx.c5())
+    bad.write_text(f"coloring {huge} defects 1,10\n0 1\n")
+    assert main(["check", "--input", gpath, "--coloring", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: parse: line 1:")
 
 
 def test_usage_error():

@@ -6,8 +6,8 @@ from defcolor.colorer import (C_BIG, C_SMALL, ReductionKind, ReductionStep,
                               find_reduction, replay_trace,
                               _find_terrible_reduction)
 from defcolor.coloring import SolveStatus, is_valid, solve_exact
-from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
-                                build_graph, induced_embedding)
+from defcolor.embedding import (GirthTooSmallError, build_graph,
+                                induced_embedding)
 from defcolor.generate import gen_girth5_small, gen_planar_girth5
 
 from oracles import enumerate_two_class

@@ -8,8 +8,8 @@ from defcolor.discharging import (_PATTERNS, _canonical, _symbol,
                                   FaceClass, apply_rules, audit,
                                   classify_face, classify_faces,
                                   format_fraction, initial_charges,
-                                  ledger_csv, sponsor_instances,
-                                  sponsor_relation, transfers_csv)
+                                  ledger_csv, sponsor_relation,
+                                  transfers_csv)
 from defcolor.embedding import GirthTooSmallError, build_graph
 from defcolor.fixtures import find_face
 from defcolor.generate import gen_planar_girth5
