@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .embedding import EmbeddedGraph
 
@@ -25,10 +25,6 @@ class ColoringError(ValueError):
 
 class PartialColoringError(ColoringError):
     """An operation needing a total coloring was given a partial one."""
-
-
-class UncoloredError(ColoringError):
-    """The queried vertex has no assigned class."""
 
 
 def validate_defects(defects: Sequence[int]) -> tuple[int, ...]:
@@ -56,22 +52,19 @@ class Coloring:
         return len(self.defects)
 
 
-def _assignment_of(phi, n: int):
-    """Accept a Coloring or a mapping/sequence; None marks uncolored."""
-    if isinstance(phi, Coloring):
-        return phi.assignment
-    if isinstance(phi, Mapping):
-        return [phi.get(v) for v in range(n)]
-    return list(phi)
-
-
-def induced_max_degrees(graph: EmbeddedGraph, phi) -> list[int]:
-    """Maximum degree of each color class's induced subgraph (0 if empty)."""
-    assign = _assignment_of(phi, graph.n)
-    if len(assign) != graph.n or any(c is None for c in assign):
+def _total_assignment(graph: EmbeddedGraph, phi: Coloring) -> tuple[int, ...]:
+    """phi's classes, after checking phi is a Coloring of every vertex."""
+    if not isinstance(phi, Coloring):
+        raise ColoringError(f"expected a Coloring, got {type(phi).__name__}")
+    if len(phi.assignment) != graph.n:
         raise PartialColoringError("coloring must assign every vertex")
-    r = (phi.classes() if isinstance(phi, Coloring) else max(assign) + 1)
-    out = [0] * r
+    return phi.assignment
+
+
+def induced_max_degrees(graph: EmbeddedGraph, phi: Coloring) -> list[int]:
+    """Maximum degree of each color class's induced subgraph (0 if empty)."""
+    assign = _total_assignment(graph, phi)
+    out = [0] * phi.classes()
     for v in range(graph.n):
         c = assign[v]
         same = sum(1 for u in graph.rotation[v] if assign[u] == c)
@@ -91,13 +84,11 @@ def is_valid(graph: EmbeddedGraph, phi: Coloring,
     return all(degs[i] <= d[i] for i in range(len(d)))
 
 
-def is_saturated(graph: EmbeddedGraph, phi, v: int,
+def is_saturated(graph: EmbeddedGraph, phi: Coloring, v: int,
                  defects: Sequence[int] | None = None) -> bool:
     """True iff v has exactly defect(class(v)) neighbors of its own class."""
-    assign = _assignment_of(phi, graph.n)
+    assign = _total_assignment(graph, phi)
     c = assign[v]
-    if c is None:
-        raise UncoloredError(f"vertex {v} is uncolored")
     d = validate_defects(defects) if defects is not None else phi.defects
     same = sum(1 for u in graph.rotation[v] if assign[u] == c)
     return same == d[c]

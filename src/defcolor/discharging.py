@@ -215,11 +215,6 @@ def _classify_one(graph, face, pattern, x_status) -> FaceClass:
     return FaceClass.PLAIN
 
 
-def classify_face(graph: EmbeddedGraph, face: Face) -> FaceClass:
-    """Classification of one face (direction-invariant, deterministic)."""
-    return classify_faces(graph)[face.index]
-
-
 # ---------------------------------------------------------------------------
 # Sponsors
 # ---------------------------------------------------------------------------
@@ -269,16 +264,6 @@ def sponsor_instances(graph: EmbeddedGraph,
                                    classes[fi] is FaceClass.X2)
                 out.append(SponsorInstance(fi, f2i, (u2, u3), kind, pos))
     return out
-
-
-def sponsor_relation(graph: EmbeddedGraph, f1: Face, f2: Face) -> SponsorKind | None:
-    """SponsorKind if f1 sponsors f2 across some shared edge, else None."""
-    if f1.index == f2.index:
-        raise ValueError("a face cannot sponsor itself")
-    for inst in sponsor_instances(graph):
-        if inst.f1 == f1.index and inst.f2 == f2.index:
-            return inst.kind
-    return None
 
 
 # ---------------------------------------------------------------------------

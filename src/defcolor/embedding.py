@@ -5,11 +5,14 @@ optional set of "twisted" edges) determines a cellular embedding in a
 surface.  Faces are traced from the rotation data and the Euler genus
 follows from ``|V| - |E| + |F| = 2 - genus``.
 
-For an all-positive signature the boundary faces are exactly the orbits of
-the successor rule: after dart ``(u, v)`` comes ``(v, w)`` where ``w``
-follows ``u`` in the rotation of ``v``.  Twisted edges flip the traversal
-sense, which lets the same machinery trace embeddings in non-orientable
-surfaces (odd Euler genus).
+Faces are traced in one walk over states (u, v, s), the dart (u, v) in
+sense s.  In sense 0, after dart ``(u, v)`` comes ``(v, w)`` where ``w``
+follows ``u`` in the rotation of ``v``; in sense 1 ``w`` precedes it.
+Crossing a twisted edge flips the sense, which traces embeddings in
+non-orientable surfaces; with no twists every face is a sense-0 orbit of
+the successor rule.  Each face is walked once, from its least state in
+either direction, and the same walk records the face passages of every
+vertex and the sides of every edge.
 
 EmbeddedGraph instances are immutable after construction; all queries are
 pure (girth is computed on first use and cached), so they are safe to share
@@ -125,21 +128,11 @@ class EmbeddedGraph:
         self.twists: frozenset[tuple[int, int]] = frozenset(tw)
 
         self._check_connected()
-        self.faces: tuple[Face, ...] = self._trace_faces()
+        self.faces, self._passages, self._sides = self._trace_faces()
         self.genus: int = 2 - (self.n - len(self.edges) + len(self.faces))
         self._girth: float | None = None
         if self.genus < 0:
             raise AssertionError("face tracing produced negative genus")
-
-        # Per-vertex face passages: (face index, boundary position) pairs.
-        passages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        dart_sides: dict[Dart, list[tuple[int, int]]] = {}
-        for f in self.faces:
-            for pos, d in enumerate(f.darts):
-                passages[d[0]].append((f.index, pos))
-                dart_sides.setdefault(d, []).append((f.index, pos))
-        self._passages = tuple(tuple(p) for p in passages)
-        self._dart_sides = dart_sides
         for v in range(n):
             if len(self._passages[v]) != len(rot[v]):
                 raise AssertionError("face tracing lost a vertex passage")
@@ -171,13 +164,11 @@ class EmbeddedGraph:
         """
         return self._passages[v]
 
-    def dart_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """Faces (with positions) whose boundary uses the dart (u, v)."""
-        return tuple(self._dart_sides.get((u, v), ()))
-
     def edge_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """The two (face, position) sides of edge {u, v}."""
-        return self.dart_sides(u, v) + self.dart_sides(v, u)
+        """The two (face, position) sides of edge {u, v}: those walking the
+        dart (u, v) first, then those walking (v, u)."""
+        return (tuple(self._sides.get((u, v), ()))
+                + tuple(self._sides.get((v, u), ())))
 
     # -- construction internals ------------------------------------------
 
@@ -194,10 +185,29 @@ class EmbeddedGraph:
             raise DisconnectedError(
                 f"graph has {self.n - len(seen)} unreachable vertices")
 
-    def _trace_faces(self) -> tuple[Face, ...]:
+    def _trace_faces(self) -> tuple[tuple[Face, ...],
+                                    tuple[tuple[tuple[int, int], ...], ...],
+                                    dict[Dart, list[tuple[int, int]]]]:
+        """Walk every face once; return the faces, passages and dart sides.
+
+        A walk state (u, v, s) is the dart (u, v) traversed in sense s:
+        sense 0 continues with the successor of u in the rotation of v,
+        sense 1 with its predecessor, and a twisted edge flips the sense.
+        Walking a face backwards visits the states (v, u, 1 ^ s ^ flip)
+        of its forward states, so the walk marks both as seen.  States
+        are tried in key order (s, u, v); the first unseen one is the
+        least state of its face in either direction and starts it.  Faces
+        therefore come out in index order, and each (face, position) is
+        appended to the passages of its tail and the sides of its dart as
+        the walk reaches it.  A walk that met its own reverse would stop
+        at a seen state short of its start and fail the closing check.
+        """
+        n = self.n
+        passages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        sides: dict[Dart, list[tuple[int, int]]] = {}
         if not self.edges:
             # A single vertex embeds in the sphere with one face.
-            return (Face(0, ()),)
+            return (Face(0, ()),), ((),), sides
 
         succ: list[dict[int, int]] = []
         pred: list[dict[int, int]] = []
@@ -205,67 +215,37 @@ class EmbeddedGraph:
             k = len(nbrs)
             succ.append({nbrs[i]: nbrs[(i + 1) % k] for i in range(k)})
             pred.append({nbrs[i]: nbrs[(i - 1) % k] for i in range(k)})
-        twisted = self.twists
+        twisted = {d for u, v in self.twists for d in ((u, v), (v, u))}
 
-        def step(state: tuple[int, int, int]) -> tuple[int, int, int]:
-            u, v, s = state
-            s2 = s ^ (1 if (min(u, v), max(u, v)) in twisted else 0)
-            w = succ[v][u] if s2 == 0 else pred[v][u]
-            return (v, w, s2)
-
-        # Orbits over (dart, side) states; mutually-reverse orbit pairs
-        # are one face each.  Sense bit 0 follows the successor rule, so
-        # untwisted graphs yield it as the canonical traversal.
-        orbit_of: dict[tuple[int, int, int], int] = {}
-        orbits: list[list[tuple[int, int, int]]] = []
-        for u, v in self.edges:
-            for a, b in ((u, v), (v, u)):
-                for s in (0, 1):
-                    start = (a, b, s)
-                    if start in orbit_of:
+        seen: set[tuple[int, int, int]] = set()
+        faces: list[Face] = []
+        for s0 in (0, 1):
+            for u0 in range(n):
+                for v0 in sorted(self.rotation[u0]):
+                    start = (u0, v0, s0)
+                    if start in seen:
                         continue
-                    idx = len(orbits)
-                    seq = []
-                    cur = start
-                    while cur not in orbit_of:
-                        orbit_of[cur] = idx
-                        seq.append(cur)
-                        cur = step(cur)
-                    if cur != start:
+                    index = len(faces)
+                    darts: list[Dart] = []
+                    state = start
+                    while state not in seen:
+                        u, v, s = state
+                        flip = 1 if (u, v) in twisted else 0
+                        seen.add(state)
+                        seen.add((v, u, 1 ^ s ^ flip))
+                        side = (index, len(darts))
+                        passages[u].append(side)
+                        sides.setdefault((u, v), []).append(side)
+                        darts.append((u, v))
+                        s ^= flip
+                        state = (v, succ[v][u] if s == 0 else pred[v][u], s)
+                    if state != start:
                         raise AssertionError("face walk did not close")
-                    orbits.append(seq)
+                    faces.append(Face(index, tuple(darts)))
 
-        def reverse_state(state: tuple[int, int, int]) -> tuple[int, int, int]:
-            u, v, s = state
-            flip = 1 if (min(u, v), max(u, v)) in twisted else 0
-            return (v, u, 1 ^ s ^ flip)
-
-        faces: list[tuple[tuple[int, int, int], list[tuple[int, int, int]]]] = []
-        done: set[int] = set()
-        for idx, seq in enumerate(orbits):
-            if idx in done:
-                continue
-            partner = orbit_of[reverse_state(seq[0])]
-            if partner == idx:
-                raise AssertionError("orbit paired with itself")
-            done.add(idx)
-            done.add(partner)
-            best = min(seq, key=lambda st: (st[2], st[0], st[1]))
-            other = orbits[partner]
-            best2 = min(other, key=lambda st: (st[2], st[0], st[1]))
-            key = (best[2], best[0], best[1])
-            key2 = (best2[2], best2[0], best2[1])
-            if key2 < key:
-                seq, best = other, best2
-            k = seq.index(best)
-            faces.append((best, seq[k:] + seq[:k]))
-
-        faces.sort(key=lambda item: (item[0][2], item[0][0], item[0][1]))
-        out = tuple(Face(i, tuple((st[0], st[1]) for st in seq))
-                    for i, (_, seq) in enumerate(faces))
-        if sum(f.degree for f in out) != 2 * len(self.edges):
+        if sum(f.degree for f in faces) != 2 * len(self.edges):
             raise AssertionError("face degrees do not sum to 2|E|")
-        return out
+        return tuple(faces), tuple(map(tuple, passages)), sides
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EmbeddedGraph(n={self.n}, m={len(self.edges)}, "

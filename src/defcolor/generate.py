@@ -42,9 +42,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         return _c5_graph()
 
     if target_size >= 40 and rng.random() < 0.25:
-        b = PlanarBuilder(
-            [list(r) for r in DODECAHEDRON_ROTATION],
-            _faces_of(EmbeddedGraph(DODECAHEDRON_ROTATION)))
+        b = PlanarBuilder.from_graph(EmbeddedGraph(DODECAHEDRON_ROTATION))
     else:
         b = PlanarBuilder.cycle(5)
 
@@ -200,50 +198,3 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
                 raise AssertionError(
                     f"medium vertex {v} lacks a high neighbor (generator bug)")
     return graph
-
-
-def _faces_of(graph: EmbeddedGraph) -> dict[int, list[tuple[int, int]]]:
-    return {f.index: list(f.darts) for f in graph.faces}
-
-
-def gen_girth5_small(seed: int, n: int) -> EmbeddedGraph:
-    """Small random connected girth->=5 graph (arbitrary rotation order).
-
-    Used as solver/oracle test input; the embedding carries no meaning.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = Random(f"small:{seed}:{n}")
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-
-    def dist_at_least(a: int, c: int, k: int) -> bool:
-        # BFS from a, stopping at depth k - 1
-        dist = {a: 0}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                if dist[v] >= k - 1:
-                    continue
-                for u in nbrs[v]:
-                    if u not in dist:
-                        if u == c:
-                            return False
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        return True
-
-    for i in range(1, n):
-        p = rng.randrange(i)
-        nbrs[i].append(p)
-        nbrs[p].append(i)
-    for _ in range(2 * n):
-        a = rng.randrange(n)
-        c = rng.randrange(n)
-        if a == c or c in nbrs[a]:
-            continue
-        if dist_at_least(a, c, 4):
-            nbrs[a].append(c)
-            nbrs[c].append(a)
-    return EmbeddedGraph(nbrs)

@@ -1,8 +1,12 @@
-"""Small hand-built graphs exercising individual charge rules."""
+"""Small hand-built graphs exercising individual charge rules, and small
+seeded random girth-5 graphs for the solver and oracle tests."""
 
 from __future__ import annotations
 
+from random import Random
+
 from defcolor.builder import PlanarBuilder
+from defcolor.embedding import EmbeddedGraph
 from defcolor.fixtures import find_face
 
 
@@ -84,3 +88,46 @@ def sponsor_face_pair(graph, verts):
     f1 = find_face(graph, verts)
     other = next(f for f in graph.faces if f.index != f1.index)
     return f1, other
+
+
+def gen_girth5_small(seed: int, n: int) -> EmbeddedGraph:
+    """Small random connected girth->=5 graph (arbitrary rotation order).
+
+    Used as solver/oracle test input; the embedding carries no meaning.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    rng = Random(f"small:{seed}:{n}")
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+
+    def dist_at_least(a: int, c: int, k: int) -> bool:
+        # BFS from a, stopping at depth k - 1
+        dist = {a: 0}
+        frontier = [a]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                if dist[v] >= k - 1:
+                    continue
+                for u in nbrs[v]:
+                    if u not in dist:
+                        if u == c:
+                            return False
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return True
+
+    for i in range(1, n):
+        p = rng.randrange(i)
+        nbrs[i].append(p)
+        nbrs[p].append(i)
+    for _ in range(2 * n):
+        a = rng.randrange(n)
+        c = rng.randrange(n)
+        if a == c or c in nbrs[a]:
+            continue
+        if dist_at_least(a, c, 4):
+            nbrs[a].append(c)
+            nbrs[c].append(a)
+    return EmbeddedGraph(nbrs)

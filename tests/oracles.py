@@ -2,9 +2,11 @@
 
 Deliberately different algorithms from the implementations under test:
 girth via per-edge deletion distances, defective 2-colorability via full
-enumeration of all 2^n class assignments (vectorized with numpy), and the
+enumeration of all 2^n class assignments (vectorized with numpy), the
 colorer's reduction order via a full rescan of the residual graph before
-every deletion (quadratic, for comparison with its worklist).
+every deletion (quadratic, for comparison with its worklist), and face
+tracing via both orbits of every face, paired and then sorted (for
+comparison with the single walk in EmbeddedGraph).
 """
 
 from __future__ import annotations
@@ -135,3 +137,61 @@ def reference_steps(graph, t):
                 if u in present:
                     deg[u] -= 1
     return steps
+
+
+def reference_faces(graph) -> list[tuple[tuple[int, int], ...]]:
+    """Boundary walks of the faces, as dart tuples in face-index order.
+
+    Traces every orbit of (dart, sense) states, pairs each orbit with its
+    reverse, starts each face at the least (s, u, v) state of the pair and
+    sorts the faces by that state.
+    """
+    if not graph.edges:
+        return [()]
+    succ, pred = [], []
+    for nbrs in graph.rotation:
+        k = len(nbrs)
+        succ.append({nbrs[i]: nbrs[(i + 1) % k] for i in range(k)})
+        pred.append({nbrs[i]: nbrs[(i - 1) % k] for i in range(k)})
+
+    def flip(u, v):
+        return 1 if (min(u, v), max(u, v)) in graph.twists else 0
+
+    def step(state):
+        u, v, s = state
+        s2 = s ^ flip(u, v)
+        return (v, succ[v][u] if s2 == 0 else pred[v][u], s2)
+
+    def key(state):
+        return (state[2], state[0], state[1])
+
+    orbit_of, orbits = {}, []
+    for u, v in graph.edges:
+        for a, b in ((u, v), (v, u)):
+            for s in (0, 1):
+                start = cur = (a, b, s)
+                if start in orbit_of:
+                    continue
+                seq = []
+                while cur not in orbit_of:
+                    orbit_of[cur] = len(orbits)
+                    seq.append(cur)
+                    cur = step(cur)
+                assert cur == start, "face walk did not close"
+                orbits.append(seq)
+
+    faces, done = [], set()
+    for idx, seq in enumerate(orbits):
+        if idx in done:
+            continue
+        u, v, s = seq[0]
+        partner = orbit_of[(v, u, 1 ^ s ^ flip(u, v))]
+        assert partner != idx, "orbit paired with itself"
+        done.update((idx, partner))
+        best = min(seq + orbits[partner], key=key)
+        if best not in seq:
+            seq = orbits[partner]
+        k = seq.index(best)
+        faces.append((key(best), seq[k:] + seq[:k]))
+    faces.sort()
+    return [tuple((u, v) for u, v, _ in seq) for _, seq in faces]

@@ -9,12 +9,12 @@ import pytest
 from defcolor import fixtures as fx
 from defcolor.colorer import capacity, color
 from defcolor.coloring import SolveStatus, is_valid, solve_exact
-from defcolor.discharging import FaceClass, audit, classify_face
+from defcolor.discharging import FaceClass, audit, classify_faces
 from defcolor.embedding import euler_genus, girth
 from defcolor.fixtures import find_face
-from defcolor.generate import gen_girth5_small
 from conftest import CORPUS_COUNT
 
+from gadget_builders import gen_girth5_small
 from oracles import enumerate_two_class
 
 MINUS_TWELVE = Fraction(-12)
@@ -47,11 +47,11 @@ def test_criterion_2_fixture_classification():
     cases = []
 
     def check(fixture, expected):
-        got = classify_face(fixture.graph, fixture.face)
+        got = classify_faces(fixture.graph)[fixture.face.index]
         cases.append(got is expected)
 
     def check_not(fixture, avoided):
-        got = classify_face(fixture.graph, fixture.face)
+        got = classify_faces(fixture.graph)[fixture.face.index]
         cases.append(got is not avoided)
 
     check(fx.special_face(), FaceClass.SPECIAL)
@@ -156,7 +156,7 @@ def test_criterion_6_surface_capacity():
     gadget, face_verts, hub = fx.genus2_bad_face_gadget()
     rep = audit(gadget, t=capacity(euler_genus(gadget)))
     flag_ok = (euler_genus(gadget) == 2
-               and classify_face(gadget, find_face(gadget, face_verts))
+               and classify_faces(gadget)[find_face(gadget, face_verts).index]
                is FaceClass.Y1
                and any(fl.vertex == hub and fl.final < Fraction(1, 2)
                        for fl in rep.high_vertex_flags))

@@ -8,8 +8,9 @@ from defcolor.colorer import (C_BIG, C_SMALL, ReductionKind, ReductionStep,
 from defcolor.coloring import SolveStatus, is_valid, solve_exact
 from defcolor.embedding import (GirthTooSmallError, build_graph,
                                 induced_embedding)
-from defcolor.generate import gen_girth5_small, gen_planar_girth5
+from defcolor.generate import gen_planar_girth5
 
+from gadget_builders import gen_girth5_small
 from oracles import enumerate_two_class
 
 

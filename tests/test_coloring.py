@@ -2,12 +2,11 @@ import pytest
 
 from defcolor import fixtures as fx
 from defcolor.coloring import (Coloring, ColoringError, PartialColoringError,
-                               SolveStatus, UncoloredError,
-                               induced_max_degrees, is_saturated, is_valid,
-                               solve_exact)
+                               SolveStatus, induced_max_degrees,
+                               is_saturated, is_valid, solve_exact)
 from defcolor.embedding import build_graph
-from defcolor.generate import gen_girth5_small
 
+from gadget_builders import gen_girth5_small
 from oracles import enumerate_two_class, enumerate_two_class_slow
 
 
@@ -49,6 +48,8 @@ def test_is_valid_defect_length_mismatch():
 def test_partial_coloring_rejected():
     g = fx.c5()
     with pytest.raises(PartialColoringError):
+        induced_max_degrees(g, Coloring((0, 1), (1, 10)))
+    with pytest.raises(ColoringError):
         induced_max_degrees(g, {0: 0, 1: 1})
 
 
@@ -62,8 +63,13 @@ def test_is_saturated():
     starg = fx.star(10)
     allbig = Coloring((1,) * 11, (1, 10))
     assert is_saturated(starg, allbig, 0)
-    with pytest.raises(UncoloredError):
-        is_saturated(path, {0: 0, 2: 1}, 1, defects=(1, 10))
+    # only a Coloring is accepted, not a mapping or a sequence
+    with pytest.raises(ColoringError):
+        is_saturated(path, {0: 0, 1: 0, 2: 1}, 1)
+    with pytest.raises(ColoringError):
+        is_saturated(path, [0, 0, 1], 1, defects=(1, 10))
+    with pytest.raises(PartialColoringError):
+        is_saturated(path, Coloring((0, 0), (1, 10)), 1)
 
 
 def test_saturated_implies_enough_neighbors():

@@ -6,10 +6,9 @@ import pytest
 from defcolor import fixtures as fx
 from defcolor.discharging import (_PATTERNS, _canonical, _symbol,
                                   FaceClass, apply_rules, audit,
-                                  classify_face, classify_faces,
-                                  format_fraction, initial_charges,
-                                  ledger_csv, sponsor_relation,
-                                  transfers_csv)
+                                  classify_faces, format_fraction,
+                                  initial_charges, ledger_csv,
+                                  sponsor_instances, transfers_csv)
 from defcolor.embedding import GirthTooSmallError, build_graph
 from defcolor.fixtures import find_face
 from defcolor.generate import gen_planar_girth5
@@ -110,7 +109,7 @@ def test_r2_special_and_blocked_faces():
     g, special_verts, pent_verts, p, h2 = r2_gadget()
     special = find_face(g, special_verts)
     pent = find_face(g, pent_verts)
-    assert classify_face(g, special) is FaceClass.SPECIAL
+    assert classify_faces(g)[special.index] is FaceClass.SPECIAL
     _, transfers = apply_rules(g)
     mine = transfers_from(transfers, "R2", ("v", p))
     by_face = {t.target[1]: t.amount for t in mine}
@@ -135,8 +134,7 @@ def test_r3_uniform_split_and_zero_eligible():
 
 def test_classification_direction_invariance_and_c5_plain():
     g = fx.c5()
-    for f in g.faces:
-        assert classify_face(g, f) is FaceClass.PLAIN
+    assert classify_faces(g) == (FaceClass.PLAIN,) * len(g.faces)
 
 
 # The paper's degree patterns: d exact, d+ at least d, d- at most d.
@@ -189,7 +187,7 @@ def test_bad_face_gets_two_from_high_vertex():
     fix, b = fx.y1_face()
     g = fix.graph
     face = fix.face
-    assert classify_face(g, face) is FaceClass.Y1
+    assert classify_faces(g)[face.index] is FaceClass.Y1
     _, transfers = apply_rules(g)
     r4 = [t for t in transfers_from(transfers, "R4", ("v", 1))
           if t.target == ("f", face.index)]
@@ -202,8 +200,10 @@ def test_bad_face_gets_two_from_high_vertex():
 def test_five_five_sponsor_reported_but_silent():
     g, verts, s, t = sponsor_gadget(5, 5, 2)
     f1, f2 = sponsor_face_pair(g, verts)
-    kind = sponsor_relation(g, f1, f2)
-    assert kind is not None
+    kinds = [i.kind for i in sponsor_instances(g)
+             if (i.f1, i.f2) == (f1.index, f2.index)]
+    assert kinds
+    kind = kinds[0]
     assert (kind.d2, kind.d3) == (5, 5)
     assert not kind.sponsor_is_x1 and not kind.sponsor_is_x2
     _, transfers = apply_rules(g)
@@ -214,7 +214,8 @@ def test_non_sponsor_when_flank_not_high():
     # the sponsored side: its u1/u4 are low, so no sponsorship back
     g, verts, s, t = sponsor_gadget(3, 3, 2)
     f1, f2 = sponsor_face_pair(g, verts)
-    assert sponsor_relation(g, f2, f1) is None
+    assert all((i.f1, i.f2) != (f2.index, f1.index)
+               for i in sponsor_instances(g))
 
 
 def test_r6_sponsor_sends_one():
@@ -230,7 +231,7 @@ def test_r6_sponsor_sends_one():
 def test_r7_fires_unless_sponsor_is_x1():
     g, verts, s, t = sponsor_gadget(2, 3, 3)
     f1, f2 = sponsor_face_pair(g, verts)
-    assert classify_face(g, f1) is not FaceClass.X1
+    assert classify_faces(g)[f1.index] is not FaceClass.X1
     _, transfers = apply_rules(g)
     r7 = transfers_from(transfers, "R7", ("f", f1.index))
     assert len(r7) == 1 and r7[0].amount == HALF
@@ -238,7 +239,7 @@ def test_r7_fires_unless_sponsor_is_x1():
     # with w a 2-vertex the pentagon is an X1-face: R7 must stay silent
     gx, vertsx, sx, tx = sponsor_gadget(2, 3, 2)
     fx1, _ = sponsor_face_pair(gx, vertsx)
-    assert classify_face(gx, fx1) is FaceClass.X1
+    assert classify_faces(gx)[fx1.index] is FaceClass.X1
     _, transfersx = apply_rules(gx)
     assert transfers_from(transfersx, "R7", ("f", fx1.index)) == []
 
@@ -246,7 +247,7 @@ def test_r7_fires_unless_sponsor_is_x1():
 def test_r8b_with_r1_refund():
     g, verts, s, t = sponsor_gadget(2, 4, 3)
     f1, f2 = sponsor_face_pair(g, verts)
-    assert classify_face(g, f1) is not FaceClass.X2
+    assert classify_faces(g)[f1.index] is not FaceClass.X2
     _, transfers = apply_rules(g)
     r8b = transfers_from(transfers, "R8B", ("f", f1.index))
     assert len(r8b) == 1 and r8b[0].amount == Fraction(1)
@@ -259,7 +260,7 @@ def test_r8a_from_x2_face():
     fix, x, y = fx.x2_face()
     g = fix.graph
     face = fix.face
-    assert classify_face(g, face) is FaceClass.X2
+    assert classify_faces(g)[face.index] is FaceClass.X2
     _, transfers = apply_rules(g)
     r8a = transfers_from(transfers, "R8A", ("f", face.index))
     assert len(r8a) == 1 and r8a[0].amount == HALF
@@ -275,12 +276,6 @@ def test_r7_r8_couple_r5_instances():
     assert all(tr.independent is False for tr in r5_to_s)
 
 
-def test_sponsor_self_comparison_rejected():
-    g = fx.c5()
-    with pytest.raises(ValueError):
-        sponsor_relation(g, g.faces[0], g.faces[0])
-
-
 # -- terrible fixture: exact finals ------------------------------------------
 
 
@@ -292,7 +287,7 @@ def test_terrible_fixture_exact_finals():
     assert led.vertex_final[names["v"]] == Fraction(0)
     g4 = find_face(g, (names["v"], names["v4"], names["u4"],
                        names["h4"], names["c4"]))
-    assert classify_face(g, g4) is FaceClass.X2
+    assert classify_faces(g)[g4.index] is FaceClass.X2
     assert led.face_final[g4.index] == Fraction(0)
     assert led.total_final == Fraction(-12)
 

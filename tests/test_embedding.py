@@ -8,8 +8,9 @@ from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, NonSimpleError, NotOnFaceError,
                                 build_graph, euler_genus, f_external_neighbors,
                                 girth, induced_embedding)
-from defcolor.generate import gen_girth5_small, gen_planar_girth5
+from defcolor.generate import gen_planar_girth5
 
+from gadget_builders import gen_girth5_small
 from oracles import girth_oracle, relabeled
 
 

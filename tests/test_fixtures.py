@@ -2,12 +2,12 @@
 single-degree perturbations."""
 
 from defcolor import fixtures as fx
-from defcolor.discharging import FaceClass, classify_face
+from defcolor.discharging import FaceClass, classify_faces
 from defcolor.embedding import girth
 
 
 def classify(fixture):
-    return classify_face(fixture.graph, fixture.face)
+    return classify_faces(fixture.graph)[fixture.face.index]
 
 
 def test_all_fixture_graphs_have_girth_five():
@@ -87,15 +87,15 @@ def test_classification_mirror_invariant():
         mirror = EmbeddedGraph([tuple(reversed(r)) for r in g.rotation],
                                g.twists)
         face = find_face(mirror, fix.face_verts)
-        assert classify_face(mirror, face) is want
+        assert classify_faces(mirror)[face.index] is want
 
 
 def test_cross_faces_of_composite_fixtures():
     fix, _ = fx.y1_face()
     g = fix.graph
-    classes = {classify_face(g, f) for f in g.faces if f.degree == 5}
+    classes = {c for f, c in zip(g.faces, classify_faces(g)) if f.degree == 5}
     assert {FaceClass.Y1, FaceClass.X1, FaceClass.X2} <= classes
-    fix2 = fx.y2_face()
-    classes2 = {classify_face(fix2.graph, f)
-                for f in fix2.graph.faces if f.degree == 5}
+    g2 = fx.y2_face().graph
+    classes2 = {c for f, c in zip(g2.faces, classify_faces(g2))
+                if f.degree == 5}
     assert {FaceClass.Y2, FaceClass.X1} <= classes2

@@ -1,8 +1,10 @@
 import pytest
 
 from defcolor.embedding import euler_genus, girth
-from defcolor.generate import gen_girth5_small, gen_planar_girth5
+from defcolor.generate import gen_planar_girth5
 from defcolor.graphio import serialize_graph
+
+from gadget_builders import gen_girth5_small
 
 
 def test_target_five_is_exactly_c5():

@@ -11,8 +11,8 @@ from collections import Counter
 import pytest
 
 from defcolor.colorer import ReductionKind, color
-from defcolor.generate import gen_girth5_small
 
+from gadget_builders import gen_girth5_small
 from oracles import reference_steps
 from test_golden import FIXTURE_CASES, _fixture_graph
 
