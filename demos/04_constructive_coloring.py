@@ -39,12 +39,12 @@ for name, graph in [("dodecahedron", dodecahedron()),
     res = color(graph, t=10)
     kinds = Counter(e.step.kind.value for e in res.trace.steps)
     print(f"\n{name}: valid={is_valid(graph, res.coloring)} "
-          f"fallback={res.fallback} steps={dict(kinds)}")
+          f"fallback={res.trace.fallback} steps={dict(kinds)}")
 
 # A 300-vertex generated graph reduces in milliseconds.
 big = gen_planar_girth5(seed=5, target_size=300)
 res = color(big, t=10)
 kinds = Counter(e.step.kind.value for e in res.trace.steps)
 print(f"\n{big.n}-vertex corpus graph: valid={is_valid(big, res.coloring)} "
-      f"fallback={res.fallback}")
+      f"fallback={res.trace.fallback}")
 print("reduction mix:", dict(kinds))

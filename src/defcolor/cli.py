@@ -149,7 +149,7 @@ def _cmd_color(args) -> int:
         print(f"result: {cat}")
         return EXIT_NEGATIVE if cat == "infeasible" else EXIT_BUDGET
     _write(args.output, serialize_coloring(res.coloring))
-    if res.anomaly:
+    if res.trace.anomaly:
         print("result: anomaly (fallback fired on a genus<=1 input at t=10)",
               file=sys.stderr)
         return EXIT_NEGATIVE
@@ -208,10 +208,14 @@ _HANDLERS = {
 }
 
 
+# Built once per process: parse_args keeps no state between calls, and
+# argparse looks up sys.stdout/sys.stderr only when it prints.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -106,8 +106,6 @@ class ColoringTrace:
 class ColorResult:
     coloring: Coloring | None
     trace: ColoringTrace
-    fallback: bool
-    anomaly: bool
     solve_status: SolveStatus | None = None
 
 
@@ -504,7 +502,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
         entries = []
 
     trace = ColoringTrace(entries, base, fallback, anomaly, t)
-    return ColorResult(coloring, trace, fallback, anomaly, solve_status)
+    return ColorResult(coloring, trace, solve_status)
 
 
 def replay_trace(graph: EmbeddedGraph, trace: ColoringTrace) -> Coloring:

@@ -5,13 +5,14 @@ vector (d_0, ..., d_{r-1}); it is valid when class i induces a subgraph
 of maximum degree at most d_i.  The paper-style color names "1" and "10"
 are the classes whose defects are 1 and 10.
 
-All functions are pure; solve_exact is single-threaded and deterministic
-for fixed inputs.
+All functions are pure and safe to call from several threads at once.
+solve_exact is one loop over the search depth: it never recurses and
+leaves interpreter state (the recursion limit included) alone.  It is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -115,9 +116,13 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
                 budget: int = 10 ** 7) -> SolveResult:
     """Exhaustive search for a valid defective coloring.
 
-    Depth-first over vertices in decreasing-degree order (ties by id),
-    pruning as soon as some already-assigned vertex exceeds its class
-    defect among assigned neighbors.  FOUND results always pass is_valid;
+    Depth-first over vertices in decreasing-degree order (ties by id), as
+    one loop over the depth i.  The vertex v at depth i tries its classes
+    in order, rejecting class c when v has more than d_c neighbors in c or
+    one of them already has d_c; a placement moves i up one.  Running out
+    of classes unassigns v and moves i down one, where that vertex takes
+    its class off and tries the next.  Each (vertex, class) attempt is a
+    node counted against the budget.  FOUND results always pass is_valid;
     INFEASIBLE means the whole search space was exhausted; UNKNOWN means
     the node budget ran out first.
     """
@@ -126,60 +131,42 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
     d = validate_defects(defects)
     r = len(d)
     n = graph.n
+    rotation = graph.rotation
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    assign: list[int | None] = [None] * n
-    same = [0] * n  # assigned same-class neighbor count
+    assign = [-1] * n  # class of each vertex, -1 while unassigned
+    same = [0] * n  # same-class neighbors of each assigned vertex
     nodes = 0
-
-    def place(v: int, c: int) -> bool:
-        cnt = 0
-        for u in graph.rotation[v]:
-            if assign[u] == c:
-                cnt += 1
-                if same[u] + 1 > d[c]:
-                    return False
-        if cnt > d[c]:
-            return False
-        assign[v] = c
-        same[v] = cnt
-        for u in graph.rotation[v]:
-            if assign[u] == c:
-                same[u] += 1
-        return True
-
-    def remove(v: int) -> None:
-        c = assign[v]
-        for u in graph.rotation[v]:
-            if assign[u] == c:
-                same[u] -= 1
-        assign[v] = None
-        same[v] = 0
-
-    def dfs(i: int) -> str:
-        nonlocal nodes
-        if i == n:
-            return "found"
+    i = 0
+    while 0 <= i < n:
         v = order[i]
-        for c in range(r):
+        nbrs = rotation[v]
+        c = assign[v]
+        if c >= 0:  # backtracked here: take c off, then resume at c + 1
+            for u in nbrs:
+                if assign[u] == c:
+                    same[u] -= 1
+        for c in range(c + 1, r):
             nodes += 1
             if nodes > budget:
-                return "out"
-            if place(v, c):
-                res = dfs(i + 1)
-                if res != "none":
-                    return res
-                remove(v)
-        return "none"
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n + 100))
-    try:
-        res = dfs(0)
-    finally:
-        sys.setrecursionlimit(old)
-    if res == "found":
-        coloring = Coloring(tuple(assign), d)  # type: ignore[arg-type]
-        return SolveResult(SolveStatus.FOUND, coloring, nodes)
-    if res == "out":
-        return SolveResult(SolveStatus.UNKNOWN, None, nodes)
-    return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
+                return SolveResult(SolveStatus.UNKNOWN, None, nodes)
+            dc = d[c]
+            cnt = 0
+            for u in nbrs:
+                if assign[u] == c:
+                    cnt += 1
+                    if cnt > dc or same[u] >= dc:
+                        break
+            else:
+                assign[v] = c
+                same[v] = cnt
+                for u in nbrs:
+                    if assign[u] == c:
+                        same[u] += 1
+                i += 1
+                break
+        else:
+            assign[v] = -1
+            i -= 1
+    if i < 0:
+        return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
+    return SolveResult(SolveStatus.FOUND, Coloring(tuple(assign), d), nodes)

@@ -25,6 +25,8 @@ class ParseError(ValueError):
 def _check_vertex_count(n: int, lines: list[str]) -> None:
     """Each vertex takes one body line, so a header n beyond the body is
     rejected before anything is allocated per vertex."""
+    if n < 0:
+        raise ParseError(1, f"vertex count {n} is negative")
     if n > len(lines) - 1:
         raise ParseError(1, f"header declares {n} vertices but the document "
                             f"has {len(lines) - 1} body lines")
@@ -127,6 +129,8 @@ def parse_coloring(text: str) -> Coloring:
             raise ParseError(lineno, f"vertex id {v} out of range")
         if not (1 <= c <= len(defects)):
             raise ParseError(lineno, f"class {c} out of range 1..{len(defects)}")
+        if assign[v] is not None:
+            raise ParseError(lineno, f"vertex {v} listed twice")
         assign[v] = c - 1
     missing = [v for v in range(n) if assign[v] is None]
     if missing:

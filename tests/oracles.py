@@ -4,21 +4,27 @@ Deliberately different algorithms from the implementations under test:
 girth via per-edge deletion distances, defective 2-colorability via full
 enumeration of all 2^n class assignments (vectorized with numpy), the
 colorer's reduction order via a full rescan of the residual graph before
-every deletion (quadratic, for comparison with its worklist), and face
+every deletion (quadratic, for comparison with its worklist), face
 tracing via both orbits of every face, paired and then sorted (for
-comparison with the single walk in EmbeddedGraph).
+comparison with the single walk in EmbeddedGraph), and the exact solver
+as three recursive closures (for comparison with solve_exact's loop).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from typing import Sequence
 
 import numpy as np
 
 from defcolor.colorer import (ReductionKind, ReductionStep,
                               _find_terrible_reduction)
+from defcolor.coloring import (Coloring, ColoringError, SolveResult,
+                               SolveStatus, validate_defects)
 from defcolor.discharging import structural_thresholds
+from defcolor.embedding import EmbeddedGraph
 
 
 def girth_oracle(graph) -> float:
@@ -195,3 +201,77 @@ def reference_faces(graph) -> list[tuple[tuple[int, int], ...]]:
         faces.append((key(best), seq[k:] + seq[:k]))
     faces.sort()
     return [tuple((u, v) for u, v, _ in seq) for _, seq in faces]
+
+
+def reference_solve(graph: EmbeddedGraph, defects: Sequence[int],
+                    budget: int = 10 ** 7) -> SolveResult:
+    """The recursive exact solver that solve_exact's loop replaced.
+
+    Depth-first over vertices in decreasing-degree order (ties by id),
+    pruning as soon as some already-assigned vertex exceeds its class
+    defect among assigned neighbors.  FOUND results always pass is_valid;
+    INFEASIBLE means the whole search space was exhausted; UNKNOWN means
+    the node budget ran out first.
+    """
+    if budget <= 0:
+        raise ColoringError("budget must be positive")
+    d = validate_defects(defects)
+    r = len(d)
+    n = graph.n
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    assign: list[int | None] = [None] * n
+    same = [0] * n  # assigned same-class neighbor count
+    nodes = 0
+
+    def place(v: int, c: int) -> bool:
+        cnt = 0
+        for u in graph.rotation[v]:
+            if assign[u] == c:
+                cnt += 1
+                if same[u] + 1 > d[c]:
+                    return False
+        if cnt > d[c]:
+            return False
+        assign[v] = c
+        same[v] = cnt
+        for u in graph.rotation[v]:
+            if assign[u] == c:
+                same[u] += 1
+        return True
+
+    def remove(v: int) -> None:
+        c = assign[v]
+        for u in graph.rotation[v]:
+            if assign[u] == c:
+                same[u] -= 1
+        assign[v] = None
+        same[v] = 0
+
+    def dfs(i: int) -> str:
+        nonlocal nodes
+        if i == n:
+            return "found"
+        v = order[i]
+        for c in range(r):
+            nodes += 1
+            if nodes > budget:
+                return "out"
+            if place(v, c):
+                res = dfs(i + 1)
+                if res != "none":
+                    return res
+                remove(v)
+        return "none"
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, n + 100))
+    try:
+        res = dfs(0)
+    finally:
+        sys.setrecursionlimit(old)
+    if res == "found":
+        coloring = Coloring(tuple(assign), d)  # type: ignore[arg-type]
+        return SolveResult(SolveStatus.FOUND, coloring, nodes)
+    if res == "out":
+        return SolveResult(SolveStatus.UNKNOWN, None, nodes)
+    return SolveResult(SolveStatus.INFEASIBLE, None, nodes)

@@ -99,7 +99,7 @@ def test_criterion_3_theorem_instances(corpus, corpus_large):
     valid = True
     for g in graphs:
         res = color(g, 10)
-        if res.fallback:
+        if res.trace.fallback:
             fallbacks += 1
         if res.coloring is None or not is_valid(g, res.coloring):
             valid = False

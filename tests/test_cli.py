@@ -100,6 +100,16 @@ def test_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+def test_parser_prints_to_the_current_streams(capsys):
+    # the parser is built once per process; each call must still print
+    # help and usage errors to the streams in place at that call
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: defcolor")
+        assert main(["solve", "--input", "g.txt"]) == 2
+        assert "--defects" in capsys.readouterr().err
+
+
 def test_genus_auto_on_projective_input(tmp_path):
     # without --t, color takes t = capacity(genus) = 10 on the projective plane
     gpath = write_graph(tmp_path, fx.petersen_projective())

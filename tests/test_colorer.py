@@ -125,7 +125,7 @@ def test_color_theorem_instances():
         res = color(g, 10)
         assert res.coloring is not None
         assert is_valid(g, res.coloring)
-        assert not res.fallback and not res.anomaly
+        assert not res.trace.fallback and not res.trace.anomaly
 
 
 def test_c5_trace_replay_and_progress():
@@ -163,7 +163,7 @@ def test_color_handles_disconnection_during_reduction():
     g = b.graph()
     res = color(g, 10)
     assert is_valid(g, res.coloring)
-    assert not res.fallback
+    assert not res.trace.fallback
 
 
 def test_color_agrees_with_exact_solver_on_small_graphs():
@@ -181,5 +181,5 @@ def test_no_fallback_on_planar_corpus_sample():
         g = gen_planar_girth5(500 + seed, 10 + 12 * seed)
         res = color(g, 10)
         assert is_valid(g, res.coloring)
-        assert not res.fallback
+        assert not res.trace.fallback
         assert replay_trace(g, res.trace).assignment == res.coloring.assignment

@@ -41,6 +41,8 @@ def test_parse_errors():
         parse_graph("graph 2 1\n0: 1\n")  # truncated: vertex 1 missing
     with pytest.raises(ParseError):
         parse_graph("graph 2 2\n0: 1\n1: 0\n")  # wrong edge count
+    with pytest.raises(ParseError, match="line 1: vertex count -"):
+        parse_graph("graph -10000000000000000000 0\n")  # no list of that size
     err = None
     try:
         parse_graph("graph 2 1\n0: 1\nbogus\n1: 0\n")
@@ -76,3 +78,7 @@ def test_coloring_parse_errors():
         parse_coloring("coloring 2 defects 1,10\n0 1\n")  # vertex 1 missing
     with pytest.raises(ParseError):
         parse_coloring("coloring 1 defects 1,10\n0 3\n")  # class out of range
+    with pytest.raises(ParseError, match="line 4: vertex 0 listed twice"):
+        parse_coloring("coloring 2 defects 1,10\n0 1\n1 1\n0 2\n")
+    with pytest.raises(ParseError, match="line 1: vertex count -1 is negative"):
+        parse_coloring("coloring -1 defects 1,10\n")
