@@ -2,8 +2,8 @@
 
 Subcommands: check, solve, color, audit, gen, stats.  Exit codes:
 0 success, 1 negative result (invalid coloring / infeasible / anomaly),
-2 usage error, 3 bad input, 4 budget exhausted.  Errors print one
-machine-readable line ``error: <category>: <detail>`` on stderr.
+2 usage error, 3 bad input, 4 budget exhausted, 5 out of memory.  Errors
+print one machine-readable line ``error: <category>: <detail>`` on stderr.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ import argparse
 import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 from .colorer import color
 from .coloring import SolveStatus, is_valid, solve_exact
 from .discharging import (audit, classify_faces, ledger_csv, report_text,
                           transfers_csv)
-from .embedding import GraphError
+from .embedding import GraphError, girth
 from .generate import gen_planar_girth5
 from .graphio import (ParseError, parse_coloring, parse_graph,
                       serialize_coloring, serialize_graph)
@@ -27,6 +28,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_RESOURCES = 5
 
 
 def _read(path: str) -> str:
@@ -125,25 +127,44 @@ def _cmd_solve(args) -> int:
     return EXIT_BUDGET
 
 
+# The trace document's layout under json.dumps(payload, indent=2).
+_STEP = ('\n    {\n      "kind": %s,\n      "deleted": %s,'
+         '\n      "actions": %s\n    }')
+_DELETED = "\n        %d"
+_ACTION = "\n        [\n          %d,\n          %d\n        ]"
+
+
+def _json_container(brackets: str, members: list[str], pad: str) -> str:
+    """A JSON array or object from members that each start with a newline
+    and their indent, closed on a line indented by ``pad``."""
+    if not members:
+        return brackets
+    return brackets[0] + ",".join(members) + "\n" + pad + brackets[1]
+
+
+def _trace_json(trace) -> str:
+    """The bytes of ``json.dumps(payload, indent=2)`` for the trace, whose
+    indenting encoder is the stdlib's slow pure-Python one: ints are
+    formatted directly and the kind strings by the C string encoder."""
+    steps = []
+    for e in trace.steps:
+        deleted = [_DELETED % v for v in e.step.deleted]
+        actions = [_ACTION % a for a in e.actions]
+        steps.append(_STEP % (encode_basestring_ascii(e.step.kind.value),
+                              _json_container("[]", deleted, "      "),
+                              _json_container("[]", actions, "      ")))
+    base = [f'\n    "{v}": {c}' for v, c in sorted(trace.base.items())]
+    return (f'{{\n  "t": {trace.t},\n  "fallback": {json.dumps(trace.fallback)},'
+            f'\n  "anomaly": {json.dumps(trace.anomaly)},'
+            f'\n  "base": {_json_container("{}", base, "  ")},'
+            f'\n  "steps": {_json_container("[]", steps, "  ")}\n}}\n')
+
+
 def _cmd_color(args) -> int:
     graph = parse_graph(_read(args.input))
     res = color(graph, args.t, args.budget)
     if args.trace:
-        payload = {
-            "t": res.trace.t,
-            "fallback": res.trace.fallback,
-            "anomaly": res.trace.anomaly,
-            "base": {str(v): c for v, c in sorted(res.trace.base.items())},
-            "steps": [
-                {
-                    "kind": e.step.kind.value,
-                    "deleted": list(e.step.deleted),
-                    "actions": [[v, c] for v, c in e.actions],
-                }
-                for e in res.trace.steps
-            ],
-        }
-        _write(args.trace, json.dumps(payload, indent=2) + "\n")
+        _write(args.trace, _trace_json(res.trace))
     if res.coloring is None:
         cat = "infeasible" if res.solve_status is SolveStatus.INFEASIBLE else "unknown"
         print(f"result: {cat}")
@@ -177,7 +198,7 @@ def _cmd_gen(args) -> int:
 def _cmd_stats(args) -> int:
     graph = parse_graph(_read(args.input))
     degs = Counter(graph.degree(v) for v in range(graph.n))
-    g = graph.girth
+    g = girth(graph)
     classes = Counter(c.value for c in classify_faces(graph))
     faces = Counter(f.degree for f in graph.faces)
     rows = [
@@ -229,6 +250,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print(f"error: resources: out of memory running {args.command}",
+              file=sys.stderr)
+        return EXIT_RESOURCES
 
 
 if __name__ == "__main__":  # pragma: no cover

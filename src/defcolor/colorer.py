@@ -452,7 +452,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     Every extension is validity-checked; the final coloring passes
     is_valid or an ExtensionFailedError is raised.
     """
-    g = graph.girth
+    g = graph.short_cycle
     if g < 5:
         raise GirthTooSmallError(f"coloring requires girth >= 5, got {g}")
     if t is None:

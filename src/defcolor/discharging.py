@@ -321,7 +321,7 @@ def apply_rules(graph: EmbeddedGraph,
     The log is sorted by rule id, then source, then witness.  Girth
     below 5 only triggers a warning; the rules stay well defined.
     """
-    if graph.girth < 5:
+    if graph.short_cycle < 5:
         warnings.warn("discharging rules assume girth >= 5", stacklevel=2)
     if classes is None:
         classes = classify_faces(graph)
@@ -456,7 +456,7 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
     checked against the general-surface floor 2*genus - 3.5.
     """
     low, high = structural_thresholds(t)
-    g = graph.girth
+    g = graph.short_cycle
     if g < 5:
         raise GirthTooSmallError(f"audit requires girth >= 5, got {g}")
     classes = classify_faces(graph)
@@ -510,7 +510,7 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
                 lemmas.append(LemmaViolation("terrible-faces-num", (v, terr)))
             if bad > bound:
                 lemmas.append(LemmaViolation("bad-faces-num", (v, bad)))
-    if g != float("inf"):
+    if len(graph.edges) >= graph.n:  # connected with |E| >= |V|: has a cycle
         high_count = sum(1 for v in range(graph.n) if graph.degree(v) >= high)
         if high_count < 3:
             lemmas.append(LemmaViolation("vx-high-general", (high_count,)))

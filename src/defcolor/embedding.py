@@ -15,8 +15,8 @@ either direction, and the same walk records the face passages of every
 vertex and the sides of every edge.
 
 EmbeddedGraph instances are immutable after construction; all queries are
-pure (girth is computed on first use and cached), so they are safe to share
-between threads.
+pure (the girth-5 gate ``short_cycle`` is computed on first use and cached),
+so they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class EmbeddedGraph:
         self._check_connected()
         self.faces, self._passages, self._sides = self._trace_faces()
         self.genus: int = 2 - (self.n - len(self.edges) + len(self.faces))
-        self._girth: float | None = None
+        self._short_cycle: float | None = None
         if self.genus < 0:
             raise AssertionError("face tracing produced negative genus")
         for v in range(n):
@@ -147,15 +147,16 @@ class EmbeddedGraph:
         return self.rotation[v]
 
     @property
-    def girth(self) -> float:
-        """Length of a shortest cycle (math.inf if acyclic), computed once.
+    def short_cycle(self) -> float:
+        """The girth-5 gate: the girth when it is below 5, else math.inf.
 
-        Cached in an attribute set by __init__ rather than by cached_property,
-        whose write through __dict__ slows every later attribute read.
+        Computed once as ``girth(self, below=5)``.  Cached in an attribute
+        set by __init__ rather than by cached_property, whose write through
+        __dict__ slows every later attribute read.
         """
-        if self._girth is None:
-            self._girth = girth(self)
-        return self._girth
+        if self._short_cycle is None:
+            self._short_cycle = girth(self, below=5)
+        return self._short_cycle
 
     def passages(self, v: int) -> tuple[tuple[int, int], ...]:
         """All (face index, position) boundary passages through v.
@@ -266,12 +267,17 @@ def euler_genus(graph: EmbeddedGraph) -> int:
     return graph.genus
 
 
-def girth(graph: EmbeddedGraph) -> float:
-    """Length of a shortest cycle; math.inf when the graph is acyclic.
+def girth(graph: EmbeddedGraph, below: float = math.inf) -> float:
+    """Length of a shortest cycle shorter than ``below``; math.inf if none.
 
-    Recomputes on every call; graph.girth caches the value per graph.
+    With the default bound this is the exact girth (math.inf when the graph
+    is acyclic).  Each source's BFS stops at the first depth d with
+    2d + 1 >= best: a cycle first seen from depth d has length at least
+    2d + 1, since an edge back to depth d - 1 was already seen from there.
+    So ``below=5`` scans depths 0 and 1 only, in O(sum of deg^2).
+    Recomputes on every call; graph.short_cycle caches the girth-5 gate.
     """
-    best = math.inf
+    best = below
     n = graph.n
     for src in range(n):
         dist = {src: 0}
@@ -281,7 +287,7 @@ def girth(graph: EmbeddedGraph) -> float:
         while head < len(queue):
             v = queue[head]
             head += 1
-            if 2 * dist[v] >= best:
+            if 2 * dist[v] + 1 >= best:
                 break
             for u in graph.rotation[v]:
                 if u not in dist:
@@ -292,7 +298,7 @@ def girth(graph: EmbeddedGraph) -> float:
                     cycle = dist[v] + dist[u] + 1
                     if cycle < best:
                         best = cycle
-    return best
+    return best if best < below else math.inf
 
 
 def f_external_neighbors(graph: EmbeddedGraph, v: int, face: Face) -> list[int]:

@@ -33,10 +33,16 @@ def _c5_graph() -> EmbeddedGraph:
     return EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)])
 
 
+# Largest accepted target_size: generation is still quadratic in it.
+MAX_TARGET_SIZE = 10 ** 5
+
+
 def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
     """Connected planar graph with girth >= 5 and |V| >= target_size."""
     if target_size < 5:
         raise ValueError("target_size must be at least 5")
+    if target_size > MAX_TARGET_SIZE:
+        raise ValueError(f"target_size must be at most {MAX_TARGET_SIZE}")
     rng = Random(f"planar:{seed}:{target_size}")
     if target_size == 5:
         return _c5_graph()

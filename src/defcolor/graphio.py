@@ -1,7 +1,8 @@
 """Plain-text graph and coloring documents.
 
 Graph document: a header line ``graph <n> <m>`` (optionally followed by
-the token ``girth5``, which makes the parser verify girth >= 5), then
+the token ``girth5``, which makes the parser check the cached girth-5
+gate ``EmbeddedGraph.short_cycle``: no cycle of length 3 or 4), then
 one line per vertex ``<id>: <nbr> <nbr> ...`` in rotation order, then
 optional ``twist <u> <v>`` lines naming sign-flipped edges.  Rotation
 order round-trips exactly.
@@ -84,9 +85,9 @@ def parse_graph(text: str) -> EmbeddedGraph:
     graph = EmbeddedGraph(rotation, twists)  # type: ignore[arg-type]
     if len(graph.edges) != m:
         raise ParseError(1, f"header says {m} edges, found {len(graph.edges)}")
-    if check_girth and graph.girth < 5:
+    if check_girth and graph.short_cycle < 5:
         raise GirthTooSmallError(
-            f"document declares girth5 but girth is {graph.girth}")
+            f"document declares girth5 but girth is {graph.short_cycle}")
     return graph
 
 

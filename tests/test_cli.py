@@ -1,5 +1,9 @@
-from defcolor import fixtures as fx
+import dataclasses
+import json
+
+from defcolor import cli, fixtures as fx
 from defcolor.cli import main
+from defcolor.colorer import color
 from defcolor.graphio import parse_coloring, serialize_graph
 from defcolor.coloring import is_valid
 
@@ -31,6 +35,26 @@ def test_color_then_check(tmp_path):
     assert tpath.exists()
     coloring = parse_coloring(cpath.read_text())
     assert is_valid(fx.dodecahedron(), coloring)
+
+
+def test_trace_json_matches_the_stdlib_indenting_encoder():
+    def stdlib(trace):
+        payload = {
+            "t": trace.t, "fallback": trace.fallback, "anomaly": trace.anomaly,
+            "base": {str(v): c for v, c in sorted(trace.base.items())},
+            "steps": [{"kind": e.step.kind.value, "deleted": list(e.step.deleted),
+                       "actions": [[v, c] for v, c in e.actions]}
+                      for e in trace.steps],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    for graph in (fx.c5(), fx.dodecahedron(), fx.petersen_projective(),
+                  fx.special_face().graph):
+        trace = color(graph).trace
+        for variant in (trace, dataclasses.replace(trace, steps=[]),
+                        dataclasses.replace(trace, base={}, fallback=True),
+                        dataclasses.replace(trace, steps=[], base={})):
+            assert cli._trace_json(variant) == stdlib(variant)
 
 
 def test_check_rejects_bad_coloring(tmp_path, capsys):
@@ -94,6 +118,26 @@ def test_hostile_vertex_count_is_a_parse_error(tmp_path, capsys):
     bad.write_text(f"coloring {huge} defects 1,10\n0 1\n")
     assert main(["check", "--input", gpath, "--coloring", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("error: parse: line 1:")
+
+
+def test_gen_size_above_the_bound_is_an_input_error(capsys):
+    # without the bound this size runs until it is killed
+    assert main(["gen", "--seed", "1", "--size", "100000000000000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: input: target_size must be at most 100000\n"
+    assert captured.out == ""
+
+
+def test_memory_error_is_a_resources_error(monkeypatch, tmp_path, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "stats", exhausted)
+    gpath = write_graph(tmp_path, fx.c5())
+    assert main(["stats", "--input", gpath]) == cli.EXIT_RESOURCES == 5
+    captured = capsys.readouterr()
+    assert captured.err == "error: resources: out of memory running stats\n"
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_usage_error():

@@ -91,7 +91,8 @@ def test_girth_matches_oracle_on_small_graphs():
         assert girth(g) == girth_oracle(g)
     for seed in range(10):
         g = gen_planar_girth5(seed, 5 + 4 * seed)
-        assert girth(g) == girth_oracle(g) == g.girth
+        assert girth(g) == girth_oracle(g)
+        assert g.short_cycle == girth(g, below=5) == math.inf
 
 
 def test_f_external_neighbors():
