@@ -271,33 +271,56 @@ def girth(graph: EmbeddedGraph, below: float = math.inf) -> float:
     """Length of a shortest cycle shorter than ``below``; math.inf if none.
 
     With the default bound this is the exact girth (math.inf when the graph
-    is acyclic).  Each source's BFS stops at the first depth d with
-    2d + 1 >= best: a cycle first seen from depth d has length at least
-    2d + 1, since an edge back to depth d - 1 was already seen from there.
-    So ``below=5`` scans depths 0 and 1 only, in O(sum of deg^2).
-    Recomputes on every call; graph.short_cycle caches the girth-5 gate.
+    is acyclic).  A BFS runs from each vertex in turn, and each BFS stops at
+    the first depth d with 2d + 1 >= best: a cycle first seen from depth d
+    has length at least 2d + 1, since an edge back to depth d - 1 was
+    already seen from there.  So ``below=5`` scans depths 0 and 1 only, in
+    O(sum of deg^2).  After its BFS a source is deleted, and so is every
+    vertex left with degree <= 1, which lies on no cycle.  This stays
+    exact: the first source on a shortest cycle sees that cycle intact,
+    and every cycle of what remains is a cycle of the graph.  A long cycle
+    or a tree therefore costs O(n + m).  Recomputes on every call;
+    graph.short_cycle caches the girth-5 gate.
     """
     best = below
-    n = graph.n
-    for src in range(n):
-        dist = {src: 0}
-        parent = {src: -1}
+    rotation = graph.rotation
+    degree = [len(nbrs) for nbrs in rotation]
+    gone = [False] * graph.n
+    dist = [-1] * graph.n
+    parent = [-1] * graph.n
+
+    def delete(stack: list[int]) -> None:
+        while stack:
+            v = stack.pop()
+            if not gone[v]:
+                gone[v] = True
+                for u in rotation[v]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        stack.append(u)
+
+    delete([v for v in range(graph.n) if degree[v] <= 1])
+    for src in range(graph.n):
+        if gone[src]:
+            continue
+        dist[src], parent[src] = 0, -1
         queue = [src]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            if 2 * dist[v] + 1 >= best:
+        for v in queue:
+            dv = dist[v]
+            if 2 * dv + 1 >= best:
                 break
-            for u in graph.rotation[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
+            for u in rotation[v]:
+                if gone[u]:
+                    continue
+                if dist[u] < 0:
+                    dist[u] = dv + 1
                     parent[u] = v
                     queue.append(u)
-                elif u != parent[v]:
-                    cycle = dist[v] + dist[u] + 1
-                    if cycle < best:
-                        best = cycle
+                elif u != parent[v] and dv + dist[u] + 1 < best:
+                    best = dv + dist[u] + 1
+        for v in queue:
+            dist[v] = -1
+        delete([src])
     return best if best < below else math.inf
 
 

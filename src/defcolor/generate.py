@@ -22,6 +22,7 @@ more than a few dozen vertices).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from random import Random
 
 from .builder import PlanarBuilder
@@ -33,8 +34,121 @@ def _c5_graph() -> EmbeddedGraph:
     return EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)])
 
 
-# Largest accepted target_size: generation is still quadratic in it.
+# Largest accepted target_size.  Generation is near-linear in it; the cap
+# keeps a mistyped size from running for minutes.
 MAX_TARGET_SIZE = 10 ** 5
+
+
+class _EdgePool:
+    """A PlanarBuilder's subdividable edges and open faces, kept current.
+
+    ``open_faces`` lists the ids of the non-reserved faces in ascending
+    order.  The pool is a sequence of the eligible edges (a, w): a < w, not
+    protected, and neither dart on a reserved face, ordered by a and then
+    by w in the rotation of a.  ``rng.choice(pool)`` therefore picks what it
+    picked from the list rebuilt on every call.  ``count[a]`` holds the
+    number of eligible edges at a, summed in a Fenwick tree ``tree``
+    (1-based).  An operation only marks the vertices whose count it may
+    change; they are recounted before the next lookup.  Mutate the builder
+    only through these methods.
+    """
+
+    def __init__(self, b: PlanarBuilder) -> None:
+        self.b = b
+        self.protected: set[frozenset[int]] = set()
+        self.open_faces = [f for f in sorted(b.faces) if f not in b.reserved]
+        self.count: list[int] = []
+        self.tree = [0]
+        self.total = 0
+        self.dirty = set(range(b.vertex_count))
+
+    def _eligible(self, a: int, w: int) -> bool:
+        dart_face, reserved = self.b.dart_face, self.b.reserved
+        return (a < w and frozenset((a, w)) not in self.protected
+                and dart_face[(a, w)] not in reserved
+                and dart_face[(w, a)] not in reserved)
+
+    def _flush(self) -> None:
+        count, tree = self.count, self.tree
+        while len(count) < self.b.vertex_count:
+            count.append(0)
+            i = len(count)
+            node, step = 0, 1
+            while step < i & -i:
+                node += tree[i - step]
+                step <<= 1
+            tree.append(node)
+        for a in self.dirty:
+            delta = sum(self._eligible(a, w) for w in self.b.rotations[a]) - count[a]
+            if delta:
+                count[a] += delta
+                self.total += delta
+                i = a + 1
+                while i < len(tree):
+                    tree[i] += delta
+                    i += i & -i
+        self.dirty.clear()
+
+    def __len__(self) -> int:
+        self._flush()
+        return self.total
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        tree, a = self.tree, 0
+        step = 1 << (len(tree) - 1).bit_length()
+        while step:
+            if a + step < len(tree) and tree[a + step] <= k:
+                a += step
+                k -= tree[a]
+            step >>= 1
+        for w in self.b.rotations[a]:
+            if self._eligible(a, w):
+                if k == 0:
+                    return a, w
+                k -= 1
+        raise AssertionError("edge pool count out of date")
+
+    def _drop(self, fid: int) -> None:
+        if fid in self.b.reserved:
+            self.dirty.update(self.b.face_verts(fid))
+        else:
+            del self.open_faces[bisect_left(self.open_faces, fid)]
+
+    def subdivide(self, a: int, w: int) -> int:
+        m = self.b.subdivide(a, w)
+        self.dirty.update((a, w, m))
+        return m
+
+    def insert_path(self, fid: int, i: int, j: int,
+                    length: int) -> tuple[int, int, list[int]]:
+        walk = self.b.faces[fid]
+        self.dirty.update((walk[i][0], walk[j][0]))
+        self._drop(fid)
+        f1, f2, interior = self.b.insert_path(fid, i, j, length)
+        self.open_faces += (f1, f2)
+        self.dirty.update(interior)
+        return f1, f2, interior
+
+    def insert_ear(self, fid: int, i: int,
+                   length: int) -> tuple[int, int, list[int]]:
+        self.dirty.add(self.b.faces[fid][i][0])
+        self._drop(fid)
+        cyc, old, interior = self.b.insert_ear(fid, i, length)
+        self.open_faces += (cyc, old)
+        self.dirty.update(interior)
+        return cyc, old, interior
+
+    def reserve(self, fid: int) -> None:
+        if fid not in self.b.reserved:
+            self._drop(fid)
+            self.b.reserved.add(fid)
+            self.dirty.update(self.b.face_verts(fid))
+
+    def protect(self, v: int, w: int) -> None:
+        self.protected.add(frozenset((v, w)))
+        self.dirty.update((v, w))
 
 
 def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
@@ -51,9 +165,9 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         b = PlanarBuilder.from_graph(EmbeddedGraph(DODECAHEDRON_ROTATION))
     else:
         b = PlanarBuilder.cycle(5)
+    pool = _EdgePool(b)
 
     hub_target: dict[int, int] = {}
-    protected: set[frozenset[int]] = set()
     special_motifs = 0
 
     def eligible(v: int) -> bool:
@@ -75,43 +189,34 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
             i = rng.choice(occs)
             j = rng.choice(others)
             length = 4 if adjacency(v, verts[j]) else 3
-            b.insert_path(fid, i, j, length)
+            pool.insert_path(fid, i, j, length)
             return True
         for fid in faces:
             occs = b.occurrences(fid, v)
             if occs:
-                b.insert_ear(fid, rng.choice(occs), 5)
+                pool.insert_ear(fid, rng.choice(occs), 5)
                 return True
         return False
 
     def subdivide_random() -> None:
-        edges = []
-        for a in range(b.vertex_count):
-            for w in b.rotations[a]:
-                if a < w and frozenset((a, w)) not in protected:
-                    if (b.dart_face[(a, w)] not in b.reserved
-                            and b.dart_face[(w, a)] not in b.reserved):
-                        edges.append((a, w))
-        if edges:
-            b.subdivide(*rng.choice(edges))
+        if pool:
+            pool.subdivide(*rng.choice(pool))
 
     def generic_path() -> None:
-        ids = [f for f in sorted(b.faces) if f not in b.reserved]
         for _ in range(4):
-            fid = rng.choice(ids)
+            fid = rng.choice(pool.open_faces)
             verts = b.face_verts(fid)
             idxs = [i for i, x in enumerate(verts) if eligible(x)]
             rng.shuffle(idxs)
             pair = next(((i, j) for k, i in enumerate(idxs)
                          for j in idxs[k + 1:] if verts[i] != verts[j]), None)
             if pair:
-                b.insert_path(fid, pair[0], pair[1], rng.randint(4, 7))
+                pool.insert_path(fid, pair[0], pair[1], rng.randint(4, 7))
                 return
 
     def sponsor_bridge() -> None:
-        ids = [f for f in sorted(b.faces) if f not in b.reserved]
         for _ in range(6):
-            fid = rng.choice(ids)
+            fid = rng.choice(pool.open_faces)
             verts = b.face_verts(fid)
             idxs = [i for i, x in enumerate(verts)
                     if x not in hub_target and b.degree(x) <= 4]
@@ -122,8 +227,8 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
             if pair is None:
                 continue
             u, w = verts[pair[0]], verts[pair[1]]
-            f1, f2, (s1, s2) = b.insert_path(fid, pair[0], pair[1], 3)
-            b.reserved.add(f1 if len(b.faces[f1]) <= len(b.faces[f2]) else f2)
+            f1, f2, (s1, s2) = pool.insert_path(fid, pair[0], pair[1], 3)
+            pool.reserve(f1 if len(b.faces[f1]) <= len(b.faces[f2]) else f2)
             hub_target[u] = rng.randint(12, 14)
             hub_target[w] = rng.randint(12, 14)
             d2, d3 = rng.choice([(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
@@ -144,7 +249,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
             if partners:
                 m = rng.choice(partners)
                 hub_target[m] = rng.randint(6, 11)
-                protected.add(frozenset((v, m)))
+                pool.protect(v, m)
 
     def special_motif() -> None:
         nonlocal special_motifs
@@ -158,8 +263,8 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
             return
         fid = rng.choice(faces)
         occ = rng.choice(b.occurrences(fid, h))
-        cyc, _, interior = b.insert_ear(fid, occ, 5)
-        b.reserved.add(cyc)
+        cyc, _, interior = pool.insert_ear(fid, occ, 5)
+        pool.reserve(cyc)
         hub_target[interior[1]] = 5
         hub_target[interior[2]] = 3
         special_motifs += 1

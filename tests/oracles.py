@@ -6,8 +6,10 @@ enumeration of all 2^n class assignments (vectorized with numpy), the
 colorer's reduction order via a full rescan of the residual graph before
 every deletion (quadratic, for comparison with its worklist), face
 tracing via both orbits of every face, paired and then sorted (for
-comparison with the single walk in EmbeddedGraph), and the exact solver
-as three recursive closures (for comparison with solve_exact's loop).
+comparison with the single walk in EmbeddedGraph), the exact solver as
+three recursive closures (for comparison with solve_exact's loop), and
+the generator's subdividable edges rebuilt from the whole builder (for
+comparison with its incrementally counted pool).
 """
 
 from __future__ import annotations
@@ -143,6 +145,20 @@ def reference_steps(graph, t):
                 if u in present:
                     deg[u] -= 1
     return steps
+
+
+def reference_eligible_edges(b, protected) -> list[tuple[int, int]]:
+    """The generator's subdividable edges, rebuilt from scratch: (a, w) with
+    a < w, not protected and neither dart on a reserved face, in order of a
+    and then of w in the rotation of a."""
+    edges = []
+    for a in range(b.vertex_count):
+        for w in b.rotations[a]:
+            if a < w and frozenset((a, w)) not in protected:
+                if (b.dart_face[(a, w)] not in b.reserved
+                        and b.dart_face[(w, a)] not in b.reserved):
+                    edges.append((a, w))
+    return edges
 
 
 def reference_faces(graph) -> list[tuple[tuple[int, int], ...]]:

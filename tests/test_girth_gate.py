@@ -4,7 +4,8 @@
 when it is 3 or 4, else math.inf.  It and the exact ``girth(graph)`` are
 checked against ``networkx.girth`` and ``oracles.girth_oracle`` on cycles,
 K_4, K_{2,3}, the Petersen graphs, every face fixture, a corpus slice and
-random graphs with planted 3-, 4-, 5- and 6-cycles.  The pipelines must
+random graphs with planted 3-, 4-, 5- and 6-cycles; C_4000 and a
+4,000-vertex path check the exact girth where the oracles are too slow.  The pipelines must
 read only the gate: a recording test pins every girth call they make.
 """
 
@@ -67,6 +68,18 @@ def test_gate_values_on_named_graphs():
     assert _embedded(nx.complete_graph(4)).short_cycle == 3
     assert _embedded(nx.complete_bipartite_graph(2, 3)).short_cycle == 4
     assert fx.petersen_projective().short_cycle == math.inf
+
+
+def test_long_cycle_and_path():
+    # too long for the oracles; deleting each source after its BFS and
+    # peeling degree <= 1 keeps both linear
+    cycle = _cycle(4000)
+    assert girth(cycle) == 4000
+    assert cycle.short_cycle == math.inf
+    assert girth(cycle, below=4001) == 4000
+    assert girth(cycle, below=4000) == math.inf
+    path = fx.path_graph(4000)
+    assert girth(path) == path.short_cycle == math.inf
 
 
 def test_gate_on_face_fixtures():
