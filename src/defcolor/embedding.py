@@ -288,19 +288,16 @@ def girth(graph: EmbeddedGraph, below: float = math.inf) -> float:
     gone = [False] * graph.n
     dist = [-1] * graph.n
     parent = [-1] * graph.n
-
-    def delete(stack: list[int]) -> None:
-        while stack:
-            v = stack.pop()
+    doomed = [v for v in range(graph.n) if degree[v] <= 1]
+    for src in range(graph.n):
+        while doomed:
+            v = doomed.pop()
             if not gone[v]:
                 gone[v] = True
                 for u in rotation[v]:
                     degree[u] -= 1
                     if degree[u] == 1:
-                        stack.append(u)
-
-    delete([v for v in range(graph.n) if degree[v] <= 1])
-    for src in range(graph.n):
+                        doomed.append(u)
         if gone[src]:
             continue
         dist[src], parent[src] = 0, -1
@@ -320,7 +317,7 @@ def girth(graph: EmbeddedGraph, below: float = math.inf) -> float:
                     best = dv + dist[u] + 1
         for v in queue:
             dist[v] = -1
-        delete([src])
+        doomed.append(src)
     return best if best < below else math.inf
 
 

@@ -62,11 +62,13 @@ class _EdgePool:
         self.total = 0
         self.dirty = set(range(b.vertex_count))
 
-    def _eligible(self, a: int, w: int) -> bool:
+    def _edges_at(self, a: int) -> list[int]:
+        """The w of the eligible edges (a, w), in the rotation of a."""
         dart_face, reserved = self.b.dart_face, self.b.reserved
-        return (a < w and frozenset((a, w)) not in self.protected
+        return [w for w in self.b.rotations[a]
+                if a < w and frozenset((a, w)) not in self.protected
                 and dart_face[(a, w)] not in reserved
-                and dart_face[(w, a)] not in reserved)
+                and dart_face[(w, a)] not in reserved]
 
     def _flush(self) -> None:
         count, tree = self.count, self.tree
@@ -79,7 +81,7 @@ class _EdgePool:
                 step <<= 1
             tree.append(node)
         for a in self.dirty:
-            delta = sum(self._eligible(a, w) for w in self.b.rotations[a]) - count[a]
+            delta = len(self._edges_at(a)) - count[a]
             if delta:
                 count[a] += delta
                 self.total += delta
@@ -103,12 +105,7 @@ class _EdgePool:
                 a += step
                 k -= tree[a]
             step >>= 1
-        for w in self.b.rotations[a]:
-            if self._eligible(a, w):
-                if k == 0:
-                    return a, w
-                k -= 1
-        raise AssertionError("edge pool count out of date")
+        return a, self._edges_at(a)[k]
 
     def _drop(self, fid: int) -> None:
         if fid in self.b.reserved:
