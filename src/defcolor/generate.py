@@ -45,8 +45,9 @@ class _EdgePool:
     ``open_faces`` lists the ids of the non-reserved faces in ascending
     order.  The pool is a sequence of the eligible edges (a, w): a < w, not
     protected, and neither dart on a reserved face, ordered by a and then
-    by w in the rotation of a.  ``rng.choice(pool)`` therefore picks what it
-    picked from the list rebuilt on every call.  ``count[a]`` holds the
+    by w in the rotation of a.  The order is part of the output: for a
+    given seed ``rng.choice(pool)`` must pick the edge it always picked,
+    or every generated graph changes.  ``count[a]`` holds the
     number of eligible edges at a, summed in a Fenwick tree ``tree``
     (1-based).  An operation only marks the vertices whose count it may
     change; they are recounted before the next lookup.  Mutate the builder
@@ -108,7 +109,7 @@ class _EdgePool:
         return a, self._edges_at(a)[k]
 
     def _drop(self, fid: int) -> None:
-        if fid in self.b.reserved:
+        if fid in self.b.reserved:  # its edges may become eligible
             self.dirty.update(self.b.face_verts(fid))
         else:
             del self.open_faces[bisect_left(self.open_faces, fid)]

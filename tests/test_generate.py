@@ -60,8 +60,9 @@ def test_small_random_graphs():
 
 
 # SHA-256 of gen_planar_girth5(7, size) as written by `defcolor gen`, from
-# the generator that rebuilt its edge list on every pick.  The 8k build
-# took 24 s with that rebuild, so this also guards against quadratic time.
+# the generator that rebuilt its edge list on every pick.  That rebuild
+# made the 8k build about 50 times slower than the pool does, so a return
+# to quadratic time shows here as a slow test.
 LARGE_DIGESTS = {
     2000: "7566782918d8d4ae935b9230d1e0b3e417756b5be1169e6afa53b386e9ac81ec",
     8000: "fcbc077578bdc1909aab09e72de9be389f8b54c145e0bf24e7d0c6b94445d35c",

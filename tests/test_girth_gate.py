@@ -5,8 +5,9 @@ when it is 3 or 4, else math.inf.  It and the exact ``girth(graph)`` are
 checked against ``networkx.girth`` and ``oracles.girth_oracle`` on cycles,
 K_4, K_{2,3}, the Petersen graphs, every face fixture, a corpus slice and
 random graphs with planted 3-, 4-, 5- and 6-cycles; C_4000 and a
-4,000-vertex path check the exact girth where the oracles are too slow.  The pipelines must
-read only the gate: a recording test pins every girth call they make.
+4,000-vertex path check the exact girth where the oracles are too slow.
+The pipelines must read only the gate: a recording test pins every girth
+call they make.
 """
 
 import math
