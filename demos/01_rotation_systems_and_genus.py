@@ -5,7 +5,7 @@ A graph plus a cyclic neighbor order at every vertex pins down an
 embedding: walk each dart to its successor and the orbits are the faces.
 """
 
-from defcolor import build_graph, euler_genus, girth, f_external_neighbors
+from defcolor import EmbeddedGraph, girth
 from defcolor.fixtures import c5, dodecahedron, petersen_projective
 
 # The 5-cycle, embedded in the plane.  Two pentagonal faces.
@@ -13,7 +13,7 @@ g = c5()
 print("C5:", g)
 for f in g.faces:
     print("  face", f.index, "walk", "-".join(map(str, f.verts)))
-print("  Euler genus:", euler_genus(g), " girth:", girth(g))
+print("  Euler genus:", g.genus, " girth:", girth(g))
 
 # The dodecahedron: 3-regular, twelve 5-faces, genus 0.
 d = dodecahedron()
@@ -27,17 +27,17 @@ print("  |V| - |E| + |F| =", d.n - len(d.edges) + len(d.faces))
 p = petersen_projective()
 print("\nPetersen (projective):", p)
 print("  twisted edges:", sorted(p.twists))
-print("  faces:", [f.degree for f in p.faces], " genus:", euler_genus(p))
+print("  faces:", [f.degree for f in p.faces], " genus:", p.genus)
 
 # Neighbors of a vertex that avoid a face: vertex 0 on its first face.
 face = p.faces[0]
 v = face.verts[0]
 print("  vertex", v, "external to face", face.index, ":",
-      f_external_neighbors(p, v, face))
+      [u for u in p.rotation[v] if u not in face.vert_set])
 
 # A twisted edge on C5 makes the cycle non-contractible: one face of
 # degree 10, genus 1 (the cycle cut open along a Moebius band).
-m = build_graph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)],
-                twists=[(0, 1)])
+m = EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)],
+                  twists=[(0, 1)])
 print("\ntwisted C5:", m, "- single face of degree",
-      m.faces[0].degree, ", genus", euler_genus(m))
+      m.faces[0].degree, ", genus", m.genus)

@@ -28,14 +28,14 @@ print("\ndodecahedron transfers:", len(transfers),
 
 # A hand-built terrible configuration: the classified face and its two
 # X2 neighbors settle at exactly +1/2 and 0.
-fix, names = terrible_face()
+fix = terrible_face()
 G = fix.graph
 classes = classify_faces(G)
 print("\nterrible fixture 5-face classes:",
       sorted(c.value for c in classes if c is not FaceClass.PLAIN))
 ledger, transfers = apply_rules(G)
 print("terrible face final:", ledger.face_final[fix.face.index])
-print("hub final:", ledger.vertex_final[names["v"]])
+print("hub final:", ledger.vertex_final[fix.names["v"]])
 print("rules fired:", sorted({t.rule for t in transfers}))
 
 # The audit on C5: the 5-faces end at -6 (a claim violation), and the

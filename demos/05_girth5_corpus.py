@@ -8,7 +8,7 @@ charge rules beyond R1/R5 actually fire.
 
 from collections import Counter
 
-from defcolor import apply_rules, audit, euler_genus, girth, is_valid, color
+from defcolor import apply_rules, audit, girth, is_valid, color
 from defcolor.generate import gen_planar_girth5
 from defcolor.graphio import parse_graph, serialize_graph
 
@@ -20,7 +20,7 @@ for seed, size in enumerate(sizes):
     rules.update(t.rule for t in transfers)
     res = color(g, 10)
     print(f"seed {seed} size {size}: |V|={g.n} girth={girth(g)} "
-          f"genus={euler_genus(g)} total={ledger.total_final} "
+          f"genus={g.genus} total={ledger.total_final} "
           f"colored={is_valid(g, res.coloring)}")
 
 print("\nrule firings over the sample:", dict(sorted(rules.items())))

@@ -14,14 +14,12 @@ from .colorer import (ColoringTrace, ColorResult, ExtensionFailedError,
 from .coloring import (Coloring, ColoringError, PartialColoringError,
                        SolveResult, SolveStatus, induced_max_degrees,
                        is_saturated, is_valid, solve_exact)
-from .discharging import (AuditReport, ChargeLedger, FaceClass, SponsorKind,
-                          Transfer, apply_rules, audit, classify_faces,
-                          initial_charges, ledger_csv, sponsor_instances,
-                          transfers_csv)
+from .discharging import (AuditReport, ChargeLedger, FaceClass, Transfer,
+                          apply_rules, audit, classify_faces, initial_charges,
+                          ledger_csv, sponsor_instances, transfers_csv)
 from .embedding import (AsymmetricError, DisconnectedError, EmbeddedGraph,
                         Face, GirthTooSmallError, GraphError, NonSimpleError,
-                        NotOnFaceError, build_graph, euler_genus,
-                        f_external_neighbors, girth, induced_embedding)
+                        girth, induced_embedding)
 from .generate import gen_planar_girth5
 from .graphio import (ParseError, parse_coloring, parse_graph,
                       serialize_coloring, serialize_graph)
@@ -32,14 +30,13 @@ __all__ = [
     "AsymmetricError", "AuditReport", "ChargeLedger", "ColorResult",
     "Coloring", "ColoringError", "ColoringTrace", "DisconnectedError",
     "EmbeddedGraph", "ExtensionFailedError", "Face", "FaceClass",
-    "GirthTooSmallError", "GraphError", "NonSimpleError", "NotOnFaceError",
-    "ParseError", "PartialColoringError", "PlanarBuilder", "ReductionKind",
-    "ReductionStep", "SolveResult", "SolveStatus", "SponsorKind", "Transfer",
-    "apply_rules", "audit", "build_graph", "capacity", "classify_faces",
-    "color", "euler_genus", "extend_coloring", "f_external_neighbors",
-    "find_reduction", "gen_planar_girth5", "girth",
-    "induced_embedding", "induced_max_degrees", "initial_charges",
-    "is_saturated", "is_valid", "ledger_csv", "parse_coloring", "parse_graph",
-    "replay_trace", "serialize_coloring", "serialize_graph", "solve_exact",
+    "GirthTooSmallError", "GraphError", "NonSimpleError", "ParseError",
+    "PartialColoringError", "PlanarBuilder", "ReductionKind", "ReductionStep",
+    "SolveResult", "SolveStatus", "Transfer", "apply_rules", "audit",
+    "capacity", "classify_faces", "color", "extend_coloring",
+    "find_reduction", "gen_planar_girth5", "girth", "induced_embedding",
+    "induced_max_degrees", "initial_charges", "is_saturated", "is_valid",
+    "ledger_csv", "parse_coloring", "parse_graph", "replay_trace",
+    "serialize_coloring", "serialize_graph", "solve_exact",
     "sponsor_instances", "transfers_csv",
 ]

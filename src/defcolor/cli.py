@@ -18,7 +18,7 @@ from .colorer import color
 from .coloring import SolveStatus, is_valid, solve_exact
 from .discharging import (audit, classify_faces, ledger_csv, report_text,
                           transfers_csv)
-from .embedding import GraphError, girth
+from .embedding import girth
 from .generate import gen_planar_girth5
 from .graphio import (ParseError, parse_coloring, parse_graph,
                       serialize_coloring, serialize_graph)
@@ -243,9 +243,6 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GraphError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, OSError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)

@@ -42,10 +42,11 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
-from .coloring import Coloring, SolveStatus, is_valid, solve_exact
+from .coloring import (Coloring, ColoringError, SolveStatus, is_valid,
+                       solve_exact)
 from .discharging import (MIN_T, FaceClass, classify_faces,
                           structural_thresholds, terrible_bound)
-from .embedding import EmbeddedGraph, GirthTooSmallError, induced_embedding
+from .embedding import EmbeddedGraph, induced_embedding, require_girth5
 # bench/selftest.py checks that tracing also rebinds girth under this module
 from .embedding import girth  # noqa: F401
 
@@ -444,17 +445,17 @@ def extend_coloring(graph: EmbeddedGraph, phi_sub: Mapping[int, int],
 def color(graph: EmbeddedGraph, t: int | None = None,
           budget: int = 10 ** 7) -> ColorResult:
     """Color the whole graph with defects (1, t); t defaults to the
-    genus capacity.  Requires girth at least 5; raises ValueError when
-    t is below 10.
+    genus capacity.  Requires girth at least 5 (require_girth5); raises
+    ValueError when t is below 10 or budget is not positive.
 
     The fallback exact solve only runs when no reducible configuration
     exists; on genus <= 1 inputs at t = 10 that is flagged as an anomaly.
     Every extension is validity-checked; the final coloring passes
     is_valid or an ExtensionFailedError is raised.
     """
-    g = graph.short_cycle
-    if g < 5:
-        raise GirthTooSmallError(f"coloring requires girth >= 5, got {g}")
+    if budget <= 0:
+        raise ColoringError("budget must be positive")
+    require_girth5(graph, "coloring")
     if t is None:
         t = capacity(graph.genus)
 
@@ -498,8 +499,6 @@ def color(graph: EmbeddedGraph, t: int | None = None,
         if not is_valid(graph, coloring):
             raise ExtensionFailedError("final coloring invalid",
                                        steps[-1] if steps else None, phi)
-    else:
-        entries = []
 
     trace = ColoringTrace(entries, base, fallback, anomaly, t)
     return ColorResult(coloring, trace, solve_status)

@@ -18,7 +18,9 @@ elements without changing the total:
 
 Incidences are counted per boundary-walk occurrence, so a vertex
 visiting a face twice pays or collects twice.  All arithmetic is exact
-(fractions.Fraction).
+(fractions.Fraction).  The rules and the audit assume girth >= 5: both
+apply_rules and audit raise GirthTooSmallError below it
+(embedding.require_girth5), as color does.
 
 This module owns both degree thresholds.  The face patterns and rules
 R1-R8 read degrees through one symbol map: 2, 3, 4 and 5 stand for
@@ -33,14 +35,13 @@ while the bound on a hub's Terrible faces applies from degree t + 2 on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .embedding import EmbeddedGraph, Face, GirthTooSmallError
+from .embedding import EmbeddedGraph, Face, require_girth5
 
 HIGH_DEGREE = 12  # "high" in the face patterns and rules R1-R8
 MIN_T = 10        # smallest defect threshold the structural lemmas cover
@@ -221,21 +222,10 @@ def _classify_one(graph, face, pattern, x_status) -> FaceClass:
 
 
 @dataclass(frozen=True)
-class SponsorKind:
-    """Raw degree pair of the shared edge plus the sponsor's X-flags."""
-
-    d2: int
-    d3: int
-    sponsor_is_x1: bool
-    sponsor_is_x2: bool
-
-
-@dataclass(frozen=True)
 class SponsorInstance:
     f1: int
     f2: int
     edge: tuple[int, int]  # (u2, u3) in f1's walk direction
-    kind: SponsorKind
     position: int  # u2's boundary position on f1
 
 
@@ -259,10 +249,7 @@ def sponsor_instances(graph: EmbeddedGraph,
             u1 = face.verts[pos - 1]
             u4 = face.verts[(pos + 2) % n]
             if graph.degree(u1) >= HIGH_DEGREE and graph.degree(u4) >= HIGH_DEGREE:
-                kind = SponsorKind(graph.degree(u2), graph.degree(u3),
-                                   classes[fi] is FaceClass.X1,
-                                   classes[fi] is FaceClass.X2)
-                out.append(SponsorInstance(fi, f2i, (u2, u3), kind, pos))
+                out.append(SponsorInstance(fi, f2i, (u2, u3), pos))
     return out
 
 
@@ -318,11 +305,10 @@ def apply_rules(graph: EmbeddedGraph,
                 ) -> tuple[ChargeLedger, list[Transfer]]:
     """Run R1-R8 and return the settled ledger plus the transfer log.
 
-    The log is sorted by rule id, then source, then witness.  Girth
-    below 5 only triggers a warning; the rules stay well defined.
+    The log is sorted by rule id, then source, then witness.  Requires
+    girth at least 5 (require_girth5).
     """
-    if graph.short_cycle < 5:
-        warnings.warn("discharging rules assume girth >= 5", stacklevel=2)
+    require_girth5(graph, "apply_rules")
     if classes is None:
         classes = classify_faces(graph)
     transfers: list[Transfer] = []
@@ -364,20 +350,22 @@ def apply_rules(graph: EmbeddedGraph,
     instances = sponsor_instances(graph, classes)
     coupled: set[tuple[int, int]] = set()
     for inst in instances:
-        pair = {inst.kind.d2, inst.kind.d3}
+        d2, d3 = graph.degree(inst.edge[0]), graph.degree(inst.edge[1])
+        pair = {d2, d3}
         rule = amount = None
-        if (inst.kind.d2, inst.kind.d3) in ((3, 3), (3, 4), (4, 3), (4, 4)):
+        if d2 in (3, 4) and d3 in (3, 4):
             rule, amount = "R6", ONE
-        elif pair == {2, 3} and not inst.kind.sponsor_is_x1:
+        elif pair == {2, 3} and classes[inst.f1] is not FaceClass.X1:
             rule, amount = "R7", HALF
         elif pair == {2, 4}:
-            rule, amount = ("R8A", HALF) if inst.kind.sponsor_is_x2 else ("R8B", ONE)
+            rule, amount = (("R8A", HALF) if classes[inst.f1] is FaceClass.X2
+                            else ("R8B", ONE))
         if rule is None:
             continue
         transfers.append(Transfer(rule, ("f", inst.f1), ("f", inst.f2), amount,
                                   (inst.edge[0], inst.edge[1], inst.position)))
         if rule in ("R7", "R8A", "R8B"):
-            two_end = inst.edge[0] if graph.degree(inst.edge[0]) == 2 else inst.edge[1]
+            two_end = inst.edge[0] if d2 == 2 else inst.edge[1]
             coupled.add((inst.f1, two_end))
             coupled.add((inst.f2, two_end))
 
@@ -456,9 +444,7 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
     checked against the general-surface floor 2*genus - 3.5.
     """
     low, high = structural_thresholds(t)
-    g = graph.short_cycle
-    if g < 5:
-        raise GirthTooSmallError(f"audit requires girth >= 5, got {g}")
+    require_girth5(graph, "audit")
     classes = classify_faces(graph)
     ledger, transfers = apply_rules(graph, classes)
 

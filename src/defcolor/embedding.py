@@ -17,6 +17,10 @@ vertex and the sides of every edge.
 EmbeddedGraph instances are immutable after construction; all queries are
 pure (the girth-5 gate ``short_cycle`` is computed on first use and cached),
 so they are safe to share between threads.
+
+Girth policy: any simple connected graph embeds, but color, audit and
+apply_rules need girth >= 5 and call require_girth5, which raises
+GirthTooSmallError when the cached gate finds a 3- or 4-cycle.
 """
 
 from __future__ import annotations
@@ -41,10 +45,6 @@ class AsymmetricError(GraphError):
 
 class DisconnectedError(GraphError):
     """The graph is not connected; embeddings require one component."""
-
-
-class NotOnFaceError(GraphError):
-    """The queried vertex does not lie on the given face."""
 
 
 class GirthTooSmallError(GraphError):
@@ -253,20 +253,6 @@ class EmbeddedGraph:
                 f"f={len(self.faces)}, genus={self.genus})")
 
 
-def build_graph(rotation: Sequence[Sequence[int]],
-                twists: Iterable[tuple[int, int]] = ()) -> EmbeddedGraph:
-    """Validate a rotation spec and trace its faces and genus.
-
-    Raises NonSimpleError, AsymmetricError or DisconnectedError on bad input.
-    """
-    return EmbeddedGraph(rotation, twists)
-
-
-def euler_genus(graph: EmbeddedGraph) -> int:
-    """Euler genus of the embedding: 2 - (|V| - |E| + |F|)."""
-    return graph.genus
-
-
 def girth(graph: EmbeddedGraph, below: float = math.inf) -> float:
     """Length of a shortest cycle shorter than ``below``; math.inf if none.
 
@@ -321,11 +307,11 @@ def girth(graph: EmbeddedGraph, below: float = math.inf) -> float:
     return best if best < below else math.inf
 
 
-def f_external_neighbors(graph: EmbeddedGraph, v: int, face: Face) -> list[int]:
-    """Neighbors of v that do not appear on the boundary walk of face."""
-    if v not in face.vert_set:
-        raise NotOnFaceError(f"vertex {v} is not on face {face.index}")
-    return [u for u in graph.rotation[v] if u not in face.vert_set]
+def require_girth5(graph: EmbeddedGraph, what: str) -> None:
+    """Raise GirthTooSmallError naming ``what`` unless graph has girth >= 5."""
+    g = graph.short_cycle
+    if g < 5:
+        raise GirthTooSmallError(f"{what} requires girth >= 5, got {g}")
 
 
 def induced_embedding(graph: EmbeddedGraph,

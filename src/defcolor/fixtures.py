@@ -8,12 +8,15 @@ re-verified by the test suite.
 
 The face fixtures realize one instance of each classified 5-face kind
 (Special, X1, X2, Y1, Y2, Terrible).  Each builder takes degree knobs so
-tests can perturb a single vertex degree and check the class changes.
+tests can perturb a single vertex degree and check the class changes, and
+returns a FaceFixture whose ``names`` maps the configuration's labels to
+vertex ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .builder import PlanarBuilder
 from .embedding import EmbeddedGraph, Face
@@ -93,8 +96,11 @@ def petersen_projective() -> EmbeddedGraph:
 
 @dataclass(frozen=True)
 class FaceFixture:
+    """A graph, the vertices of its classified face, and named vertices."""
+
     graph: EmbeddedGraph
     face_verts: tuple[int, ...]
+    names: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def face(self) -> Face:
@@ -110,11 +116,25 @@ def find_face(graph: EmbeddedGraph, verts) -> Face:
     return hits[0]
 
 
-def _pump(b: PlanarBuilder, v: int, target: int) -> list[int]:
-    added = []
+def _pump(b: PlanarBuilder, v: int, target: int) -> None:
     while b.degree(v) < target:
-        added.append(b.attach_leaf_at(v))
-    return added
+        b.attach_leaf_at(v)
+
+
+def _flanked_pentagon() -> tuple[PlanarBuilder, list[int], list[int]]:
+    """Reserved pentagon (0, 1, 2, 3, 4) with a reserved 5-face across each
+    of the 2-vertices 0 and 2: (1, 0, 4, p[0], p[1]) and (3, 2, 1, q[1], q[0]).
+
+    Returns the builder and the path interiors p and q; the rest of the
+    outer region stays open for growth.
+    """
+    b = PlanarBuilder.cycle(5)
+    b.reserved.add(0)
+    g_hex, g0, p = b.insert_path(1, 1, 4, 3)
+    b.reserved.add(g0)
+    g2, _, q = b.insert_path(g_hex, 1, 3, 3)
+    b.reserved.add(g2)
+    return b, p, q
 
 
 def special_face(hub: int = 12, p_deg: int = 5, q_deg: int = 3) -> FaceFixture:
@@ -145,7 +165,8 @@ def x1_face(h1: int = 12, h2: int = 12, s_deg: int = 3,
 def x2_face(h1: int = 12, h2: int = 12, u_deg: int = 4,
             y_deg: int = 2) -> FaceFixture:
     """Pentagon (2, h1, 2, h2, 4); the 4-vertex's rotation reads
-    (h2, a, x, y) so its neighbor degrees match (11-, 2, 12+, 2+)."""
+    (h2, a, x, y) so its neighbor degrees match (11-, 2, 12+, 2+).
+    names holds x and y."""
     b = PlanarBuilder.cycle(5)
     b.reserved.add(0)
     x = b.attach_leaf_at(4)
@@ -154,25 +175,16 @@ def x2_face(h1: int = 12, h2: int = 12, u_deg: int = 4,
     _pump(b, y, y_deg)
     _pump(b, 1, h1)
     _pump(b, 3, h2)
-    return FaceFixture(b.graph(), (0, 1, 2, 3, 4)), x, y
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4), {"x": x, "y": y})
 
 
 def y1_face(h_deg: int = 12, w_extra: int = 0, u_extra: int = 0,
-            p_deg: int = 2):
+            p_deg: int = 2) -> FaceFixture:
     """Pentagon f = (a, h, b, u, w) with degrees (2, 12+, 2, 4, 3), the
-    4-vertex pattern (2, 3, 11-, 12+), and cross-faces X1 and X2.
-
-    Returns (fixture for f, builder) so callers can keep growing.
-    """
-    b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)  # f = [a=0, h=1, b=2, u=3, w=4]
-    outer = 1
-    # X1 face g_a = [h, a, w, h', b'] across the 2-vertex a
-    g_hex, g_a, (hp, bp) = b.insert_path(outer, 1, 4, 3)
-    b.reserved.add(g_a)
-    # X2 face g_b = [u, b, h, c, z] across the 2-vertex b
-    g_b, seven, (z, c) = b.insert_path(g_hex, 1, 3, 3)
-    b.reserved.add(g_b)
+    4-vertex pattern (2, 3, 11-, 12+), and cross-faces X1 and X2."""
+    # f = [a=0, h=1, b=2, u=3, w=4]; X1 face [h, a, w, h', b'] across a
+    # and X2 face [u, b, h, c, z] across b
+    b, (hp, _), (z, _) = _flanked_pentagon()
     p = b.attach_leaf_at(3)  # lands between w and z in u's rotation
     _pump(b, p, p_deg)
     _pump(b, 1, h_deg)
@@ -182,19 +194,15 @@ def y1_face(h_deg: int = 12, w_extra: int = 0, u_extra: int = 0,
         _pump(b, 4, 3 + w_extra)
     if u_extra:
         _pump(b, 3, 4 + u_extra)
-    return FaceFixture(b.graph(), (0, 1, 2, 3, 4)), b
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
 
 
 def y2_face(h_deg: int = 12, s_extra: int = 0, r_extra: int = 0) -> FaceFixture:
     """Pentagon f = (a, h, b, s, r) with degrees (2, 12+, 2, 3, 3) and both
     cross-faces X1."""
-    b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)  # f = [a=0, h=1, b=2, s=3, r=4]
-    outer = 1
-    g_hex, g_a, (hp, bp) = b.insert_path(outer, 1, 4, 3)
-    b.reserved.add(g_a)  # [h, a, r, h', b']
-    g_b, seven, (hpp, c) = b.insert_path(g_hex, 1, 3, 3)
-    b.reserved.add(g_b)  # [s, b, h, c, h'']
+    # f = [a=0, h=1, b=2, s=3, r=4]; cross-faces [h, a, r, h', b'] and
+    # [s, b, h, c, h'']
+    b, (hp, _), (hpp, _) = _flanked_pentagon()
     _pump(b, 1, h_deg)
     _pump(b, hp, 12)
     _pump(b, hpp, 12)
@@ -206,20 +214,16 @@ def y2_face(h_deg: int = 12, s_extra: int = 0, r_extra: int = 0) -> FaceFixture:
 
 
 def terrible_face(v_deg: int = 12, u4_extra: int = 0,
-                  w4_children: int = 1):
+                  w4_children: int = 1) -> FaceFixture:
     """Pentagon f = (v4, v, v5, u5, u4) with degrees (2, 12+, 2, 4, 4),
     both 4-vertex patterns (2, 4, 11-, 12+), and both cross-faces X2.
 
-    Returns (fixture, names) where names maps the configuration labels to
-    vertex ids (v, v4, v5, u4, u5, w4, w5, h4, h5, c4, c5).
+    names maps the configuration labels v, v4, v5, u4, u5, w4, w5, h4,
+    h5, c4 and c5 to vertex ids.
     """
-    b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)  # f = [v4=0, v=1, v5=2, u5=3, u4=4]
-    outer = 1
-    g_hex, g4, (h4, c4) = b.insert_path(outer, 1, 4, 3)
-    b.reserved.add(g4)  # [v, v4, u4, h4, c4]
-    g5, seven, (h5, c5) = b.insert_path(g_hex, 1, 3, 3)
-    b.reserved.add(g5)  # [u5, v5, v, c5, h5]
+    # f = [v4=0, v=1, v5=2, u5=3, u4=4]; cross-faces [v, v4, u4, h4, c4]
+    # and [u5, v5, v, c5, h5]
+    b, (h4, c4), (h5, c5) = _flanked_pentagon()
     w4 = b.attach_leaf_at(4)  # between h4 and u5 in u4's rotation
     w5 = b.attach_leaf_at(3)  # between u4 and h5 in u5's rotation
     for _ in range(w4_children):
@@ -232,25 +236,19 @@ def terrible_face(v_deg: int = 12, u4_extra: int = 0,
         _pump(b, 4, 4 + u4_extra)
     names = {"v": 1, "v4": 0, "v5": 2, "u4": 4, "u5": 3,
              "w4": w4, "w5": w5, "h4": h4, "h5": h5, "c4": c4, "c5": c5}
-    return FaceFixture(b.graph(), (0, 1, 2, 3, 4)), names
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4), names)
 
 
-def genus2_bad_face_gadget():
+def genus2_bad_face_gadget() -> FaceFixture:
     """Y1 configuration with a degree-13 hub on an Euler-genus-2 embedding.
 
     The hub's final charge is 0, below the general-surface floor
     2*genus - 3.5 = 0.5 at t = 11, so the audit must flag it.  Girth
     stays 5; the extra handle lives far from the classified faces.
 
-    Returns (graph, face_verts, hub).
+    names holds the hub.
     """
-    b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)
-    outer = 1
-    g_hex, g_a, (hp, bp) = b.insert_path(outer, 1, 4, 3)
-    b.reserved.add(g_a)
-    g_b, seven, (z, c) = b.insert_path(g_hex, 1, 3, 3)
-    b.reserved.add(g_b)
+    b, (hp, _), (z, _) = _flanked_pentagon()
     p = b.attach_leaf_at(3)
     b.attach_leaf_at(p)
     _pump(b, hp, 12)
@@ -273,4 +271,4 @@ def genus2_bad_face_gadget():
     s1, s2, _ = b.insert_path(big, i, j, 4)
     b.add_handle_edge(s1, b.occurrences(s1, a2)[0],
                       s2, b.occurrences(s2, b2)[0])
-    return b.graph(), (0, 1, 2, 3, 4), 1
+    return FaceFixture(b.graph(), (0, 1, 2, 3, 4), {"hub": 1})

@@ -27,11 +27,7 @@ from random import Random
 
 from .builder import PlanarBuilder
 from .embedding import EmbeddedGraph
-from .fixtures import DODECAHEDRON_ROTATION
-
-
-def _c5_graph() -> EmbeddedGraph:
-    return EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)])
+from .fixtures import c5, dodecahedron
 
 
 # Largest accepted target_size.  Generation is near-linear in it; the cap
@@ -157,10 +153,10 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         raise ValueError(f"target_size must be at most {MAX_TARGET_SIZE}")
     rng = Random(f"planar:{seed}:{target_size}")
     if target_size == 5:
-        return _c5_graph()
+        return c5()
 
     if target_size >= 40 and rng.random() < 0.25:
-        b = PlanarBuilder.from_graph(EmbeddedGraph(DODECAHEDRON_ROTATION))
+        b = PlanarBuilder.from_graph(dodecahedron())
     else:
         b = PlanarBuilder.cycle(5)
     pool = _EdgePool(b)

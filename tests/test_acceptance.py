@@ -10,8 +10,7 @@ from defcolor import fixtures as fx
 from defcolor.colorer import capacity, color
 from defcolor.coloring import SolveStatus, is_valid, solve_exact
 from defcolor.discharging import FaceClass, audit, classify_faces
-from defcolor.embedding import euler_genus, girth
-from defcolor.fixtures import find_face
+from defcolor.embedding import girth
 from conftest import CORPUS_COUNT
 
 from gadget_builders import gen_girth5_small
@@ -31,7 +30,7 @@ def corpus_audits(corpus):
 
 def test_criterion_1_charge_identity(corpus, corpus_audits):
     sizes_ok = all(5 <= g.n <= 200 for g in corpus)
-    planar_ok = all(euler_genus(g) == 0 and girth(g) >= 5 for g in corpus)
+    planar_ok = all(g.genus == 0 and girth(g) >= 5 for g in corpus)
     totals_ok = all(rep.ledger.total_initial == MINUS_TWELVE
                     and rep.ledger.total_final == MINUS_TWELVE
                     for rep in corpus_audits)
@@ -64,14 +63,14 @@ def test_criterion_2_fixture_classification():
                  fx.x1_face(external_high=True)):
         check_not(pert, FaceClass.X1)
 
-    check(fx.x2_face()[0], FaceClass.X2)
-    for pert in (fx.x2_face(h2=11)[0], fx.x2_face(u_deg=5)[0],
-                 fx.x2_face(y_deg=1)[0]):
+    check(fx.x2_face(), FaceClass.X2)
+    for pert in (fx.x2_face(h2=11), fx.x2_face(u_deg=5),
+                 fx.x2_face(y_deg=1)):
         check_not(pert, FaceClass.X2)
 
-    check(fx.y1_face()[0], FaceClass.Y1)
-    for pert in (fx.y1_face(h_deg=11)[0], fx.y1_face(w_extra=1)[0],
-                 fx.y1_face(u_extra=1)[0]):
+    check(fx.y1_face(), FaceClass.Y1)
+    for pert in (fx.y1_face(h_deg=11), fx.y1_face(w_extra=1),
+                 fx.y1_face(u_extra=1)):
         check_not(pert, FaceClass.Y1)
 
     check(fx.y2_face(), FaceClass.Y2)
@@ -79,9 +78,9 @@ def test_criterion_2_fixture_classification():
                  fx.y2_face(r_extra=1)):
         check_not(pert, FaceClass.Y2)
 
-    check(fx.terrible_face()[0], FaceClass.TERRIBLE)
-    for pert in (fx.terrible_face(v_deg=11)[0], fx.terrible_face(u4_extra=1)[0],
-                 fx.terrible_face(w4_children=0)[0]):
+    check(fx.terrible_face(), FaceClass.TERRIBLE)
+    for pert in (fx.terrible_face(v_deg=11), fx.terrible_face(u4_extra=1),
+                 fx.terrible_face(w4_children=0)):
         check_not(pert, FaceClass.TERRIBLE)
 
     ok = all(cases)
@@ -153,11 +152,11 @@ def test_criterion_6_surface_capacity():
     values = [capacity(g) for g in (0, 1, 2, 3, 5)]
     values_ok = values == [10, 10, 11, 15, 23]
 
-    gadget, face_verts, hub = fx.genus2_bad_face_gadget()
-    rep = audit(gadget, t=capacity(euler_genus(gadget)))
-    flag_ok = (euler_genus(gadget) == 2
-               and classify_faces(gadget)[find_face(gadget, face_verts).index]
-               is FaceClass.Y1
+    gadget = fx.genus2_bad_face_gadget()
+    g, hub = gadget.graph, gadget.names["hub"]
+    rep = audit(g, t=capacity(g.genus))
+    flag_ok = (g.genus == 2
+               and classify_faces(g)[gadget.face.index] is FaceClass.Y1
                and any(fl.vertex == hub and fl.final < Fraction(1, 2)
                        for fl in rep.high_vertex_flags))
     clean = audit(fx.dodecahedron(), 10)

@@ -106,6 +106,23 @@ def test_input_error_category(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_graph_error_is_an_input_error(tmp_path, capsys):
+    # an asymmetric rotation parses but fails the embedding's checks
+    bad = tmp_path / "bad.txt"
+    bad.write_text("graph 3 2\n0: 1\n1: 0 2\n2:\n")
+    assert main(["stats", "--input", str(bad)]) == 3
+    assert (capsys.readouterr().err
+            == "error: input: 1 lists 2 but 2 does not list 1\n")
+
+
+def test_nonpositive_budget_is_an_input_error(tmp_path, capsys):
+    gpath = write_graph(tmp_path, fx.dodecahedron())
+    for argv in (["color", "--t", "10"], ["solve", "--defects", "1,10"]):
+        assert main(argv + ["--input", gpath, "--budget", "0"]) == 3
+        assert (capsys.readouterr().err
+                == "error: input: budget must be positive\n")
+
+
 def test_hostile_vertex_count_is_a_parse_error(tmp_path, capsys):
     # a header n beyond the body must not allocate n slots first
     huge = 2 ** 61

@@ -6,7 +6,7 @@ from defcolor.colorer import (C_BIG, C_SMALL, ReductionKind, ReductionStep,
                               find_reduction, replay_trace,
                               _find_terrible_reduction)
 from defcolor.coloring import SolveStatus, is_valid, solve_exact
-from defcolor.embedding import (GirthTooSmallError, build_graph,
+from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
                                 induced_embedding)
 from defcolor.generate import gen_planar_girth5
 
@@ -23,7 +23,7 @@ def test_capacity_values():
 
 
 def test_find_reduction_order():
-    single = build_graph([[]])
+    single = EmbeddedGraph([[]])
     step = find_reduction(single, 10)
     assert step.kind is ReductionKind.DEGREE_AT_MOST_ONE
 
@@ -89,7 +89,7 @@ def test_extend_all_low_recolors_saturated_neighbor():
     rot.append([0] + list(range(2, 12)))  # u: v + ten leaves
     rot += [[1] for _ in range(2, 12)]    # leaves of u
     rot.append([0])          # z
-    g = build_graph(rot)
+    g = EmbeddedGraph(rot)
     phi = {1: C_BIG, 12: C_SMALL}
     phi.update({w: C_BIG for w in range(2, 12)})
     step = ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), {}, 10)
@@ -100,7 +100,8 @@ def test_extend_all_low_recolors_saturated_neighbor():
 
 
 def test_terrible_reduction_detected_and_extended():
-    fix, names = fx.terrible_face()
+    fix = fx.terrible_face()
+    names = fix.names
     g = fix.graph
     present = set(range(g.n))
     deg = [g.degree(v) for v in range(g.n)]
@@ -138,7 +139,7 @@ def test_c5_trace_replay_and_progress():
 
 
 def test_color_rejects_small_girth():
-    g = build_graph([[1, 3], [0, 2], [1, 3], [2, 0]])
+    g = EmbeddedGraph([[1, 3], [0, 2], [1, 3], [2, 0]])
     with pytest.raises(GirthTooSmallError):
         color(g, 10)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from defcolor import fixtures as fx
 from defcolor.coloring import (Coloring, ColoringError, PartialColoringError,
                                SolveStatus, induced_max_degrees,
                                is_saturated, is_valid, solve_exact)
-from defcolor.embedding import build_graph
+from defcolor.embedding import EmbeddedGraph
 
 from gadget_builders import gen_girth5_small
 from oracles import enumerate_two_class, enumerate_two_class_slow
@@ -19,7 +19,7 @@ def test_induced_max_degrees_c5():
 
 
 def test_induced_max_degrees_edgeless():
-    g = build_graph([[]])
+    g = EmbeddedGraph([[]])
     assert induced_max_degrees(g, Coloring((0,), (1, 10))) == [0, 0]
 
 
@@ -58,7 +58,7 @@ def test_is_saturated():
     phi = Coloring((0, 0, 1), (1, 10))
     assert is_saturated(path, phi, 1)       # one same-class neighbor, defect 1
     assert not is_saturated(path, phi, 2)   # zero of ten
-    lone = build_graph([[]])
+    lone = EmbeddedGraph([[]])
     assert not is_saturated(lone, Coloring((0,), (1, 10)), 0)
     starg = fx.star(10)
     allbig = Coloring((1,) * 11, (1, 10))

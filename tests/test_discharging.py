@@ -9,7 +9,7 @@ from defcolor.discharging import (_PATTERNS, _canonical, _symbol,
                                   classify_faces, format_fraction,
                                   initial_charges, ledger_csv,
                                   sponsor_instances, transfers_csv)
-from defcolor.embedding import GirthTooSmallError, build_graph
+from defcolor.embedding import EmbeddedGraph, GirthTooSmallError
 from defcolor.fixtures import find_face
 from defcolor.generate import gen_planar_girth5
 
@@ -71,23 +71,24 @@ def test_apply_rules_dodecahedron_nothing_fires():
     assert led.face_final == led.face_initial
 
 
-def test_apply_rules_warns_below_girth5():
-    g = build_graph([[1, 3], [0, 2], [1, 3], [2, 0]])  # C4
-    with pytest.warns(UserWarning):
+def test_apply_rules_raises_below_girth5():
+    g = EmbeddedGraph([[1, 3], [0, 2], [1, 3], [2, 0]])  # C4
+    with pytest.raises(GirthTooSmallError,
+                       match="^apply_rules requires girth >= 5, got 4$"):
         apply_rules(g)
 
 
 def test_conservation_on_fixture_zoo():
     graphs = [fx.c5(), fx.dodecahedron(), fx.petersen_projective(),
               fx.special_face().graph, fx.y2_face().graph,
-              fx.terrible_face()[0].graph]
+              fx.terrible_face().graph]
     for g in graphs:
         led, _ = apply_rules(g)
         assert led.total_final == led.total_initial == Fraction(6 * g.genus - 12)
 
 
 def test_transfer_log_is_canonically_sorted():
-    g = fx.terrible_face()[0].graph
+    g = fx.terrible_face().graph
     _, transfers = apply_rules(g)
     keys = [(t.rule, t.source, t.target, t.witness) for t in transfers]
     assert keys == sorted(keys)
@@ -97,10 +98,10 @@ def test_transfer_log_is_canonically_sorted():
 
 
 def test_r1_four_vertex_sends_half_per_incidence():
-    fix, names = fx.terrible_face()
+    fix = fx.terrible_face()
     g = fix.graph
     _, transfers = apply_rules(g)
-    r1 = transfers_from(transfers, "R1", ("v", names["u4"]))
+    r1 = transfers_from(transfers, "R1", ("v", fix.names["u4"]))
     assert len(r1) == 4
     assert all(t.amount == HALF for t in r1)
 
@@ -184,7 +185,7 @@ def test_pattern_table_agrees_with_paper_patterns(patterns, length, degrees):
 
 
 def test_bad_face_gets_two_from_high_vertex():
-    fix, b = fx.y1_face()
+    fix = fx.y1_face()
     g = fix.graph
     face = fix.face
     assert classify_faces(g)[face.index] is FaceClass.Y1
@@ -200,12 +201,11 @@ def test_bad_face_gets_two_from_high_vertex():
 def test_five_five_sponsor_reported_but_silent():
     g, verts, s, t = sponsor_gadget(5, 5, 2)
     f1, f2 = sponsor_face_pair(g, verts)
-    kinds = [i.kind for i in sponsor_instances(g)
+    edges = [i.edge for i in sponsor_instances(g)
              if (i.f1, i.f2) == (f1.index, f2.index)]
-    assert kinds
-    kind = kinds[0]
-    assert (kind.d2, kind.d3) == (5, 5)
-    assert not kind.sponsor_is_x1 and not kind.sponsor_is_x2
+    assert edges
+    assert [g.degree(u) for u in edges[0]] == [5, 5]
+    assert classify_faces(g)[f1.index] not in (FaceClass.X1, FaceClass.X2)
     _, transfers = apply_rules(g)
     assert all(t.rule not in ("R6", "R7", "R8A", "R8B") for t in transfers)
 
@@ -257,7 +257,7 @@ def test_r8b_with_r1_refund():
 
 
 def test_r8a_from_x2_face():
-    fix, x, y = fx.x2_face()
+    fix = fx.x2_face()
     g = fix.graph
     face = fix.face
     assert classify_faces(g)[face.index] is FaceClass.X2
@@ -280,7 +280,8 @@ def test_r7_r8_couple_r5_instances():
 
 
 def test_terrible_fixture_exact_finals():
-    fix, names = fx.terrible_face()
+    fix = fx.terrible_face()
+    names = fix.names
     g = fix.graph
     led, transfers = apply_rules(g)
     assert led.face_final[fix.face.index] == HALF
@@ -314,7 +315,7 @@ def test_audit_dodecahedron():
 
 
 def test_audit_rejects_small_girth():
-    g = build_graph([[1, 3], [0, 2], [1, 3], [2, 0]])
+    g = EmbeddedGraph([[1, 3], [0, 2], [1, 3], [2, 0]])
     with pytest.raises(GirthTooSmallError):
         audit(g, 10)
 
@@ -328,10 +329,11 @@ def test_audit_min_degree_lemma_catches_pendant_vertices():
 
 
 def test_audit_flags_high_vertex_below_general_floor():
-    g, face_verts, hub = fx.genus2_bad_face_gadget()
+    fix = fx.genus2_bad_face_gadget()
+    g, hub = fix.graph, fix.names["hub"]
     assert g.genus == 2
     rep = audit(g, t=11)
-    assert classify_faces(g)[find_face(g, face_verts).index] is FaceClass.Y1
+    assert classify_faces(g)[fix.face.index] is FaceClass.Y1
     flagged = {fl.vertex for fl in rep.high_vertex_flags}
     assert hub in flagged
     fl = next(fl for fl in rep.high_vertex_flags if fl.vertex == hub)
@@ -344,7 +346,7 @@ def test_terrible_bound_reads_structural_high(hub_degree, fires_at):
     # The face pattern's high is fixed at 12, so the face stays Terrible at
     # every t; the hub's bound min(d // 3, d - t - 2) reads the structural
     # high t + 2 and drops to 0, below its one Terrible face, only at d = t + 2.
-    fix, _ = fx.terrible_face(v_deg=hub_degree)
+    fix = fx.terrible_face(v_deg=hub_degree)
     for t in (10, 11, 15):
         rep = audit(fix.graph, t)
         assert rep.face_classes[fix.face.index] is FaceClass.TERRIBLE

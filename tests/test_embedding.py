@@ -5,9 +5,8 @@ import pytest
 
 from defcolor import fixtures as fx
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
-                                EmbeddedGraph, NonSimpleError, NotOnFaceError,
-                                build_graph, euler_genus, f_external_neighbors,
-                                girth, induced_embedding)
+                                EmbeddedGraph, NonSimpleError, girth,
+                                induced_embedding)
 from defcolor.generate import gen_planar_girth5
 
 from gadget_builders import gen_girth5_small
@@ -15,25 +14,25 @@ from oracles import girth_oracle, relabeled
 
 
 def test_c5_two_faces_genus_zero():
-    g = build_graph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)])
+    g = EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)])
     assert len(g.faces) == 2
-    assert euler_genus(g) == 0
+    assert g.genus == 0
     assert all(f.degree == 5 for f in g.faces)
 
 
 def test_loop_rejected():
     with pytest.raises(NonSimpleError):
-        build_graph([[1], [1, 0]])
+        EmbeddedGraph([[1], [1, 0]])
 
 
 def test_duplicate_neighbor_rejected():
     with pytest.raises(NonSimpleError):
-        build_graph([[1, 1], [0, 0]])
+        EmbeddedGraph([[1, 1], [0, 0]])
 
 
 def test_asymmetric_rejected():
     with pytest.raises(AsymmetricError):
-        build_graph([[1], [0, 2], [1, 3], [2]][:3] + [[0]])
+        EmbeddedGraph([[1], [0, 2], [1, 3], [2]][:3] + [[0]])
 
 
 def test_disconnected_rejected():
@@ -41,13 +40,13 @@ def test_disconnected_rejected():
     rot = [[(i - 1) % 5, (i + 1) % 5] for i in range(5)]
     rot += [[5 + (i - 1) % 5, 5 + (i + 1) % 5] for i in range(5)]
     with pytest.raises(DisconnectedError):
-        build_graph(rot)
+        EmbeddedGraph(rot)
 
 
 def test_petersen_projective_embedding():
     g = fx.petersen_projective()
     assert len(g.faces) == 6
-    assert euler_genus(g) == 1
+    assert g.genus == 1
     # Euler's formula with the traced face count
     assert g.n - len(g.edges) + len(g.faces) == 2 - 1
     assert all(f.degree == 5 for f in g.faces)
@@ -56,12 +55,12 @@ def test_petersen_projective_embedding():
 def test_dodecahedron():
     g = fx.dodecahedron()
     assert g.n - len(g.edges) + len(g.faces) == 2
-    assert euler_genus(g) == 0
+    assert g.genus == 0
     assert girth(g) == 5
 
 
 def test_single_vertex_and_tree_faces():
-    single = build_graph([[]])
+    single = EmbeddedGraph([[]])
     assert len(single.faces) == 1 and single.genus == 0
     tree = fx.path_graph(6)
     assert len(tree.faces) == 1
@@ -72,11 +71,11 @@ def test_single_vertex_and_tree_faces():
 def test_twisted_cycle_is_projective():
     # one sign flip turns C5 into a non-contractible cycle: a single
     # face of degree 10 in the projective plane
-    g = build_graph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)],
+    g = EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)],
                     twists=[(0, 1)])
     assert len(g.faces) == 1
     assert g.faces[0].degree == 10
-    assert euler_genus(g) == 1
+    assert g.genus == 1
 
 
 def test_girth_examples():
@@ -95,19 +94,19 @@ def test_girth_matches_oracle_on_small_graphs():
         assert g.short_cycle == girth(g, below=5) == math.inf
 
 
-def test_f_external_neighbors():
+def test_face_vert_set_gives_external_neighbors():
     g = fx.c5()
     for f in g.faces:
+        assert f.vert_set == frozenset(range(5))
         for v in range(5):
-            assert f_external_neighbors(g, v, f) == []
+            assert [u for u in g.rotation[v] if u not in f.vert_set] == []
     fix = fx.special_face()
     face = fix.face
-    ext = f_external_neighbors(fix.graph, 4, face)  # the 3-vertex
+    assert face.vert_set == frozenset(fix.face_verts)
+    ext = [u for u in fix.graph.rotation[4]  # the 3-vertex
+           if u not in face.vert_set]
     assert len(ext) == 1
     assert fix.graph.degree(ext[0]) == 1
-    with pytest.raises(NotOnFaceError):
-        full = [u for u in range(fix.graph.n) if u not in face.vert_set]
-        f_external_neighbors(fix.graph, full[0], face)
 
 
 def test_face_degree_sum_and_dart_uniqueness():
@@ -138,7 +137,7 @@ def test_genus_invariant_under_relabeling():
         for _ in range(3):
             rng.shuffle(perm)
             h = relabeled(EmbeddedGraph, g, perm)
-            assert euler_genus(h) == euler_genus(g)
+            assert h.genus == g.genus
             assert len(h.faces) == len(g.faces)
 
 

@@ -12,8 +12,8 @@ def classify(fixture):
 
 def test_all_fixture_graphs_have_girth_five():
     graphs = [fx.special_face().graph, fx.x1_face().graph,
-              fx.x2_face()[0].graph, fx.y1_face()[0].graph,
-              fx.y2_face().graph, fx.terrible_face()[0].graph]
+              fx.x2_face().graph, fx.y1_face().graph,
+              fx.y2_face().graph, fx.terrible_face().graph]
     for g in graphs:
         assert girth(g) == 5
         assert g.genus == 0
@@ -35,21 +35,21 @@ def test_x1_and_perturbations():
 
 
 def test_x2_and_perturbations():
-    fix, x, y = fx.x2_face()
+    fix = fx.x2_face()
     assert classify(fix) is FaceClass.X2
-    assert classify(fx.x2_face(h2=11)[0]) is not FaceClass.X2
-    assert classify(fx.x2_face(u_deg=5)[0]) is not FaceClass.X2
+    assert classify(fx.x2_face(h2=11)) is not FaceClass.X2
+    assert classify(fx.x2_face(u_deg=5)) is not FaceClass.X2
     # the 4-vertex neighbor pattern needs its fourth neighbor at 2+
-    assert classify(fx.x2_face(y_deg=1)[0]) is not FaceClass.X2
+    assert classify(fx.x2_face(y_deg=1)) is not FaceClass.X2
 
 
 def test_y1_and_perturbations():
-    fix, _ = fx.y1_face()
+    fix = fx.y1_face()
     assert classify(fix) is FaceClass.Y1
-    assert classify(fx.y1_face(h_deg=11)[0]) is not FaceClass.Y1
-    assert classify(fx.y1_face(w_extra=1)[0]) is not FaceClass.Y1
+    assert classify(fx.y1_face(h_deg=11)) is not FaceClass.Y1
+    assert classify(fx.y1_face(w_extra=1)) is not FaceClass.Y1
     # bumping the 4-vertex to 5 lands on the Special degree pattern
-    bumped = fx.y1_face(u_extra=1)[0]
+    bumped = fx.y1_face(u_extra=1)
     assert classify(bumped) is not FaceClass.Y1
     assert classify(bumped) is FaceClass.SPECIAL
 
@@ -62,12 +62,12 @@ def test_y2_and_perturbations():
 
 
 def test_terrible_and_perturbations():
-    fix, names = fx.terrible_face()
+    fix = fx.terrible_face()
     assert classify(fix) is FaceClass.TERRIBLE
-    assert classify(fx.terrible_face(v_deg=11)[0]) is not FaceClass.TERRIBLE
-    assert classify(fx.terrible_face(u4_extra=1)[0]) is not FaceClass.TERRIBLE
+    assert classify(fx.terrible_face(v_deg=11)) is not FaceClass.TERRIBLE
+    assert classify(fx.terrible_face(u4_extra=1)) is not FaceClass.TERRIBLE
     # starving w4 breaks the cross X2-face's neighbor pattern
-    assert classify(fx.terrible_face(w4_children=0)[0]) is not FaceClass.TERRIBLE
+    assert classify(fx.terrible_face(w4_children=0)) is not FaceClass.TERRIBLE
 
 
 def test_classification_mirror_invariant():
@@ -78,10 +78,10 @@ def test_classification_mirror_invariant():
 
     fixtures = [(fx.special_face(), FaceClass.SPECIAL),
                 (fx.x1_face(), FaceClass.X1),
-                (fx.x2_face()[0], FaceClass.X2),
-                (fx.y1_face()[0], FaceClass.Y1),
+                (fx.x2_face(), FaceClass.X2),
+                (fx.y1_face(), FaceClass.Y1),
                 (fx.y2_face(), FaceClass.Y2),
-                (fx.terrible_face()[0], FaceClass.TERRIBLE)]
+                (fx.terrible_face(), FaceClass.TERRIBLE)]
     for fix, want in fixtures:
         g = fix.graph
         mirror = EmbeddedGraph([tuple(reversed(r)) for r in g.rotation],
@@ -91,7 +91,7 @@ def test_classification_mirror_invariant():
 
 
 def test_cross_faces_of_composite_fixtures():
-    fix, _ = fx.y1_face()
+    fix = fx.y1_face()
     g = fix.graph
     classes = {c for f, c in zip(g.faces, classify_faces(g)) if f.degree == 5}
     assert {FaceClass.Y1, FaceClass.X1, FaceClass.X2} <= classes

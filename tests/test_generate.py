@@ -5,7 +5,7 @@ import pytest
 
 from defcolor import fixtures as fx
 from defcolor.builder import PlanarBuilder
-from defcolor.embedding import euler_genus, girth
+from defcolor.embedding import girth
 from defcolor.generate import _EdgePool, gen_planar_girth5
 from defcolor.graphio import serialize_graph
 
@@ -25,7 +25,7 @@ def test_generated_graphs_are_valid_corpus_members():
         g = gen_planar_girth5(seed, size)
         assert g.n >= size
         assert g.n <= size + 40
-        assert euler_genus(g) == 0
+        assert g.genus == 0
         assert girth(g) >= 5
 
 

@@ -12,7 +12,6 @@ call they make.
 
 import math
 import sys
-import warnings
 
 import networkx as nx
 import pytest
@@ -175,11 +174,10 @@ def test_short_cycle_errors_name_the_exact_girth():
         with pytest.raises(GirthTooSmallError,
                            match=f"^audit requires girth >= 5, got {n}$"):
             audit(_cycle(n))
-        with pytest.warns(UserWarning, match="assume girth >= 5"):
+        with pytest.raises(GirthTooSmallError,
+                           match=f"^apply_rules requires girth >= 5, got {n}$"):
             apply_rules(_cycle(n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        apply_rules(_cycle(5))
+    apply_rules(_cycle(5))
 
 
 def test_audit_tree_has_no_high_vertex_lemma():

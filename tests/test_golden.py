@@ -32,8 +32,8 @@ from conftest import CORPUS_COUNT, LARGE_SIZES, corpus_spec
 
 THRESHOLDS = (10, 11, 15)
 
-# (builder name, keyword arguments); the builders return a FaceFixture, a
-# tuple led by one, or a tuple led by the graph itself.
+# (builder name, keyword arguments); the builders return a FaceFixture or
+# an EmbeddedGraph.
 FIXTURE_CASES = [
     ("special_face", {}), ("special_face", {"hub": 11}),
     ("special_face", {"p_deg": 6}), ("special_face", {"q_deg": 4}),
@@ -66,8 +66,6 @@ def _case_name(name, kwargs) -> str:
 
 def _fixture_graph(name, kwargs):
     built = getattr(fx, name)(**kwargs)
-    if isinstance(built, tuple):
-        built = built[0]
     return built.graph if isinstance(built, fx.FaceFixture) else built
 
 

@@ -1,0 +1,54 @@
+"""The public surface of ``defcolor`` and the names the benchmark traces.
+
+``__all__`` must list exactly what ``defcolor/__init__.py`` imports, and
+every name in it must be bound.  ``bench/run.py --trace`` rebinds each
+``(module, attribute)`` of ``bench/spans.TRACED``; the tier-1 run does not
+collect ``bench/selftest.py``, so these checks keep a cut of the surface
+from silently breaking the tracer.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import defcolor
+from defcolor import colorer, embedding
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_all_names_are_bound():
+    assert len(set(defcolor.__all__)) == len(defcolor.__all__)
+    assert [n for n in defcolor.__all__ if not hasattr(defcolor, n)] == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse(Path(defcolor.__file__).read_text())
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.level == 1
+                for alias in node.names}
+    assert imported == set(defcolor.__all__)
+
+
+def test_traced_names_resolve():
+    for modname, attr, _ in _load_spans().TRACED:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in getattr(owner, cls_name).__dict__, (modname, attr)
+        else:
+            assert callable(getattr(owner, attr)), (modname, attr)
+    # the tracer's selftest rebinds the gate under the colorer's name
+    assert colorer.girth is embedding.girth
