@@ -168,13 +168,14 @@ def _x_status(graph: EmbeddedGraph, face: Face,
 
 def classify_faces(graph: EmbeddedGraph) -> tuple[FaceClass, ...]:
     """Class of every face of the embedding (most faces are PLAIN)."""
+    faces = graph.faces
     pattern = {f.index: _matches(graph, f.verts)
-               for f in graph.faces if f.degree == 5}
-    x_status = {fi: _x_status(graph, graph.faces[fi], pat)
+               for f in faces if f.degree == 5}
+    x_status = {fi: _x_status(graph, faces[fi], pat)
                 for fi, pat in pattern.items()}
     return tuple(_classify_one(graph, face, pattern.get(face.index, _NO_MATCH),
                                x_status)
-                 for face in graph.faces)
+                 for face in faces)
 
 
 def _classify_one(graph, face, pattern, x_status) -> FaceClass:
@@ -234,6 +235,7 @@ def sponsor_instances(graph: EmbeddedGraph,
     """All sponsorships, one per qualifying (sponsor face, shared edge)."""
     if classes is None:
         classes = classify_faces(graph)
+    faces = graph.faces
     out = []
     for a, b in graph.edges:
         sides = graph.edge_sides(a, b)
@@ -243,7 +245,7 @@ def sponsor_instances(graph: EmbeddedGraph,
             f2i, _ = sides[1 - k]
             if f2i == fi:
                 continue
-            face = graph.faces[fi]
+            face = faces[fi]
             n = face.degree
             u2, u3 = face.darts[pos]
             u1 = face.verts[pos - 1]
@@ -317,8 +319,10 @@ def apply_rules(graph: EmbeddedGraph,
                        if graph.degree(u) >= HIGH_DEGREE)
                  for v in range(graph.n)]
 
+    faces = graph.faces
+
     def face_has_high_nbr(fi: int, v: int) -> bool:
-        vs = graph.faces[fi].vert_set
+        vs = faces[fi].vert_set
         return any(u in vs for u in high_nbrs[v])
 
     for v in range(graph.n):
@@ -369,7 +373,7 @@ def apply_rules(graph: EmbeddedGraph,
             coupled.add((inst.f1, two_end))
             coupled.add((inst.f2, two_end))
 
-    for face in graph.faces:
+    for face in faces:
         for pos, u in enumerate(face.verts):
             if graph.degree(u) == 2:
                 transfers.append(Transfer("R5", ("f", face.index), ("v", u), ONE,

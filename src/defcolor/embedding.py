@@ -14,9 +14,21 @@ the successor rule.  Each face is walked once, from its least state in
 either direction, and the same walk records the face passages of every
 vertex and the sides of every edge.
 
-EmbeddedGraph instances are immutable after construction; all queries are
-pure (the girth-5 gate ``short_cycle`` is computed on first use and cached),
-so they are safe to share between threads.
+An EmbeddedGraph checks its input when it is built (ids in range, no
+loops or multi-edges, symmetric rotations, connected, twists that are
+edges) but traces no face: ``faces``, ``genus``, ``passages`` and
+``edge_sides`` run the walk on their first read, together with its
+integrity checks, and keep the result.  Adjacency queries never trace, so
+``check`` and ``solve`` walk no face and ``gen`` none of the graph it
+writes; ``color`` traces its input once when t defaults to
+``capacity(genus)`` or its fallback tests for an anomaly, and ``audit``
+and ``stats`` trace once.  The girth-5 gate
+``short_cycle`` is likewise computed on first use and cached.  Every
+query returns the same value whenever it is asked, so instances are safe
+to share between threads: two racing first reads each trace the same
+faces, and ``_faces``, the attribute that marks a graph as traced, is
+assigned only after the passages, sides and genus, so no reader sees
+half a trace.
 
 Girth policy: any simple connected graph embeds, but color, audit and
 apply_rules need girth >= 5 and call require_girth5, which raises
@@ -83,7 +95,7 @@ class Face:
 
 
 class EmbeddedGraph:
-    """Simple connected graph with a rotation system and traced faces.
+    """Simple connected graph with a rotation system; faces traced on demand.
 
     Parameters
     ----------
@@ -128,14 +140,13 @@ class EmbeddedGraph:
         self.twists: frozenset[tuple[int, int]] = frozenset(tw)
 
         self._check_connected()
-        self.faces, self._passages, self._sides = self._trace_faces()
-        self.genus: int = 2 - (self.n - len(self.edges) + len(self.faces))
         self._short_cycle: float | None = None
-        if self.genus < 0:
-            raise AssertionError("face tracing produced negative genus")
-        for v in range(n):
-            if len(self._passages[v]) != len(rot[v]):
-                raise AssertionError("face tracing lost a vertex passage")
+        # Set by _trace on the first face read.  _faces is the "traced"
+        # flag, so _trace assigns it last.
+        self._passages: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._sides: dict[Dart, list[tuple[int, int]]] | None = None
+        self._genus: int | None = None
+        self._faces: tuple[Face, ...] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -158,16 +169,34 @@ class EmbeddedGraph:
             self._short_cycle = girth(self, below=5)
         return self._short_cycle
 
+    @property
+    def faces(self) -> tuple[Face, ...]:
+        """The faces in index order; traced on the first face read."""
+        if self._faces is None:
+            self._trace()
+        return self._faces
+
+    @property
+    def genus(self) -> int:
+        """Euler genus, 2 - (|V| - |E| + |F|)."""
+        if self._faces is None:
+            self._trace()
+        return self._genus
+
     def passages(self, v: int) -> tuple[tuple[int, int], ...]:
         """All (face index, position) boundary passages through v.
 
         A vertex has exactly degree(v) passages, counted with multiplicity.
         """
+        if self._faces is None:
+            self._trace()
         return self._passages[v]
 
     def edge_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """The two (face, position) sides of edge {u, v}: those walking the
         dart (u, v) first, then those walking (v, u)."""
+        if self._faces is None:
+            self._trace()
         return (tuple(self._sides.get((u, v), ()))
                 + tuple(self._sides.get((v, u), ())))
 
@@ -185,6 +214,18 @@ class EmbeddedGraph:
         if len(seen) != self.n:
             raise DisconnectedError(
                 f"graph has {self.n - len(seen)} unreachable vertices")
+
+    def _trace(self) -> None:
+        """Trace the faces, check the result and publish it, faces last."""
+        faces, passages, sides = self._trace_faces()
+        genus = 2 - (self.n - len(self.edges) + len(faces))
+        if genus < 0:
+            raise AssertionError("face tracing produced negative genus")
+        for v in range(self.n):
+            if len(passages[v]) != len(self.rotation[v]):
+                raise AssertionError("face tracing lost a vertex passage")
+        self._passages, self._sides, self._genus = passages, sides, genus
+        self._faces = faces
 
     def _trace_faces(self) -> tuple[tuple[Face, ...],
                                     tuple[tuple[tuple[int, int], ...], ...],

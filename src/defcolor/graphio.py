@@ -4,8 +4,8 @@ Graph document: a header line ``graph <n> <m>`` (optionally followed by
 the token ``girth5``, which makes the parser check the cached girth-5
 gate ``EmbeddedGraph.short_cycle``: no cycle of length 3 or 4), then
 one line per vertex ``<id>: <nbr> <nbr> ...`` in rotation order, then
-optional ``twist <u> <v>`` lines naming sign-flipped edges.  Rotation
-order round-trips exactly.
+optional ``twist <u> <v>`` lines naming sign-flipped edges, each edge at
+most once.  Rotation order round-trips exactly.
 
 Coloring document: ``coloring <n> defects <d1>,<d2>,...`` then one line
 ``<vertex> <class>`` per vertex with 1-based class indices.
@@ -51,7 +51,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
     _check_vertex_count(n, lines)
 
     rotation: list[list[int] | None] = [None] * n
-    twists: list[tuple[int, int]] = []
+    twists: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -61,9 +61,14 @@ def parse_graph(text: str) -> EmbeddedGraph:
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'twist <u> <v>'")
             try:
-                twists.append((int(parts[1]), int(parts[2])))
+                u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(lineno, "twist endpoints must be integers") from None
+            # Two sign flips on one edge cancel; a set would keep one.
+            key = (min(u, v), max(u, v))
+            if key in twists:
+                raise ParseError(lineno, f"twist {u}-{v} listed twice")
+            twists[key] = (u, v)
             continue
         if ":" not in line:
             raise ParseError(lineno, "expected '<vertex>: <neighbors>'")
@@ -82,7 +87,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
     missing = [v for v in range(n) if rotation[v] is None]
     if missing:
         raise ParseError(len(lines), f"missing rotation lines for {missing[:5]}")
-    graph = EmbeddedGraph(rotation, twists)  # type: ignore[arg-type]
+    graph = EmbeddedGraph(rotation, twists.values())  # type: ignore[arg-type]
     if len(graph.edges) != m:
         raise ParseError(1, f"header says {m} edges, found {len(graph.edges)}")
     if check_girth and graph.short_cycle < 5:

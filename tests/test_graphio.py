@@ -1,6 +1,6 @@
 import pytest
 
-from defcolor import fixtures as fx
+from defcolor import cli, fixtures as fx
 from defcolor.coloring import Coloring
 from defcolor.embedding import AsymmetricError, GirthTooSmallError
 from defcolor.generate import gen_planar_girth5
@@ -49,6 +49,19 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 3
+
+
+def test_repeated_twist_rejected(tmp_path, capsys):
+    # two sign flips on one edge cancel, so merging them would misreport
+    # the surface (genus 1 for this planar C5)
+    doc = serialize_graph(fx.c5()) + "twist 0 1\ntwist 1 0\n"
+    with pytest.raises(ParseError, match="^line 8: twist 1-0 listed twice$"):
+        parse_graph(doc)
+    path = tmp_path / "g.txt"
+    path.write_text(doc)
+    assert cli.main(["stats", "--input", str(path)]) == 3
+    assert "error: parse: line 8: twist 1-0 listed twice" in capsys.readouterr().err
+    assert parse_graph(serialize_graph(fx.c5()) + "twist 1 0\n").genus == 1
 
 
 def test_build_errors_surface():
