@@ -29,8 +29,14 @@ recursion yields a valid coloring with defects (1, t).  If no
 configuration exists the colorer falls back to the exact solver; with
 t = 10 on a genus <= 1 input that fallback is flagged as an anomaly,
 since such a graph would be a counterexample to the coloring theorem
-this machinery implements.  Each extension step is checked locally
-(the changed vertices and their neighbors) before the next one runs.
+this machinery implements.
+
+Each step extends back through its recoloring branches, listed by
+_moves in proof order as move lists ({vertex: class} dicts whose
+insertion order is the action order): one branch for kinds 1-3, the
+reduction's case analysis for kind 4.  _apply_extension tries them in
+turn, checks each locally (the changed vertices and their neighbors),
+undoes a branch that fails and keeps the first that holds.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -326,74 +332,39 @@ def _first_invalid(graph, present, phi, t, changed):
                 None)
 
 
-def _apply_extension(graph: EmbeddedGraph, present: set[int],
-                     phi: dict[int, int], step: ReductionStep
-                     ) -> tuple[tuple[int, int], ...]:
-    """Extend phi over step.deleted (already added back to present).
-
-    Mutates phi; returns the (vertex, class) actions in application
-    order, recolorings included.  Every step is checked around the
-    vertices it colored; ExtensionFailedError is raised when no branch
-    restores validity, which no valid input should reach.
-    """
-    t = step.t
-    kind = step.kind
-    actions: list[tuple[int, int]] = []
-
+def _moves(graph, present, phi, step) -> list[dict[int, int]]:
+    """The step's recoloring branches in proof order, each a
+    {vertex: class} move whose insertion order is the action order.
+    Kinds 1-3 have one branch each."""
     def nbrs(v):
         return _present_neighbors(graph, present, v)
 
+    kind = step.kind
     if kind is ReductionKind.DEGREE_AT_MOST_ONE:
         (v,) = step.deleted
         around = nbrs(v)
-        c = C_BIG if not around else 1 - phi[around[0]]
-        phi[v] = c
-        actions.append((v, c))
-    elif kind is ReductionKind.ADJACENT_TWO_VERTICES:
+        return [{v: C_BIG if not around else 1 - phi[around[0]]}]
+    if kind is ReductionKind.ADJACENT_TWO_VERTICES:
+        # each 2-vertex takes the class opposite to its other neighbor
         u, v = step.deleted
         up = next(w for w in nbrs(u) if w != v)
         vp = next(w for w in nbrs(v) if w != u)
-        if phi[up] == phi[vp]:
-            c = 1 - phi[up]
-            phi[u] = phi[v] = c
-            actions += [(u, c), (v, c)]
-        else:
-            phi[u] = 1 - phi[up]
-            phi[v] = 1 - phi[vp]
-            actions += [(u, phi[u]), (v, phi[v])]
-    elif kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
+        return [{u: 1 - phi[up], v: 1 - phi[vp]}]
+    if kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
         (v,) = step.deleted
         around = nbrs(v)
         if not any(phi[u] == C_SMALL for u in around):
-            phi[v] = C_SMALL
-            actions.append((v, C_SMALL))
-        else:
-            saturated = [u for u in around
-                         if phi[u] == C_BIG
-                         and _same_class_count(graph, present, phi, u) == t]
-            for u in saturated:
-                phi[u] = C_SMALL
-                actions.append((u, C_SMALL))
-            phi[v] = C_BIG
-            actions.append((v, C_BIG))
-    else:
-        return _extend_terrible(graph, present, phi, step)
-
-    bad = _first_invalid(graph, present, phi, t, [v for v, _ in actions])
-    if bad is not None:
-        raise ExtensionFailedError(
-            f"extension broke validity at vertex {bad}", step, phi)
-    return tuple(actions)
-
-
-def _extend_terrible(graph, present, phi, step):
-    """Try the reduction's recoloring branches in proof order; the first
-    one that keeps every touched vertex within its defect wins."""
-    w = step.witness
+            return [{v: C_SMALL}]
+        # saturated big-class neighbors move to the small class first
+        move = {u: C_SMALL for u in around
+                if phi[u] == C_BIG
+                and _same_class_count(graph, present, phi, u) == step.t}
+        move[v] = C_BIG
+        return [move]
     (v4,) = step.deleted
-    u4, hub, w4 = w["u4"], w["hub"], w["w4"]
-
-    moves: list[dict[int, int]] = [
+    w = step.witness
+    u4, w4 = w["u4"], w["w4"]
+    moves = [
         {v4: C_SMALL},
         {v4: C_BIG},
         {u4: C_SMALL, v4: C_BIG},
@@ -405,8 +376,21 @@ def _extend_terrible(graph, present, phi, step):
     for vi, ui in w["ring_two"]:
         moves.append({v4: C_BIG, vi: C_SMALL})
         moves.append({v4: C_BIG, vi: C_SMALL, ui: C_BIG})
+    return moves
 
-    for move in moves:
+
+def _apply_extension(graph: EmbeddedGraph, present: set[int],
+                     phi: dict[int, int], step: ReductionStep
+                     ) -> tuple[tuple[int, int], ...]:
+    """Extend phi over step.deleted (already added back to present).
+
+    Tries the step's branches in proof order; the first one that keeps
+    every touched vertex within its defect is kept in phi and returned
+    as its (vertex, class) actions in application order.  A failed
+    branch is undone.  ExtensionFailedError is raised when no branch
+    fits, which no valid input should reach.
+    """
+    for move in _moves(graph, present, phi, step):
         saved = {x: phi.get(x) for x in move}
         phi.update(move)
         if _first_invalid(graph, present, phi, step.t, move) is None:
@@ -417,7 +401,7 @@ def _extend_terrible(graph, present, phi, step):
             else:
                 phi[x] = old
     raise ExtensionFailedError(
-        f"no recoloring branch extends past vertex {v4}", step, phi)
+        f"no recoloring branch extends past {list(step.deleted)}", step, phi)
 
 
 def extend_coloring(graph: EmbeddedGraph, phi_sub: Mapping[int, int],

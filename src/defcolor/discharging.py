@@ -31,6 +31,21 @@ degree <= t + 1 and high at degree >= t + 2 (structural_thresholds).
 At t = 10 the two notions of high coincide.  Above it (genus >= 2,
 where t = capacity(genus)) a Terrible face still needs only a 12+ hub,
 while the bound on a hub's Terrible faces applies from degree t + 2 on.
+
+The face classes are data.  _FACE_TABLE holds one row per classified
+5-face (Special, X1, X2, Y1, Y2, Terrible): its degree word, the
+pattern every 4-vertex on the face must match, and the classes the two
+faces across its 2-vertices must have (X1+X2 for Y1, X1+X1 for Y2,
+X2+X2 for Terrible).  classify_faces reads it in two passes.  Pass 1
+gives every face its own class from the word, the 4-vertex patterns
+and, for X1, the test that the 3-vertex has one outside neighbor, of
+degree 11-.  Pass 2 turns a Y1, Y2 or Terrible face PLAIN when the own
+classes of its cross faces do not match its row.  A 5-face that
+matches a word has five distinct vertices: a closed walk of length 5
+could only revisit a vertex two steps later (one step would be a loop),
+by turning back at a degree-1 vertex ("o"), and no face word contains
+"o".  So a word's 2-, 3- and 4-vertices are distinct vertices of the
+face, and each 2-vertex has its other passage on another face.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .embedding import EmbeddedGraph, Face, require_girth5
 
@@ -94,33 +109,36 @@ def _canonical(word: str) -> str:
     return min(w[i:] + w[:i] for w in (word, back) for i in range(len(word)))
 
 
-# Degree patterns around a 5-face, and around the 4-vertex that the X2,
-# Y1 and Terrible conditions inspect; "L" stands for 11- and "+" for 2+.
-_FACE_PATTERNS = {
-    FaceClass.SPECIAL: "2H253",
-    FaceClass.X1: "2H2H3",
-    FaceClass.X2: "2H2H4",
-    FaceClass.Y1: "2H243",
-    FaceClass.Y2: "2H233",
-    FaceClass.TERRIBLE: "2H244",
-}
-_FOUR_VERTEX_PATTERNS = {
-    FaceClass.X2: "L2H+",
-    FaceClass.Y1: "23LH",
-    FaceClass.TERRIBLE: "24LH",
+class _Row(NamedTuple):
+    """One classified 5-face; cross classes match in either order."""
+
+    word: str                           # degree word around the face
+    four: str | None = None             # pattern of each 4-vertex on it
+    cross: tuple[FaceClass, ...] = ()   # own classes across its 2-vertices
+
+
+# "L" stands for 11- and "+" for 2+ in the 4-vertex patterns.
+_FACE_TABLE = {
+    FaceClass.SPECIAL: _Row("2H253"),
+    FaceClass.X1: _Row("2H2H3"),
+    FaceClass.X2: _Row("2H2H4", "L2H+"),
+    FaceClass.Y1: _Row("2H243", "23LH", (FaceClass.X1, FaceClass.X2)),
+    FaceClass.Y2: _Row("2H233", None, (FaceClass.X1, FaceClass.X1)),
+    FaceClass.TERRIBLE: _Row("2H244", "24LH", (FaceClass.X2, FaceClass.X2)),
 }
 _WILDCARDS = {"L": "o2345M", "+": "2345MH"}
 
 
 def _pattern_table() -> dict[str, frozenset[FaceClass]]:
-    """Every signature a pattern matches, mapped to the matching classes.
+    """Every signature a face word or 4-vertex pattern matches, mapped to
+    the matching classes.
 
     Wildcards are expanded, so a lookup is an exact match.  Face keys
     have five symbols and 4-vertex keys four, so the two never collide.
     """
     table: dict[str, set[FaceClass]] = {}
-    for patterns in (_FACE_PATTERNS, _FOUR_VERTEX_PATTERNS):
-        for cls, pattern in patterns.items():
+    for cls, row in _FACE_TABLE.items():
+        for pattern in filter(None, (row.word, row.four)):
             for word in product(*(_WILDCARDS.get(c, c) for c in pattern)):
                 table.setdefault(_canonical("".join(word)), set()).add(cls)
     return {sig: frozenset(classes) for sig, classes in table.items()}
@@ -136,85 +154,48 @@ def _matches(graph: EmbeddedGraph, verts: Sequence[int]) -> frozenset[FaceClass]
     return _PATTERNS.get(_canonical(word), _NO_MATCH)
 
 
-def _cross_face(graph: EmbeddedGraph, face: Face, w: int) -> int | None:
-    """Index of the other face at 2-vertex w, or None if it is face again."""
-    others = [fi for fi, _ in graph.passages(w) if fi != face.index]
-    return others[0] if len(others) == 1 else None
-
-
-def _verts_of_degree(graph: EmbeddedGraph, face: Face, d: int) -> list[int]:
-    return [u for u in dict.fromkeys(face.verts) if graph.degree(u) == d]
-
-
-def _four_matches(graph: EmbeddedGraph, v: int, cls: FaceClass) -> bool:
-    return cls in _matches(graph, graph.neighbors(v))
-
-
-def _x_status(graph: EmbeddedGraph, face: Face,
-              pattern: frozenset[FaceClass]) -> FaceClass | None:
-    """X1/X2 status from the face's own pattern (no other-face conditions)."""
-    if FaceClass.X1 in pattern:
-        threes = _verts_of_degree(graph, face, 3)
-        if len(threes) == 1:
-            ext = [u for u in graph.neighbors(threes[0]) if u not in face.vert_set]
-            if len(ext) == 1 and graph.degree(ext[0]) < HIGH_DEGREE:
-                return FaceClass.X1
-    elif FaceClass.X2 in pattern:
-        fours = _verts_of_degree(graph, face, 4)
-        if len(fours) == 1 and _four_matches(graph, fours[0], FaceClass.X2):
-            return FaceClass.X2
-    return None
+def _own_class(graph: EmbeddedGraph, face: Face) -> FaceClass:
+    """The class a face's degree word, 4-vertices and, for X1, the outside
+    neighbor of its 3-vertex give it, before any cross face is read."""
+    classes = _matches(graph, face.verts) if face.degree == 5 else _NO_MATCH
+    if not classes:
+        return FaceClass.PLAIN
+    (cls,) = classes  # no two face words agree up to rotation or reversal
+    degree = graph.degree
+    # vacuous for the rows whose word has no 4
+    if not all(cls in _matches(graph, graph.rotation[q])
+               for q in face.verts if degree(q) == 4):
+        return FaceClass.PLAIN
+    if cls is FaceClass.X1:
+        # one outside neighbor, of degree 11-; below girth 5 (stats) a
+        # chord can leave none
+        (three,) = (u for u in face.verts if degree(u) == 3)
+        ext = [u for u in graph.rotation[three] if u not in face.vert_set]
+        if len(ext) != 1 or degree(ext[0]) >= HIGH_DEGREE:
+            return FaceClass.PLAIN
+    return cls
 
 
 def classify_faces(graph: EmbeddedGraph) -> tuple[FaceClass, ...]:
-    """Class of every face of the embedding (most faces are PLAIN)."""
+    """Class of every face of the embedding (most faces are PLAIN).
+
+    Pass 1 gives every face its own class (_own_class).  Pass 2 keeps it
+    unless its row in _FACE_TABLE names cross classes that the own
+    classes of the faces across its 2-vertices do not match; the face
+    has five distinct vertices, so each 2-vertex has one such face.
+    """
     faces = graph.faces
-    pattern = {f.index: _matches(graph, f.verts)
-               for f in faces if f.degree == 5}
-    x_status = {fi: _x_status(graph, faces[fi], pat)
-                for fi, pat in pattern.items()}
-    return tuple(_classify_one(graph, face, pattern.get(face.index, _NO_MATCH),
-                               x_status)
-                 for face in faces)
-
-
-def _classify_one(graph, face, pattern, x_status) -> FaceClass:
-    def cross_status(w: int) -> FaceClass | None:
-        return x_status.get(_cross_face(graph, face, w))
-
-    if FaceClass.TERRIBLE in pattern:
-        fours = _verts_of_degree(graph, face, 4)
-        twos = _verts_of_degree(graph, face, 2)
-        if (len(fours) == 2 and len(twos) == 2
-                and all(_four_matches(graph, q, FaceClass.TERRIBLE) for q in fours)
-                and all(cross_status(w) is FaceClass.X2 for w in twos)):
-            return FaceClass.TERRIBLE
-        return FaceClass.PLAIN
-
-    if FaceClass.Y1 in pattern:
-        fours = _verts_of_degree(graph, face, 4)
-        twos = _verts_of_degree(graph, face, 2)
-        if (len(fours) == 1 and len(twos) == 2
-                and _four_matches(graph, fours[0], FaceClass.Y1)
-                and {cross_status(w) for w in twos}
-                == {FaceClass.X1, FaceClass.X2}):
-            return FaceClass.Y1
-        return FaceClass.PLAIN
-
-    if FaceClass.Y2 in pattern:
-        twos = _verts_of_degree(graph, face, 2)
-        if (len(twos) == 2
-                and all(cross_status(w) is FaceClass.X1 for w in twos)):
-            return FaceClass.Y2
-        return FaceClass.PLAIN
-
-    status = x_status.get(face.index)
-    if status is not None:
-        return status
-
-    if FaceClass.SPECIAL in pattern:
-        return FaceClass.SPECIAL
-    return FaceClass.PLAIN
+    own = [_own_class(graph, face) for face in faces]
+    out = []
+    for face, cls in zip(faces, own):
+        cross = _FACE_TABLE[cls].cross if cls is not FaceClass.PLAIN else ()
+        if cross:
+            found = tuple(own[fi] for w in face.verts if graph.degree(w) == 2
+                          for fi, _ in graph.passages(w) if fi != face.index)
+            if found not in (cross, cross[::-1]):
+                cls = FaceClass.PLAIN
+        out.append(cls)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +296,7 @@ def apply_rules(graph: EmbeddedGraph,
         classes = classify_faces(graph)
     transfers: list[Transfer] = []
 
-    high_nbrs = [tuple(u for u in graph.neighbors(v)
+    high_nbrs = [tuple(u for u in graph.rotation[v]
                        if graph.degree(u) >= HIGH_DEGREE)
                  for v in range(graph.n)]
 
@@ -479,7 +460,7 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
         if d <= 1:
             lemmas.append(LemmaViolation("min-degree", (v,)))
         if d <= low and not any(graph.degree(u) >= high
-                                for u in graph.neighbors(v)):
+                                for u in graph.rotation[v]):
             lemmas.append(LemmaViolation("vx-degree", (v,)))
     for u, v in graph.edges:
         if graph.degree(u) == 2 and graph.degree(v) == 2:

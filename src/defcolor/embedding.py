@@ -136,6 +136,8 @@ class EmbeddedGraph:
             e = (min(u, v), max(u, v))
             if e[0] == e[1] or e[1] >= n or e[0] < 0 or e[1] not in nbr_sets[e[0]]:
                 raise GraphError(f"twist {u}-{v} is not an edge")
+            if e in tw:  # two sign flips would cancel, not merge
+                raise GraphError(f"twist {u}-{v} listed twice")
             tw.add(e)
         self.twists: frozenset[tuple[int, int]] = frozenset(tw)
 
@@ -152,10 +154,6 @@ class EmbeddedGraph:
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in rotation order."""
-        return self.rotation[v]
 
     @property
     def short_cycle(self) -> float:

@@ -299,7 +299,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
     graph = b.graph()
     for v in range(graph.n):
         if 6 <= graph.degree(v) <= 11:
-            if not any(graph.degree(u) >= 12 for u in graph.neighbors(v)):
+            if not any(graph.degree(u) >= 12 for u in graph.rotation[v]):
                 raise AssertionError(
                     f"medium vertex {v} lacks a high neighbor (generator bug)")
     return graph

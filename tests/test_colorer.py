@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
 from defcolor import fixtures as fx
-from defcolor.colorer import (C_BIG, C_SMALL, ReductionKind, ReductionStep,
-                              capacity, color, extend_coloring,
-                              find_reduction, replay_trace,
-                              _find_terrible_reduction)
-from defcolor.coloring import SolveStatus, is_valid, solve_exact
+from defcolor.colorer import (C_BIG, C_SMALL, ExtensionFailedError,
+                              ReductionKind, ReductionStep, capacity, color,
+                              extend_coloring, find_reduction, replay_trace,
+                              _apply_extension, _find_terrible_reduction)
+from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
                                 induced_embedding)
 from defcolor.generate import gen_planar_girth5
@@ -119,6 +121,48 @@ def test_terrible_reduction_detected_and_extended():
     phi_sub = {old: res.coloring.assignment[new] for old, new in remap.items()}
     full = extend_coloring(g, phi_sub, step)
     assert is_valid(g, full)
+
+
+def test_terrible_branches_tried_in_proof_order():
+    # Valid colorings of the fixture minus v4, sampled by flips that keep
+    # validity, must take the first branch of the proof order that keeps
+    # the whole graph valid.
+    fix = fx.terrible_face()
+    g, v4, u4 = fix.graph, fix.names["v4"], fix.names["u4"]
+    present = set(range(g.n))
+    step = _find_terrible_reduction(g, present,
+                                    [g.degree(v) for v in range(g.n)], 10)
+    sub, remap = induced_embedding(g, [v for v in range(g.n) if v != v4])
+    colors = list(solve_exact(sub, (1, 10)).coloring.assignment)
+
+    def valid(graph, classes):
+        return is_valid(graph, Coloring(tuple(classes[v] for v in range(graph.n)),
+                                        (1, 10)))
+
+    proof_order = [{v4: C_SMALL}, {v4: C_BIG},
+                   {u4: C_SMALL, v4: C_BIG}, {u4: C_BIG, v4: C_SMALL}]
+    rng = random.Random(1)
+    reached = set()
+    for _ in range(2000):
+        x = rng.randrange(sub.n)
+        colors[x] ^= 1
+        if not valid(sub, colors):
+            colors[x] ^= 1
+            continue
+        phi = {old: colors[new] for old, new in remap.items()}
+        fits = (tuple(b.items()) for b in proof_order if valid(g, {**phi, **b}))
+        actions = _apply_extension(g, present, dict(phi), step)
+        assert actions == next(fits, None)
+        reached.add(actions)
+    assert reached == {((v4, C_SMALL),), ((v4, C_BIG),),
+                       ((u4, C_BIG), (v4, C_SMALL))}
+
+    # every vertex in the defect-1 class overloads the hub, whatever v4 gets
+    hopeless = {v: C_SMALL for v in remap}
+    with pytest.raises(ExtensionFailedError) as err:
+        _apply_extension(g, present, dict(hopeless), step)
+    assert err.value.step is step
+    assert err.value.phi == hopeless
 
 
 def test_color_theorem_instances():

@@ -5,8 +5,8 @@ import pytest
 
 from defcolor import fixtures as fx
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
-                                EmbeddedGraph, NonSimpleError, girth,
-                                induced_embedding)
+                                EmbeddedGraph, GraphError, NonSimpleError,
+                                girth, induced_embedding)
 from defcolor.generate import gen_planar_girth5
 
 from gadget_builders import gen_girth5_small
@@ -76,6 +76,13 @@ def test_twisted_cycle_is_projective():
     assert len(g.faces) == 1
     assert g.faces[0].degree == 10
     assert g.genus == 1
+
+
+def test_repeated_twist_rejected():
+    # two sign flips on one edge cancel; merging them would give genus 1
+    c5 = [[(i - 1) % 5, (i + 1) % 5] for i in range(5)]
+    with pytest.raises(GraphError, match="^twist 1-0 listed twice$"):
+        EmbeddedGraph(c5, twists=[(0, 1), (1, 0)])
 
 
 def test_girth_examples():
