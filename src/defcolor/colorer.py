@@ -436,6 +436,12 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     exists; on genus <= 1 inputs at t = 10 that is flagged as an anomaly.
     Every extension is validity-checked; the final coloring passes
     is_valid or an ExtensionFailedError is raised.
+
+    Of the faces of ``graph`` only the genus is read, for the default t
+    and the anomaly flag: that walks them once, inside this call, but
+    builds no Face (the kind-4 scan reads the faces of the residual
+    components, which are graphs of their own); the faces of ``graph``
+    are built by whichever face reader comes first.
     """
     if budget <= 0:
         raise ColoringError("budget must be positive")

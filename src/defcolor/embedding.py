@@ -5,30 +5,34 @@ optional set of "twisted" edges) determines a cellular embedding in a
 surface.  Faces are traced from the rotation data and the Euler genus
 follows from ``|V| - |E| + |F| = 2 - genus``.
 
-Faces are traced in one walk over states (u, v, s), the dart (u, v) in
-sense s.  In sense 0, after dart ``(u, v)`` comes ``(v, w)`` where ``w``
-follows ``u`` in the rotation of ``v``; in sense 1 ``w`` precedes it.
-Crossing a twisted edge flips the sense, which traces embeddings in
-non-orientable surfaces; with no twists every face is a sense-0 orbit of
-the successor rule.  Each face is walked once, from its least state in
-either direction, and the same walk records the face passages of every
-vertex and the sides of every edge.
+Faces are traced in one walk over integer states ``2*d + s``, dart d in
+sense s, where dart ``offset[u] + i`` is (u, rotation[u][i]).  In sense 0,
+after dart ``(u, v)`` comes ``(v, w)`` where ``w`` follows ``u`` in the
+rotation of ``v``; in sense 1 ``w`` precedes it.  Crossing a twisted edge
+flips the sense, which traces embeddings in non-orientable surfaces; with
+no twists every face is a sense-0 orbit of the successor rule.  Each face
+is walked once, from its least state in either direction.
 
-An EmbeddedGraph checks its input when it is built (ids in range, no
-loops or multi-edges, symmetric rotations, connected, twists that are
-edges) but traces no face: ``faces``, ``genus``, ``passages`` and
-``edge_sides`` run the walk on their first read, together with its
-integrity checks, and keep the result.  Adjacency queries never trace, so
-``check`` and ``solve`` walk no face and ``gen`` none of the graph it
-writes; ``color`` traces its input once when t defaults to
-``capacity(genus)`` or its fallback tests for an anomaly, and ``audit``
-and ``stats`` trace once.  The girth-5 gate
-``short_cycle`` is likewise computed on first use and cached.  Every
-query returns the same value whenever it is asked, so instances are safe
-to share between threads: two racing first reads each trace the same
-faces, and ``_faces``, the attribute that marks a graph as traced, is
-assigned only after the passages, sides and genus, so no reader sees
-half a trace.
+Faces are read on two levels.  ``genus`` needs only the face count: its
+first read runs the walk, with its integrity checks, and keeps the walk
+but builds no Face.  ``faces``, ``passages`` and ``edge_sides`` build the
+Face objects, the face passages of every vertex and the sides of every
+edge from that walk on their first read (walking first if nothing has),
+check the passages and keep the result, so a graph whose faces are
+read one query after another is walked once at most.  An
+EmbeddedGraph checks its input when it is built (ids in range, no loops
+or multi-edges, symmetric rotations, connected, twists that are edges)
+but walks no face, and adjacency queries never walk, so ``check`` and
+``solve`` walk no face and ``gen`` none of the graph it writes.  ``color``
+walks its input once and builds no face when t defaults to
+``capacity(genus)`` or its fallback tests for an anomaly; ``audit`` and
+``stats`` walk and build once.  The girth-5 gate ``short_cycle`` is
+likewise computed on first use and cached.  Every query returns the same
+value whenever it is asked, so instances are safe to share between
+threads: racing first reads each walk or build the same faces, the walk
+is published before the genus, and ``_faces``, the attribute that marks
+the faces as built, is assigned only after the passages and sides, so no
+reader sees half a result.
 
 Girth policy: any simple connected graph embeds, but color, audit and
 apply_rules need girth >= 5 and call require_girth5, which raises
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -95,7 +100,7 @@ class Face:
 
 
 class EmbeddedGraph:
-    """Simple connected graph with a rotation system; faces traced on demand.
+    """Simple connected graph with a rotation system; faces walked on demand.
 
     Parameters
     ----------
@@ -143,11 +148,13 @@ class EmbeddedGraph:
 
         self._check_connected()
         self._short_cycle: float | None = None
-        # Set by _trace on the first face read.  _faces is the "traced"
-        # flag, so _trace assigns it last.
+        # _walk sets _walked and then _genus on the first genus or face
+        # read; _build sets _passages, _sides and last _faces, the "built"
+        # flag, on the first face read, and then drops _walked.
+        self._walked: tuple[list[int], list[int]] | None = None
+        self._genus: int | None = None
         self._passages: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._sides: dict[Dart, list[tuple[int, int]]] | None = None
-        self._genus: int | None = None
         self._faces: tuple[Face, ...] | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -169,16 +176,16 @@ class EmbeddedGraph:
 
     @property
     def faces(self) -> tuple[Face, ...]:
-        """The faces in index order; traced on the first face read."""
+        """The faces in index order; built on the first face read."""
         if self._faces is None:
-            self._trace()
+            self._build()
         return self._faces
 
     @property
     def genus(self) -> int:
-        """Euler genus, 2 - (|V| - |E| + |F|)."""
-        if self._faces is None:
-            self._trace()
+        """Euler genus, 2 - (|V| - |E| + |F|); walks the faces, builds none."""
+        if self._genus is None:
+            self._walk()
         return self._genus
 
     def passages(self, v: int) -> tuple[tuple[int, int], ...]:
@@ -187,14 +194,14 @@ class EmbeddedGraph:
         A vertex has exactly degree(v) passages, counted with multiplicity.
         """
         if self._faces is None:
-            self._trace()
+            self._build()
         return self._passages[v]
 
     def edge_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """The two (face, position) sides of edge {u, v}: those walking the
         dart (u, v) first, then those walking (v, u)."""
         if self._faces is None:
-            self._trace()
+            self._build()
         return (tuple(self._sides.get((u, v), ()))
                 + tuple(self._sides.get((v, u), ())))
 
@@ -213,79 +220,102 @@ class EmbeddedGraph:
             raise DisconnectedError(
                 f"graph has {self.n - len(seen)} unreachable vertices")
 
-    def _trace(self) -> None:
-        """Trace the faces, check the result and publish it, faces last."""
-        faces, passages, sides = self._trace_faces()
-        genus = 2 - (self.n - len(self.edges) + len(faces))
-        if genus < 0:
-            raise AssertionError("face tracing produced negative genus")
-        for v in range(self.n):
-            if len(passages[v]) != len(self.rotation[v]):
-                raise AssertionError("face tracing lost a vertex passage")
-        self._passages, self._sides, self._genus = passages, sides, genus
-        self._faces = faces
+    def _walk(self) -> tuple[list[int], list[int]]:
+        """Walk every face once; publish the walk and the genus, and return
+        the walk: every walked state in face order, and where each face ends.
 
-    def _trace_faces(self) -> tuple[tuple[Face, ...],
-                                    tuple[tuple[tuple[int, int], ...], ...],
-                                    dict[Dart, list[tuple[int, int]]]]:
-        """Walk every face once; return the faces, passages and dart sides.
-
-        A walk state (u, v, s) is the dart (u, v) traversed in sense s:
-        sense 0 continues with the successor of u in the rotation of v,
-        sense 1 with its predecessor, and a twisted edge flips the sense.
-        Walking a face backwards visits the states (v, u, 1 ^ s ^ flip)
-        of its forward states, so the walk marks both as seen.  States
-        are tried in key order (s, u, v); the first unseen one is the
-        least state of its face in either direction and starts it.  Faces
-        therefore come out in index order, and each (face, position) is
-        appended to the passages of its tail and the sides of its dart as
-        the walk reaches it.  A walk that met its own reverse would stop
-        at a seen state short of its start and fail the closing check.
+        Dart ``offset[u] + i`` is (u, rotation[u][i]) and state ``2*d + s``
+        is dart d in sense s.  ``cross`` takes a state over its edge to the
+        reverse dart (v, u) in the sense that follows, flipped on a twisted
+        edge; ``turn`` then steps to the next (sense 0) or previous (sense
+        1) dart in the rotation of v.  Walking a face backwards visits
+        ``cross[x] ^ 1`` for each of its forward states x, so the walk marks
+        both as seen.  States are tried in key order (s, u, v); the first
+        unseen one is the least state of its face in either direction and
+        starts it, so faces come out in index order.  A walk that met its
+        own reverse would stop at a seen state short of its start and fail
+        the closing check.
         """
-        n = self.n
-        passages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        sides: dict[Dart, list[tuple[int, int]]] = {}
+        rot = self.rotation
+        walked: list[int] = []
+        ends: list[int] = []
         if not self.edges:
-            # A single vertex embeds in the sphere with one face.
-            return (Face(0, ()),), ((),), sides
-
-        succ: list[dict[int, int]] = []
-        pred: list[dict[int, int]] = []
-        for nbrs in self.rotation:
-            k = len(nbrs)
-            succ.append({nbrs[i]: nbrs[(i + 1) % k] for i in range(k)})
-            pred.append({nbrs[i]: nbrs[(i - 1) % k] for i in range(k)})
-        twisted = {d for u, v in self.twists for d in ((u, v), (v, u))}
-
-        seen: set[tuple[int, int, int]] = set()
-        faces: list[Face] = []
-        for s0 in (0, 1):
-            for u0 in range(n):
-                for v0 in sorted(self.rotation[u0]):
-                    start = (u0, v0, s0)
-                    if start in seen:
+            ends.append(0)  # a single vertex: the sphere with one empty face
+        else:
+            n, darts = self.n, 2 * len(self.edges)
+            # key[d] is u * n + v for dart d = (u, v); dart[key[d]] is d
+            key = [u * n + v for u, nbrs in enumerate(rot) for v in nbrs]
+            dart = dict(zip(key, range(darts)))
+            twisted = bytearray(darts)
+            for u, v in self.twists:
+                twisted[dart[u * n + v]] = twisted[dart[v * n + u]] = 1
+            reverse = [dart[v * n + u] for u, nbrs in enumerate(rot) for v in nbrs]
+            cross = [0] * (2 * darts)
+            cross[0::2] = [2 * r + t for r, t in zip(reverse, twisted)]
+            cross[1::2] = [x ^ 1 for x in cross[0::2]]
+            turn = [0] * (2 * darts)
+            turn[0::2] = range(2, 2 * darts + 2, 2)
+            turn[1::2] = range(-1, 2 * darts - 1, 2)
+            # darts a to b - 1 leave one vertex: wrap around its rotation
+            for a, b in pairwise(accumulate(map(len, rot), initial=0)):
+                turn[2 * b - 2] = 2 * a
+                turn[2 * a + 1] = 2 * b - 1
+            order = [2 * d for d in sorted(range(darts), key=key.__getitem__)]
+            seen = bytearray(2 * darts)
+            for s0 in (0, 1):
+                for start in order:
+                    start += s0
+                    if seen[start]:
                         continue
-                    index = len(faces)
-                    darts: list[Dart] = []
                     state = start
-                    while state not in seen:
-                        u, v, s = state
-                        flip = 1 if (u, v) in twisted else 0
-                        seen.add(state)
-                        seen.add((v, u, 1 ^ s ^ flip))
-                        side = (index, len(darts))
-                        passages[u].append(side)
-                        sides.setdefault((u, v), []).append(side)
-                        darts.append((u, v))
-                        s ^= flip
-                        state = (v, succ[v][u] if s == 0 else pred[v][u], s)
+                    while not seen[state]:
+                        seen[state] = 1
+                        walked.append(state)
+                        x = cross[state]
+                        seen[x ^ 1] = 1
+                        state = turn[x]
                     if state != start:
                         raise AssertionError("face walk did not close")
-                    faces.append(Face(index, tuple(darts)))
+                    ends.append(len(walked))
+            if len(walked) != darts:
+                raise AssertionError("face degrees do not sum to 2|E|")
+        genus = 2 - (self.n - len(self.edges) + len(ends))
+        if genus < 0:
+            raise AssertionError("face tracing produced negative genus")
+        self._walked = walked, ends
+        self._genus = genus
+        return walked, ends
 
-        if sum(f.degree for f in faces) != 2 * len(self.edges):
-            raise AssertionError("face degrees do not sum to 2|E|")
-        return tuple(faces), tuple(map(tuple, passages)), sides
+    def _build(self) -> None:
+        """Build the faces, passages and dart sides from the walk, check
+        the passages and publish them, faces last; then drop the walk."""
+        walk = self._walked
+        if walk is None:
+            if self._faces is not None:
+                return  # a racing reader built the faces and dropped the walk
+            walk = self._walk()
+        states, ends = walk
+        rot = self.rotation
+        pairs = [(u, v) for u, nbrs in enumerate(rot) for v in nbrs]
+        walked = [pairs[state >> 1] for state in states]
+        passages: list[list[tuple[int, int]]] = [[] for _ in rot]
+        sides: dict[Dart, list[tuple[int, int]]] = {}
+        faces = []
+        begin = 0
+        for index, end in enumerate(ends):
+            darts = tuple(walked[begin:end])
+            for pos, d in enumerate(darts):
+                side = (index, pos)
+                passages[d[0]].append(side)
+                sides.setdefault(d, []).append(side)
+            faces.append(Face(index, darts))
+            begin = end
+        for v, nbrs in enumerate(rot):
+            if len(passages[v]) != len(nbrs):
+                raise AssertionError("face tracing lost a vertex passage")
+        self._passages, self._sides = tuple(map(tuple, passages)), sides
+        self._faces = tuple(faces)
+        self._walked = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EmbeddedGraph(n={self.n}, m={len(self.edges)}, "
