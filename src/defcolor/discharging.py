@@ -18,9 +18,13 @@ elements without changing the total:
 
 Incidences are counted per boundary-walk occurrence, so a vertex
 visiting a face twice pays or collects twice.  All arithmetic is exact
-(fractions.Fraction).  The rules and the audit assume girth >= 5: both
-apply_rules and audit raise GirthTooSmallError below it
-(embedding.require_girth5), as color does.
+and no float is used anywhere: apply_rules accumulates charges in
+integer units of 1/_UNIT = 1/27720, the least common multiple of every
+denominator a rule can produce (2, and R3's count k <= d <= 11), and
+every public value (ledger entries, transfer amounts, claim and flag
+charges) is a fractions.Fraction.  The rules and the audit assume
+girth >= 5: both apply_rules and audit raise GirthTooSmallError below
+it (embedding.require_girth5), as color does.
 
 This module owns both degree thresholds.  The face patterns and rules
 R1-R8 read degrees through one symbol map: 2, 3, 4 and 5 stand for
@@ -50,10 +54,13 @@ face, and each 2-vertex has its other passage on another face.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .embedding import EmbeddedGraph, Face, require_girth5
@@ -61,10 +68,15 @@ from .embedding import EmbeddedGraph, Face, require_girth5
 HIGH_DEGREE = 12  # "high" in the face patterns and rules R1-R8
 MIN_T = 10        # smallest defect threshold the structural lemmas cover
 
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
-THREE_HALVES = Fraction(3, 2)
-TWO = Fraction(2)
+# One charge unit is 1/_UNIT.  R3 splits 2d - 6 over k <= d < HIGH_DEGREE
+# faces, so every amount below is a whole number of units.
+_UNIT = math.lcm(*range(1, HIGH_DEGREE))
+
+# The fixed amounts, each as (public Fraction, units).
+_HALF = (Fraction(1, 2), _UNIT // 2)
+_ONE = (Fraction(1), _UNIT)
+_THREE_HALVES = (Fraction(3, 2), 3 * _UNIT // 2)
+_TWO = (Fraction(2), 2 * _UNIT)
 
 
 def structural_thresholds(t: int) -> tuple[int, int]:
@@ -148,30 +160,29 @@ _PATTERNS = _pattern_table()
 _NO_MATCH: frozenset[FaceClass] = frozenset()
 
 
-def _matches(graph: EmbeddedGraph, verts: Sequence[int]) -> frozenset[FaceClass]:
+def _matches(deg: Sequence[int], verts: Sequence[int]) -> frozenset[FaceClass]:
     """Classes whose pattern the degrees around the cyclic verts match."""
-    word = "".join(_symbol(graph.degree(u)) for u in verts)
+    word = "".join(_symbol(deg[u]) for u in verts)
     return _PATTERNS.get(_canonical(word), _NO_MATCH)
 
 
-def _own_class(graph: EmbeddedGraph, face: Face) -> FaceClass:
+def _own_class(graph: EmbeddedGraph, deg: Sequence[int], face: Face) -> FaceClass:
     """The class a face's degree word, 4-vertices and, for X1, the outside
     neighbor of its 3-vertex give it, before any cross face is read."""
-    classes = _matches(graph, face.verts) if face.degree == 5 else _NO_MATCH
+    classes = _matches(deg, face.verts) if face.degree == 5 else _NO_MATCH
     if not classes:
         return FaceClass.PLAIN
     (cls,) = classes  # no two face words agree up to rotation or reversal
-    degree = graph.degree
     # vacuous for the rows whose word has no 4
-    if not all(cls in _matches(graph, graph.rotation[q])
-               for q in face.verts if degree(q) == 4):
+    if not all(cls in _matches(deg, graph.rotation[q])
+               for q in face.verts if deg[q] == 4):
         return FaceClass.PLAIN
     if cls is FaceClass.X1:
         # one outside neighbor, of degree 11-; below girth 5 (stats) a
         # chord can leave none
-        (three,) = (u for u in face.verts if degree(u) == 3)
+        (three,) = (u for u in face.verts if deg[u] == 3)
         ext = [u for u in graph.rotation[three] if u not in face.vert_set]
-        if len(ext) != 1 or degree(ext[0]) >= HIGH_DEGREE:
+        if len(ext) != 1 or deg[ext[0]] >= HIGH_DEGREE:
             return FaceClass.PLAIN
     return cls
 
@@ -185,12 +196,13 @@ def classify_faces(graph: EmbeddedGraph) -> tuple[FaceClass, ...]:
     has five distinct vertices, so each 2-vertex has one such face.
     """
     faces = graph.faces
-    own = [_own_class(graph, face) for face in faces]
+    deg = [len(nbrs) for nbrs in graph.rotation]
+    own = [_own_class(graph, deg, face) for face in faces]
     out = []
     for face, cls in zip(faces, own):
         cross = _FACE_TABLE[cls].cross if cls is not FaceClass.PLAIN else ()
         if cross:
-            found = tuple(own[fi] for w in face.verts if graph.degree(w) == 2
+            found = tuple(own[fi] for w in face.verts if deg[w] == 2
                           for fi, _ in graph.passages(w) if fi != face.index)
             if found not in (cross, cross[::-1]):
                 cls = FaceClass.PLAIN
@@ -217,8 +229,17 @@ def sponsor_instances(graph: EmbeddedGraph,
     if classes is None:
         classes = classify_faces(graph)
     faces = graph.faces
+    deg = [len(nbrs) for nbrs in graph.rotation]
+    # u1 and u4 are high neighbors of the edge's two ends
+    near_high = bytearray(graph.n)
+    for h, d in enumerate(deg):
+        if d >= HIGH_DEGREE:
+            for u in graph.rotation[h]:
+                near_high[u] = 1
     out = []
     for a, b in graph.edges:
+        if not (near_high[a] and near_high[b]):
+            continue
         sides = graph.edge_sides(a, b)
         if len(sides) != 2:
             continue
@@ -231,7 +252,7 @@ def sponsor_instances(graph: EmbeddedGraph,
             u2, u3 = face.darts[pos]
             u1 = face.verts[pos - 1]
             u4 = face.verts[(pos + 2) % n]
-            if graph.degree(u1) >= HIGH_DEGREE and graph.degree(u4) >= HIGH_DEGREE:
+            if deg[u1] >= HIGH_DEGREE and deg[u4] >= HIGH_DEGREE:
                 out.append(SponsorInstance(fi, f2i, (u2, u3), pos))
     return out
 
@@ -276,10 +297,30 @@ class Transfer:
     independent: bool | None = None
 
 
+def _initial(deg: Sequence[int], faces: Sequence[Face]) -> list[int]:
+    """Initial charges 2d(v) - 6 of the vertices, then d(f) - 6 of the faces."""
+    return [2 * d - 6 for d in deg] + [face.degree - 6 for face in faces]
+
+
+def _fractions(values: Sequence[int], denominator: int = 1) -> tuple[Fraction, ...]:
+    """Each value / denominator as a Fraction, built once per distinct value.
+
+    The cache is keyed by int: hashing a Fraction costs a modular inverse.
+    """
+    cache = {x: Fraction(x, denominator) for x in set(values)}
+    return tuple(map(cache.__getitem__, values))
+
+
+def _r3_share(d: int, k: int) -> tuple[Fraction, int]:
+    """R3's share (2d - 6)/k, as (Fraction, units)."""
+    return Fraction(2 * d - 6, k), (2 * d - 6) * _UNIT // k
+
+
 def initial_charges(graph: EmbeddedGraph) -> ChargeLedger:
     """Charges 2d(v) - 6 and d(f) - 6; the total equals 6*genus - 12."""
-    v = tuple(Fraction(2 * graph.degree(u) - 6) for u in range(graph.n))
-    f = tuple(Fraction(face.degree - 6) for face in graph.faces)
+    charges = _fractions(_initial([len(nbrs) for nbrs in graph.rotation],
+                                  graph.faces))
+    v, f = charges[:graph.n], charges[graph.n:]
     return ChargeLedger(v, f, v, f)
 
 
@@ -288,89 +329,98 @@ def apply_rules(graph: EmbeddedGraph,
                 ) -> tuple[ChargeLedger, list[Transfer]]:
     """Run R1-R8 and return the settled ledger plus the transfer log.
 
-    The log is sorted by rule id, then source, then witness.  Requires
+    The log is sorted by rule id, then source, target and witness.  As
+    each transfer is logged, its amount in integer units of 1/_UNIT
+    moves between two running charges, one per vertex and face; the
+    settled charges become Fractions once per distinct value.  Requires
     girth at least 5 (require_girth5).
     """
     require_girth5(graph, "apply_rules")
     if classes is None:
         classes = classify_faces(graph)
-    transfers: list[Transfer] = []
+    n, rotation, faces = graph.n, graph.rotation, graph.faces
+    deg = [len(nbrs) for nbrs in rotation]
+    initial = _initial(deg, faces)
+    net = [c * _UNIT for c in initial]  # vertex v at v, face fi at n + fi
+    # one log per rule; all but the sponsor rules' come out in key order,
+    # so the final sort of their concatenation mostly walks sorted runs
+    logs: dict[str, list[Transfer]] = defaultdict(list)
 
-    high_nbrs = [tuple(u for u in graph.rotation[v]
-                       if graph.degree(u) >= HIGH_DEGREE)
-                 for v in range(graph.n)]
-
-    faces = graph.faces
-
-    def face_has_high_nbr(fi: int, v: int) -> bool:
+    def carries(fi: int, high: list[int]) -> bool:
         vs = faces[fi].vert_set
-        return any(u in vs for u in high_nbrs[v])
+        return any(u in vs for u in high)
 
-    for v in range(graph.n):
-        d = graph.degree(v)
+    for v, d in enumerate(deg):
         sym = _symbol(d)
         if sym == "4":
-            for fi, pos in graph.passages(v):
-                transfers.append(Transfer("R1", ("v", v), ("f", fi), HALF, (pos,)))
-        elif sym == "5":
-            for fi, pos in graph.passages(v):
-                if classes[fi] is FaceClass.SPECIAL:
-                    transfers.append(Transfer("R2", ("v", v), ("f", fi),
-                                              THREE_HALVES, (pos,)))
-                elif not face_has_high_nbr(fi, v):
-                    transfers.append(Transfer("R2", ("v", v), ("f", fi), ONE, (pos,)))
-        elif sym == "M":
-            eligible = [(fi, pos) for fi, pos in graph.passages(v)
-                        if not face_has_high_nbr(fi, v)]
-            if eligible:
-                amount = Fraction(2 * d - 6, len(eligible))
-                for fi, pos in eligible:
-                    transfers.append(Transfer("R3", ("v", v), ("f", fi),
-                                              amount, (pos,)))
+            rule = "R1"
+            sends = [(fi, pos, _HALF) for fi, pos in graph.passages(v)]
         elif sym == "H":
-            for fi, pos in graph.passages(v):
-                amount = TWO if classes[fi].is_bad else THREE_HALVES
-                transfers.append(Transfer("R4", ("v", v), ("f", fi), amount, (pos,)))
-
-    instances = sponsor_instances(graph, classes)
-    coupled: set[tuple[int, int]] = set()
-    for inst in instances:
-        d2, d3 = graph.degree(inst.edge[0]), graph.degree(inst.edge[1])
-        pair = {d2, d3}
-        rule = amount = None
-        if d2 in (3, 4) and d3 in (3, 4):
-            rule, amount = "R6", ONE
-        elif pair == {2, 3} and classes[inst.f1] is not FaceClass.X1:
-            rule, amount = "R7", HALF
-        elif pair == {2, 4}:
-            rule, amount = (("R8A", HALF) if classes[inst.f1] is FaceClass.X2
-                            else ("R8B", ONE))
-        if rule is None:
+            rule = "R4"
+            sends = [(fi, pos, _TWO if classes[fi].is_bad else _THREE_HALVES)
+                     for fi, pos in graph.passages(v)]
+        elif sym == "5":
+            high = [u for u in rotation[v] if deg[u] >= HIGH_DEGREE]
+            rule = "R2"
+            sends = [(fi, pos, _THREE_HALVES
+                      if classes[fi] is FaceClass.SPECIAL else _ONE)
+                     for fi, pos in graph.passages(v)
+                     if classes[fi] is FaceClass.SPECIAL
+                     or not carries(fi, high)]
+        elif sym == "M":
+            high = [u for u in rotation[v] if deg[u] >= HIGH_DEGREE]
+            eligible = [(fi, pos) for fi, pos in graph.passages(v)
+                        if not carries(fi, high)]
+            rule = "R3"
+            share = _r3_share(d, len(eligible)) if eligible else None
+            sends = [(fi, pos, share) for fi, pos in eligible]
+        else:
             continue
-        transfers.append(Transfer(rule, ("f", inst.f1), ("f", inst.f2), amount,
-                                  (inst.edge[0], inst.edge[1], inst.position)))
-        if rule in ("R7", "R8A", "R8B"):
-            two_end = inst.edge[0] if d2 == 2 else inst.edge[1]
+        source, log = ("v", v), logs[rule].append
+        for fi, pos, (amount, units) in sends:
+            log(Transfer(rule, source, ("f", fi), amount, (pos,)))
+            net[v] -= units
+            net[n + fi] += units
+
+    coupled: set[tuple[int, int]] = set()
+    for inst in sponsor_instances(graph, classes):
+        u2, u3 = inst.edge
+        d2, d3 = deg[u2], deg[u3]
+        pair = {d2, d3}
+        if d2 in (3, 4) and d3 in (3, 4):
+            rule, (amount, units) = "R6", _ONE
+        elif pair == {2, 3} and classes[inst.f1] is not FaceClass.X1:
+            rule, (amount, units) = "R7", _HALF
+        elif pair == {2, 4}:
+            rule, (amount, units) = (("R8A", _HALF)
+                                     if classes[inst.f1] is FaceClass.X2
+                                     else ("R8B", _ONE))
+        else:
+            continue
+        logs[rule].append(Transfer(rule, ("f", inst.f1), ("f", inst.f2),
+                                   amount, (u2, u3, inst.position)))
+        net[n + inst.f1] -= units
+        net[n + inst.f2] += units
+        if rule != "R6":
+            two_end = u2 if d2 == 2 else u3
             coupled.add((inst.f1, two_end))
             coupled.add((inst.f2, two_end))
 
-    for face in faces:
-        for pos, u in enumerate(face.verts):
-            if graph.degree(u) == 2:
-                transfers.append(Transfer("R5", ("f", face.index), ("v", u), ONE,
-                                          (pos,),
-                                          independent=(face.index, u) not in coupled))
+    amount, units = _ONE
+    log = logs["R5"].append
+    for fi, face in enumerate(faces):
+        source = ("f", fi)
+        for u, pos in sorted((u, pos) for pos, u in enumerate(face.verts)
+                             if deg[u] == 2):
+            log(Transfer("R5", source, ("v", u), amount, (pos,),
+                         independent=(fi, u) not in coupled))
+            net[n + fi] -= units
+            net[u] += units
 
-    transfers.sort(key=lambda tr: (tr.rule, tr.source, tr.target, tr.witness))
-
-    initial = initial_charges(graph)
-    final = {"v": list(initial.vertex_initial), "f": list(initial.face_initial)}
-    for tr in transfers:
-        final[tr.source[0]][tr.source[1]] -= tr.amount
-        final[tr.target[0]][tr.target[1]] += tr.amount
-
-    ledger = ChargeLedger(initial.vertex_initial, initial.face_initial,
-                          tuple(final["v"]), tuple(final["f"]))
+    transfers = [tr for rule in sorted(logs) for tr in logs[rule]]
+    transfers.sort(key=attrgetter("rule", "source", "target", "witness"))
+    start, end = _fractions(initial), _fractions(net, _UNIT)
+    ledger = ChargeLedger(start[:n], start[n:], end[:n], end[n:])
     return ledger, transfers
 
 
@@ -433,40 +483,34 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
     classes = classify_faces(graph)
     ledger, transfers = apply_rules(graph, classes)
 
+    # a Fraction's sign is its numerator's, and reading it skips the
+    # generic comparison
     claims: list[ClaimViolation] = []
     for v, final in enumerate(ledger.vertex_final):
-        if final < 0:
+        if final.numerator < 0:
             claims.append(ClaimViolation("vertex-negative", ("v", v), final))
     for face, final in zip(graph.faces, ledger.face_final):
-        if face.degree >= 7:
-            if final <= 0:
+        d, sign = face.degree, final.numerator
+        if d >= 7:
+            if sign <= 0:
                 claims.append(ClaimViolation("face7-nonpositive",
                                              ("f", face.index), final))
-        elif face.degree == 6:
-            if final < 0:
-                claims.append(ClaimViolation("face6-negative",
-                                             ("f", face.index), final))
-        elif face.degree == 5:
-            if final < 0:
-                claims.append(ClaimViolation("face5-negative",
-                                             ("f", face.index), final))
-        elif final < 0:
-            claims.append(ClaimViolation("small-face-negative",
-                                         ("f", face.index), final))
+        elif sign < 0:
+            claim = {6: "face6-negative",
+                     5: "face5-negative"}.get(d, "small-face-negative")
+            claims.append(ClaimViolation(claim, ("f", face.index), final))
 
+    deg = [len(nbrs) for nbrs in graph.rotation]
     lemmas: list[LemmaViolation] = []
-    for v in range(graph.n):
-        d = graph.degree(v)
+    for v, d in enumerate(deg):
         if d <= 1:
             lemmas.append(LemmaViolation("min-degree", (v,)))
-        if d <= low and not any(graph.degree(u) >= high
-                                for u in graph.rotation[v]):
+        if d <= low and not any(deg[u] >= high for u in graph.rotation[v]):
             lemmas.append(LemmaViolation("vx-degree", (v,)))
     for u, v in graph.edges:
-        if graph.degree(u) == 2 and graph.degree(v) == 2:
+        if deg[u] == 2 and deg[v] == 2:
             lemmas.append(LemmaViolation("no-22", (u, v)))
-    for v in range(graph.n):
-        d = graph.degree(v)
+    for v, d in enumerate(deg):
         if d == 5:
             count = sum(1 for fi, _ in graph.passages(v)
                         if classes[fi] is FaceClass.SPECIAL)
@@ -482,14 +526,14 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
             if bad > bound:
                 lemmas.append(LemmaViolation("bad-faces-num", (v, bad)))
     if len(graph.edges) >= graph.n:  # connected with |E| >= |V|: has a cycle
-        high_count = sum(1 for v in range(graph.n) if graph.degree(v) >= high)
+        high_count = sum(1 for d in deg if d >= high)
         if high_count < 3:
             lemmas.append(LemmaViolation("vx-high-general", (high_count,)))
 
     floor = Fraction(2 * graph.genus) - Fraction(7, 2)
     flags = [HighVertexFlag(v, ledger.vertex_final[v], floor)
-             for v in range(graph.n)
-             if graph.degree(v) >= high and ledger.vertex_final[v] < floor]
+             for v, d in enumerate(deg)
+             if d >= high and ledger.vertex_final[v] < floor]
 
     return AuditReport(t, graph.genus, ledger, transfers, classes,
                        claims, lemmas, flags)

@@ -9,7 +9,9 @@ tracing via both orbits of every face, paired and then sorted (for
 comparison with the single walk in EmbeddedGraph), the exact solver as
 three recursive closures (for comparison with solve_exact's loop), and
 the generator's subdividable edges rebuilt from the whole builder (for
-comparison with its incrementally counted pool).
+comparison with its incrementally counted pool), and the discharging
+ledger settled by adding every transfer's Fraction amount one at a time
+(for comparison with apply_rules' integer charge units).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +28,7 @@ from defcolor.colorer import (ReductionKind, ReductionStep,
                               _find_terrible_reduction)
 from defcolor.coloring import (Coloring, ColoringError, SolveResult,
                                SolveStatus, validate_defects)
-from defcolor.discharging import structural_thresholds
+from defcolor.discharging import ChargeLedger, structural_thresholds
 from defcolor.embedding import EmbeddedGraph
 
 
@@ -291,3 +294,15 @@ def reference_solve(graph: EmbeddedGraph, defects: Sequence[int],
     if res == "out":
         return SolveResult(SolveStatus.UNKNOWN, None, nodes)
     return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
+
+
+def reference_ledger(graph: EmbeddedGraph, transfers) -> ChargeLedger:
+    """The charges 2d(v) - 6 and d(f) - 6, settled by adding and taking
+    each transfer's Fraction amount in turn."""
+    vertex = tuple(Fraction(2 * graph.degree(u) - 6) for u in range(graph.n))
+    face = tuple(Fraction(f.degree - 6) for f in graph.faces)
+    final = {"v": list(vertex), "f": list(face)}
+    for tr in transfers:
+        final[tr.source[0]][tr.source[1]] -= tr.amount
+        final[tr.target[0]][tr.target[1]] += tr.amount
+    return ChargeLedger(vertex, face, tuple(final["v"]), tuple(final["f"]))

@@ -1,12 +1,13 @@
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from defcolor import fixtures as fx
-from defcolor.discharging import (_PATTERNS, _canonical, _symbol,
-                                  FaceClass, apply_rules, audit,
-                                  classify_faces, format_fraction,
+from defcolor import discharging, fixtures as fx
+from defcolor.discharging import (_PATTERNS, _UNIT, HIGH_DEGREE, FaceClass,
+                                  _canonical, _r3_share, _symbol, apply_rules,
+                                  audit, classify_faces, format_fraction,
                                   initial_charges, ledger_csv,
                                   sponsor_instances, transfers_csv)
 from defcolor.embedding import EmbeddedGraph, GirthTooSmallError
@@ -15,6 +16,8 @@ from defcolor.generate import gen_planar_girth5
 
 from gadget_builders import (r2_gadget, r3_gadget, sponsor_face_pair,
                              sponsor_gadget)
+from oracles import reference_ledger
+from test_golden import FIXTURE_CASES, _fixture_graph
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
@@ -389,3 +392,85 @@ def test_rule_amounts_on_random_graphs():
                 assert t.amount == Fraction(2 * d - 6, k)
             else:
                 assert t.amount in allowed
+
+
+# -- integer charge units ----------------------------------------------------
+
+
+def test_unit_covers_every_rule_amount():
+    # derived from the threshold, so raising HIGH_DEGREE cannot truncate
+    # an R3 share
+    assert _UNIT == math.lcm(*range(1, HIGH_DEGREE))
+    amounts = [HALF, THREE_HALVES, Fraction(2)]
+    amounts += [Fraction(2 * d - 6, k)
+                for d in range(6, HIGH_DEGREE) for k in range(1, d + 1)]
+    assert all((x * _UNIT).denominator == 1 for x in amounts)
+    for value, units in (discharging._HALF, discharging._ONE,
+                         discharging._THREE_HALVES, discharging._TWO):
+        assert type(value) is Fraction and value * _UNIT == units
+    for d in range(6, HIGH_DEGREE):
+        for k in range(1, d + 1):
+            value, units = _r3_share(d, k)
+            assert value == Fraction(2 * d - 6, k) == Fraction(units, _UNIT)
+
+
+def _check_ledger(graph):
+    """apply_rules' ledger equals the per-transfer Fraction sums, and every
+    public charge is a Fraction."""
+    ledger, transfers = apply_rules(graph)
+    assert ledger == reference_ledger(graph, transfers)
+    for charges in (ledger.vertex_initial, ledger.face_initial,
+                    ledger.vertex_final, ledger.face_final):
+        assert all(type(x) is Fraction for x in charges)
+    assert all(type(tr.amount) is Fraction for tr in transfers)
+    assert ledger.total_final == ledger.total_initial == 6 * graph.genus - 12
+    return ledger, transfers
+
+
+@pytest.mark.parametrize("name, kwargs", FIXTURE_CASES)
+def test_ledger_matches_reference_on_fixtures(name, kwargs):
+    _check_ledger(_fixture_graph(name, kwargs))
+
+
+def test_ledger_matches_reference_on_corpus(corpus):
+    for graph in corpus[::10]:
+        _check_ledger(graph)
+
+
+def flower(d, blocked):
+    """A girth-5 planar flower: hub 0 of degree d, neighbors x_i = 1 + i,
+    and a petal path x_i - p_i - q_i - x_(i+1), so the hub's d faces are
+    the pentagons (hub, x_i, p_i, q_i, x_(i+1)).  x_1 .. x_(blocked-1)
+    get leaves in the outer face up to degree HIGH_DEGREE, which puts a
+    high neighbor of the hub on faces 0 .. blocked-1 (blocked >= 2)."""
+    pumped = range(1, blocked)
+    x = [1 + i for i in range(d)]
+    p = [1 + d + 2 * i for i in range(d)]
+    q = [2 + d + 2 * i for i in range(d)]
+    rotation = [x] + [None] * (3 * d)
+    for i in range(d):
+        leaves = []
+        if i in pumped:
+            leaves = list(range(len(rotation), len(rotation) + HIGH_DEGREE - 3))
+            rotation += [[x[i]]] * len(leaves)
+        rotation[x[i]] = [0, q[i - 1], *leaves, p[i]]
+        rotation[p[i]] = [x[i], q[i]]
+        rotation[q[i]] = [p[i], x[(i + 1) % d]]
+    return EmbeddedGraph(rotation)
+
+
+# A high neighbor lies on the faces of both hub angles beside it, so it
+# blocks at least two of the hub's passages: k = d - 1 cannot occur.
+R3_CASES = [(d, k) for d in range(6, HIGH_DEGREE)
+            for k in [*range(1, d - 1), d]]
+
+
+@pytest.mark.parametrize("d, k", R3_CASES)
+def test_every_r3_share_settles_exactly(d, k):
+    graph = flower(d, d - k) if k < d else flower(d, 0)
+    assert graph.genus == 0 and graph.degree(0) == d
+    assert [f.degree for f in graph.faces].count(5) == d
+    _, transfers = _check_ledger(graph)
+    r3 = transfers_from(transfers, "R3", ("v", 0))
+    assert len(r3) == k
+    assert all(tr.amount == Fraction(2 * d - 6, k) for tr in r3)

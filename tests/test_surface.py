@@ -2,9 +2,10 @@
 
 ``__all__`` must list exactly what ``defcolor/__init__.py`` imports, and
 every name in it must be bound.  ``bench/run.py --trace`` rebinds each
-``(module, attribute)`` of ``bench/spans.TRACED``; the tier-1 run does not
-collect ``bench/selftest.py``, so these checks keep a cut of the surface
-from silently breaking the tracer.
+``(module, attribute)`` of ``bench/spans.TRACED``, so ``audit`` must reach
+``apply_rules`` and ``sponsor_instances`` through the ``discharging`` module
+globals.  The tier-1 run does not collect ``bench/selftest.py``, so these
+checks keep a cut of the surface from silently breaking the tracer.
 """
 
 import ast
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 import defcolor
-from defcolor import colorer, embedding
+from defcolor import colorer, discharging, embedding, fixtures
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,3 +53,22 @@ def test_traced_names_resolve():
             assert callable(getattr(owner, attr)), (modname, attr)
     # the tracer's selftest rebinds the gate under the colorer's name
     assert colorer.girth is embedding.girth
+
+
+def test_audit_calls_the_traced_discharging_names(monkeypatch):
+    # the tracer sees audit's inner calls only through these module
+    # globals, and counts transfers as len(result[1]) of apply_rules
+    seen = {"apply_rules": [], "sponsor_instances": []}
+    for name, results in seen.items():
+        def counted(*args, _fn=getattr(discharging, name), _out=results,
+                    **kwargs):
+            _out.append(_fn(*args, **kwargs))
+            return _out[-1]
+        monkeypatch.setattr(discharging, name, counted)
+    report = discharging.audit(fixtures.terrible_face().graph)
+    assert {name: len(results) for name, results in seen.items()} == {
+        "apply_rules": 1, "sponsor_instances": 1}
+    ledger, transfers = seen["apply_rules"][0]
+    assert isinstance(ledger, discharging.ChargeLedger)
+    assert all(isinstance(tr, discharging.Transfer) for tr in transfers)
+    assert transfers == report.transfers and len(transfers) > 0
