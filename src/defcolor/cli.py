@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None,
                    help="defect threshold (default capacity(genus))")
     p.add_argument("--trace", default=None, help="write the reduction trace (JSON)")
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=int, default=10 ** 7,
+                   help="node budget of the fallback exact solve, given in "
+                        "full to each residual component (default 10^7)")
 
     p = sub.add_parser("audit", help="charge ledger, transfer log, and report")
     add_common(p)

@@ -434,6 +434,8 @@ def color(graph: EmbeddedGraph, t: int | None = None,
 
     The fallback exact solve only runs when no reducible configuration
     exists; on genus <= 1 inputs at t = 10 that is flagged as an anomaly.
+    It solves each connected component of the residual graph on its own,
+    and each of those solves gets the full ``budget`` of nodes.
     Every extension is validity-checked; the final coloring passes
     is_valid or an ExtensionFailedError is raised.
 

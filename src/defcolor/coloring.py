@@ -8,7 +8,11 @@ are the classes whose defects are 1 and 10.
 All functions are pure and safe to call from several threads at once.
 solve_exact is one loop over the search depth: it never recurses and
 leaves interpreter state (the recursion limit included) alone.  It is
-deterministic for fixed inputs.
+deterministic for fixed inputs.  It tries vertices in decreasing-degree
+order (ties by id); at each depth only the earlier vertices are assigned,
+so it reads only a vertex's earlier neighbors, and its table of classes
+to try is bounded by the largest number of earlier neighbors, not by the
+length of the defect vector.
 """
 
 from __future__ import annotations
@@ -62,6 +66,16 @@ def _total_assignment(graph: EmbeddedGraph, phi: Coloring) -> tuple[int, ...]:
     return phi.assignment
 
 
+def _defects_for(phi: Coloring, defects: Sequence[int] | None) -> tuple[int, ...]:
+    """The defect vector to check phi against: defects when given, else
+    phi's own; one entry per class of phi."""
+    d = validate_defects(defects) if defects is not None else phi.defects
+    if len(d) != phi.classes():
+        raise ColoringError(
+            f"defect vector has {len(d)} entries for {phi.classes()} classes")
+    return d
+
+
 def induced_max_degrees(graph: EmbeddedGraph, phi: Coloring) -> list[int]:
     """Maximum degree of each color class's induced subgraph (0 if empty)."""
     assign = _total_assignment(graph, phi)
@@ -77,11 +91,8 @@ def induced_max_degrees(graph: EmbeddedGraph, phi: Coloring) -> list[int]:
 def is_valid(graph: EmbeddedGraph, phi: Coloring,
              defects: Sequence[int] | None = None) -> bool:
     """True iff every class's induced maximum degree is within its defect."""
-    d = validate_defects(defects) if defects is not None else phi.defects
-    if len(d) != phi.classes():
-        raise ColoringError(
-            f"defect vector has {len(d)} entries for {phi.classes()} classes")
     degs = induced_max_degrees(graph, phi)
+    d = _defects_for(phi, defects)
     return all(degs[i] <= d[i] for i in range(len(d)))
 
 
@@ -90,7 +101,7 @@ def is_saturated(graph: EmbeddedGraph, phi: Coloring, v: int,
     """True iff v has exactly defect(class(v)) neighbors of its own class."""
     assign = _total_assignment(graph, phi)
     c = assign[v]
-    d = validate_defects(defects) if defects is not None else phi.defects
+    d = _defects_for(phi, defects)
     same = sum(1 for u in graph.rotation[v] if assign[u] == c)
     return same == d[c]
 
@@ -125,6 +136,15 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
     node counted against the budget.  FOUND results always pass is_valid;
     INFEASIBLE means the whole search space was exhausted; UNKNOWN means
     the node budget ran out first.
+
+    At depth i exactly the vertices at depths 0..i-1 are assigned, so the
+    loop works on depths, not ids, and each step reads only back[i], the
+    depths of v's earlier neighbors.  The classes to try after c come
+    from a table of (class, defect) pairs.  A vertex with b earlier
+    neighbors has an admissible class among any b + 1 classes (one holds
+    none of them), so with b_max the largest b, the search never
+    backtracks when r > b_max: the table keeps min(r, b_max + 1) + 1
+    rows of at most b_max + 1 pairs, bounded by the graph, not by r.
     """
     if budget <= 0:
         raise ColoringError("budget must be positive")
@@ -132,41 +152,51 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
     r = len(d)
     n = graph.n
     rotation = graph.rotation
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    assign = [-1] * n  # class of each vertex, -1 while unassigned
-    same = [0] * n  # same-class neighbors of each assigned vertex
+    order = sorted(range(n), key=lambda v: (-len(rotation[v]), v))
+    depth = [0] * n
+    for i, v in enumerate(order):
+        depth[v] = i
+    back = [tuple(depth[u] for u in rotation[v] if depth[u] < i)
+            for i, v in enumerate(order)]
+    span = max(map(len, back), default=0) + 1
+    steps = [tuple((c, d[c]) for c in range(k, min(r, k + span)))
+             for k in range(min(r, span) + 1)]  # steps[c + 1]: classes after c
+    assign = [-1] * n  # class at each depth, -1 while unassigned
+    same = [0] * n  # same-class neighbors at each assigned depth
     nodes = 0
     i = 0
     while 0 <= i < n:
-        v = order[i]
-        nbrs = rotation[v]
-        c = assign[v]
-        if c >= 0:  # backtracked here: take c off, then resume at c + 1
-            for u in nbrs:
+        bk = back[i]
+        c = assign[i]
+        # Backtracked here: take c off.  Every later depth is unassigned,
+        # so same[i] counts earlier neighbors only; at 0 there is none in c.
+        if c >= 0 and same[i]:
+            for u in bk:
                 if assign[u] == c:
                     same[u] -= 1
-        for c in range(c + 1, r):
+        for c, dc in steps[c + 1]:
             nodes += 1
             if nodes > budget:
                 return SolveResult(SolveStatus.UNKNOWN, None, nodes)
-            dc = d[c]
             cnt = 0
-            for u in nbrs:
+            for u in bk:
                 if assign[u] == c:
                     cnt += 1
                     if cnt > dc or same[u] >= dc:
                         break
             else:
-                assign[v] = c
-                same[v] = cnt
-                for u in nbrs:
-                    if assign[u] == c:
-                        same[u] += 1
+                assign[i] = c
+                same[i] = cnt
+                if cnt:
+                    for u in bk:
+                        if assign[u] == c:
+                            same[u] += 1
                 i += 1
                 break
         else:
-            assign[v] = -1
+            assign[i] = -1
             i -= 1
     if i < 0:
         return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
-    return SolveResult(SolveStatus.FOUND, Coloring(tuple(assign), d), nodes)
+    return SolveResult(SolveStatus.FOUND,
+                       Coloring(tuple(assign[k] for k in depth), d), nodes)

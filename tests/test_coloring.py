@@ -72,6 +72,24 @@ def test_is_saturated():
         is_saturated(path, Coloring((0, 0), (1, 10)), 1)
 
 
+def test_is_valid_and_is_saturated_reject_the_same_inputs():
+    g = fx.c5()
+    phi = Coloring((0, 1, 0, 1, 1), (1, 1))
+    message = "defect vector has 1 entries for 2 classes"
+    with pytest.raises(ColoringError, match=message):
+        is_valid(g, phi, (1,))
+    with pytest.raises(ColoringError, match=message):
+        is_saturated(g, phi, 4, (1,))
+    with pytest.raises(ColoringError, match="3 entries for 2 classes"):
+        is_saturated(g, phi, 0, (1, 1, 1))
+    # only a Coloring is accepted, by both checks alike
+    for check in (lambda psi: is_valid(g, psi), lambda psi: is_saturated(g, psi, 0)):
+        with pytest.raises(ColoringError, match="expected a Coloring"):
+            check({0: 0})
+        with pytest.raises(ColoringError, match="expected a Coloring"):
+            check([0, 1, 0, 1, 1])
+
+
 def test_saturated_implies_enough_neighbors():
     for seed in range(20):
         g = gen_girth5_small(seed, 10)
