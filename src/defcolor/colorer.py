@@ -16,27 +16,29 @@ are classified with the fixed high degree 12 of the face patterns.
 Each step takes the first configuration in a fixed search order: the
 lowest kind that occurs, and within it the smallest witness id (for
 kind 2 the smaller 2-vertex u, paired with its smallest 2-neighbor).
-_Residual keeps the shrinking graph and, for kinds 1-3, one min-heap of
-candidate ids.  Deleting a vertex re-offers only its present neighbors
-and their neighbors, and a heap entry is re-checked when it reaches the
-top, so the search costs O(sum of deg(v)^2 * log n) over the whole run
-instead of a rescan of the residual graph per step.  Kind 4 is still a
-whole-residual scan (induced_embedding and classify_faces per
-component); it runs only when all three heaps are empty.
+Both phases run on flat per-vertex lists.  _Residual keeps the shrinking
+graph as alive and deg lists and, for kinds 1-3, one min-heap of
+candidate ids, re-checked when an id reaches the top.  Deleting a vertex
+re-offers its present neighbors, and their neighbors only when a
+neighbor's degree has just fallen to 2 or to low: on girth >= 5 no
+other status can turn on (see _Residual).  The search costs
+O(sum of deg(v)^2 + m log n) over the run.  Kind 4 is a whole-residual
+scan (induced_embedding and classify_faces per component) that runs
+only when all three heaps are empty.
 
-On girth-5 graphs each extension is guaranteed to succeed, so the
-recursion yields a valid coloring with defects (1, t).  If no
-configuration exists the colorer falls back to the exact solver; with
-t = 10 on a genus <= 1 input that fallback is flagged as an anomaly,
-since such a graph would be a counterexample to the coloring theorem
-this machinery implements.
+If no configuration exists the colorer falls back to the exact solver;
+at t = 10 on genus <= 1 this is flagged as an anomaly: a counterexample.
 
-Each step extends back through its recoloring branches, listed by
-_moves in proof order as move lists ({vertex: class} dicts whose
-insertion order is the action order): one branch for kinds 1-3, the
-reduction's case analysis for kind 4.  _apply_extension tries them in
-turn, checks each locally (the changed vertices and their neighbors),
-undoes a branch that fails and keeps the first that holds.
+The extension walks the steps in reverse on a class list phi, -1 for
+uncolored: before each step the colored vertices are exactly the
+residual graph the step was found in, minus its deleted vertices, so
+phi is also the present set.  Each step's recoloring branches are
+tuples of (vertex, class) actions in proof order: one for kinds 1-3,
+the reduction's case analysis for kind 4 (_moves).  _apply_extension
+keeps the first branch under which the moved vertices and their colored
+neighbors keep within their defects, undoing those that fail; this costs
+O(sum of deg(v)^2) for kinds 1-3.  On girth-5 graphs a branch always
+fits, and the final coloring is checked with is_valid.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -67,10 +69,11 @@ class ExtensionFailedError(RuntimeError):
     bug or a counterexample to the reduction lemma that produced the step.
     """
 
-    def __init__(self, message: str, step: "ReductionStep", phi: dict):
+    def __init__(self, message: str, step: "ReductionStep", phi: list[int]):
         super().__init__(message)
         self.step = step
-        self.phi = dict(phi)
+        # phi is the class list at the failure, -1 for uncolored
+        self.phi = {v: c for v, c in enumerate(phi) if c >= 0}
 
 
 class ReductionKind(Enum):
@@ -129,115 +132,126 @@ def capacity(genus: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _present_neighbors(graph, present, v):
-    return [u for u in graph.rotation[v] if u in present]
-
-
 class _Residual:
     """The shrinking graph of a reduction run and its kind-1..3 worklist.
 
-    present and deg describe the residual graph.  heaps[k] holds the ids
-    of vertices that may be the kind-(k + 1) witness, each id at most
-    once (queued[k]); an entry is re-checked against the residual graph
-    when it reaches the top and dropped when stale.  Every vertex that
-    qualifies is queued: initially all qualifying vertices are, and a
-    deletion can only change the status of the deleted vertices' present
-    neighbors and their neighbors, which delete offers again.
+    alive[v] says whether v is still in the residual graph and deg[v] is
+    its residual degree, 0 once deleted (so neighbor scans need no alive
+    test).  heaps[k] holds the ids that may be the kind-(k + 1) witness,
+    each at most once (queued[k][v]), re-checked at the top and dropped
+    when stale.  Every qualifying vertex is queued: all are at the start,
+    and delete queues every vertex whose status a deletion turns on.
+
+    By girth >= 5 those are few.  A deletion lowers the degree of each
+    present neighbor u of a deleted vertex by exactly one (no vertex is
+    adjacent to both of a kind-2 pair: that closes a triangle) and no
+    other degree, so u is tested for every kind.  A vertex w further away
+    keeps its degree and kind-1 status; its kind-2 status can turn on only
+    through a neighbor u whose degree just became 2, its kind-3 status
+    only through one whose degree just became low.  delete tests u's
+    neighbors on these two triggers only; each fires at most once per u.
     """
 
     def __init__(self, graph: EmbeddedGraph, t: int):
         self.graph = graph
         self.t = t
         self.low, _ = structural_thresholds(t)
-        self.present = set(range(graph.n))
-        self.deg = [graph.degree(v) for v in range(graph.n)]
+        n = graph.n
+        self.alive = [True] * n
+        self.deg = deg = [len(nbrs) for nbrs in graph.rotation]
+        self.queued = (bytearray(d <= 1 for d in deg),
+                       bytearray(map(self._adjacent_two, range(n))),
+                       bytearray(map(self._all_low, range(n))))
         # ascending lists are already heaps
-        self.heaps = tuple([v for v in range(graph.n) if ok(self, v)]
-                           for ok in self._TESTS)
-        self.queued = tuple(set(heap) for heap in self.heaps)
-
-    def _degree_le1(self, v):
-        return v in self.present and self.deg[v] <= 1
-
-    def _two_neighbors(self, u):
-        return [w for w in self.graph.rotation[u]
-                if w in self.present and self.deg[w] == 2]
+        self.heaps = tuple([v for v, here in enumerate(queued) if here]
+                           for queued in self.queued)
 
     def _adjacent_two(self, u):
-        return (u in self.present and self.deg[u] == 2
-                and bool(self._two_neighbors(u)))
+        deg = self.deg
+        return deg[u] == 2 and 2 in [deg[w] for w in self.graph.rotation[u]]
 
     def _all_low(self, v):
         deg, low = self.deg, self.low
-        return (v in self.present and deg[v] <= low
-                and all(deg[u] <= low
-                        for u in _present_neighbors(self.graph, self.present, v)))
+        return (self.alive[v] and deg[v] <= low
+                and all(deg[u] <= low for u in self.graph.rotation[v]))
 
-    # Unbound, so that no instance refers to itself through its tests.
-    _TESTS = (_degree_le1, _adjacent_two, _all_low)
-
-    def _top(self, k):
-        heap, queued, ok = self.heaps[k], self.queued[k], self._TESTS[k]
-        while heap and not ok(self, heap[0]):
-            queued.discard(heappop(heap))
+    def _top(self, k, ok):
+        heap, queued = self.heaps[k], self.queued[k]
+        while heap and not ok(heap[0]):
+            queued[heappop(heap)] = 0
         return heap[0] if heap else None
 
-    def _offer(self, v):
-        for heap, queued, ok in zip(self.heaps, self.queued, self._TESTS):
-            if v not in queued and ok(self, v):
-                queued.add(v)
-                heappush(heap, v)
+    def _push(self, k, v):
+        queued = self.queued[k]
+        if not queued[v]:
+            queued[v] = 1
+            heappush(self.heaps[k], v)
+
+    def present(self) -> set[int]:
+        return {v for v, here in enumerate(self.alive) if here}
 
     def next_step(self) -> ReductionStep | None:
         """First reducible configuration of the residual graph in the fixed
         search order: kind 1 to 4, smallest witness id within a kind."""
         t = self.t
-        v = self._top(0)
+        # a kind-1 witness stays one until it is deleted
+        v = self._top(0, self.alive.__getitem__)
         if v is not None:
             return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
-        u = self._top(1)
+        u = self._top(1, self._adjacent_two)
         if u is not None:
+            pair = min(w for w in self.graph.rotation[u] if self.deg[w] == 2)
             return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
-                                 (u, min(self._two_neighbors(u))), {}, t)
-        v = self._top(2)
+                                 (u, pair), {}, t)
+        v = self._top(2, self._all_low)
         if v is not None:
             return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
                                  (v,), {}, t)
-        return _find_terrible_reduction(self.graph, self.present, self.deg, t)
+        return _find_terrible_reduction(self.graph, self.present(), self.deg, t)
 
     def delete(self, vertices: Sequence[int]) -> None:
-        """Remove vertices from the residual graph and re-offer every
-        vertex whose kind-1..3 status the removal can change."""
-        rotation, present, deg = self.graph.rotation, self.present, self.deg
+        """Remove vertices from the residual graph and queue every vertex
+        whose kind-1..3 status the removal turns on."""
+        rotation, alive, deg, low = (self.graph.rotation, self.alive,
+                                     self.deg, self.low)
         for v in vertices:
-            present.discard(v)
+            alive[v] = False
+            deg[v] = 0
             for u in rotation[v]:
-                if u in present:
+                if alive[u]:
                     deg[u] -= 1
+        push, all_low, lows = self._push, self._all_low, self.queued[2]
         for v in vertices:
-            for u in _present_neighbors(self.graph, present, v):
-                self._offer(u)
-                for w in _present_neighbors(self.graph, present, u):
-                    self._offer(w)
+            for u in rotation[v]:
+                if not alive[u]:
+                    continue
+                d = deg[u]
+                if d <= 1:
+                    push(0, u)
+                elif d == 2:  # first trigger: u pairs with its 2-neighbors
+                    for w in rotation[u]:
+                        if deg[w] == 2:
+                            push(1, u)
+                            push(1, w)
+                if d <= low:  # second trigger when d == low
+                    for w in (u, *rotation[u]) if d == low else (u,):
+                        if not lows[w] and all_low(w):
+                            push(2, w)
 
 
 def _components(graph, present):
-    seen = set()
-    comps = []
-    for start in range(graph.n):
-        if start not in present or start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in graph.rotation[v]:
-                if u in present and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
+    """Sorted components of the residual graph, by their least vertex."""
+    seen, comps = set(), []
+    for start in sorted(present):
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for v in comp:  # comp grows while it is walked
+                for u in graph.rotation[v]:
+                    if u in present and u not in seen:
+                        seen.add(u)
+                        comp.append(u)
+            comps.append(sorted(comp))
     return comps
 
 
@@ -282,12 +296,9 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
             u5 = next(u for u in sub.rotation[v5] if u != v)
             w4 = next((u for u in sub.rotation[u4]
                        if u not in (v4, u5) and sub.degree(u) <= low), None)
-            ring_two = []
-            for i in range(d):
-                vi = rot[i]
-                if sub.degree(vi) == 2 and vi != v4:
-                    ui = next(u for u in sub.rotation[vi] if u != v)
-                    ring_two.append((inv[vi], inv[ui]))
+            ring_two = tuple(
+                (inv[vi], inv[next(u for u in sub.rotation[vi] if u != v)])
+                for vi in rot if sub.degree(vi) == 2 and vi != v4)
             witness = {
                 "hub": inv[v],
                 "v4": inv[v4],
@@ -295,7 +306,7 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
                 "u5": inv[u5],
                 "w4": inv[w4] if w4 is not None else None,
                 "face": tuple(inv[u] for u in face.verts),
-                "ring_two": tuple(ring_two),
+                "ring_two": ring_two,
             }
             return ReductionStep(ReductionKind.TERRIBLE_RICH_HIGH_VERTEX,
                                  (inv[v4],), witness, t)
@@ -314,92 +325,76 @@ def find_reduction(graph: EmbeddedGraph, t: int = 10) -> ReductionStep | None:
 # ---------------------------------------------------------------------------
 
 
-def _same_class_count(graph, present, phi, v):
-    c = phi[v]
-    return sum(1 for u in graph.rotation[v]
-               if u in present and phi.get(u) == c)
+def _within_defects(rotation, phi, defects, move):
+    """Whether every moved vertex and colored neighbor keeps its defect."""
+    for x, _ in move:
+        for y in (x, *rotation[x]):
+            c = phi[y]
+            if c >= 0 and [phi[u] for u in rotation[y]].count(c) > defects[c]:
+                return False
+    return True
 
 
-def _first_invalid(graph, present, phi, t, changed):
-    """A vertex among changed and their present neighbors whose class
-    exceeds its defect in (1, t), or None when all are within bounds."""
-    defects = (1, t)
-    touched = set(changed)
-    for x in changed:
-        touched.update(u for u in graph.rotation[x] if u in present)
-    return next((x for x in touched
-                 if _same_class_count(graph, present, phi, x) > defects[phi[x]]),
-                None)
-
-
-def _moves(graph, present, phi, step) -> list[dict[int, int]]:
-    """The step's recoloring branches in proof order, each a
-    {vertex: class} move whose insertion order is the action order.
-    Kinds 1-3 have one branch each."""
-    def nbrs(v):
-        return _present_neighbors(graph, present, v)
-
-    kind = step.kind
-    if kind is ReductionKind.DEGREE_AT_MOST_ONE:
+def _moves(rotation, phi, step):
+    """The recoloring branches of a kind-3 or kind-4 step in proof order,
+    each a tuple of (vertex, class) actions in application order.  Kind 3
+    has one branch."""
+    if step.kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
         (v,) = step.deleted
-        around = nbrs(v)
-        return [{v: C_BIG if not around else 1 - phi[around[0]]}]
-    if kind is ReductionKind.ADJACENT_TWO_VERTICES:
-        # each 2-vertex takes the class opposite to its other neighbor
-        u, v = step.deleted
-        up = next(w for w in nbrs(u) if w != v)
-        vp = next(w for w in nbrs(v) if w != u)
-        return [{u: 1 - phi[up], v: 1 - phi[vp]}]
-    if kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
-        (v,) = step.deleted
-        around = nbrs(v)
-        if not any(phi[u] == C_SMALL for u in around):
-            return [{v: C_SMALL}]
+        around = [u for u in rotation[v] if phi[u] >= 0]
+        if C_SMALL not in [phi[u] for u in around]:
+            return [((v, C_SMALL),)]
         # saturated big-class neighbors move to the small class first
-        move = {u: C_SMALL for u in around
-                if phi[u] == C_BIG
-                and _same_class_count(graph, present, phi, u) == step.t}
-        move[v] = C_BIG
-        return [move]
+        return [tuple((u, C_SMALL) for u in around
+                      if phi[u] == C_BIG
+                      and [phi[x] for x in rotation[u]].count(C_BIG) == step.t)
+                + ((v, C_BIG),)]
     (v4,) = step.deleted
     w = step.witness
     u4, w4 = w["u4"], w["w4"]
-    moves = [
-        {v4: C_SMALL},
-        {v4: C_BIG},
-        {u4: C_SMALL, v4: C_BIG},
-        {u4: C_BIG, v4: C_SMALL},
-    ]
+    moves = [((v4, C_SMALL),), ((v4, C_BIG),),
+             ((u4, C_SMALL), (v4, C_BIG)), ((u4, C_BIG), (v4, C_SMALL))]
     if w4 is not None:
-        moves.append({w4: C_SMALL, u4: C_BIG, v4: C_SMALL})
-        moves.append({w4: C_SMALL, v4: C_BIG})
+        moves.append(((w4, C_SMALL), (u4, C_BIG), (v4, C_SMALL)))
+        moves.append(((w4, C_SMALL), (v4, C_BIG)))
     for vi, ui in w["ring_two"]:
-        moves.append({v4: C_BIG, vi: C_SMALL})
-        moves.append({v4: C_BIG, vi: C_SMALL, ui: C_BIG})
+        moves.append(((v4, C_BIG), (vi, C_SMALL)))
+        moves.append(((v4, C_BIG), (vi, C_SMALL), (ui, C_BIG)))
     return moves
 
 
-def _apply_extension(graph: EmbeddedGraph, present: set[int],
-                     phi: dict[int, int], step: ReductionStep
-                     ) -> tuple[tuple[int, int], ...]:
-    """Extend phi over step.deleted (already added back to present).
-
-    Tries the step's branches in proof order; the first one that keeps
-    every touched vertex within its defect is kept in phi and returned
-    as its (vertex, class) actions in application order.  A failed
-    branch is undone.  ExtensionFailedError is raised when no branch
-    fits, which no valid input should reach.
-    """
-    for move in _moves(graph, present, phi, step):
-        saved = {x: phi.get(x) for x in move}
-        phi.update(move)
-        if _first_invalid(graph, present, phi, step.t, move) is None:
-            return tuple(move.items())
-        for x, old in saved.items():
-            if old is None:
-                del phi[x]
-            else:
-                phi[x] = old
+def _apply_extension(graph: EmbeddedGraph, phi: list[int],
+                     step: ReductionStep) -> tuple[tuple[int, int], ...]:
+    """Extend phi over step.deleted, where phi[v] is v's class or -1 while
+    v is uncolored (the colored vertices are the step's residual graph
+    minus step.deleted).  The first branch in proof order that keeps every
+    touched vertex within its defect is kept in phi and returned as its
+    (vertex, class) actions; failed branches are undone, and when none
+    fits, which no valid input should reach, ExtensionFailedError is
+    raised."""
+    rotation = graph.rotation
+    kind = step.kind
+    if kind is ReductionKind.DEGREE_AT_MOST_ONE:
+        (v,) = step.deleted
+        around = [c for u in rotation[v] if (c := phi[u]) >= 0]
+        branches = [((v, 1 - around[0] if around else C_BIG),)]
+    elif kind is ReductionKind.ADJACENT_TWO_VERTICES:
+        # each 2-vertex takes the class opposite to its other neighbor
+        u, v = step.deleted
+        cu = next(c for w in rotation[u] if (c := phi[w]) >= 0)
+        cv = next(c for w in rotation[v] if (c := phi[w]) >= 0)
+        branches = [((u, 1 - cu), (v, 1 - cv))]
+    else:
+        branches = _moves(rotation, phi, step)
+    defects = (1, step.t)
+    for move in branches:
+        saved = [phi[x] for x, _ in move]
+        for x, c in move:
+            phi[x] = c
+        if _within_defects(rotation, phi, defects, move):
+            return move
+        for (x, _), old in zip(move, saved):
+            phi[x] = old
     raise ExtensionFailedError(
         f"no recoloring branch extends past {list(step.deleted)}", step, phi)
 
@@ -407,14 +402,22 @@ def _apply_extension(graph: EmbeddedGraph, present: set[int],
 def extend_coloring(graph: EmbeddedGraph, phi_sub: Mapping[int, int],
                     step: ReductionStep) -> Coloring:
     """Extend a valid (1, t)-coloring of graph minus step.deleted to all
-    of graph.  phi_sub maps the surviving vertex ids to classes 0/1."""
-    present = set(range(graph.n))
-    phi = dict(phi_sub)
-    missing = present - set(phi) - set(step.deleted)
+    of graph.  phi_sub maps the surviving vertex ids to classes 0/1;
+    classes it gives to step.deleted are ignored.  Raises ValueError when
+    a vertex id is outside 0..n-1, a class is not 0 or 1, or a surviving
+    vertex has no class."""
+    phi = [-1] * graph.n
+    for v, c in phi_sub.items():
+        if not 0 <= v < graph.n:
+            raise ValueError(f"phi_sub vertex {v} is not in 0..{graph.n - 1}")
+        if c not in (C_SMALL, C_BIG):
+            raise ValueError(f"phi_sub vertex {v} has class {c}, not 0 or 1")
+        phi[v] = -1 if v in step.deleted else int(c)
+    missing = [v for v, c in enumerate(phi) if c < 0 and v not in step.deleted]
     if missing:
-        raise ValueError(f"phi_sub misses vertices {sorted(missing)}")
-    _apply_extension(graph, present, phi, step)
-    coloring = Coloring(tuple(phi[v] for v in range(graph.n)), (1, step.t))
+        raise ValueError(f"phi_sub misses vertices {missing}")
+    _apply_extension(graph, phi, step)
+    coloring = Coloring(tuple(phi), (1, step.t))
     if not is_valid(graph, coloring):
         raise ExtensionFailedError("extension produced an invalid coloring",
                                    step, phi)
@@ -440,10 +443,8 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     is_valid or an ExtensionFailedError is raised.
 
     Of the faces of ``graph`` only the genus is read, for the default t
-    and the anomaly flag: that walks them once, inside this call, but
-    builds no Face (the kind-4 scan reads the faces of the residual
-    components, which are graphs of their own); the faces of ``graph``
-    are built by whichever face reader comes first.
+    and the anomaly flag, which builds no Face (the kind-4 scan reads the
+    faces of the residual components, graphs of their own).
     """
     if budget <= 0:
         raise ColoringError("budget must be positive")
@@ -452,20 +453,19 @@ def color(graph: EmbeddedGraph, t: int | None = None,
         t = capacity(graph.genus)
 
     residual = _Residual(graph, t)
-    present = residual.present
+    left = graph.n
     steps: list[ReductionStep] = []
-    fallback = False
-    anomaly = False
+    fallback = anomaly = False
     base: dict[int, int] = {}
     solve_status: SolveStatus | None = None
 
-    while present:
+    while left:
         step = residual.next_step()
         if step is None:
             fallback = True
             anomaly = graph.genus <= 1 and t == MIN_T
             solve_status = SolveStatus.FOUND
-            for comp in _components(graph, present):
+            for comp in _components(graph, residual.present()):
                 sub, remap = induced_embedding(graph, comp)
                 res = solve_exact(sub, (1, t), budget)
                 if not res.found:
@@ -476,18 +476,18 @@ def color(graph: EmbeddedGraph, t: int | None = None,
             break
         steps.append(step)
         residual.delete(step.deleted)
+        left -= len(step.deleted)
 
     entries: list[TraceEntry] = []
     coloring: Coloring | None = None
     if solve_status in (None, SolveStatus.FOUND):
-        phi = dict(base)
+        phi = [-1] * graph.n
+        for v, c in base.items():
+            phi[v] = c
         for step in reversed(steps):
-            for v in step.deleted:
-                present.add(v)
-            actions = _apply_extension(graph, present, phi, step)
-            entries.append(TraceEntry(step, actions))
+            entries.append(TraceEntry(step, _apply_extension(graph, phi, step)))
         entries.reverse()
-        coloring = Coloring(tuple(phi[v] for v in range(graph.n)), (1, t))
+        coloring = Coloring(tuple(phi), (1, t))
         if not is_valid(graph, coloring):
             raise ExtensionFailedError("final coloring invalid",
                                        steps[-1] if steps else None, phi)

@@ -1,5 +1,7 @@
-"""Small hand-built graphs exercising individual charge rules, and small
-seeded random girth-5 graphs for the solver and oracle tests."""
+"""Small hand-built graphs exercising individual charge rules and the
+colorer's re-offer triggers, small seeded random girth-5 graphs for the
+solver and oracle tests, and long-girth shapes (cycles, paths, trees,
+chorded cycles of Euler genus 2 and 3) for the colorer at t > 10."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from random import Random
 
 from defcolor.builder import PlanarBuilder
 from defcolor.embedding import EmbeddedGraph
-from defcolor.fixtures import find_face
+from defcolor.fixtures import DODECAHEDRON_ROTATION, find_face
 
 
 def _pump(b, v, target):
@@ -131,3 +133,85 @@ def gen_girth5_small(seed: int, n: int) -> EmbeddedGraph:
             nbrs[a].append(c)
             nbrs[c].append(a)
     return EmbeddedGraph(nbrs)
+
+
+# -- gate-heavy shapes: long girth, t = capacity(genus) up to 15 --------------
+
+
+def long_cycle(n: int) -> EmbeddedGraph:
+    return EmbeddedGraph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+
+
+def long_path(n: int) -> EmbeddedGraph:
+    return EmbeddedGraph([[u for u in (i - 1, i + 1) if 0 <= u < n]
+                          for i in range(n)])
+
+
+def random_tree(seed: int, n: int) -> EmbeddedGraph:
+    """Random recursive tree: vertex i hangs from a uniform earlier one."""
+    rng = Random(f"tree:{seed}:{n}")
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        p = rng.randrange(i)
+        nbrs[i].append(p)
+        nbrs[p].append(i)
+    return EmbeddedGraph(nbrs)
+
+
+def chorded_cycle(seed: int, n: int, chords: int,
+                  twisted: bool = False) -> EmbeddedGraph:
+    """C_n plus mutually crossing chords a -> a + n/2, each inserted on the
+    same side of the cycle at both ends, endpoints jittered by the seed.
+
+    Two chords give Euler genus 2; three with the first chord twisted give
+    non-orientable genus 3.  The girth is about n / chords.
+    """
+    rng = Random(f"chords:{seed}:{n}:{chords}")
+    rot = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    step = n // (2 * chords)
+    ends = []
+    for j in range(chords):
+        a = j * step + rng.randrange(max(1, step // 8))
+        rot[a].insert(1, a + n // 2)
+        rot[a + n // 2].insert(1, a)
+        ends.append((a, a + n // 2))
+    return EmbeddedGraph(rot, ends[:1] if twisted else [])
+
+
+# -- one graph per re-offer trigger of the colorer's worklist ----------------
+
+
+def two_trigger_gadget() -> EmbeddedGraph:
+    """Dodecahedron with one edge a-b subdivided twice, a - u - w - b, and a
+    leaf on u; w = 20 < u = 21.
+
+    The leaf goes first (kind 1).  That drops u to degree 2, which makes
+    w, a vertex away from the leaf, the smallest kind-2 witness: the next
+    step deletes (w, u) only if w was offered when u's degree became 2.
+    """
+    rot = [list(nbrs) for nbrs in DODECAHEDRON_ROTATION]
+    a = 0
+    b = rot[a][0]
+    w, u, leaf = 20, 21, 22
+    rot[a][0] = u
+    rot[b][rot[b].index(a)] = w
+    rot += [[u, b], [a, w, leaf], [u]]
+    return EmbeddedGraph(rot)
+
+
+def low_trigger_gadget() -> EmbeddedGraph:
+    """Subdivided wheel: hub h = 22 with spokes h - x_i - y_i (x_i = i,
+    y_i = 11 + i, i < 11), rim y_0 ... y_10, and a leaf 23 on h.
+
+    At t = 10 (low = 11) h has degree 12, so no x_i is all-low.  The leaf
+    goes first (kind 1) and drops h to 11, which makes every x_i, two
+    vertices away from the leaf, a kind-3 witness: the next step deletes
+    x_0 = 0 only if the x_i were offered when h's degree became low.
+    """
+    k = 11
+    hub, leaf = 2 * k, 2 * k + 1
+    rot = [[hub, k + i] for i in range(k)]
+    rot += [[i, k + (i - 1) % k, k + (i + 1) % k] for i in range(k)]
+    rot.append(list(range(k)) + [leaf])
+    rot.append([hub])
+    return EmbeddedGraph(rot)

@@ -64,6 +64,32 @@ def test_extend_degree_at_most_one():
     assert full.assignment[5] == C_SMALL  # opposite of the big-class center
 
 
+@pytest.mark.parametrize("extra, named", [
+    ({99: C_BIG}, "vertex 99"),    # past the last vertex
+    ({-1: C_BIG}, "vertex -1"),    # would alias the last vertex
+    ({0: 7}, "vertex 0"),          # no such class
+    ({0: -1}, "vertex 0"),         # would read as uncolored
+], ids=["id-99", "id-minus-1", "class-7", "class-minus-1"])
+def test_extend_coloring_rejects_foreign_ids_and_classes(extra, named):
+    g = fx.path_graph(4)  # u' - u - v - v'
+    step = ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), {}, 10)
+    phi = {0: C_SMALL, 3: C_SMALL, **extra}
+    with pytest.raises(ValueError, match=named) as err:
+        extend_coloring(g, phi, step)
+    # raised up front, not by the Coloring built after the extension
+    assert type(err.value) is ValueError
+
+
+def test_extend_coloring_stores_classes_as_ints():
+    # 1.0 and True equal the classes 1 and pass the check; they must not
+    # reach the defect lookup as a float index
+    g = fx.path_graph(4)
+    step = ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), {}, 10)
+    full = extend_coloring(g, {0: 1.0, 3: True}, step)
+    assert full.assignment == (1, 0, 0, 1)
+    assert all(type(c) is int for c in full.assignment)
+
+
 def test_extend_star_center_all_low():
     # deleting the center of K_{1,5} with every leaf in the defect-1
     # class forces the center into the big class
@@ -123,6 +149,14 @@ def test_terrible_reduction_detected_and_extended():
     assert is_valid(g, full)
 
 
+def _class_list(graph, phi):
+    """phi as _apply_extension takes it: a class per vertex, -1 for none."""
+    classes = [-1] * graph.n
+    for v, c in phi.items():
+        classes[v] = c
+    return classes
+
+
 def test_terrible_branches_tried_in_proof_order():
     # Valid colorings of the fixture minus v4, sampled by flips that keep
     # validity, must take the first branch of the proof order that keeps
@@ -151,7 +185,7 @@ def test_terrible_branches_tried_in_proof_order():
             continue
         phi = {old: colors[new] for old, new in remap.items()}
         fits = (tuple(b.items()) for b in proof_order if valid(g, {**phi, **b}))
-        actions = _apply_extension(g, present, dict(phi), step)
+        actions = _apply_extension(g, _class_list(g, phi), step)
         assert actions == next(fits, None)
         reached.add(actions)
     assert reached == {((v4, C_SMALL),), ((v4, C_BIG),),
@@ -160,7 +194,7 @@ def test_terrible_branches_tried_in_proof_order():
     # every vertex in the defect-1 class overloads the hub, whatever v4 gets
     hopeless = {v: C_SMALL for v in remap}
     with pytest.raises(ExtensionFailedError) as err:
-        _apply_extension(g, present, dict(hopeless), step)
+        _apply_extension(g, _class_list(g, hopeless), step)
     assert err.value.step is step
     assert err.value.phi == hopeless
 

@@ -10,9 +10,11 @@ from collections import Counter
 
 import pytest
 
-from defcolor.colorer import ReductionKind, color
+from defcolor.colorer import ReductionKind, ReductionStep, capacity, color
 
-from gadget_builders import gen_girth5_small
+from gadget_builders import (chorded_cycle, gen_girth5_small, long_cycle,
+                             long_path, low_trigger_gadget, random_tree,
+                             two_trigger_gadget)
 from oracles import reference_steps
 from test_golden import FIXTURE_CASES, _fixture_graph
 
@@ -25,6 +27,7 @@ def _assert_same_steps(graph, t, kinds):
     assert res.coloring is not None
     assert steps == reference_steps(graph, t)
     kinds.update(s.kind for s in steps)
+    return steps
 
 
 @pytest.mark.parametrize("t", THRESHOLDS)
@@ -55,3 +58,38 @@ def test_worklist_matches_rescan_on_corpus_slice(corpus, t):
     for graph in corpus[::10]:
         _assert_same_steps(graph, t, kinds)
     assert kinds[ReductionKind.ADJACENT_TWO_VERTICES] > 0
+
+
+GATE_SHAPES = (
+    [("cycle", long_cycle(n), 0) for n in (5, 6, 213, 217)]
+    + [("path", long_path(n), 0) for n in (1, 2, 243, 247)]
+    + [("tree", random_tree(seed, 270), 0) for seed in range(4)]
+    + [("chords-genus2", chorded_cycle(seed, 310, 2), 2) for seed in range(3)]
+    + [("twisted-genus3", chorded_cycle(seed, 440, 3, twisted=True), 3)
+       for seed in range(3)])
+
+
+@pytest.mark.parametrize("name, graph, genus", GATE_SHAPES,
+                         ids=[f"{name}-{g.n}" for name, g, _ in GATE_SHAPES])
+def test_worklist_matches_rescan_on_gate_shapes(name, graph, genus):
+    # long girth at the genus capacity: t = 11 on the genus-2 chords and
+    # t = 15 on the twisted genus-3 ones
+    assert graph.genus == genus
+    _assert_same_steps(graph, capacity(genus), Counter())
+
+
+def test_reoffer_when_a_neighbor_drops_to_degree_two():
+    g = two_trigger_gadget()
+    steps = _assert_same_steps(g, 10, Counter())
+    assert steps[:2] == [
+        ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (22,), {}, 10),
+        ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (20, 21), {}, 10)]
+
+
+def test_reoffer_when_a_hub_drops_to_low_degree():
+    g = low_trigger_gadget()
+    assert g.degree(22) == 12  # high at t = 10, low once its leaf is gone
+    steps = _assert_same_steps(g, 10, Counter())
+    assert steps[:2] == [
+        ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (23,), {}, 10),
+        ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), {}, 10)]
