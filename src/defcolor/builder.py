@@ -65,7 +65,7 @@ class PlanarBuilder:
         return out
 
     def graph(self) -> EmbeddedGraph:
-        return EmbeddedGraph([tuple(r) for r in self.rotations])
+        return EmbeddedGraph(self.rotations)
 
     # -- mutation ----------------------------------------------------------
 

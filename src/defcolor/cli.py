@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .colorer import color
@@ -144,17 +146,27 @@ def _json_container(brackets: str, members: list[str], pad: str) -> str:
     return brackets[0] + ",".join(members) + "\n" + pad + brackets[1]
 
 
+@cache
+def _step_template(kind: str, deleted: int, actions: int) -> str:
+    """The %-template of a trace step of this kind with this many deleted
+    vertices and actions, taking the deleted ids and then each action's
+    vertex and class.  Kept per shape: a step deletes one or two vertices
+    and moves a few, so the shapes are few."""
+    return _STEP % (encode_basestring_ascii(kind).replace("%", "%%"),
+                    _json_container("[]", [_DELETED] * deleted, "      "),
+                    _json_container("[]", [_ACTION] * actions, "      "))
+
+
 def _trace_json(trace) -> str:
     """The bytes of ``json.dumps(payload, indent=2)`` for the trace, whose
-    indenting encoder is the stdlib's slow pure-Python one: ints are
-    formatted directly and the kind strings by the C string encoder."""
+    indenting encoder is the stdlib's slow pure-Python one: each step fills
+    the template of its shape, kept once built, with its ints."""
     steps = []
     for e in trace.steps:
-        deleted = [_DELETED % v for v in e.step.deleted]
-        actions = [_ACTION % a for a in e.actions]
-        steps.append(_STEP % (encode_basestring_ascii(e.step.kind.value),
-                              _json_container("[]", deleted, "      "),
-                              _json_container("[]", actions, "      ")))
+        step = e.step
+        template = _step_template(step.kind.value, len(step.deleted),
+                                  len(e.actions))
+        steps.append(template % (*step.deleted, *chain.from_iterable(e.actions)))
     base = [f'\n    "{v}": {c}' for v, c in sorted(trace.base.items())]
     return (f'{{\n  "t": {trace.t},\n  "fallback": {json.dumps(trace.fallback)},'
             f'\n  "anomaly": {json.dumps(trace.anomaly)},'
@@ -205,7 +217,7 @@ def _cmd_stats(args) -> int:
     faces = Counter(f.degree for f in graph.faces)
     rows = [
         ("vertices", graph.n),
-        ("edges", len(graph.edges)),
+        ("edges", graph.m),
         ("faces", len(graph.faces)),
         ("girth", "acyclic" if g == float("inf") else int(g)),
         ("genus", graph.genus),

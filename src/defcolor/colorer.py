@@ -207,7 +207,7 @@ class _Residual:
         if v is not None:
             return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
                                  (v,), {}, t)
-        return _find_terrible_reduction(self.graph, self.present(), self.deg, t)
+        return _find_terrible_reduction(self.graph, self.present(), t)
 
     def delete(self, vertices: Sequence[int]) -> None:
         """Remove vertices from the residual graph and queue every vertex
@@ -256,7 +256,7 @@ def _components(graph, present):
 
 
 def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
-                             deg: Sequence[int], t: int) -> ReductionStep | None:
+                             t: int) -> ReductionStep | None:
     """Kind-(4) scan: a high vertex with too many incident Terrible faces.
 
     The deleted 2-vertex is picked so that the face three rotation steps

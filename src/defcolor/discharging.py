@@ -525,7 +525,7 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
                 lemmas.append(LemmaViolation("terrible-faces-num", (v, terr)))
             if bad > bound:
                 lemmas.append(LemmaViolation("bad-faces-num", (v, bad)))
-    if len(graph.edges) >= graph.n:  # connected with |E| >= |V|: has a cycle
+    if graph.m >= graph.n:  # connected with |E| >= |V|: has a cycle
         high_count = sum(1 for d in deg if d >= high)
         if high_count < 3:
             lemmas.append(LemmaViolation("vx-high-general", (high_count,)))

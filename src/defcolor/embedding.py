@@ -5,13 +5,22 @@ optional set of "twisted" edges) determines a cellular embedding in a
 surface.  Faces are traced from the rotation data and the Euler genus
 follows from ``|V| - |E| + |F| = 2 - genus``.
 
+The constructor numbers the darts once: dart ``offset[u] + i`` is (u,
+rotation[u][i]), looked up by its key ``u*n + v``.  Ids, loops,
+multi-edges, symmetry (every dart has a reverse) and twists are checked
+against that index and connectivity over a bytearray; a vertex-by-vertex
+scan runs only to name the first fault.  The graph keeps each dart's
+reverse and the twisted darts for the face walk, and counts its edges in
+``m``; ``edges``, the sorted edge tuple, is built on its first read, so
+parsing, ``color`` and ``check`` sort no edges.
+
 Faces are traced in one walk over integer states ``2*d + s``, dart d in
-sense s, where dart ``offset[u] + i`` is (u, rotation[u][i]).  In sense 0,
-after dart ``(u, v)`` comes ``(v, w)`` where ``w`` follows ``u`` in the
-rotation of ``v``; in sense 1 ``w`` precedes it.  Crossing a twisted edge
-flips the sense, which traces embeddings in non-orientable surfaces; with
-no twists every face is a sense-0 orbit of the successor rule.  Each face
-is walked once, from its least state in either direction.
+sense s.  In sense 0, after dart ``(u, v)`` comes ``(v, w)`` where ``w``
+follows ``u`` in the rotation of ``v``; in sense 1 ``w`` precedes it.
+Crossing a twisted edge flips the sense, which traces embeddings in
+non-orientable surfaces; with no twists every face is a sense-0 orbit of
+the successor rule.  Each face is walked once, from its least state in
+either direction.
 
 Faces are read on two levels.  ``genus`` needs only the face count: its
 first read runs the walk, with its integrity checks, and keeps the walk
@@ -19,20 +28,20 @@ but builds no Face.  ``faces``, ``passages`` and ``edge_sides`` build the
 Face objects, the face passages of every vertex and the sides of every
 edge from that walk on their first read (walking first if nothing has),
 check the passages and keep the result, so a graph whose faces are
-read one query after another is walked once at most.  An
-EmbeddedGraph checks its input when it is built (ids in range, no loops
-or multi-edges, symmetric rotations, connected, twists that are edges)
-but walks no face, and adjacency queries never walk, so ``check`` and
-``solve`` walk no face and ``gen`` none of the graph it writes.  ``color``
-walks its input once and builds no face when t defaults to
-``capacity(genus)`` or its fallback tests for an anomaly; ``audit`` and
-``stats`` walk and build once.  The girth-5 gate ``short_cycle`` is
-likewise computed on first use and cached.  Every query returns the same
-value whenever it is asked, so instances are safe to share between
-threads: racing first reads each walk or build the same faces, the walk
-is published before the genus, and ``_faces``, the attribute that marks
-the faces as built, is assigned only after the passages and sides, so no
-reader sees half a result.
+read one query after another is walked once at most.  Building an
+EmbeddedGraph walks no face, and adjacency queries never walk, so
+``check`` and ``solve`` walk no face and ``gen`` none of the graph it
+writes.  ``color`` walks its input once and builds no face when t
+defaults to ``capacity(genus)`` or its fallback tests for an anomaly;
+``audit`` and ``stats`` walk and build once.  The girth-5 gate
+``short_cycle`` is likewise computed on first use and cached.  Every
+query returns the same value whenever it is asked, so instances are safe
+to share between threads: racing first reads each walk or build the same
+faces, the walk is published before the genus, and ``_faces``, the
+attribute that marks the faces as built, is assigned only after the
+passages and sides, so no reader sees half a result.  Racing first reads
+of ``edges`` each build the same tuple and publish it finished, in one
+assignment.
 
 Girth policy: any simple connected graph embeds, but color, audit and
 apply_rules need girth >= 5 and call require_girth5, which raises
@@ -43,8 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, pairwise
-from operator import itemgetter
+from itertools import accumulate, chain, pairwise
+from operator import contains, itemgetter
 from typing import Iterable, Sequence
 
 
@@ -113,40 +122,53 @@ class EmbeddedGraph:
 
     def __init__(self, rotation: Sequence[Sequence[int]],
                  twists: Iterable[tuple[int, int]] = ()) -> None:
-        rot = tuple(tuple(nbrs) for nbrs in rotation)
+        rot = tuple(map(tuple, rotation))
         n = len(rot)
         if n == 0:
             raise GraphError("graph must have at least one vertex")
-        for v, nbrs in enumerate(rot):
-            for u in nbrs:
-                if not isinstance(u, int) or not (0 <= u < n):
-                    raise GraphError(f"vertex {v}: neighbor id {u!r} out of range")
-                if u == v:
-                    raise NonSimpleError(f"vertex {v} lists itself (loop)")
-            if len(set(nbrs)) != len(nbrs):
-                raise NonSimpleError(f"vertex {v} repeats a neighbor (multi-edge)")
-        nbr_sets = tuple(frozenset(nbrs) for nbrs in rot)
-        for v, nbrs in enumerate(rot):
-            for u in nbrs:
-                if v not in nbr_sets[u]:
-                    raise AsymmetricError(f"{v} lists {u} but {u} does not list {v}")
+        heads = list(chain.from_iterable(rot))
+        if heads and not ({*map(type, heads)} <= {int}
+                          and min(heads) >= 0 and max(heads) < n):
+            _name_fault(rot)  # returns on bool ids, which are ints
+        darts = len(heads)
+        # dart d = (u, v) has key u * n + v, and dart[key] is d
+        dart = dict(zip([u * n + v for u, nbrs in enumerate(rot) for v in nbrs],
+                        range(darts)))
+        reverse = [dart.get(v * n + u, -1) for u, nbrs in enumerate(rot) for v in nbrs]
+        if (len(dart) < darts or -1 in reverse
+                or any(map(contains, rot, range(n)))):
+            _name_fault(rot)  # a repeated dart, a dart without reverse, a loop
+
+        twisted = bytearray(darts)
+        tw = []
+        for u, v in twists:
+            a, b = min(u, v), max(u, v)
+            if a == b or b >= n or a < 0 or b not in rot[a]:
+                raise GraphError(f"twist {u}-{v} is not an edge")
+            d = dart[a * n + b]
+            if twisted[d]:  # two sign flips would cancel, not merge
+                raise GraphError(f"twist {u}-{v} listed twice")
+            twisted[d] = twisted[reverse[d]] = 1
+            tw.append((a, b))
+
+        seen = bytearray(n)
+        seen[0] = 1
+        reached = [0]
+        for v in reached:  # reached grows while it is walked
+            for u in rot[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    reached.append(u)
+        if len(reached) != n:
+            raise DisconnectedError(
+                f"graph has {n - len(reached)} unreachable vertices")
 
         self.n = n
+        self.m = darts // 2
         self.rotation = rot
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            sorted((v, u) for v in range(n) for u in rot[v] if v < u))
-
-        tw = set()
-        for u, v in twists:
-            e = (min(u, v), max(u, v))
-            if e[0] == e[1] or e[1] >= n or e[0] < 0 or e[1] not in nbr_sets[e[0]]:
-                raise GraphError(f"twist {u}-{v} is not an edge")
-            if e in tw:  # two sign flips would cancel, not merge
-                raise GraphError(f"twist {u}-{v} listed twice")
-            tw.add(e)
         self.twists: frozenset[tuple[int, int]] = frozenset(tw)
-
-        self._check_connected()
+        self._reverse, self._twisted = reverse, twisted
+        self._edges: tuple[tuple[int, int], ...] | None = None
         self._short_cycle: float | None = None
         # _walk sets _walked and then _genus on the first genus or face
         # read; _build sets _passages, _sides and last _faces, the "built"
@@ -161,6 +183,16 @@ class EmbeddedGraph:
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v), u < v, in sorted order; built on first read."""
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = tuple(sorted(
+                (u, v) for u, nbrs in enumerate(self.rotation)
+                for v in nbrs if u < v))
+        return edges
 
     @property
     def short_cycle(self) -> float:
@@ -207,27 +239,15 @@ class EmbeddedGraph:
 
     # -- construction internals ------------------------------------------
 
-    def _check_connected(self) -> None:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self.rotation[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != self.n:
-            raise DisconnectedError(
-                f"graph has {self.n - len(seen)} unreachable vertices")
-
     def _walk(self) -> tuple[list[int], list[int]]:
         """Walk every face once; publish the walk and the genus, and return
         the walk: every walked state in face order, and where each face ends.
 
-        Dart ``offset[u] + i`` is (u, rotation[u][i]) and state ``2*d + s``
-        is dart d in sense s.  ``cross`` takes a state over its edge to the
-        reverse dart (v, u) in the sense that follows, flipped on a twisted
-        edge; ``turn`` then steps to the next (sense 0) or previous (sense
+        Dart ``offset[u] + i`` is (u, rotation[u][i]), as numbered by the
+        constructor, which also found each dart's reverse and marked the
+        twisted ones.  State ``2*d + s`` is dart d in sense s.  ``cross``
+        takes a state over its edge to the reverse dart (v, u) in the sense
+        that follows, flipped on a twisted edge; ``turn`` then steps to the next (sense 0) or previous (sense
         1) dart in the rotation of v.  Walking a face backwards visits
         ``cross[x] ^ 1`` for each of its forward states x, so the walk marks
         both as seen.  States are tried in key order (s, u, v); the first
@@ -239,19 +259,13 @@ class EmbeddedGraph:
         rot = self.rotation
         walked: list[int] = []
         ends: list[int] = []
-        if not self.edges:
+        if not self.m:
             ends.append(0)  # a single vertex: the sphere with one empty face
         else:
-            n, darts = self.n, 2 * len(self.edges)
-            # key[d] is u * n + v for dart d = (u, v); dart[key[d]] is d
+            n, darts = self.n, 2 * self.m
             key = [u * n + v for u, nbrs in enumerate(rot) for v in nbrs]
-            dart = dict(zip(key, range(darts)))
-            twisted = bytearray(darts)
-            for u, v in self.twists:
-                twisted[dart[u * n + v]] = twisted[dart[v * n + u]] = 1
-            reverse = [dart[v * n + u] for u, nbrs in enumerate(rot) for v in nbrs]
             cross = [0] * (2 * darts)
-            cross[0::2] = [2 * r + t for r, t in zip(reverse, twisted)]
+            cross[0::2] = [2 * r + t for r, t in zip(self._reverse, self._twisted)]
             cross[1::2] = [x ^ 1 for x in cross[0::2]]
             turn = [0] * (2 * darts)
             turn[0::2] = range(2, 2 * darts + 2, 2)
@@ -279,7 +293,7 @@ class EmbeddedGraph:
                     ends.append(len(walked))
             if len(walked) != darts:
                 raise AssertionError("face degrees do not sum to 2|E|")
-        genus = 2 - (self.n - len(self.edges) + len(ends))
+        genus = 2 - (self.n - self.m + len(ends))
         if genus < 0:
             raise AssertionError("face tracing produced negative genus")
         self._walked = walked, ends
@@ -318,8 +332,28 @@ class EmbeddedGraph:
         self._walked = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"EmbeddedGraph(n={self.n}, m={len(self.edges)}, "
+        return (f"EmbeddedGraph(n={self.n}, m={self.m}, "
                 f"f={len(self.faces)}, genus={self.genus})")
+
+
+def _name_fault(rot: tuple[tuple[int, ...], ...]) -> None:
+    """Raise the first fault of a rotation system, scanning vertex by
+    vertex: a neighbor id that is not an int in range, a loop or a repeated
+    neighbor, and then a neighbor that does not list the vertex back.
+    Returns if there is none."""
+    n = len(rot)
+    for v, nbrs in enumerate(rot):
+        for u in nbrs:
+            if not isinstance(u, int) or not (0 <= u < n):
+                raise GraphError(f"vertex {v}: neighbor id {u!r} out of range")
+            if u == v:
+                raise NonSimpleError(f"vertex {v} lists itself (loop)")
+        if len(set(nbrs)) != len(nbrs):
+            raise NonSimpleError(f"vertex {v} repeats a neighbor (multi-edge)")
+    for v, nbrs in enumerate(rot):
+        for u in nbrs:
+            if v not in rot[u]:
+                raise AsymmetricError(f"{v} lists {u} but {u} does not list {v}")
 
 
 def girth(graph: EmbeddedGraph, below: float = math.inf) -> float:

@@ -9,6 +9,13 @@ most once.  Rotation order round-trips exactly.
 
 Coloring document: ``coloring <n> defects <d1>,<d2>,...`` then one line
 ``<vertex> <class>`` per vertex with 1-based class indices.
+
+Both parsers read each body line first as a vertex line, straight into
+ints; only a line that does not read as one is told apart as a twist,
+comment, blank or faulty line.  ``parse_graph`` hands the rotation to
+``EmbeddedGraph``, whose dart index checks it and serves the face walk
+later, and compares the header's edge count with ``EmbeddedGraph.m``, so
+it sorts no edges.
 """
 
 from __future__ import annotations
@@ -50,46 +57,48 @@ def parse_graph(text: str) -> EmbeddedGraph:
         raise ParseError(1, f"unknown header flag {head[3]!r}")
     _check_vertex_count(n, lines)
 
-    rotation: list[list[int] | None] = [None] * n
+    rotation: list[tuple[int, ...] | None] = [None] * n
     twists: dict[tuple[int, int], tuple[int, int]] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
+    for lineno, line in enumerate(lines[1:], start=2):
+        left, colon, right = line.partition(":")
+        if colon:
+            try:
+                v = int(left)
+                nbrs = tuple(map(int, right.split()))
+            except ValueError:
+                pass
+            else:
+                if not (0 <= v < n):
+                    raise ParseError(lineno, f"vertex id {v} out of range 0..{n - 1}")
+                if rotation[v] is not None:
+                    raise ParseError(lineno, f"vertex {v} listed twice")
+                rotation[v] = nbrs
+                continue
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("twist"):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(lineno, "expected 'twist <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "twist endpoints must be integers") from None
-            # Two sign flips on one edge cancel; a set would keep one.
-            key = (min(u, v), max(u, v))
-            if key in twists:
-                raise ParseError(lineno, f"twist {u}-{v} listed twice")
-            twists[key] = (u, v)
-            continue
-        if ":" not in line:
-            raise ParseError(lineno, "expected '<vertex>: <neighbors>'")
-        left, _, right = line.partition(":")
+        if not line.startswith("twist"):  # no vertex line, comment or twist
+            raise ParseError(lineno, "vertex ids must be integers" if colon
+                             else "expected '<vertex>: <neighbors>'")
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(lineno, "expected 'twist <u> <v>'")
         try:
-            v = int(left)
-            nbrs = [int(x) for x in right.split()]
+            u, v = int(parts[1]), int(parts[2])
         except ValueError:
-            raise ParseError(lineno, "vertex ids must be integers") from None
-        if not (0 <= v < n):
-            raise ParseError(lineno, f"vertex id {v} out of range 0..{n - 1}")
-        if rotation[v] is not None:
-            raise ParseError(lineno, f"vertex {v} listed twice")
-        rotation[v] = nbrs
+            raise ParseError(lineno, "twist endpoints must be integers") from None
+        # Two sign flips on one edge cancel; a set would keep one.
+        key = (min(u, v), max(u, v))
+        if key in twists:
+            raise ParseError(lineno, f"twist {u}-{v} listed twice")
+        twists[key] = (u, v)
 
     missing = [v for v in range(n) if rotation[v] is None]
     if missing:
         raise ParseError(len(lines), f"missing rotation lines for {missing[:5]}")
     graph = EmbeddedGraph(rotation, twists.values())  # type: ignore[arg-type]
-    if len(graph.edges) != m:
-        raise ParseError(1, f"header says {m} edges, found {len(graph.edges)}")
+    if graph.m != m:
+        raise ParseError(1, f"header says {m} edges, found {graph.m}")
     if check_girth and graph.short_cycle < 5:
         raise GirthTooSmallError(
             f"document declares girth5 but girth is {graph.short_cycle}")
@@ -98,7 +107,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
 
 def serialize_graph(graph: EmbeddedGraph, declare_girth5: bool = False) -> str:
     flag = " girth5" if declare_girth5 else ""
-    lines = [f"graph {graph.n} {len(graph.edges)}{flag}"]
+    lines = [f"graph {graph.n} {graph.m}{flag}"]
     for v in range(graph.n):
         lines.append(f"{v}: " + " ".join(str(u) for u in graph.rotation[v]))
     for u, v in sorted(graph.twists):
@@ -120,16 +129,15 @@ def parse_coloring(text: str) -> Coloring:
         raise ParseError(1, "bad counts or defect vector") from None
     _check_vertex_count(n, lines)
     assign: list[int | None] = [None] * n
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(lineno, "expected '<vertex> <class>'")
+    for lineno, line in enumerate(lines[1:], start=2):
         try:
-            v, c = int(parts[0]), int(parts[1])
+            v, c = map(int, line.split())
         except ValueError:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if len(line.split()) != 2:
+                raise ParseError(lineno, "expected '<vertex> <class>'") from None
             raise ParseError(lineno, "expected integers") from None
         if not (0 <= v < n):
             raise ParseError(lineno, f"vertex id {v} out of range")

@@ -9,9 +9,12 @@ tracing via both orbits of every face, paired and then sorted (for
 comparison with the single walk in EmbeddedGraph), the exact solver as
 three recursive closures (for comparison with solve_exact's loop), and
 the generator's subdividable edges rebuilt from the whole builder (for
-comparison with its incrementally counted pool), and the discharging
+comparison with its incrementally counted pool), the discharging
 ledger settled by adding every transfer's Fraction amount one at a time
-(for comparison with apply_rules' integer charge units).
+(for comparison with apply_rules' integer charge units), and graph
+documents parsed by a line loop that sorts each line into comment, twist
+or vertex line before reading it and checked vertex by vertex with sets
+(for comparison with parse_graph and EmbeddedGraph's dart index).
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +33,10 @@ from defcolor.colorer import (ReductionKind, ReductionStep,
 from defcolor.coloring import (Coloring, ColoringError, SolveResult,
                                SolveStatus, validate_defects)
 from defcolor.discharging import ChargeLedger, structural_thresholds
-from defcolor.embedding import EmbeddedGraph
+from defcolor.embedding import (AsymmetricError, DisconnectedError,
+                                EmbeddedGraph, GirthTooSmallError, GraphError,
+                                NonSimpleError)
+from defcolor.graphio import ParseError, _check_vertex_count
 
 
 def girth_oracle(graph) -> float:
@@ -128,7 +135,7 @@ def reference_scan(graph, present, deg, t):
             if all(deg[u] <= low for u in graph.rotation[v] if u in present):
                 return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
                                      (v,), {}, t)
-    return _find_terrible_reduction(graph, present, deg, t)
+    return _find_terrible_reduction(graph, present, t)
 
 
 def reference_steps(graph, t):
@@ -306,3 +313,117 @@ def reference_ledger(graph: EmbeddedGraph, transfers) -> ChargeLedger:
         final[tr.source[0]][tr.source[1]] -= tr.amount
         final[tr.target[0]][tr.target[1]] += tr.amount
     return ChargeLedger(vertex, face, tuple(final["v"]), tuple(final["f"]))
+
+
+def reference_embedding(rotation: Sequence[Sequence[int]],
+                        twists: Iterable[tuple[int, int]] = ()) -> SimpleNamespace:
+    """EmbeddedGraph's input checks, vertex by vertex with sets: ids in
+    range, then loops and multi-edges, then symmetry, then twists, then
+    connectivity.  Returns n, rotation, twists, the sorted edges and the
+    genus from reference_faces."""
+    rot = tuple(tuple(nbrs) for nbrs in rotation)
+    n = len(rot)
+    if n == 0:
+        raise GraphError("graph must have at least one vertex")
+    for v, nbrs in enumerate(rot):
+        for u in nbrs:
+            if not isinstance(u, int) or not (0 <= u < n):
+                raise GraphError(f"vertex {v}: neighbor id {u!r} out of range")
+            if u == v:
+                raise NonSimpleError(f"vertex {v} lists itself (loop)")
+        if len(set(nbrs)) != len(nbrs):
+            raise NonSimpleError(f"vertex {v} repeats a neighbor (multi-edge)")
+    nbr_sets = tuple(frozenset(nbrs) for nbrs in rot)
+    for v, nbrs in enumerate(rot):
+        for u in nbrs:
+            if v not in nbr_sets[u]:
+                raise AsymmetricError(f"{v} lists {u} but {u} does not list {v}")
+    edges = tuple(sorted((v, u) for v in range(n) for u in rot[v] if v < u))
+
+    tw = set()
+    for u, v in twists:
+        e = (min(u, v), max(u, v))
+        if e[0] == e[1] or e[1] >= n or e[0] < 0 or e[1] not in nbr_sets[e[0]]:
+            raise GraphError(f"twist {u}-{v} is not an edge")
+        if e in tw:
+            raise GraphError(f"twist {u}-{v} listed twice")
+        tw.add(e)
+
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in rot[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != n:
+        raise DisconnectedError(f"graph has {n - len(seen)} unreachable vertices")
+    graph = SimpleNamespace(n=n, rotation=rot, twists=frozenset(tw), edges=edges)
+    graph.genus = 2 - (n - len(edges) + len(reference_faces(graph)))
+    return graph
+
+
+def reference_parse_graph(text: str) -> SimpleNamespace:
+    """A graph document read line by line: each stripped line is tested for
+    a blank, a comment, a twist and a vertex line in turn, and only then
+    read; the rotation goes to reference_embedding, and the header's edge
+    count and the girth5 gate (by girth_oracle) are checked last."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty document")
+    head = lines[0].split()
+    if len(head) not in (3, 4) or head[0] != "graph":
+        raise ParseError(1, "expected header 'graph <n> <m> [girth5]'")
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:
+        raise ParseError(1, "vertex/edge counts must be integers") from None
+    check_girth = len(head) == 4
+    if check_girth and head[3] != "girth5":
+        raise ParseError(1, f"unknown header flag {head[3]!r}")
+    _check_vertex_count(n, lines)
+
+    rotation: list[list[int] | None] = [None] * n
+    twists: dict[tuple[int, int], tuple[int, int]] = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("twist"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(lineno, "expected 'twist <u> <v>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(lineno, "twist endpoints must be integers") from None
+            key = (min(u, v), max(u, v))
+            if key in twists:
+                raise ParseError(lineno, f"twist {u}-{v} listed twice")
+            twists[key] = (u, v)
+            continue
+        if ":" not in line:
+            raise ParseError(lineno, "expected '<vertex>: <neighbors>'")
+        left, _, right = line.partition(":")
+        try:
+            v = int(left)
+            nbrs = [int(x) for x in right.split()]
+        except ValueError:
+            raise ParseError(lineno, "vertex ids must be integers") from None
+        if not (0 <= v < n):
+            raise ParseError(lineno, f"vertex id {v} out of range 0..{n - 1}")
+        if rotation[v] is not None:
+            raise ParseError(lineno, f"vertex {v} listed twice")
+        rotation[v] = nbrs
+
+    missing = [v for v in range(n) if rotation[v] is None]
+    if missing:
+        raise ParseError(len(lines), f"missing rotation lines for {missing[:5]}")
+    graph = reference_embedding(rotation, twists.values())  # type: ignore[arg-type]
+    if len(graph.edges) != m:
+        raise ParseError(1, f"header says {m} edges, found {len(graph.edges)}")
+    if check_girth and girth_oracle(graph) < 5:
+        raise GirthTooSmallError(
+            f"document declares girth5 but girth is {girth_oracle(graph)}")
+    return graph

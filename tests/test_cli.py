@@ -3,7 +3,8 @@ import json
 
 from defcolor import cli, fixtures as fx
 from defcolor.cli import main
-from defcolor.colorer import color
+from defcolor.colorer import (ColoringTrace, ReductionKind, ReductionStep,
+                              TraceEntry, color)
 from defcolor.graphio import parse_coloring, serialize_graph
 from defcolor.coloring import is_valid
 
@@ -55,6 +56,14 @@ def test_trace_json_matches_the_stdlib_indenting_encoder():
                         dataclasses.replace(trace, base={}, fallback=True),
                         dataclasses.replace(trace, steps=[], base={})):
             assert cli._trace_json(variant) == stdlib(variant)
+
+    # every kind with 1-3 deleted vertices and 0-3 actions, so each kind
+    # comes with several counts and each pair of counts with every kind
+    steps = [TraceEntry(ReductionStep(kind, tuple(range(7 * d, 8 * d)), {}, 10),
+                        tuple((3 * a + d, a % 2) for a in range(k)))
+             for d in (1, 2, 3) for k in (0, 1, 2, 3) for kind in ReductionKind]
+    built = ColoringTrace(steps, {0: 1, 12: 0}, False, False, 10)
+    assert cli._trace_json(built) == stdlib(built)
 
 
 def test_check_rejects_bad_coloring(tmp_path, capsys):

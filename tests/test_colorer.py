@@ -131,9 +131,7 @@ def test_terrible_reduction_detected_and_extended():
     fix = fx.terrible_face()
     names = fix.names
     g = fix.graph
-    present = set(range(g.n))
-    deg = [g.degree(v) for v in range(g.n)]
-    step = _find_terrible_reduction(g, present, deg, 10)
+    step = _find_terrible_reduction(g, set(range(g.n)), 10)
     assert step is not None
     assert step.kind is ReductionKind.TERRIBLE_RICH_HIGH_VERTEX
     assert step.deleted == (names["v4"],)
@@ -163,9 +161,7 @@ def test_terrible_branches_tried_in_proof_order():
     # the whole graph valid.
     fix = fx.terrible_face()
     g, v4, u4 = fix.graph, fix.names["v4"], fix.names["u4"]
-    present = set(range(g.n))
-    step = _find_terrible_reduction(g, present,
-                                    [g.degree(v) for v in range(g.n)], 10)
+    step = _find_terrible_reduction(g, set(range(g.n)), 10)
     sub, remap = induced_embedding(g, [v for v in range(g.n) if v != v4])
     colors = list(solve_exact(sub, (1, 10)).coloring.assignment)
 

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 
-from defcolor import fixtures as fx
+from defcolor import cli, fixtures as fx
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, GraphError, NonSimpleError,
                                 girth, induced_embedding)
@@ -11,6 +13,7 @@ from defcolor.generate import gen_planar_girth5
 
 from gadget_builders import gen_girth5_small
 from oracles import girth_oracle, relabeled
+from test_golden import FIXTURE_CASES, _fixture_graph
 
 
 def test_c5_two_faces_genus_zero():
@@ -156,3 +159,68 @@ def test_induced_embedding_preserves_rotation():
     for old in keep:
         expect = [remap[u] for u in g.rotation[old] if u != 0]
         assert list(sub.rotation[remap[old]]) == expect
+
+
+def _sorted_edges(graph):
+    return tuple(sorted((u, v) for u, nbrs in enumerate(graph.rotation)
+                        for v in nbrs if u < v))
+
+
+def test_edges_are_built_on_first_read_and_sorted(corpus):
+    graphs = [_fixture_graph(name, kw) for name, kw in FIXTURE_CASES]
+    for source in graphs + corpus[::25]:
+        graph = EmbeddedGraph(source.rotation, source.twists)
+        assert graph._edges is None
+        edges = graph.edges
+        assert edges == _sorted_edges(graph)
+        assert graph.edges is edges and graph.m == len(edges)
+
+
+def test_color_and_check_sort_no_edges(tmp_path, monkeypatch):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert cli.main(["gen", "--seed", "9", "--size", "400",
+                     "--output", str(gpath)]) == 0
+    parsed, reads = [], []
+    real_parse, real_edges = cli.parse_graph, EmbeddedGraph.edges
+
+    def parse(text):
+        parsed.append(real_parse(text))
+        return parsed[-1]
+
+    def edges(graph):
+        reads.append(graph.n)
+        return real_edges.fget(graph)
+
+    monkeypatch.setattr(cli, "parse_graph", parse)
+    monkeypatch.setattr(EmbeddedGraph, "edges", property(edges))
+    assert cli.main(["color", "--input", str(gpath), "--output", str(cpath)]) == 0
+    assert cli.main(["check", "--input", str(gpath), "--coloring", str(cpath)]) == 0
+    assert len(parsed) == 2 and reads == []
+    assert all(graph._edges is None for graph in parsed)
+
+
+def test_racing_first_edge_reads_publish_one_finished_tuple():
+    source = gen_planar_girth5(7, 2000)
+    want = _sorted_edges(source)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave reads
+    try:
+        for _ in range(5):
+            graph = EmbeddedGraph(source.rotation, source.twists)
+            barrier = threading.Barrier(4)
+            got = []
+
+            def read():
+                barrier.wait()
+                got.append(graph.edges)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(got) == 4 and all(edges == want for edges in got)
+            assert any(graph.edges is edges for edges in got)
+    finally:
+        sys.setswitchinterval(interval)
