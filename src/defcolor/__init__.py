@@ -10,13 +10,13 @@ corpus generation (generate) and plain-text documents (graphio).
 from .builder import PlanarBuilder
 from .colorer import (ColoringTrace, ColorResult, ExtensionFailedError,
                       ReductionKind, ReductionStep, capacity, color,
-                      extend_coloring, find_reduction, replay_trace)
+                      find_reduction, replay_trace)
 from .coloring import (Coloring, ColoringError, PartialColoringError,
                        SolveResult, SolveStatus, induced_max_degrees,
                        is_saturated, is_valid, solve_exact)
 from .discharging import (AuditReport, ChargeLedger, FaceClass, Transfer,
-                          apply_rules, audit, classify_faces, initial_charges,
-                          ledger_csv, sponsor_instances, transfers_csv)
+                          apply_rules, audit, classify_faces, ledger_csv,
+                          sponsor_instances, transfers_csv)
 from .embedding import (AsymmetricError, DisconnectedError, EmbeddedGraph,
                         Face, GirthTooSmallError, GraphError, NonSimpleError,
                         girth, induced_embedding)
@@ -33,10 +33,9 @@ __all__ = [
     "GirthTooSmallError", "GraphError", "NonSimpleError", "ParseError",
     "PartialColoringError", "PlanarBuilder", "ReductionKind", "ReductionStep",
     "SolveResult", "SolveStatus", "Transfer", "apply_rules", "audit",
-    "capacity", "classify_faces", "color", "extend_coloring",
-    "find_reduction", "gen_planar_girth5", "girth", "induced_embedding",
-    "induced_max_degrees", "initial_charges", "is_saturated", "is_valid",
-    "ledger_csv", "parse_coloring", "parse_graph", "replay_trace",
-    "serialize_coloring", "serialize_graph", "solve_exact",
+    "capacity", "classify_faces", "color", "find_reduction",
+    "gen_planar_girth5", "girth", "induced_embedding", "induced_max_degrees",
+    "is_saturated", "is_valid", "ledger_csv", "parse_coloring", "parse_graph",
+    "replay_trace", "serialize_coloring", "serialize_graph", "solve_exact",
     "sponsor_instances", "transfers_csv",
 ]

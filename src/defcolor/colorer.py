@@ -17,11 +17,11 @@ Each step takes the first configuration in a fixed search order: the
 lowest kind that occurs, and within it the smallest witness id (for
 kind 2 the smaller 2-vertex u, paired with its smallest 2-neighbor).
 Both phases run on flat per-vertex lists.  _Residual keeps the shrinking
-graph as alive and deg lists and, for kinds 1-3, one min-heap of
-candidate ids, re-checked when an id reaches the top.  Deleting a vertex
-re-offers its present neighbors, and their neighbors only when a
-neighbor's degree has just fallen to 2 or to low: on girth >= 5 no
-other status can turn on (see _Residual).  The search costs
+graph as a deg list, -1 for a deleted vertex, and, for kinds 1-3, one
+min-heap of candidate ids, re-checked when an id reaches the top.
+Deleting a vertex re-offers its present neighbors, and their neighbors
+only when a neighbor's degree has just fallen to 2 or to low: on
+girth >= 5 no other status can turn on (see _Residual).  The search costs
 O(sum of deg(v)^2 + m log n) over the run.  Kind 4 is a whole-residual
 scan (induced_embedding and classify_faces per component) that runs
 only when all three heaps are empty.
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .coloring import (Coloring, ColoringError, SolveStatus, is_valid,
                        solve_exact)
@@ -135,11 +135,11 @@ def capacity(genus: int) -> int:
 class _Residual:
     """The shrinking graph of a reduction run and its kind-1..3 worklist.
 
-    alive[v] says whether v is still in the residual graph and deg[v] is
-    its residual degree, 0 once deleted (so neighbor scans need no alive
-    test).  heaps[k] holds the ids that may be the kind-(k + 1) witness,
-    each at most once (queued[k][v]), re-checked at the top and dropped
-    when stale.  Every qualifying vertex is queued: all are at the start,
+    deg[v] is the residual degree of v, or -1 once v is deleted, so a
+    deleted neighbor never reads as a 2-vertex and always as low.
+    heaps[k] holds the ids that may be the kind-(k + 1) witness, each at
+    most once (queued[k][v]), re-checked at the top and dropped when
+    stale.  Every qualifying vertex is queued: all are at the start,
     and delete queues every vertex whose status a deletion turns on.
 
     By girth >= 5 those are few.  A deletion lowers the degree of each
@@ -157,7 +157,6 @@ class _Residual:
         self.t = t
         self.low, _ = structural_thresholds(t)
         n = graph.n
-        self.alive = [True] * n
         self.deg = deg = [len(nbrs) for nbrs in graph.rotation]
         self.queued = (bytearray(d <= 1 for d in deg),
                        bytearray(map(self._adjacent_two, range(n))),
@@ -172,7 +171,7 @@ class _Residual:
 
     def _all_low(self, v):
         deg, low = self.deg, self.low
-        return (self.alive[v] and deg[v] <= low
+        return (0 <= deg[v] <= low
                 and all(deg[u] <= low for u in self.graph.rotation[v]))
 
     def _top(self, k, ok):
@@ -188,14 +187,14 @@ class _Residual:
             heappush(self.heaps[k], v)
 
     def present(self) -> set[int]:
-        return {v for v, here in enumerate(self.alive) if here}
+        return {v for v, d in enumerate(self.deg) if d >= 0}
 
     def next_step(self) -> ReductionStep | None:
         """First reducible configuration of the residual graph in the fixed
         search order: kind 1 to 4, smallest witness id within a kind."""
         t = self.t
         # a kind-1 witness stays one until it is deleted
-        v = self._top(0, self.alive.__getitem__)
+        v = self._top(0, lambda v: self.deg[v] >= 0)
         if v is not None:
             return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
         u = self._top(1, self._adjacent_two)
@@ -212,20 +211,18 @@ class _Residual:
     def delete(self, vertices: Sequence[int]) -> None:
         """Remove vertices from the residual graph and queue every vertex
         whose kind-1..3 status the removal turns on."""
-        rotation, alive, deg, low = (self.graph.rotation, self.alive,
-                                     self.deg, self.low)
+        rotation, deg, low = self.graph.rotation, self.deg, self.low
         for v in vertices:
-            alive[v] = False
-            deg[v] = 0
+            deg[v] = -1
             for u in rotation[v]:
-                if alive[u]:
+                if deg[u] >= 0:
                     deg[u] -= 1
         push, all_low, lows = self._push, self._all_low, self.queued[2]
         for v in vertices:
             for u in rotation[v]:
-                if not alive[u]:
-                    continue
                 d = deg[u]
+                if d < 0:
+                    continue
                 if d <= 1:
                     push(0, u)
                 elif d == 2:  # first trigger: u pairs with its 2-neighbors
@@ -397,31 +394,6 @@ def _apply_extension(graph: EmbeddedGraph, phi: list[int],
             phi[x] = old
     raise ExtensionFailedError(
         f"no recoloring branch extends past {list(step.deleted)}", step, phi)
-
-
-def extend_coloring(graph: EmbeddedGraph, phi_sub: Mapping[int, int],
-                    step: ReductionStep) -> Coloring:
-    """Extend a valid (1, t)-coloring of graph minus step.deleted to all
-    of graph.  phi_sub maps the surviving vertex ids to classes 0/1;
-    classes it gives to step.deleted are ignored.  Raises ValueError when
-    a vertex id is outside 0..n-1, a class is not 0 or 1, or a surviving
-    vertex has no class."""
-    phi = [-1] * graph.n
-    for v, c in phi_sub.items():
-        if not 0 <= v < graph.n:
-            raise ValueError(f"phi_sub vertex {v} is not in 0..{graph.n - 1}")
-        if c not in (C_SMALL, C_BIG):
-            raise ValueError(f"phi_sub vertex {v} has class {c}, not 0 or 1")
-        phi[v] = -1 if v in step.deleted else int(c)
-    missing = [v for v, c in enumerate(phi) if c < 0 and v not in step.deleted]
-    if missing:
-        raise ValueError(f"phi_sub misses vertices {missing}")
-    _apply_extension(graph, phi, step)
-    coloring = Coloring(tuple(phi), (1, step.t))
-    if not is_valid(graph, coloring):
-        raise ExtensionFailedError("extension produced an invalid coloring",
-                                   step, phi)
-    return coloring
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,6 @@ def sponsor_instances(graph: EmbeddedGraph,
         if not (near_high[a] and near_high[b]):
             continue
         sides = graph.edge_sides(a, b)
-        if len(sides) != 2:
-            continue
         for k, (fi, pos) in enumerate(sides):
             f2i, _ = sides[1 - k]
             if f2i == fi:
@@ -297,11 +295,6 @@ class Transfer:
     independent: bool | None = None
 
 
-def _initial(deg: Sequence[int], faces: Sequence[Face]) -> list[int]:
-    """Initial charges 2d(v) - 6 of the vertices, then d(f) - 6 of the faces."""
-    return [2 * d - 6 for d in deg] + [face.degree - 6 for face in faces]
-
-
 def _fractions(values: Sequence[int], denominator: int = 1) -> tuple[Fraction, ...]:
     """Each value / denominator as a Fraction, built once per distinct value.
 
@@ -314,14 +307,6 @@ def _fractions(values: Sequence[int], denominator: int = 1) -> tuple[Fraction, .
 def _r3_share(d: int, k: int) -> tuple[Fraction, int]:
     """R3's share (2d - 6)/k, as (Fraction, units)."""
     return Fraction(2 * d - 6, k), (2 * d - 6) * _UNIT // k
-
-
-def initial_charges(graph: EmbeddedGraph) -> ChargeLedger:
-    """Charges 2d(v) - 6 and d(f) - 6; the total equals 6*genus - 12."""
-    charges = _fractions(_initial([len(nbrs) for nbrs in graph.rotation],
-                                  graph.faces))
-    v, f = charges[:graph.n], charges[graph.n:]
-    return ChargeLedger(v, f, v, f)
 
 
 def apply_rules(graph: EmbeddedGraph,
@@ -340,7 +325,7 @@ def apply_rules(graph: EmbeddedGraph,
         classes = classify_faces(graph)
     n, rotation, faces = graph.n, graph.rotation, graph.faces
     deg = [len(nbrs) for nbrs in rotation]
-    initial = _initial(deg, faces)
+    initial = [2 * d - 6 for d in deg] + [face.degree - 6 for face in faces]
     net = [c * _UNIT for c in initial]  # vertex v at v, face fi at n + fi
     # one log per rule; all but the sponsor rules' come out in key order,
     # so the final sort of their concatenation mostly walks sorted runs

@@ -6,13 +6,9 @@ surface.  Faces are traced from the rotation data and the Euler genus
 follows from ``|V| - |E| + |F| = 2 - genus``.
 
 The constructor numbers the darts once: dart ``offset[u] + i`` is (u,
-rotation[u][i]), looked up by its key ``u*n + v``.  Ids, loops,
-multi-edges, symmetry (every dart has a reverse) and twists are checked
-against that index and connectivity over a bytearray; a vertex-by-vertex
-scan runs only to name the first fault.  The graph keeps each dart's
-reverse and the twisted darts for the face walk, and counts its edges in
-``m``; ``edges``, the sorted edge tuple, is built on its first read, so
-parsing, ``color`` and ``check`` sort no edges.
+rotation[u][i]).  It checks the rotation system against that numbering,
+keeps each dart's reverse and the twisted darts for the face walk, and
+walks no face; ``edges``, the sorted edge tuple, is built on first read.
 
 Faces are traced in one walk over integer states ``2*d + s``, dart d in
 sense s.  In sense 0, after dart ``(u, v)`` comes ``(v, w)`` where ``w``
@@ -22,26 +18,17 @@ non-orientable surfaces; with no twists every face is a sense-0 orbit of
 the successor rule.  Each face is walked once, from its least state in
 either direction.
 
-Faces are read on two levels.  ``genus`` needs only the face count: its
-first read runs the walk, with its integrity checks, and keeps the walk
-but builds no Face.  ``faces``, ``passages`` and ``edge_sides`` build the
-Face objects, the face passages of every vertex and the sides of every
-edge from that walk on their first read (walking first if nothing has),
-check the passages and keep the result, so a graph whose faces are
-read one query after another is walked once at most.  Building an
-EmbeddedGraph walks no face, and adjacency queries never walk, so
-``check`` and ``solve`` walk no face and ``gen`` none of the graph it
-writes.  ``color`` walks its input once and builds no face when t
-defaults to ``capacity(genus)`` or its fallback tests for an anomaly;
-``audit`` and ``stats`` walk and build once.  The girth-5 gate
-``short_cycle`` is likewise computed on first use and cached.  Every
-query returns the same value whenever it is asked, so instances are safe
-to share between threads: racing first reads each walk or build the same
-faces, the walk is published before the genus, and ``_faces``, the
-attribute that marks the faces as built, is assigned only after the
-passages and sides, so no reader sees half a result.  Racing first reads
-of ``edges`` each build the same tuple and publish it finished, in one
-assignment.
+Faces are read on two levels.  The first ``genus`` read runs the walk
+and keeps it, building no Face.  The first ``faces``, ``passages`` or
+``edge_sides`` read builds the Face objects and the passages of every
+vertex from that walk, walking first if nothing has; ``edge_sides``
+reads an edge's sides off the passages of its lower-degree end.  So a
+graph is walked once at most, and ``color`` at its default t builds no
+face.  The girth-5 gate ``short_cycle`` is likewise cached on first use.
+Every query returns the same value whenever it is asked, so instances
+are safe to share between threads: the walk is published before the
+genus, and ``_faces``, which marks the faces as built, after the
+passages.
 
 Girth policy: any simple connected graph embeds, but color, audit and
 apply_rules need girth >= 5 and call require_girth5, which raises
@@ -171,12 +158,11 @@ class EmbeddedGraph:
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._short_cycle: float | None = None
         # _walk sets _walked and then _genus on the first genus or face
-        # read; _build sets _passages, _sides and last _faces, the "built"
-        # flag, on the first face read, and then drops _walked.
+        # read; _build sets _passages and then _faces, the "built" flag,
+        # on the first face read, and then drops _walked.
         self._walked: tuple[list[int], list[int]] | None = None
         self._genus: int | None = None
         self._passages: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        self._sides: dict[Dart, list[tuple[int, int]]] | None = None
         self._faces: tuple[Face, ...] | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -231,11 +217,18 @@ class EmbeddedGraph:
 
     def edge_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """The two (face, position) sides of edge {u, v}: those walking the
-        dart (u, v) first, then those walking (v, u)."""
+        dart (u, v) first, then those walking (v, u), each in walk order.
+        Read off the passages of the end of lower degree in
+        O(min(deg u, deg v)), so the edges at a hub do not each scan it."""
         if self._faces is None:
             self._build()
-        return (tuple(self._sides.get((u, v), ()))
-                + tuple(self._sides.get((v, u), ())))
+        faces, rot = self._faces, self.rotation
+        end = u if len(rot[u]) <= len(rot[v]) else v
+        # a passage at pos leaves its vertex by dart pos, enters by pos - 1
+        found = sorted((faces[fi].darts[p] != (u, v), fi, p % faces[fi].degree)
+                       for fi, pos in self._passages[end] for p in (pos, pos - 1)
+                       if faces[fi].darts[p] in ((u, v), (v, u)))
+        return tuple((fi, p) for _, fi, p in found)
 
     # -- construction internals ------------------------------------------
 
@@ -247,8 +240,8 @@ class EmbeddedGraph:
         constructor, which also found each dart's reverse and marked the
         twisted ones.  State ``2*d + s`` is dart d in sense s.  ``cross``
         takes a state over its edge to the reverse dart (v, u) in the sense
-        that follows, flipped on a twisted edge; ``turn`` then steps to the next (sense 0) or previous (sense
-        1) dart in the rotation of v.  Walking a face backwards visits
+        that follows, flipped on a twisted edge; ``turn`` then steps to the
+        next (sense 0) or previous (sense 1) dart in the rotation of v.  Walking a face backwards visits
         ``cross[x] ^ 1`` for each of its forward states x, so the walk marks
         both as seen.  States are tried in key order (s, u, v); the first
         unseen one is the least state of its face in either direction and
@@ -262,8 +255,7 @@ class EmbeddedGraph:
         if not self.m:
             ends.append(0)  # a single vertex: the sphere with one empty face
         else:
-            n, darts = self.n, 2 * self.m
-            key = [u * n + v for u, nbrs in enumerate(rot) for v in nbrs]
+            darts = 2 * self.m
             cross = [0] * (2 * darts)
             cross[0::2] = [2 * r + t for r, t in zip(self._reverse, self._twisted)]
             cross[1::2] = [x ^ 1 for x in cross[0::2]]
@@ -274,7 +266,12 @@ class EmbeddedGraph:
             for a, b in pairwise(accumulate(map(len, rot), initial=0)):
                 turn[2 * b - 2] = 2 * a
                 turn[2 * a + 1] = 2 * b - 1
-            order = [2 * d for d in sorted(range(darts), key=key.__getitem__)]
+            # dart d = (u, v) ascends in u, so its reverse (v, u) joins v's
+            # bucket in ascending u: the buckets list the darts in key order
+            buckets: list[list[int]] = [[] for _ in rot]
+            for v, r in zip(chain.from_iterable(rot), self._reverse):
+                buckets[v].append(2 * r)
+            order = list(chain.from_iterable(buckets))
             seen = bytearray(2 * darts)
             for s0 in (0, 1):
                 for start in order:
@@ -301,8 +298,8 @@ class EmbeddedGraph:
         return walked, ends
 
     def _build(self) -> None:
-        """Build the faces, passages and dart sides from the walk, check
-        the passages and publish them, faces last; then drop the walk."""
+        """Build the faces and passages from the walk, check the passages
+        and publish them, faces last; then drop the walk."""
         walk = self._walked
         if walk is None:
             if self._faces is not None:
@@ -313,21 +310,18 @@ class EmbeddedGraph:
         pairs = [(u, v) for u, nbrs in enumerate(rot) for v in nbrs]
         walked = [pairs[state >> 1] for state in states]
         passages: list[list[tuple[int, int]]] = [[] for _ in rot]
-        sides: dict[Dart, list[tuple[int, int]]] = {}
         faces = []
         begin = 0
         for index, end in enumerate(ends):
             darts = tuple(walked[begin:end])
             for pos, d in enumerate(darts):
-                side = (index, pos)
-                passages[d[0]].append(side)
-                sides.setdefault(d, []).append(side)
+                passages[d[0]].append((index, pos))
             faces.append(Face(index, darts))
             begin = end
         for v, nbrs in enumerate(rot):
             if len(passages[v]) != len(nbrs):
                 raise AssertionError("face tracing lost a vertex passage")
-        self._passages, self._sides = tuple(map(tuple, passages)), sides
+        self._passages = tuple(map(tuple, passages))
         self._faces = tuple(faces)
         self._walked = None
 

@@ -5,7 +5,7 @@ import pytest
 from defcolor import fixtures as fx
 from defcolor.colorer import (C_BIG, C_SMALL, ExtensionFailedError,
                               ReductionKind, ReductionStep, capacity, color,
-                              extend_coloring, find_reduction, replay_trace,
+                              find_reduction, replay_trace,
                               _apply_extension, _find_terrible_reduction)
 from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
@@ -54,40 +54,31 @@ def test_adjacent_two_before_all_low_in_larger_graph():
     assert set(step.deleted) == {m1, m2}
 
 
+def _class_list(graph, phi):
+    """phi as _apply_extension takes it: a class per vertex, -1 for none."""
+    classes = [-1] * graph.n
+    for v, c in phi.items():
+        classes[v] = c
+    return classes
+
+
+def _extend(graph, phi, step):
+    """Extend phi, a class per surviving vertex, over step.deleted; the
+    result must be a valid coloring."""
+    classes = _class_list(graph, phi)
+    _apply_extension(graph, classes, step)
+    full = Coloring(tuple(classes), (1, step.t))
+    assert is_valid(graph, full)
+    return full
+
+
 def test_extend_degree_at_most_one():
     g = fx.star(5)
     step = ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (5,), {}, 10)
     phi = {v: C_SMALL for v in range(5)}
     phi[0] = C_BIG
-    full = extend_coloring(g, phi, step)
-    assert is_valid(g, full)
+    full = _extend(g, phi, step)
     assert full.assignment[5] == C_SMALL  # opposite of the big-class center
-
-
-@pytest.mark.parametrize("extra, named", [
-    ({99: C_BIG}, "vertex 99"),    # past the last vertex
-    ({-1: C_BIG}, "vertex -1"),    # would alias the last vertex
-    ({0: 7}, "vertex 0"),          # no such class
-    ({0: -1}, "vertex 0"),         # would read as uncolored
-], ids=["id-99", "id-minus-1", "class-7", "class-minus-1"])
-def test_extend_coloring_rejects_foreign_ids_and_classes(extra, named):
-    g = fx.path_graph(4)  # u' - u - v - v'
-    step = ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), {}, 10)
-    phi = {0: C_SMALL, 3: C_SMALL, **extra}
-    with pytest.raises(ValueError, match=named) as err:
-        extend_coloring(g, phi, step)
-    # raised up front, not by the Coloring built after the extension
-    assert type(err.value) is ValueError
-
-
-def test_extend_coloring_stores_classes_as_ints():
-    # 1.0 and True equal the classes 1 and pass the check; they must not
-    # reach the defect lookup as a float index
-    g = fx.path_graph(4)
-    step = ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), {}, 10)
-    full = extend_coloring(g, {0: 1.0, 3: True}, step)
-    assert full.assignment == (1, 0, 0, 1)
-    assert all(type(c) is int for c in full.assignment)
 
 
 def test_extend_star_center_all_low():
@@ -96,8 +87,7 @@ def test_extend_star_center_all_low():
     g = fx.star(5)
     step = ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), {}, 10)
     phi = {v: C_SMALL for v in range(1, 6)}
-    full = extend_coloring(g, phi, step)
-    assert is_valid(g, full)
+    full = _extend(g, phi, step)
     assert full.assignment[0] == C_BIG
 
 
@@ -105,8 +95,7 @@ def test_extend_adjacent_two_same_colored_ends():
     g = fx.path_graph(4)  # u' - u - v - v'
     step = ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), {}, 10)
     phi = {0: C_SMALL, 3: C_SMALL}
-    full = extend_coloring(g, phi, step)
-    assert is_valid(g, full)
+    full = _extend(g, phi, step)
     assert full.assignment[1] == full.assignment[2] == C_BIG
 
 
@@ -121,8 +110,7 @@ def test_extend_all_low_recolors_saturated_neighbor():
     phi = {1: C_BIG, 12: C_SMALL}
     phi.update({w: C_BIG for w in range(2, 12)})
     step = ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), {}, 10)
-    full = extend_coloring(g, phi, step)
-    assert is_valid(g, full)
+    full = _extend(g, phi, step)
     assert full.assignment[1] == C_SMALL
     assert full.assignment[0] == C_BIG
 
@@ -143,16 +131,7 @@ def test_terrible_reduction_detected_and_extended():
     res = solve_exact(sub, (1, 10))
     assert res.found
     phi_sub = {old: res.coloring.assignment[new] for old, new in remap.items()}
-    full = extend_coloring(g, phi_sub, step)
-    assert is_valid(g, full)
-
-
-def _class_list(graph, phi):
-    """phi as _apply_extension takes it: a class per vertex, -1 for none."""
-    classes = [-1] * graph.n
-    for v, c in phi.items():
-        classes[v] = c
-    return classes
+    _extend(g, phi_sub, step)
 
 
 def test_terrible_branches_tried_in_proof_order():

@@ -8,8 +8,8 @@ from defcolor import discharging, fixtures as fx
 from defcolor.discharging import (_PATTERNS, _UNIT, HIGH_DEGREE, FaceClass,
                                   _canonical, _r3_share, _symbol, apply_rules,
                                   audit, classify_faces, format_fraction,
-                                  initial_charges, ledger_csv,
-                                  sponsor_instances, transfers_csv)
+                                  ledger_csv, sponsor_instances,
+                                  transfers_csv)
 from defcolor.embedding import EmbeddedGraph, GirthTooSmallError
 from defcolor.fixtures import find_face
 from defcolor.generate import gen_planar_girth5
@@ -35,21 +35,21 @@ def transfers_from(transfers, rule, source=None):
 
 def test_initial_charges_values():
     fix = fx.special_face()
-    led = initial_charges(fix.graph)
+    led = apply_rules(fix.graph)[0]
     assert led.vertex_initial[0] == Fraction(-2)      # a 2-vertex
     assert led.face_initial[fix.face.index] == Fraction(-1)  # a 5-face
     assert led.total_initial == Fraction(-12)
 
 
 def test_initial_charges_dodecahedron():
-    led = initial_charges(fx.dodecahedron())
+    led = apply_rules(fx.dodecahedron())[0]
     assert set(led.vertex_initial) == {Fraction(0)}
     assert set(led.face_initial) == {Fraction(-1)}
     assert led.total_initial == Fraction(-12)
 
 
 def test_initial_charges_petersen_total():
-    led = initial_charges(fx.petersen_projective())
+    led = apply_rules(fx.petersen_projective())[0]
     assert led.total_initial == Fraction(6 * 1 - 12)
 
 

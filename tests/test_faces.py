@@ -1,8 +1,8 @@
 """Face tracing against the orbit-pairing reference tracer.
 
 EmbeddedGraph walks each face once, from its least walk state; the genus
-reads only that walk, and the first face read builds the faces, passages
-and edge sides from it.  oracles.reference_faces traces both orbits of
+reads only that walk, and the first face read builds the faces and
+passages from it.  oracles.reference_faces traces both orbits of
 every face, pairs them and sorts.  Faces (darts and order), passages,
 edge sides and genus must agree on every input.  Every input is checked
 on a fresh copy whose first read is each face query in turn; a genus read

@@ -6,11 +6,13 @@ every name in it must be bound.  ``bench/run.py --trace`` rebinds each
 ``apply_rules`` and ``sponsor_instances`` through the ``discharging`` module
 globals.  The tier-1 run does not collect ``bench/selftest.py``, so these
 checks keep a cut of the surface from silently breaking the tracer.
+Every public function must also have a caller outside the tests.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -72,3 +74,30 @@ def test_audit_calls_the_traced_discharging_names(monkeypatch):
     assert isinstance(ledger, discharging.ChargeLedger)
     assert all(isinstance(tr, discharging.Transfer) for tr in transfers)
     assert transfers == report.transfers and len(transfers) > 0
+
+
+def _names_read(node, inside=()):
+    """Names and attributes read under node, except those read inside a
+    function of the same name (a function does not call itself into use)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _names_read(child, inside + (child.name,))
+            continue
+        if isinstance(child, (ast.Name, ast.Attribute)):
+            name = child.id if isinstance(child, ast.Name) else child.attr
+            if name not in inside:
+                yield name
+        yield from _names_read(child, inside)
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that only tests call is a second entry point to
+    # code the package already reaches another way
+    files = [*(ROOT / "src" / "defcolor").glob("*.py"),
+             *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    read = {name for path in files
+            for name in _names_read(ast.parse(path.read_text()))}
+    functions = [name for name in defcolor.__all__
+                 if inspect.isfunction(getattr(defcolor, name))]
+    assert len(functions) > 10
+    assert [name for name in functions if name not in read] == []
