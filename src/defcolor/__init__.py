@@ -9,14 +9,14 @@ corpus generation (generate) and plain-text documents (graphio).
 
 from .builder import PlanarBuilder
 from .colorer import (ColoringTrace, ColorResult, ExtensionFailedError,
-                      ReductionKind, ReductionStep, capacity, color,
-                      find_reduction, replay_trace)
+                      ReductionKind, ReductionStep, color, find_reduction,
+                      replay_trace)
 from .coloring import (Coloring, ColoringError, PartialColoringError,
                        SolveResult, SolveStatus, induced_max_degrees,
                        is_saturated, is_valid, solve_exact)
 from .discharging import (AuditReport, ChargeLedger, FaceClass, Transfer,
-                          apply_rules, audit, classify_faces, ledger_csv,
-                          sponsor_instances, transfers_csv)
+                          apply_rules, audit, capacity, classify_faces,
+                          ledger_csv, sponsor_instances, transfers_csv)
 from .embedding import (AsymmetricError, DisconnectedError, EmbeddedGraph,
                         Face, GirthTooSmallError, GraphError, NonSimpleError,
                         girth, induced_embedding)

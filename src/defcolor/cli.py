@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="charge ledger, transfer log, and report")
     add_common(p)
-    p.add_argument("--t", type=int, default=10)
+    p.add_argument("--t", type=int, default=None,
+                   help="defect threshold (default capacity(genus))")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("gen", help="generate a planar girth-5 graph")

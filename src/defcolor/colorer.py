@@ -52,8 +52,9 @@ from typing import Sequence
 
 from .coloring import (Coloring, ColoringError, SolveStatus, is_valid,
                        solve_exact)
-from .discharging import (MIN_T, FaceClass, classify_faces,
-                          structural_thresholds, terrible_bound)
+from .discharging import (MIN_T, FaceClass, capacity, classify_faces,
+                          structural_thresholds, terrible_bound,
+                          terrible_corners)
 from .embedding import EmbeddedGraph, induced_embedding, require_girth5
 # bench/selftest.py checks that tracing also rebinds girth under this module
 from .embedding import girth  # noqa: F401
@@ -117,14 +118,6 @@ class ColorResult:
     coloring: Coloring | None
     trace: ColoringTrace
     solve_status: SolveStatus | None = None
-
-
-def capacity(genus: int) -> int:
-    """Defect threshold guaranteeing colorability at this Euler genus:
-    max(10, 4*genus + 3)."""
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
-    return max(MIN_T, 4 * genus + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -270,25 +263,16 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
             d = sub.degree(v)
             if d < high:
                 continue
-            rot = sub.rotation[v]
-            # ring[i] = face of the passage between rotation neighbors
-            # rot[i-1] and rot[i]
-            by_pair = {}
-            for fi, pos in sub.passages(v):
-                face = sub.faces[fi]
-                pair = frozenset((face.verts[pos - 1],
-                                  face.verts[(pos + 1) % face.degree]))
-                by_pair[pair] = fi
-            ring = [by_pair[frozenset((rot[i - 1], rot[i]))] for i in range(d)]
-            terrible = [i for i in range(d)
-                        if classes[ring[i]] is FaceClass.TERRIBLE]
+            terrible = terrible_corners(sub, classes, v)
             if len(terrible) <= terrible_bound(d, high):
                 continue
+            # corner i of v lies between rot[i-1] and rot[i]
+            rot, ring = sub.rotation[v], sub.passages(v)
             pick = next((j for j in terrible
-                         if classes[ring[(j - 3) % d]] is not FaceClass.TERRIBLE),
+                         if classes[ring[j - 3][0]] is not FaceClass.TERRIBLE),
                         terrible[0])
-            v4, v5 = rot[pick - 1], rot[pick % d]
-            face = sub.faces[ring[pick]]
+            v4, v5 = rot[pick - 1], rot[pick]
+            face = sub.faces[ring[pick][0]]
             u4 = next(u for u in sub.rotation[v4] if u != v)
             u5 = next(u for u in sub.rotation[v5] if u != v)
             w4 = next((u for u in sub.rotation[u4]
@@ -310,10 +294,14 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
     return None
 
 
-def find_reduction(graph: EmbeddedGraph, t: int = 10) -> ReductionStep | None:
+def find_reduction(graph: EmbeddedGraph,
+                   t: int | None = None) -> ReductionStep | None:
     """First reducible configuration in the fixed search order, or None.
 
-    Raises ValueError when t is below 10."""
+    t defaults to capacity(genus), as in color.  Raises ValueError when t
+    is below 10."""
+    if t is None:
+        t = capacity(graph.genus)
     return _Residual(graph, t).next_step()
 
 

@@ -35,6 +35,7 @@ degree <= t + 1 and high at degree >= t + 2 (structural_thresholds).
 At t = 10 the two notions of high coincide.  Above it (genus >= 2,
 where t = capacity(genus)) a Terrible face still needs only a 12+ hub,
 while the bound on a hub's Terrible faces applies from degree t + 2 on.
+capacity(genus) is the default t of audit and of the colorer.
 
 The face classes are data.  _FACE_TABLE holds one row per classified
 5-face (Special, X1, X2, Y1, Y2, Terrible): its degree word, the
@@ -85,6 +86,14 @@ def structural_thresholds(t: int) -> tuple[int, int]:
     if t < MIN_T:
         raise ValueError(f"threshold t must be at least {MIN_T}, got {t}")
     return t + 1, t + 2
+
+
+def capacity(genus: int) -> int:
+    """Defect threshold guaranteeing colorability at this Euler genus:
+    max(10, 4*genus + 3)."""
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
+    return max(MIN_T, 4 * genus + 3)
 
 
 def terrible_bound(d: int, high: int) -> int:
@@ -210,6 +219,13 @@ def classify_faces(graph: EmbeddedGraph) -> tuple[FaceClass, ...]:
     return tuple(out)
 
 
+def terrible_corners(graph: EmbeddedGraph, classes: Sequence[FaceClass],
+                     v: int) -> list[int]:
+    """The corners i of v (passages(v)[i]) whose face is Terrible."""
+    return [i for i, (fi, _) in enumerate(graph.passages(v))
+            if classes[fi] is FaceClass.TERRIBLE]
+
+
 # ---------------------------------------------------------------------------
 # Sponsors
 # ---------------------------------------------------------------------------
@@ -223,35 +239,38 @@ class SponsorInstance:
     position: int  # u2's boundary position on f1
 
 
-def sponsor_instances(graph: EmbeddedGraph,
-                      classes: Sequence[FaceClass] | None = None) -> list[SponsorInstance]:
-    """All sponsorships, one per qualifying (sponsor face, shared edge)."""
-    if classes is None:
-        classes = classify_faces(graph)
-    faces = graph.faces
-    deg = [len(nbrs) for nbrs in graph.rotation]
+def sponsor_instances(graph: EmbeddedGraph) -> list[SponsorInstance]:
+    """All sponsorships, one per qualifying (sponsor face, shared edge).
+
+    An edge's two sides are the passages through the two corners beside
+    it at its lower-degree end, so the edges at a hub do not each scan it.
+    """
+    faces, rot = graph.faces, graph.rotation
+    deg = [len(nbrs) for nbrs in rot]
     # u1 and u4 are high neighbors of the edge's two ends
     near_high = bytearray(graph.n)
     for h, d in enumerate(deg):
         if d >= HIGH_DEGREE:
-            for u in graph.rotation[h]:
+            for u in rot[h]:
                 near_high[u] = 1
     out = []
     for a, b in graph.edges:
         if not (near_high[a] and near_high[b]):
             continue
-        sides = graph.edge_sides(a, b)
-        for k, (fi, pos) in enumerate(sides):
-            f2i, _ = sides[1 - k]
-            if f2i == fi:
-                continue
-            face = faces[fi]
-            n = face.degree
-            u2, u3 = face.darts[pos]
-            u1 = face.verts[pos - 1]
-            u4 = face.verts[(pos + 2) % n]
-            if deg[u1] >= HIGH_DEGREE and deg[u4] >= HIGH_DEGREE:
-                out.append(SponsorInstance(fi, f2i, (u2, u3), pos))
+        if deg[a] > deg[b]:
+            a, b = b, a
+        ring, j = graph.passages(a), rot[a].index(b)
+        (f1, p1), (f2, p2) = ring[j], ring[(j + 1) % deg[a]]
+        if f1 == f2:  # also at a 1-vertex, whose two corners are one
+            continue
+        for fi, pos, other in ((f1, p1, f2), (f2, p2, f1)):
+            verts = faces[fi].verts
+            n = len(verts)
+            if verts[(pos + 1) % n] != b:  # it came from b: walks (b, a)
+                pos = (pos - 1) % n
+            u1, u2, u3 = verts[pos - 1], verts[pos], verts[(pos + 1) % n]
+            if deg[u1] >= HIGH_DEGREE and deg[verts[(pos + 2) % n]] >= HIGH_DEGREE:
+                out.append(SponsorInstance(fi, other, (u2, u3), pos))
     return out
 
 
@@ -368,7 +387,7 @@ def apply_rules(graph: EmbeddedGraph,
             net[n + fi] += units
 
     coupled: set[tuple[int, int]] = set()
-    for inst in sponsor_instances(graph, classes):
+    for inst in sponsor_instances(graph):
         u2, u3 = inst.edge
         d2, d3 = deg[u2], deg[u3]
         pair = {d2, d3}
@@ -450,7 +469,7 @@ class AuditReport:
         return {lv.lemma for lv in self.lemma_violations}
 
 
-def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
+def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     """Run the rules, check the charge claims, and check the structural
     conclusions that the claims rest on.
 
@@ -461,8 +480,11 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
     at most two Special faces; (t+2)+ vertices within the terrible/bad
     face bound min(d//3, d - t - 2); at least three (t+2)+ vertices when
     a cycle exists.  Finally every (t+2)+ vertex's final charge is
-    checked against the general-surface floor 2*genus - 3.5.
+    checked against the general-surface floor 2*genus - 3.5.  t defaults
+    to capacity(genus), as in color.
     """
+    if t is None:
+        t = capacity(graph.genus)
     low, high = structural_thresholds(t)
     require_girth5(graph, "audit")
     classes = classify_faces(graph)
@@ -503,8 +525,7 @@ def audit(graph: EmbeddedGraph, t: int = 10) -> AuditReport:
                 lemmas.append(LemmaViolation("special-faces-num", (v, count)))
         elif d >= high:
             bound = terrible_bound(d, high)
-            terr = sum(1 for fi, _ in graph.passages(v)
-                       if classes[fi] is FaceClass.TERRIBLE)
+            terr = len(terrible_corners(graph, classes, v))
             bad = sum(1 for fi, _ in graph.passages(v) if classes[fi].is_bad)
             if terr > bound:
                 lemmas.append(LemmaViolation("terrible-faces-num", (v, terr)))

@@ -19,16 +19,16 @@ the successor rule.  Each face is walked once, from its least state in
 either direction.
 
 Faces are read on two levels.  The first ``genus`` read runs the walk
-and keeps it, building no Face.  The first ``faces``, ``passages`` or
-``edge_sides`` read builds the Face objects and the passages of every
-vertex from that walk, walking first if nothing has; ``edge_sides``
-reads an edge's sides off the passages of its lower-degree end.  So a
-graph is walked once at most, and ``color`` at its default t builds no
-face.  The girth-5 gate ``short_cycle`` is likewise cached on first use.
-Every query returns the same value whenever it is asked, so instances
-are safe to share between threads: the walk is published before the
-genus, and ``_faces``, which marks the faces as built, after the
-passages.
+and keeps it, building no Face.  The first ``faces`` or ``passages``
+read builds the Face objects and the corner store from that walk,
+walking first if nothing has: corner ``offset[u] + i``, the one just
+before dart (u, rotation[u][i]), holds the (face, position) of the
+passage through it.  So a graph is walked once at most, and ``color``
+at its default t builds no face.  The girth-5 gate ``short_cycle`` is
+likewise cached on first use.  Every query returns the same value
+whenever it is asked, so instances are safe to share between threads:
+the walk is published before the genus, and ``_faces``, which marks the
+faces as built, after the corners.
 
 Girth policy: any simple connected graph embeds, but color, audit and
 apply_rules need girth >= 5 and call require_girth5, which raises
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, pairwise
-from operator import contains, itemgetter
+from operator import contains
 from typing import Iterable, Sequence
 
 
@@ -69,27 +69,32 @@ Dart = tuple[int, int]
 
 @dataclass(frozen=True)
 class Face:
-    """One face of an embedding, as a closed boundary walk of darts.
+    """One face of an embedding, as a closed boundary walk of vertices.
 
-    ``darts[k] = (verts[k], verts[k+1])``; the walk may revisit vertices
-    (a bridge contributes two darts).  ``degree`` is the walk length.
+    The walk goes from ``verts[k]`` to ``verts[k+1]``, wrapping at the
+    end, and may revisit vertices (a bridge is walked twice).  Position k
+    passes the corner of verts[k] between verts[k-1] and verts[k+1] (see
+    EmbeddedGraph.passages).  ``degree`` is the walk length.
     """
 
     index: int
-    darts: tuple[Dart, ...]
-    # Set once at construction: filling them on first read would write
+    verts: tuple[int, ...]
+    # Set once at construction: filling it on first read would write
     # through the instance __dict__ and slow every later attribute read.
-    verts: tuple[int, ...] = field(init=False, compare=False)
     vert_set: frozenset[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        verts = tuple(map(itemgetter(0), self.darts))
-        object.__setattr__(self, "verts", verts)
-        object.__setattr__(self, "vert_set", frozenset(verts))
+        object.__setattr__(self, "vert_set", frozenset(self.verts))
+
+    @property
+    def darts(self) -> tuple[Dart, ...]:
+        """The walk as darts, ``darts[k] = (verts[k], verts[k+1])``."""
+        verts = self.verts
+        return tuple(zip(verts, verts[1:] + verts[:1]))
 
     @property
     def degree(self) -> int:
-        return len(self.darts)
+        return len(self.verts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Face({self.index}, {'-'.join(map(str, self.verts))})"
@@ -158,11 +163,11 @@ class EmbeddedGraph:
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._short_cycle: float | None = None
         # _walk sets _walked and then _genus on the first genus or face
-        # read; _build sets _passages and then _faces, the "built" flag,
+        # read; _build sets _corners and then _faces, the "built" flag,
         # on the first face read, and then drops _walked.
         self._walked: tuple[list[int], list[int]] | None = None
         self._genus: int | None = None
-        self._passages: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._corners: tuple[list[int], list[int], list[int]] | None = None
         self._faces: tuple[Face, ...] | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -207,28 +212,15 @@ class EmbeddedGraph:
         return self._genus
 
     def passages(self, v: int) -> tuple[tuple[int, int], ...]:
-        """All (face index, position) boundary passages through v.
-
-        A vertex has exactly degree(v) passages, counted with multiplicity.
-        """
+        """The (face index, position) passages through v, one per corner:
+        ``passages(v)[i]`` lies between ``rotation[v][i-1]`` and
+        ``rotation[v][i]``, and its face comes in along one of those edges
+        and leaves along the other."""
         if self._faces is None:
             self._build()
-        return self._passages[v]
-
-    def edge_sides(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """The two (face, position) sides of edge {u, v}: those walking the
-        dart (u, v) first, then those walking (v, u), each in walk order.
-        Read off the passages of the end of lower degree in
-        O(min(deg u, deg v)), so the edges at a hub do not each scan it."""
-        if self._faces is None:
-            self._build()
-        faces, rot = self._faces, self.rotation
-        end = u if len(rot[u]) <= len(rot[v]) else v
-        # a passage at pos leaves its vertex by dart pos, enters by pos - 1
-        found = sorted((faces[fi].darts[p] != (u, v), fi, p % faces[fi].degree)
-                       for fi, pos in self._passages[end] for p in (pos, pos - 1)
-                       if faces[fi].darts[p] in ((u, v), (v, u)))
-        return tuple((fi, p) for _, fi, p in found)
+        offset, face_of, pos_of = self._corners
+        a, b = offset[v], offset[v + 1]
+        return tuple(zip(face_of[a:b], pos_of[a:b]))
 
     # -- construction internals ------------------------------------------
 
@@ -298,30 +290,37 @@ class EmbeddedGraph:
         return walked, ends
 
     def _build(self) -> None:
-        """Build the faces and passages from the walk, check the passages
-        and publish them, faces last; then drop the walk."""
+        """Build the faces and the corner store from the walk, check that
+        each corner is passed once, and publish them, faces last; then
+        drop the walk.  A state leaving by dart d came in from the
+        neighbor before d in sense 0 and after d in sense 1, so it passes
+        corner d or the next corner."""
         walk = self._walked
         if walk is None:
             if self._faces is not None:
                 return  # a racing reader built the faces and dropped the walk
             walk = self._walk()
         states, ends = walk
-        rot = self.rotation
-        pairs = [(u, v) for u, nbrs in enumerate(rot) for v in nbrs]
-        walked = [pairs[state >> 1] for state in states]
-        passages: list[list[tuple[int, int]]] = [[] for _ in rot]
+        darts = len(states)
+        offset = list(accumulate(map(len, self.rotation), initial=0))
+        tails = [u for u, nbrs in enumerate(self.rotation) for _ in nbrs]
+        corner = [0] * (2 * darts)  # the corner each state passes
+        corner[0::2], corner[1::2] = range(darts), range(1, darts + 1)
+        for a, b in pairwise(offset):
+            if a < b:  # the corner after a vertex's last dart is its first
+                corner[2 * b - 1] = a
+        corners = list(map(corner.__getitem__, states))
+        verts = list(map(tails.__getitem__, corners))  # corner c is at tails[c]
+        face_of, pos_of = [-1] * darts, [0] * darts
         faces = []
-        begin = 0
-        for index, end in enumerate(ends):
-            darts = tuple(walked[begin:end])
-            for pos, d in enumerate(darts):
-                passages[d[0]].append((index, pos))
-            faces.append(Face(index, darts))
-            begin = end
-        for v, nbrs in enumerate(rot):
-            if len(passages[v]) != len(nbrs):
-                raise AssertionError("face tracing lost a vertex passage")
-        self._passages = tuple(map(tuple, passages))
+        for index, (begin, end) in enumerate(pairwise([0, *ends])):
+            faces.append(Face(index, tuple(verts[begin:end])))
+            for pos, c in enumerate(corners[begin:end]):
+                face_of[c] = index
+                pos_of[c] = pos
+        if -1 in face_of:
+            raise AssertionError("face tracing lost a vertex passage")
+        self._corners = offset, face_of, pos_of
         self._faces = tuple(faces)
         self._walked = None
 

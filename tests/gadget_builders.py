@@ -85,6 +85,26 @@ def sponsor_gadget(d_s: int, d_t: int, w_deg: int):
     return b.graph(), (0, 1, 2, 3, 4), 1, 2
 
 
+def twisted_sponsor_gadget():
+    """sponsor_gadget(3, 3, 2) with its sponsor edge s-t twisted, so that
+    both faces on it walk it from t to s.
+
+    The embedding is the same sphere, switched at s: the rotation of s is
+    reversed and every edge at s twisted.  A leaf of h2 is renamed 0, so
+    the walk starts the outer face there, outside the switch, and the
+    pentagon at s, inside it.  Returns (graph, s, t).
+    """
+    g, _, s, t = sponsor_gadget(3, 3, 2)
+    leaf = next(u for u in g.rotation[3] if g.degree(u) == 1)
+    perm = list(range(g.n))
+    perm[0], perm[leaf] = leaf, 0
+    rot = [None] * g.n
+    for v, nbrs in enumerate(g.rotation):
+        rot[perm[v]] = [perm[u] for u in nbrs]
+    rot[s].reverse()
+    return EmbeddedGraph(rot, [(s, u) for u in rot[s]]), s, t
+
+
 def sponsor_face_pair(graph, verts):
     """(sponsor face, sponsored face) for a sponsor_gadget graph."""
     f1 = find_face(graph, verts)

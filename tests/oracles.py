@@ -6,11 +6,13 @@ enumeration of all 2^n class assignments (vectorized with numpy), the
 colorer's reduction order via a full rescan of the residual graph before
 every deletion (quadratic, for comparison with its worklist), face
 tracing via both orbits of every face, paired and then sorted (for
-comparison with the single walk in EmbeddedGraph), the exact solver as
-three recursive closures (for comparison with solve_exact's loop), and
-the generator's subdividable edges rebuilt from the whole builder (for
-comparison with its incrementally counted pool), the discharging
-ledger settled by adding every transfer's Fraction amount one at a time
+comparison with the single walk in EmbeddedGraph), sponsorships by
+scanning every dart of those reference faces (for comparison with
+sponsor_instances, which reads two rotation corners per edge), the
+exact solver as three recursive closures (for comparison with
+solve_exact's loop), and the generator's subdividable edges rebuilt
+from the whole builder (for comparison with its incrementally counted
+pool), the discharging ledger settled by adding every transfer's Fraction amount one at a time
 (for comparison with apply_rules' integer charge units), and graph
 documents parsed by a line loop that sorts each line into comment, twist
 or vertex line before reading it and checked vertex by vertex with sets
@@ -32,7 +34,8 @@ from defcolor.colorer import (ReductionKind, ReductionStep,
                               _find_terrible_reduction)
 from defcolor.coloring import (Coloring, ColoringError, SolveResult,
                                SolveStatus, validate_defects)
-from defcolor.discharging import ChargeLedger, structural_thresholds
+from defcolor.discharging import (HIGH_DEGREE, ChargeLedger, SponsorInstance,
+                                  structural_thresholds)
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, GirthTooSmallError, GraphError,
                                 NonSimpleError)
@@ -171,8 +174,9 @@ def reference_eligible_edges(b, protected) -> list[tuple[int, int]]:
     return edges
 
 
-def reference_faces(graph) -> list[tuple[tuple[int, int], ...]]:
-    """Boundary walks of the faces, as dart tuples in face-index order.
+def reference_faces(graph) -> list[tuple[tuple[int, int, int], ...]]:
+    """Boundary walks of the faces in face-index order, each a tuple of
+    (u, v, s) entries: dart (u, v) walked in sense s.
 
     Traces every orbit of (dart, sense) states, pairs each orbit with its
     reverse, starts each face at the least (s, u, v) state of the pair and
@@ -226,7 +230,28 @@ def reference_faces(graph) -> list[tuple[tuple[int, int], ...]]:
         k = seq.index(best)
         faces.append((key(best), seq[k:] + seq[:k]))
     faces.sort()
-    return [tuple((u, v) for u, v, _ in seq) for _, seq in faces]
+    return [tuple(seq) for _, seq in faces]
+
+
+def reference_sponsors(graph) -> set[SponsorInstance]:
+    """Every sponsorship, by scanning the darts of reference_faces: face f1
+    walking (u2, u3) at position p sponsors the face f2 on the other side
+    of that edge when f2 is another face and the vertices before u2 and
+    after u3 on f1's walk are both high."""
+    faces = [[(u, v) for u, v, _ in walk] for walk in reference_faces(graph)]
+    sides: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for fi, darts in enumerate(faces):
+        for p, dart in enumerate(darts):
+            sides.setdefault(frozenset(dart), []).append((fi, p))
+    found = set()
+    for fi, darts in enumerate(faces):
+        for p, (u2, u3) in enumerate(darts):
+            (f2,) = [f for f, q in sides[frozenset((u2, u3))] if (f, q) != (fi, p)]
+            u1, u4 = darts[p - 1][0], darts[(p + 1) % len(darts)][1]
+            if (f2 != fi and graph.degree(u1) >= HIGH_DEGREE
+                    and graph.degree(u4) >= HIGH_DEGREE):
+                found.add(SponsorInstance(fi, f2, (u2, u3), p))
+    return found
 
 
 def reference_solve(graph: EmbeddedGraph, defects: Sequence[int],

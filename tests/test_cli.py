@@ -180,6 +180,14 @@ def test_parser_prints_to_the_current_streams(capsys):
         assert "--defects" in capsys.readouterr().err
 
 
+def test_audit_t_defaults_to_capacity(tmp_path):
+    # without --t, audit takes t = capacity(genus) = 11 at genus 2
+    gpath = write_graph(tmp_path, fx.genus2_bad_face_gadget().graph)
+    out = tmp_path / "audit.txt"
+    assert main(["audit", "--input", gpath, "--output", str(out)]) == 0
+    assert "genus: 2\nthreshold t: 11\n" in out.read_text()
+
+
 def test_genus_auto_on_projective_input(tmp_path):
     # without --t, color takes t = capacity(genus) = 10 on the projective plane
     gpath = write_graph(tmp_path, fx.petersen_projective())

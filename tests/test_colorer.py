@@ -8,6 +8,7 @@ from defcolor.colorer import (C_BIG, C_SMALL, ExtensionFailedError,
                               find_reduction, replay_trace,
                               _apply_extension, _find_terrible_reduction)
 from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
+from defcolor.discharging import audit
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
                                 induced_embedding)
 from defcolor.generate import gen_planar_girth5
@@ -204,6 +205,15 @@ def test_color_uses_capacity_by_default():
     res = color(g)
     assert res.trace.t == 10
     assert is_valid(g, res.coloring)
+
+
+def test_audit_and_find_reduction_default_to_capacity():
+    # at genus 2 the capacity is 11, so the default audit checks the
+    # lemmas at the threshold the colorer uses
+    g = fx.genus2_bad_face_gadget().graph
+    assert g.genus == 2
+    assert audit(g).t == color(g).trace.t == capacity(2) == 11
+    assert find_reduction(g) == find_reduction(g, 11)
 
 
 def test_color_handles_disconnection_during_reduction():

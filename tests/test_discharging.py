@@ -15,8 +15,8 @@ from defcolor.fixtures import find_face
 from defcolor.generate import gen_planar_girth5
 
 from gadget_builders import (r2_gadget, r3_gadget, sponsor_face_pair,
-                             sponsor_gadget)
-from oracles import reference_ledger
+                             sponsor_gadget, twisted_sponsor_gadget)
+from oracles import reference_ledger, reference_sponsors
 from test_golden import FIXTURE_CASES, _fixture_graph
 
 HALF = Fraction(1, 2)
@@ -219,6 +219,23 @@ def test_non_sponsor_when_flank_not_high():
     f1, f2 = sponsor_face_pair(g, verts)
     assert all((i.f1, i.f2) != (f2.index, f1.index)
                for i in sponsor_instances(g))
+
+
+def test_sponsors_match_reference(corpus):
+    fixtures = [_fixture_graph(name, kwargs) for name, kwargs in FIXTURE_CASES]
+    gadgets = [sponsor_gadget(d2, d3, w)[0]
+               for d2, d3 in ((3, 3), (3, 4), (4, 4), (2, 3), (2, 4))
+               for w in (2, 3)]
+    twisted, s, t = twisted_sponsor_gadget()
+    walks = [(f.index, dart) for f in twisted.faces for dart in f.darts
+             if set(dart) == {s, t}]
+    assert [dart for _, dart in walks] == [(t, s), (t, s)]
+    assert walks[0][0] != walks[1][0] and (s, t) in twisted.twists
+    for graph in (*fixtures, *gadgets, twisted, *corpus[::10]):
+        got = sponsor_instances(graph)
+        assert len(set(got)) == len(got)
+        assert set(got) == reference_sponsors(graph)
+    assert all(sponsor_instances(graph) for graph in (*gadgets, twisted))
 
 
 def test_r6_sponsor_sends_one():

@@ -1,14 +1,15 @@
 """Face tracing against the orbit-pairing reference tracer.
 
 EmbeddedGraph walks each face once, from its least walk state; the genus
-reads only that walk, and the first face read builds the faces and
-passages from it.  oracles.reference_faces traces both orbits of
-every face, pairs them and sorts.  Faces (darts and order), passages,
-edge sides and genus must agree on every input.  Every input is checked
-on a fresh copy whose first read is each face query in turn; a genus read
-must build no face.  networkx's planarity test checks the genus on its
-own, a recording test pins which commands walk and build, and a threaded
-test races the first reads.
+reads only that walk, and the first face read builds the faces and the
+corner store from it.  oracles.reference_faces traces both orbits of
+every face, pairs them and sorts.  Faces (darts and order), passages in
+rotation-corner order, the sides found at the corners beside each edge
+and genus must agree on every input.  Every input is checked on a fresh
+copy whose first read is each face query in turn; a genus read must
+build no face.  networkx's planarity test checks the genus on its own, a
+recording test pins which commands walk and build, and a threaded test
+races the first reads.
 """
 
 import sys
@@ -30,22 +31,44 @@ FIRST_READS = {
     "genus": lambda g: g.genus,
     "faces": lambda g: g.faces,
     "passages": lambda g: g.passages(0),
-    # (0, 0) on the single vertex, which has no edge to ask about
-    "edge_sides": lambda g: g.edge_sides(0, (g.rotation[0] or (0,))[-1]),
 }
 
 
 def _reference(graph):
-    """Faces, passages, sides of each dart and genus of the reference."""
+    """Faces, passages, sides of each edge and genus of the reference.
+
+    A walk entry (v, w, s) leaves v by dart (v, w) in sense s; it passes
+    the corner (index of w in rotation[v] + s) mod deg(v), which must be
+    passed by no other entry."""
     faces = reference_faces(graph)
-    passages = [[] for _ in range(graph.n)]
+    passages = [[None] * len(nbrs) for nbrs in graph.rotation]
     sides = {}
-    for index, darts in enumerate(faces):
-        for pos, dart in enumerate(darts):
-            passages[dart[0]].append((index, pos))
-            sides.setdefault(dart, []).append((index, pos))
+    for index, walk in enumerate(faces):
+        for pos, (v, w, s) in enumerate(walk):
+            rot = graph.rotation[v]
+            corner = (rot.index(w) + s) % len(rot)
+            assert passages[v][corner] is None
+            passages[v][corner] = (index, pos)
+            sides.setdefault(frozenset((v, w)), set()).add((index, pos))
     genus = 2 - (graph.n - len(graph.edges) + len(faces))
-    return faces, passages, sides, genus
+    darts = [tuple((v, w) for v, w, _ in walk) for walk in faces]
+    return darts, passages, sides, genus
+
+
+def _corner_sides(graph, a, b):
+    """The (face, position) sides of edge {a, b} held by the two corners of
+    a beside b: a passage there walks (a, b) from its position when its
+    face goes on to b, and (b, a) from the position before when it came
+    from b (at a 1-vertex, the one corner does both)."""
+    ring, j = graph.passages(a), graph.rotation[a].index(b)
+    found = set()
+    for fi, pos in (ring[j], ring[(j + 1) % len(ring)]):
+        verts = graph.faces[fi].verts
+        if verts[(pos + 1) % len(verts)] == b:
+            found.add((fi, pos))
+        if verts[pos - 1] == b:
+            found.add((fi, (pos - 1) % len(verts)))
+    return found
 
 
 def _assert_reads_match(graph, reference):
@@ -56,10 +79,9 @@ def _assert_reads_match(graph, reference):
     for v in range(graph.n):
         assert graph.passages(v) == tuple(passages[v])
     for u, v in graph.edges:
-        for a, b in ((u, v), (v, u)):
-            want = tuple(sides.get((a, b), []) + sides.get((b, a), []))
-            assert len(want) == 2
-            assert graph.edge_sides(a, b) == want
+        want = sides[frozenset((u, v))]
+        assert len(want) == 2
+        assert _corner_sides(graph, u, v) == _corner_sides(graph, v, u) == want
 
 
 def _assert_traced_like_reference(graph, first_read):
@@ -68,8 +90,8 @@ def _assert_traced_like_reference(graph, first_read):
     reference = _reference(graph)
     got = FIRST_READS[first_read](graph)
     if first_read == "genus":
-        # the walk alone: no Face, passage or side is built
-        assert graph._faces is None and graph._passages is None
+        # the walk alone: no Face or corner is built
+        assert graph._faces is None and graph._corners is None
         assert got == reference[3]
     else:
         assert graph._faces is not None and graph._walked is None
@@ -263,5 +285,5 @@ def test_generated_graph_is_not_traced(traced):
     assert graph._faces is None
     graph.faces
     assert traced.walks == traced.builds == [graph.n]
-    graph.passages(0), graph.edge_sides(*graph.edges[0]), graph.genus
+    graph.passages(0), graph.genus
     assert traced.walks == traced.builds == [graph.n]

@@ -6,7 +6,8 @@ every name in it must be bound.  ``bench/run.py --trace`` rebinds each
 ``apply_rules`` and ``sponsor_instances`` through the ``discharging`` module
 globals.  The tier-1 run does not collect ``bench/selftest.py``, so these
 checks keep a cut of the surface from silently breaking the tracer.
-Every public function must also have a caller outside the tests.
+Every public function, and every public method and property of
+``EmbeddedGraph``, must also have a caller outside the tests.
 """
 
 import ast
@@ -100,4 +101,8 @@ def test_every_public_function_has_a_caller():
     functions = [name for name in defcolor.__all__
                  if inspect.isfunction(getattr(defcolor, name))]
     assert len(functions) > 10
-    assert [name for name in functions if name not in read] == []
+    members = [name for name, member in vars(embedding.EmbeddedGraph).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(member) or isinstance(member, property))]
+    assert {"faces", "genus", "passages"} <= set(members)
+    assert [name for name in functions + members if name not in read] == []
