@@ -22,9 +22,10 @@ and no float is used anywhere: apply_rules accumulates charges in
 integer units of 1/_UNIT = 1/27720, the least common multiple of every
 denominator a rule can produce (2, and R3's count k <= d <= 11), and
 every public value (ledger entries, transfer amounts, claim and flag
-charges) is a fractions.Fraction.  The rules and the audit assume
-girth >= 5: both apply_rules and audit raise GirthTooSmallError below
-it (embedding.require_girth5), as color does.
+charges) is a fractions.Fraction.  The transfer log holds plain rows in
+key order and builds each Transfer when read (TransferLog).  The rules
+and the audit assume girth >= 5: both apply_rules and audit raise
+GirthTooSmallError below it (embedding.require_girth5), as color does.
 
 This module owns both degree thresholds.  The face patterns and rules
 R1-R8 read degrees through one symbol map: 2, 3, 4 and 5 stand for
@@ -61,7 +62,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .embedding import EmbeddedGraph, Face, require_girth5
@@ -73,11 +73,8 @@ MIN_T = 10        # smallest defect threshold the structural lemmas cover
 # faces, so every amount below is a whole number of units.
 _UNIT = math.lcm(*range(1, HIGH_DEGREE))
 
-# The fixed amounts, each as (public Fraction, units).
-_HALF = (Fraction(1, 2), _UNIT // 2)
-_ONE = (Fraction(1), _UNIT)
-_THREE_HALVES = (Fraction(3, 2), 3 * _UNIT // 2)
-_TWO = (Fraction(2), 2 * _UNIT)
+# The fixed amounts, in units.
+_HALF, _ONE, _THREE_HALVES, _TWO = _UNIT // 2, _UNIT, 3 * _UNIT // 2, 2 * _UNIT
 
 
 def structural_thresholds(t: int) -> tuple[int, int]:
@@ -314,6 +311,38 @@ class Transfer:
     independent: bool | None = None
 
 
+class TransferLog(Sequence[Transfer]):
+    """apply_rules' transfer log: rows (rule, source kind, source id,
+    target kind, target id, witness, units, independent) in key order,
+    units in 1/_UNIT, each read as a Transfer (one Fraction per distinct
+    amount).  Equal to any sequence of the same Transfers; unhashable."""
+
+    def __init__(self, rows: list[tuple]):
+        self.rows = rows
+        self.amounts = {u: Fraction(u, _UNIT) for u in {row[6] for row in rows}}
+
+    def _transfer(self, row: tuple) -> Transfer:
+        rule, sk, si, tk, ti, witness, units, independent = row
+        return Transfer(rule, (sk, si), (tk, ti), self.amounts[units],
+                        witness, independent)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._transfer, self.rows[i]))
+        return self._transfer(self.rows[i])
+
+    def __iter__(self):
+        return map(self._transfer, self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def _fractions(values: Sequence[int], denominator: int = 1) -> tuple[Fraction, ...]:
     """Each value / denominator as a Fraction, built once per distinct value.
 
@@ -323,21 +352,21 @@ def _fractions(values: Sequence[int], denominator: int = 1) -> tuple[Fraction, .
     return tuple(map(cache.__getitem__, values))
 
 
-def _r3_share(d: int, k: int) -> tuple[Fraction, int]:
-    """R3's share (2d - 6)/k, as (Fraction, units)."""
-    return Fraction(2 * d - 6, k), (2 * d - 6) * _UNIT // k
+def _r3_share(d: int, k: int) -> int:
+    """R3's share (2d - 6)/k, in units."""
+    return (2 * d - 6) * _UNIT // k
 
 
 def apply_rules(graph: EmbeddedGraph,
                 classes: Sequence[FaceClass] | None = None
-                ) -> tuple[ChargeLedger, list[Transfer]]:
+                ) -> tuple[ChargeLedger, TransferLog]:
     """Run R1-R8 and return the settled ledger plus the transfer log.
 
-    The log is sorted by rule id, then source, target and witness.  As
-    each transfer is logged, its amount in integer units of 1/_UNIT
-    moves between two running charges, one per vertex and face; the
-    settled charges become Fractions once per distinct value.  Requires
-    girth at least 5 (require_girth5).
+    Each firing logs one row (TransferLog) and moves its amount, in
+    integer units of 1/_UNIT, between two running charges, one per vertex
+    and face.  The rows are sorted by rule id, then source, target and
+    witness.  The settled charges become Fractions once per distinct
+    value.  Requires girth at least 5 (require_girth5).
     """
     require_girth5(graph, "apply_rules")
     if classes is None:
@@ -348,7 +377,7 @@ def apply_rules(graph: EmbeddedGraph,
     net = [c * _UNIT for c in initial]  # vertex v at v, face fi at n + fi
     # one log per rule; all but the sponsor rules' come out in key order,
     # so the final sort of their concatenation mostly walks sorted runs
-    logs: dict[str, list[Transfer]] = defaultdict(list)
+    logs: dict[str, list[tuple]] = defaultdict(list)
 
     def carries(fi: int, high: list[int]) -> bool:
         vs = faces[fi].vert_set
@@ -380,9 +409,9 @@ def apply_rules(graph: EmbeddedGraph,
             sends = [(fi, pos, share) for fi, pos in eligible]
         else:
             continue
-        source, log = ("v", v), logs[rule].append
-        for fi, pos, (amount, units) in sends:
-            log(Transfer(rule, source, ("f", fi), amount, (pos,)))
+        log = logs[rule].append
+        for fi, pos, units in sends:
+            log((rule, "v", v, "f", fi, (pos,), units, None))
             net[v] -= units
             net[n + fi] += units
 
@@ -392,17 +421,16 @@ def apply_rules(graph: EmbeddedGraph,
         d2, d3 = deg[u2], deg[u3]
         pair = {d2, d3}
         if d2 in (3, 4) and d3 in (3, 4):
-            rule, (amount, units) = "R6", _ONE
+            rule, units = "R6", _ONE
         elif pair == {2, 3} and classes[inst.f1] is not FaceClass.X1:
-            rule, (amount, units) = "R7", _HALF
+            rule, units = "R7", _HALF
         elif pair == {2, 4}:
-            rule, (amount, units) = (("R8A", _HALF)
-                                     if classes[inst.f1] is FaceClass.X2
-                                     else ("R8B", _ONE))
+            rule, units = (("R8A", _HALF) if classes[inst.f1] is FaceClass.X2
+                           else ("R8B", _ONE))
         else:
             continue
-        logs[rule].append(Transfer(rule, ("f", inst.f1), ("f", inst.f2),
-                                   amount, (u2, u3, inst.position)))
+        logs[rule].append((rule, "f", inst.f1, "f", inst.f2,
+                           (u2, u3, inst.position), units, None))
         net[n + inst.f1] -= units
         net[n + inst.f2] += units
         if rule != "R6":
@@ -410,22 +438,20 @@ def apply_rules(graph: EmbeddedGraph,
             coupled.add((inst.f1, two_end))
             coupled.add((inst.f2, two_end))
 
-    amount, units = _ONE
     log = logs["R5"].append
     for fi, face in enumerate(faces):
-        source = ("f", fi)
         for u, pos in sorted((u, pos) for pos, u in enumerate(face.verts)
                              if deg[u] == 2):
-            log(Transfer("R5", source, ("v", u), amount, (pos,),
-                         independent=(fi, u) not in coupled))
-            net[n + fi] -= units
-            net[u] += units
+            log(("R5", "f", fi, "v", u, (pos,), _ONE, (fi, u) not in coupled))
+            net[n + fi] -= _ONE
+            net[u] += _ONE
 
-    transfers = [tr for rule in sorted(logs) for tr in logs[rule]]
-    transfers.sort(key=attrgetter("rule", "source", "target", "witness"))
+    # keys are unique, so a row's natural order is its key order
+    rows = [row for rule in sorted(logs) for row in logs[rule]]
+    rows.sort()
     start, end = _fractions(initial), _fractions(net, _UNIT)
     ledger = ChargeLedger(start[:n], start[n:], end[:n], end[n:])
-    return ledger, transfers
+    return ledger, TransferLog(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +484,7 @@ class AuditReport:
     t: int
     genus: int
     ledger: ChargeLedger
-    transfers: list[Transfer]
+    transfers: TransferLog  # rows in key order; a Transfer per read
     face_classes: tuple[FaceClass, ...]
     claim_violations: list[ClaimViolation]
     lemma_violations: list[LemmaViolation]
@@ -563,13 +589,16 @@ def ledger_csv(ledger: ChargeLedger) -> str:
     return "\n".join(lines) + "\n"
 
 
-def transfers_csv(transfers: Sequence[Transfer]) -> str:
+def transfers_csv(transfers: TransferLog) -> str:
+    """One line per transfer, in log order, from the log's rows; each
+    distinct amount is formatted once."""
+    text = {u: format_fraction(x) for u, x in transfers.amounts.items()}
+    flag = {None: "", True: "true", False: "false"}
     lines = ["rule,source_kind,source_id,target_kind,target_id,amount,witness,independent"]
-    for tr in transfers:
-        ind = "" if tr.independent is None else str(tr.independent).lower()
-        wit = ";".join(str(w) for w in tr.witness)
-        lines.append(f"{tr.rule},{tr.source[0]},{tr.source[1]},{tr.target[0]},"
-                     f"{tr.target[1]},{format_fraction(tr.amount)},{wit},{ind}")
+    for rule, sk, si, tk, ti, witness, amount, independent in transfers.rows:
+        wit = witness[0] if len(witness) == 1 else ";".join(map(str, witness))
+        lines.append(f"{rule},{sk},{si},{tk},{ti},{text[amount]},{wit},"
+                     f"{flag[independent]}")
     return "\n".join(lines) + "\n"
 
 

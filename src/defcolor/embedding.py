@@ -173,6 +173,8 @@ class EmbeddedGraph:
     # -- basic queries ---------------------------------------------------
 
     def degree(self, v: int) -> int:
+        if v < 0:  # a negative index would read from the end
+            raise IndexError(f"vertex {v} out of range")
         return len(self.rotation[v])
 
     @property
@@ -216,6 +218,8 @@ class EmbeddedGraph:
         ``passages(v)[i]`` lies between ``rotation[v][i-1]`` and
         ``rotation[v][i]``, and its face comes in along one of those edges
         and leaves along the other."""
+        if v < 0:  # a negative index would read from the end
+            raise IndexError(f"vertex {v} out of range")
         if self._faces is None:
             self._build()
         offset, face_of, pos_of = self._corners

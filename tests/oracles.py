@@ -13,7 +13,10 @@ exact solver as three recursive closures (for comparison with
 solve_exact's loop), and the generator's subdividable edges rebuilt
 from the whole builder (for comparison with its incrementally counted
 pool), the discharging ledger settled by adding every transfer's Fraction amount one at a time
-(for comparison with apply_rules' integer charge units), and graph
+(for comparison with apply_rules' integer charge units), the transfer
+log as one Transfer per firing sorted by an attrgetter key, and its CSV
+written transfer by transfer (for comparison with apply_rules' row log
+and transfers_csv), and graph
 documents parsed by a line loop that sorts each line into comment, twist
 or vertex line before reading it and checked vertex by vertex with sets
 (for comparison with parse_graph and EmbeddedGraph's dart index).
@@ -25,6 +28,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -34,7 +38,8 @@ from defcolor.colorer import (ReductionKind, ReductionStep,
                               _find_terrible_reduction)
 from defcolor.coloring import (Coloring, ColoringError, SolveResult,
                                SolveStatus, validate_defects)
-from defcolor.discharging import (HIGH_DEGREE, ChargeLedger, SponsorInstance,
+from defcolor.discharging import (HIGH_DEGREE, ChargeLedger, FaceClass,
+                                  SponsorInstance, Transfer, format_fraction,
                                   structural_thresholds)
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, GirthTooSmallError, GraphError,
@@ -338,6 +343,80 @@ def reference_ledger(graph: EmbeddedGraph, transfers) -> ChargeLedger:
         final[tr.source[0]][tr.source[1]] -= tr.amount
         final[tr.target[0]][tr.target[1]] += tr.amount
     return ChargeLedger(vertex, face, tuple(final["v"]), tuple(final["f"]))
+
+
+def reference_transfers(graph: EmbeddedGraph,
+                        classes: Sequence[FaceClass]) -> list[Transfer]:
+    """R1-R8 with one Transfer per firing, each amount a Fraction, sorted
+    by (rule, source, target, witness).  Sponsorships come from
+    reference_sponsors."""
+    faces, rotation = graph.faces, graph.rotation
+    deg = [len(nbrs) for nbrs in rotation]
+    half, one = Fraction(1, 2), Fraction(1)
+    three_halves, two = Fraction(3, 2), Fraction(2)
+
+    def carries(fi, high):
+        return any(u in faces[fi].vert_set for u in high)
+
+    out = []
+    for v, d in enumerate(deg):
+        high = [u for u in rotation[v] if deg[u] >= HIGH_DEGREE]
+        ring = graph.passages(v)
+        if d == 4:
+            sends = [("R1", fi, pos, half) for fi, pos in ring]
+        elif d >= HIGH_DEGREE:
+            sends = [("R4", fi, pos, two if classes[fi].is_bad else three_halves)
+                     for fi, pos in ring]
+        elif d == 5:
+            sends = [("R2", fi, pos, three_halves
+                      if classes[fi] is FaceClass.SPECIAL else one)
+                     for fi, pos in ring if classes[fi] is FaceClass.SPECIAL
+                     or not carries(fi, high)]
+        elif d >= 6:
+            eligible = [(fi, pos) for fi, pos in ring if not carries(fi, high)]
+            sends = [("R3", fi, pos, Fraction(2 * d - 6, len(eligible)))
+                     for fi, pos in eligible]
+        else:
+            continue
+        out += [Transfer(rule, ("v", v), ("f", fi), amount, (pos,))
+                for rule, fi, pos, amount in sends]
+
+    coupled = set()
+    for inst in reference_sponsors(graph):
+        u2, u3 = inst.edge
+        d2, d3 = deg[u2], deg[u3]
+        if d2 in (3, 4) and d3 in (3, 4):
+            rule, amount = "R6", one
+        elif {d2, d3} == {2, 3} and classes[inst.f1] is not FaceClass.X1:
+            rule, amount = "R7", half
+        elif {d2, d3} == {2, 4}:
+            rule, amount = (("R8A", half) if classes[inst.f1] is FaceClass.X2
+                            else ("R8B", one))
+        else:
+            continue
+        out.append(Transfer(rule, ("f", inst.f1), ("f", inst.f2), amount,
+                            (u2, u3, inst.position)))
+        if rule != "R6":
+            two_end = u2 if d2 == 2 else u3
+            coupled |= {(inst.f1, two_end), (inst.f2, two_end)}
+
+    for fi, face in enumerate(faces):
+        out += [Transfer("R5", ("f", fi), ("v", u), one, (pos,),
+                         independent=(fi, u) not in coupled)
+                for pos, u in enumerate(face.verts) if deg[u] == 2]
+    out.sort(key=attrgetter("rule", "source", "target", "witness"))
+    return out
+
+
+def reference_transfers_csv(transfers: Iterable[Transfer]) -> str:
+    """The transfer CSV written transfer by transfer."""
+    lines = ["rule,source_kind,source_id,target_kind,target_id,amount,witness,independent"]
+    for tr in transfers:
+        ind = "" if tr.independent is None else str(tr.independent).lower()
+        wit = ";".join(str(w) for w in tr.witness)
+        lines.append(f"{tr.rule},{tr.source[0]},{tr.source[1]},{tr.target[0]},"
+                     f"{tr.target[1]},{format_fraction(tr.amount)},{wit},{ind}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_embedding(rotation: Sequence[Sequence[int]],

@@ -1,22 +1,27 @@
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from defcolor import discharging, fixtures as fx
+from defcolor import cli, discharging, fixtures as fx
 from defcolor.discharging import (_PATTERNS, _UNIT, HIGH_DEGREE, FaceClass,
-                                  _canonical, _r3_share, _symbol, apply_rules,
-                                  audit, classify_faces, format_fraction,
-                                  ledger_csv, sponsor_instances,
-                                  transfers_csv)
+                                  Transfer, _canonical, _r3_share, _symbol,
+                                  apply_rules, audit, classify_faces,
+                                  format_fraction, ledger_csv,
+                                  sponsor_instances, transfers_csv)
 from defcolor.embedding import EmbeddedGraph, GirthTooSmallError
 from defcolor.fixtures import find_face
 from defcolor.generate import gen_planar_girth5
+from defcolor.graphio import serialize_graph
 
-from gadget_builders import (r2_gadget, r3_gadget, sponsor_face_pair,
-                             sponsor_gadget, twisted_sponsor_gadget)
-from oracles import reference_ledger, reference_sponsors
+from gadget_builders import (chorded_cycle, r2_gadget, r3_gadget,
+                             sponsor_face_pair, sponsor_gadget,
+                             twisted_sponsor_gadget)
+from oracles import (reference_ledger, reference_sponsors,
+                     reference_transfers, reference_transfers_csv)
 from test_golden import FIXTURE_CASES, _fixture_graph
 
 HALF = Fraction(1, 2)
@@ -422,13 +427,16 @@ def test_unit_covers_every_rule_amount():
     amounts += [Fraction(2 * d - 6, k)
                 for d in range(6, HIGH_DEGREE) for k in range(1, d + 1)]
     assert all((x * _UNIT).denominator == 1 for x in amounts)
-    for value, units in (discharging._HALF, discharging._ONE,
-                         discharging._THREE_HALVES, discharging._TWO):
-        assert type(value) is Fraction and value * _UNIT == units
+    fixed = (discharging._HALF, discharging._ONE, discharging._THREE_HALVES,
+             discharging._TWO)
+    assert all(type(units) is int for units in fixed)
+    assert [Fraction(units, _UNIT) for units in fixed] == [
+        HALF, 1, THREE_HALVES, 2]
     for d in range(6, HIGH_DEGREE):
         for k in range(1, d + 1):
-            value, units = _r3_share(d, k)
-            assert value == Fraction(2 * d - 6, k) == Fraction(units, _UNIT)
+            units = _r3_share(d, k)
+            assert type(units) is int
+            assert Fraction(units, _UNIT) == Fraction(2 * d - 6, k)
 
 
 def _check_ledger(graph):
@@ -491,3 +499,80 @@ def test_every_r3_share_settles_exactly(d, k):
     r3 = transfers_from(transfers, "R3", ("v", 0))
     assert len(r3) == k
     assert all(tr.amount == Fraction(2 * d - 6, k) for tr in r3)
+
+
+# -- transfer log ------------------------------------------------------------
+
+
+def _check_transfers(graph):
+    """apply_rules' row log reads as reference_transfers, in order, and
+    transfers_csv writes the reference writer's bytes."""
+    want = reference_transfers(graph, classify_faces(graph))
+    log = apply_rules(graph)[1]
+    assert list(log) == want
+    assert transfers_csv(log) == reference_transfers_csv(want)
+    return want
+
+
+@pytest.mark.parametrize("name, kwargs", FIXTURE_CASES)
+def test_transfer_log_matches_reference_on_fixtures(name, kwargs):
+    _check_transfers(_fixture_graph(name, kwargs))
+
+
+def test_transfer_log_matches_reference_on_corpus_and_gadgets(corpus):
+    gadgets = [sponsor_gadget(d2, d3, w)[0]
+               for d2, d3 in ((3, 3), (3, 4), (4, 4), (2, 3), (2, 4))
+               for w in (2, 3)]
+    graphs = [*corpus[::10], *gadgets, twisted_sponsor_gadget()[0],
+              r2_gadget()[0], r3_gadget()[0], chorded_cycle(1, 310, 2),
+              chorded_cycle(1, 440, 3, twisted=True)]
+    fired = {tr.rule for graph in graphs for tr in _check_transfers(graph)}
+    assert fired == {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8B"}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(5, 300))
+def test_transfer_log_matches_reference_on_random_planar(seed, size):
+    _check_transfers(gen_planar_girth5(seed, size))
+
+
+def test_transfer_log_is_a_sequence_of_transfers():
+    g = fx.terrible_face().graph
+    log = apply_rules(g)[1]
+    want = reference_transfers(g, classify_faces(g))
+    n = len(want)
+    assert isinstance(log, Sequence) and len(log) == n > 8
+    assert log[0] == want[0] and log[-1] == want[-1] and log[-n] == want[0]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log[i]
+    assert log[:4] == want[:4] and log[1:-1:3] == want[1:-1:3]
+    assert log[5:2] == [] and type(log[:4]) is list
+    assert want[3] in log and log.index(want[3]) == 3
+    assert all(type(tr) is Transfer and type(tr.amount) is Fraction
+               for tr in log)
+    assert log == want and want == log and log == tuple(want)
+    assert log != want[:-1] and log != [] and log != 0
+    assert log != [*want[1:], want[0]] and log != apply_rules(fx.c5())[1]
+    assert log == apply_rules(g)[1]
+    assert apply_rules(fx.dodecahedron())[1] == []
+    with pytest.raises(TypeError):
+        hash(log)
+
+
+def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
+    built = []
+    init = Transfer.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transfer, "__init__", counted)
+    gpath, out = tmp_path / "g.txt", tmp_path / "audit.csv"
+    gpath.write_text(serialize_graph(fx.terrible_face().graph))
+    assert cli.main(["audit", "--input", str(gpath), "--format", "csv",
+                     "--output", str(out)]) == 0
+    assert built == [] and "\nR8A,f," in out.read_text()
+    apply_rules(fx.c5())[1][0]  # a read builds one, and the count sees it
+    assert len(built) == 1

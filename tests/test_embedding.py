@@ -23,6 +23,15 @@ def test_c5_two_faces_genus_zero():
     assert all(f.degree == 5 for f in g.faces)
 
 
+@pytest.mark.parametrize("v", [-1, 5])
+def test_vertex_queries_reject_out_of_range_ids(v):
+    g = fx.c5()
+    with pytest.raises(IndexError):
+        g.passages(v)
+    with pytest.raises(IndexError):
+        g.degree(v)
+
+
 def test_loop_rejected():
     with pytest.raises(NonSimpleError):
         EmbeddedGraph([[1], [1, 0]])
