@@ -33,15 +33,21 @@ class PartialColoringError(ColoringError):
 
 
 def validate_defects(defects: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(int(x) for x in defects)
-    if len(d) < 1 or any(x < 0 for x in d):
+    d = tuple(map(int, defects))
+    if not d or min(d) < 0:
         raise ColoringError(f"defect vector must be non-empty and non-negative: {d}")
     return d
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total class assignment (0-based) with its defect vector."""
+    """Total class assignment (0-based) with its defect vector.
+
+    Construction validates the defect vector and range-checks every
+    class.  solve_exact, which has validated its vector and assigns only
+    classes in range, builds its result through _checked instead, so a
+    vector is validated once on every path.
+    """
 
     assignment: tuple[int, ...]
     defects: tuple[int, ...]
@@ -52,6 +58,16 @@ class Coloring:
         for v, c in enumerate(self.assignment):
             if c is None or not (0 <= c < r):
                 raise PartialColoringError(f"vertex {v} has no class in 0..{r - 1}")
+
+    @classmethod
+    def _checked(cls, assignment: tuple[int, ...],
+                 defects: tuple[int, ...]) -> Coloring:
+        """A Coloring of an assignment and a validated defect vector whose
+        classes are all in range, built without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "defects", defects)
+        return self
 
     def classes(self) -> int:
         return len(self.defects)
@@ -199,4 +215,5 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
     if i < 0:
         return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
     return SolveResult(SolveStatus.FOUND,
-                       Coloring(tuple(assign[k] for k in depth), d), nodes)
+                       Coloring._checked(tuple(assign[k] for k in depth), d),
+                       nodes)

@@ -22,10 +22,15 @@ and no float is used anywhere: apply_rules accumulates charges in
 integer units of 1/_UNIT = 1/27720, the least common multiple of every
 denominator a rule can produce (2, and R3's count k <= d <= 11), and
 every public value (ledger entries, transfer amounts, claim and flag
-charges) is a fractions.Fraction.  The transfer log holds plain rows in
-key order and builds each Transfer when read (TransferLog).  The rules
-and the audit assume girth >= 5: both apply_rules and audit raise
-GirthTooSmallError below it (embedding.require_girth5), as color does.
+charges) is a fractions.Fraction.  The ledger keeps the settled units
+beside its Fractions (ChargeLedger.initial and .net): audit reads the
+sign of a charge from them and ledger_csv writes from them, formatting
+each distinct value once.  The three logs hold plain rows and build
+their objects only when read (RowLog): the transfer log in key order,
+one row (lemma, witness) per lemma violation and one row (claim,
+element, ledger index) per claim violation.  The rules and the audit
+assume girth >= 5: both apply_rules and audit raise GirthTooSmallError
+below it (embedding.require_girth5), as color does.
 
 This module owns both degree thresholds.  The face patterns and rules
 R1-R8 read degrees through one symbol map: 2, 3, 4 and 5 stand for
@@ -58,11 +63,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import product
-from typing import NamedTuple, Sequence
+from functools import cache
+from itertools import product, starmap
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .embedding import EmbeddedGraph, Face, require_girth5
 
@@ -223,6 +229,18 @@ def terrible_corners(graph: EmbeddedGraph, classes: Sequence[FaceClass],
             if classes[fi] is FaceClass.TERRIBLE]
 
 
+def _near_high(rotation: Sequence[Sequence[int]], deg: Sequence[int],
+               high: int) -> bytearray:
+    """1 at every vertex with a neighbor of degree >= high, else 0; each
+    such neighbor marks its own neighbors once."""
+    near = bytearray(len(deg))
+    for h, d in enumerate(deg):
+        if d >= high:
+            for u in rotation[h]:
+                near[u] = 1
+    return near
+
+
 # ---------------------------------------------------------------------------
 # Sponsors
 # ---------------------------------------------------------------------------
@@ -245,11 +263,7 @@ def sponsor_instances(graph: EmbeddedGraph) -> list[SponsorInstance]:
     faces, rot = graph.faces, graph.rotation
     deg = [len(nbrs) for nbrs in rot]
     # u1 and u4 are high neighbors of the edge's two ends
-    near_high = bytearray(graph.n)
-    for h, d in enumerate(deg):
-        if d >= HIGH_DEGREE:
-            for u in rot[h]:
-                near_high[u] = 1
+    near_high = _near_high(rot, deg, HIGH_DEGREE)
     out = []
     for a, b in graph.edges:
         if not (near_high[a] and near_high[b]):
@@ -276,22 +290,47 @@ def sponsor_instances(graph: EmbeddedGraph) -> list[SponsorInstance]:
 # ---------------------------------------------------------------------------
 
 
+def _units(charges: Sequence[Fraction]) -> list[int]:
+    """Each charge as a whole number of units of 1/_UNIT."""
+    out = []
+    for x in charges:
+        units = Fraction(x) * _UNIT
+        if units.denominator != 1:
+            raise ValueError(f"charge {x} is not a whole number of 1/{_UNIT}")
+        out.append(units.numerator)
+    return out
+
+
 @dataclass
 class ChargeLedger:
-    """Exact per-element charges before and after redistribution."""
+    """Exact per-element charges before and after redistribution.
+
+    initial and net hold the same charges in integer units of 1/_UNIT,
+    vertex v at v and face fi at |V| + fi.  apply_rules passes the units
+    it settled; a ledger built from the Fractions alone derives them.
+    They take no part in equality or repr.
+    """
 
     vertex_initial: tuple[Fraction, ...]
     face_initial: tuple[Fraction, ...]
     vertex_final: tuple[Fraction, ...]
     face_final: tuple[Fraction, ...]
+    initial: Sequence[int] = field(default=None, compare=False, repr=False)
+    net: Sequence[int] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.initial is None:
+            self.initial = _units(self.vertex_initial + self.face_initial)
+        if self.net is None:
+            self.net = _units(self.vertex_final + self.face_final)
 
     @property
     def total_initial(self) -> Fraction:
-        return sum(self.vertex_initial, Fraction(0)) + sum(self.face_initial, Fraction(0))
+        return Fraction(sum(self.initial), _UNIT)
 
     @property
     def total_final(self) -> Fraction:
-        return sum(self.vertex_final, Fraction(0)) + sum(self.face_final, Fraction(0))
+        return Fraction(sum(self.net), _UNIT)
 
 
 @dataclass(frozen=True)
@@ -311,31 +350,28 @@ class Transfer:
     independent: bool | None = None
 
 
-class TransferLog(Sequence[Transfer]):
-    """apply_rules' transfer log: rows (rule, source kind, source id,
-    target kind, target id, witness, units, independent) in key order,
-    units in 1/_UNIT, each read as a Transfer (one Fraction per distinct
-    amount).  Equal to any sequence of the same Transfers; unhashable."""
+_T = TypeVar("_T")
 
-    def __init__(self, rows: list[tuple]):
+
+class RowLog(Sequence[_T]):
+    """A log of plain tuples read as objects: item i is make(*rows[i]),
+    built on each read.  Equal to any sequence of the same objects;
+    unhashable, like a list."""
+
+    def __init__(self, rows: list[tuple], make: Callable[..., _T]):
         self.rows = rows
-        self.amounts = {u: Fraction(u, _UNIT) for u in {row[6] for row in rows}}
-
-    def _transfer(self, row: tuple) -> Transfer:
-        rule, sk, si, tk, ti, witness, units, independent = row
-        return Transfer(rule, (sk, si), (tk, ti), self.amounts[units],
-                        witness, independent)
+        self.make = make
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(map(self._transfer, self.rows[i]))
-        return self._transfer(self.rows[i])
+            return list(starmap(self.make, self.rows[i]))
+        return self.make(*self.rows[i])
 
     def __iter__(self):
-        return map(self._transfer, self.rows)
+        return starmap(self.make, self.rows)
 
     def __eq__(self, other):
         if isinstance(other, Sequence):
@@ -343,13 +379,26 @@ class TransferLog(Sequence[Transfer]):
         return NotImplemented
 
 
-def _fractions(values: Sequence[int], denominator: int = 1) -> tuple[Fraction, ...]:
-    """Each value / denominator as a Fraction, built once per distinct value.
+@cache
+def _amount(units: int) -> Fraction:
+    """units / _UNIT; transfer amounts take only a few values."""
+    return Fraction(units, _UNIT)
+
+
+def _transfer(rule, source_kind, source_id, target_kind, target_id, witness,
+              units, independent) -> Transfer:
+    """The Transfer of one transfer-log row."""
+    return Transfer(rule, (source_kind, source_id), (target_kind, target_id),
+                    _amount(units), witness, independent)
+
+
+def _fractions(units: Sequence[int]) -> tuple[Fraction, ...]:
+    """Each value in units as a Fraction, built once per distinct value.
 
     The cache is keyed by int: hashing a Fraction costs a modular inverse.
     """
-    cache = {x: Fraction(x, denominator) for x in set(values)}
-    return tuple(map(cache.__getitem__, values))
+    made = {x: Fraction(x, _UNIT) for x in set(units)}
+    return tuple(map(made.__getitem__, units))
 
 
 def _r3_share(d: int, k: int) -> int:
@@ -359,22 +408,26 @@ def _r3_share(d: int, k: int) -> int:
 
 def apply_rules(graph: EmbeddedGraph,
                 classes: Sequence[FaceClass] | None = None
-                ) -> tuple[ChargeLedger, TransferLog]:
+                ) -> tuple[ChargeLedger, RowLog[Transfer]]:
     """Run R1-R8 and return the settled ledger plus the transfer log.
 
-    Each firing logs one row (TransferLog) and moves its amount, in
-    integer units of 1/_UNIT, between two running charges, one per vertex
-    and face.  The rows are sorted by rule id, then source, target and
-    witness.  The settled charges become Fractions once per distinct
-    value.  Requires girth at least 5 (require_girth5).
+    Each firing logs one row (rule, source kind, source id, target kind,
+    target id, witness, units, independent), read as a Transfer, and
+    moves its amount, in integer units of 1/_UNIT, between two running
+    charges, one per vertex and face.  The rows are sorted by rule id,
+    then source, target and witness.  The ledger keeps the settled units
+    and their Fractions, built once per distinct value.  Requires girth
+    at least 5 (require_girth5).
     """
     require_girth5(graph, "apply_rules")
     if classes is None:
         classes = classify_faces(graph)
     n, rotation, faces = graph.n, graph.rotation, graph.faces
     deg = [len(nbrs) for nbrs in rotation]
-    initial = [2 * d - 6 for d in deg] + [face.degree - 6 for face in faces]
-    net = [c * _UNIT for c in initial]  # vertex v at v, face fi at n + fi
+    # vertex v at v, face fi at n + fi
+    initial = ([(2 * d - 6) * _UNIT for d in deg]
+               + [(face.degree - 6) * _UNIT for face in faces])
+    net = initial.copy()
     # one log per rule; all but the sponsor rules' come out in key order,
     # so the final sort of their concatenation mostly walks sorted runs
     logs: dict[str, list[tuple]] = defaultdict(list)
@@ -449,9 +502,9 @@ def apply_rules(graph: EmbeddedGraph,
     # keys are unique, so a row's natural order is its key order
     rows = [row for rule in sorted(logs) for row in logs[rule]]
     rows.sort()
-    start, end = _fractions(initial), _fractions(net, _UNIT)
-    ledger = ChargeLedger(start[:n], start[n:], end[:n], end[n:])
-    return ledger, TransferLog(rows)
+    start, end = _fractions(initial), _fractions(net)
+    ledger = ChargeLedger(start[:n], start[n:], end[:n], end[n:], initial, net)
+    return ledger, RowLog(rows, _transfer)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +534,31 @@ class HighVertexFlag:
 
 @dataclass
 class AuditReport:
+    """What audit found, at threshold t on a surface of this genus.
+
+    transfers, claim_violations and lemma_violations are RowLogs: plain
+    rows that build a Transfer, ClaimViolation or LemmaViolation on each
+    read and compare equal to a list of the same objects.  A claim row is
+    (claim, element, ledger index), the index into ledger.initial and
+    ledger.net; a lemma row is (lemma, witness).  The rows come in the
+    order of the checks in audit.
+    """
+
     t: int
     genus: int
     ledger: ChargeLedger
-    transfers: TransferLog  # rows in key order; a Transfer per read
+    transfers: Sequence[Transfer]
     face_classes: tuple[FaceClass, ...]
-    claim_violations: list[ClaimViolation]
-    lemma_violations: list[LemmaViolation]
+    claim_violations: Sequence[ClaimViolation]
+    lemma_violations: Sequence[LemmaViolation]
     high_vertex_flags: list[HighVertexFlag]
 
     @property
     def violated_lemmas(self) -> set[str]:
         return {lv.lemma for lv in self.lemma_violations}
+
+
+_FACE_CLAIMS = {6: "face6-negative", 5: "face5-negative"}
 
 
 def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
@@ -507,7 +573,8 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     face bound min(d//3, d - t - 2); at least three (t+2)+ vertices when
     a cycle exists.  Finally every (t+2)+ vertex's final charge is
     checked against the general-surface floor 2*genus - 3.5.  t defaults
-    to capacity(genus), as in color.
+    to capacity(genus), as in color.  Every check reads the ledger's
+    integer units, and each violation is logged as one row.
     """
     if t is None:
         t = capacity(graph.genus)
@@ -515,60 +582,73 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     require_girth5(graph, "audit")
     classes = classify_faces(graph)
     ledger, transfers = apply_rules(graph, classes)
+    n, rot = graph.n, graph.rotation
+    net = ledger.net
 
-    # a Fraction's sign is its numerator's, and reading it skips the
-    # generic comparison
-    claims: list[ClaimViolation] = []
-    for v, final in enumerate(ledger.vertex_final):
-        if final.numerator < 0:
-            claims.append(ClaimViolation("vertex-negative", ("v", v), final))
-    for face, final in zip(graph.faces, ledger.face_final):
-        d, sign = face.degree, final.numerator
-        if d >= 7:
-            if sign <= 0:
-                claims.append(ClaimViolation("face7-nonpositive",
-                                             ("f", face.index), final))
-        elif sign < 0:
-            claim = {6: "face6-negative",
-                     5: "face5-negative"}.get(d, "small-face-negative")
-            claims.append(ClaimViolation(claim, ("f", face.index), final))
+    claims = [("vertex-negative", ("v", v), v) for v in range(n) if net[v] < 0]
+    for face in graph.faces:
+        i = n + face.index
+        if face.degree >= 7:
+            if net[i] <= 0:
+                claims.append(("face7-nonpositive", ("f", face.index), i))
+        elif net[i] < 0:
+            claim = _FACE_CLAIMS.get(face.degree, "small-face-negative")
+            claims.append((claim, ("f", face.index), i))
 
-    deg = [len(nbrs) for nbrs in graph.rotation]
-    lemmas: list[LemmaViolation] = []
+    # one pass, three row lists in the order of the checks: min-degree
+    # and vx-degree by vertex, then no-22 by edge, then the face counts
+    deg = [len(nbrs) for nbrs in rot]
+    near = _near_high(rot, deg, high)
+    lemmas, no22, counts = [], [], []
     for v, d in enumerate(deg):
-        if d <= 1:
-            lemmas.append(LemmaViolation("min-degree", (v,)))
-        if d <= low and not any(deg[u] >= high for u in graph.rotation[v]):
-            lemmas.append(LemmaViolation("vx-degree", (v,)))
-    for u, v in graph.edges:
-        if deg[u] == 2 and deg[v] == 2:
-            lemmas.append(LemmaViolation("no-22", (u, v)))
-    for v, d in enumerate(deg):
-        if d == 5:
-            count = sum(1 for fi, _ in graph.passages(v)
-                        if classes[fi] is FaceClass.SPECIAL)
-            if count > 2:
-                lemmas.append(LemmaViolation("special-faces-num", (v, count)))
-        elif d >= high:
+        if d <= low:
+            if d <= 1:
+                lemmas.append(("min-degree", (v,)))
+            elif d == 2:  # its edges to later 2-vertices, in edge order
+                a, b = rot[v]
+                if a > b:
+                    a, b = b, a
+                if a > v and deg[a] == 2:
+                    no22.append(("no-22", (v, a)))
+                if b > v and deg[b] == 2:
+                    no22.append(("no-22", (v, b)))
+            if not near[v]:
+                lemmas.append(("vx-degree", (v,)))
+            if d == 5:
+                special = sum(1 for fi, _ in graph.passages(v)
+                              if classes[fi] is FaceClass.SPECIAL)
+                if special > 2:
+                    counts.append(("special-faces-num", (v, special)))
+        else:  # d >= high
             bound = terrible_bound(d, high)
             terr = len(terrible_corners(graph, classes, v))
             bad = sum(1 for fi, _ in graph.passages(v) if classes[fi].is_bad)
             if terr > bound:
-                lemmas.append(LemmaViolation("terrible-faces-num", (v, terr)))
+                counts.append(("terrible-faces-num", (v, terr)))
             if bad > bound:
-                lemmas.append(LemmaViolation("bad-faces-num", (v, bad)))
+                counts.append(("bad-faces-num", (v, bad)))
+    lemmas += no22
+    lemmas += counts
     if graph.m >= graph.n:  # connected with |E| >= |V|: has a cycle
         high_count = sum(1 for d in deg if d >= high)
         if high_count < 3:
-            lemmas.append(LemmaViolation("vx-high-general", (high_count,)))
+            lemmas.append(("vx-high-general", (high_count,)))
 
-    floor = Fraction(2 * graph.genus) - Fraction(7, 2)
-    flags = [HighVertexFlag(v, ledger.vertex_final[v], floor)
-             for v, d in enumerate(deg)
-             if d >= high and ledger.vertex_final[v] < floor]
+    floor = 2 * graph.genus * _UNIT - 7 * _HALF  # 2*genus - 3.5, in units
+    floor_charge = Fraction(floor, _UNIT)
+    flags = [HighVertexFlag(v, ledger.vertex_final[v], floor_charge)
+             for v, d in enumerate(deg) if d >= high and net[v] < floor]
+
+    vertex_final, face_final = ledger.vertex_final, ledger.face_final
+
+    def claim_violation(claim: str, element: tuple[str, int],
+                        i: int) -> ClaimViolation:
+        final = vertex_final[i] if i < n else face_final[i - n]
+        return ClaimViolation(claim, element, final)
 
     return AuditReport(t, graph.genus, ledger, transfers, classes,
-                       claims, lemmas, flags)
+                       RowLog(claims, claim_violation),
+                       RowLog(lemmas, LemmaViolation), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +660,28 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _unit_texts(units: set[int]) -> dict[int, str]:
+    """The "p/q" text of each value, given in units."""
+    return {u: format_fraction(Fraction(u, _UNIT)) for u in units}
+
+
 def ledger_csv(ledger: ChargeLedger) -> str:
+    """One line per vertex and then per face, from the ledger's units."""
+    initial, net = ledger.initial, ledger.net
+    text = _unit_texts({*initial, *net})
+    n = len(ledger.vertex_initial)
     lines = ["element_kind,element_id,initial,final"]
-    for v, (ini, fin) in enumerate(zip(ledger.vertex_initial, ledger.vertex_final)):
-        lines.append(f"v,{v},{format_fraction(ini)},{format_fraction(fin)}")
-    for f, (ini, fin) in enumerate(zip(ledger.face_initial, ledger.face_final)):
-        lines.append(f"f,{f},{format_fraction(ini)},{format_fraction(fin)}")
+    lines += [f"v,{v},{text[a]},{text[b]}"
+              for v, (a, b) in enumerate(zip(initial[:n], net[:n]))]
+    lines += [f"f,{f},{text[a]},{text[b]}"
+              for f, (a, b) in enumerate(zip(initial[n:], net[n:]))]
     return "\n".join(lines) + "\n"
 
 
-def transfers_csv(transfers: TransferLog) -> str:
+def transfers_csv(transfers: RowLog[Transfer]) -> str:
     """One line per transfer, in log order, from the log's rows; each
     distinct amount is formatted once."""
-    text = {u: format_fraction(x) for u, x in transfers.amounts.items()}
+    text = _unit_texts({row[6] for row in transfers.rows})
     flag = {None: "", True: "true", False: "false"}
     lines = ["rule,source_kind,source_id,target_kind,target_id,amount,witness,independent"]
     for rule, sk, si, tk, ti, witness, amount, independent in transfers.rows:

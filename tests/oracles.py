@@ -16,7 +16,10 @@ pool), the discharging ledger settled by adding every transfer's Fraction amount
 (for comparison with apply_rules' integer charge units), the transfer
 log as one Transfer per firing sorted by an attrgetter key, and its CSV
 written transfer by transfer (for comparison with apply_rules' row log
-and transfers_csv), and graph
+and transfers_csv), the audit's claim, lemma and flag checks as loops
+that build one violation object each, over the reference ledger, and
+the ledger CSV written entry by entry through format_fraction (for
+comparison with audit's row logs and ledger_csv's unit texts), and graph
 documents parsed by a line loop that sorts each line into comment, twist
 or vertex line before reading it and checked vertex by vertex with sets
 (for comparison with parse_graph and EmbeddedGraph's dart index).
@@ -38,9 +41,12 @@ from defcolor.colorer import (ReductionKind, ReductionStep,
                               _find_terrible_reduction)
 from defcolor.coloring import (Coloring, ColoringError, SolveResult,
                                SolveStatus, validate_defects)
-from defcolor.discharging import (HIGH_DEGREE, ChargeLedger, FaceClass,
-                                  SponsorInstance, Transfer, format_fraction,
-                                  structural_thresholds)
+from defcolor.discharging import (HIGH_DEGREE, AuditReport, ChargeLedger,
+                                  ClaimViolation, FaceClass, HighVertexFlag,
+                                  LemmaViolation, SponsorInstance, Transfer,
+                                  capacity, classify_faces, format_fraction,
+                                  structural_thresholds, terrible_bound,
+                                  terrible_corners)
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, GirthTooSmallError, GraphError,
                                 NonSimpleError)
@@ -416,6 +422,81 @@ def reference_transfers_csv(transfers: Iterable[Transfer]) -> str:
         wit = ";".join(str(w) for w in tr.witness)
         lines.append(f"{tr.rule},{tr.source[0]},{tr.source[1]},{tr.target[0]},"
                      f"{tr.target[1]},{format_fraction(tr.amount)},{wit},{ind}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
+    """audit's claim, lemma and flag checks, one object per violation in
+    plain lists, read from reference_ledger over reference_transfers."""
+    if t is None:
+        t = capacity(graph.genus)
+    low, high = structural_thresholds(t)
+    classes = classify_faces(graph)
+    transfers = reference_transfers(graph, classes)
+    ledger = reference_ledger(graph, transfers)
+
+    # a Fraction's sign is its numerator's, and reading it skips the
+    # generic comparison
+    claims: list[ClaimViolation] = []
+    for v, final in enumerate(ledger.vertex_final):
+        if final.numerator < 0:
+            claims.append(ClaimViolation("vertex-negative", ("v", v), final))
+    for face, final in zip(graph.faces, ledger.face_final):
+        d, sign = face.degree, final.numerator
+        if d >= 7:
+            if sign <= 0:
+                claims.append(ClaimViolation("face7-nonpositive",
+                                             ("f", face.index), final))
+        elif sign < 0:
+            claim = {6: "face6-negative",
+                     5: "face5-negative"}.get(d, "small-face-negative")
+            claims.append(ClaimViolation(claim, ("f", face.index), final))
+
+    deg = [len(nbrs) for nbrs in graph.rotation]
+    lemmas: list[LemmaViolation] = []
+    for v, d in enumerate(deg):
+        if d <= 1:
+            lemmas.append(LemmaViolation("min-degree", (v,)))
+        if d <= low and not any(deg[u] >= high for u in graph.rotation[v]):
+            lemmas.append(LemmaViolation("vx-degree", (v,)))
+    for u, v in graph.edges:
+        if deg[u] == 2 and deg[v] == 2:
+            lemmas.append(LemmaViolation("no-22", (u, v)))
+    for v, d in enumerate(deg):
+        if d == 5:
+            count = sum(1 for fi, _ in graph.passages(v)
+                        if classes[fi] is FaceClass.SPECIAL)
+            if count > 2:
+                lemmas.append(LemmaViolation("special-faces-num", (v, count)))
+        elif d >= high:
+            bound = terrible_bound(d, high)
+            terr = len(terrible_corners(graph, classes, v))
+            bad = sum(1 for fi, _ in graph.passages(v) if classes[fi].is_bad)
+            if terr > bound:
+                lemmas.append(LemmaViolation("terrible-faces-num", (v, terr)))
+            if bad > bound:
+                lemmas.append(LemmaViolation("bad-faces-num", (v, bad)))
+    if graph.m >= graph.n:  # connected with |E| >= |V|: has a cycle
+        high_count = sum(1 for d in deg if d >= high)
+        if high_count < 3:
+            lemmas.append(LemmaViolation("vx-high-general", (high_count,)))
+
+    floor = Fraction(2 * graph.genus) - Fraction(7, 2)
+    flags = [HighVertexFlag(v, ledger.vertex_final[v], floor)
+             for v, d in enumerate(deg)
+             if d >= high and ledger.vertex_final[v] < floor]
+
+    return AuditReport(t, graph.genus, ledger, transfers, classes,
+                       claims, lemmas, flags)
+
+
+def reference_ledger_csv(ledger: ChargeLedger) -> str:
+    """The ledger CSV written entry by entry from the Fractions."""
+    lines = ["element_kind,element_id,initial,final"]
+    for v, (ini, fin) in enumerate(zip(ledger.vertex_initial, ledger.vertex_final)):
+        lines.append(f"v,{v},{format_fraction(ini)},{format_fraction(fin)}")
+    for f, (ini, fin) in enumerate(zip(ledger.face_initial, ledger.face_final)):
+        lines.append(f"f,{f},{format_fraction(ini)},{format_fraction(fin)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from defcolor import fixtures as fx
+from defcolor import coloring, fixtures as fx
 from defcolor.coloring import (Coloring, ColoringError, PartialColoringError,
                                SolveStatus, induced_max_degrees,
                                is_saturated, is_valid, solve_exact)
@@ -121,6 +121,31 @@ def test_solve_exact_budget_and_determinism():
     assert a.nodes == b.nodes
     with pytest.raises(ColoringError):
         solve_exact(g, (1, 10), budget=0)
+
+
+def test_solve_exact_validates_the_defect_vector_once(monkeypatch):
+    g = fx.petersen_projective()
+    for bad in ((), (1, -1), [0] * 50 + [-2]):
+        for budget in (1, 10 ** 7):  # raises before any search
+            with pytest.raises(ColoringError, match="non-empty and non-negative"):
+                solve_exact(g, bad, budget)
+    calls = []
+    validate = coloring.validate_defects
+
+    def counted(defects):
+        calls.append(defects)
+        return validate(defects)
+
+    monkeypatch.setattr(coloring, "validate_defects", counted)
+    long = [0] * 10 ** 4
+    res = solve_exact(g, long)
+    assert res.found and len(calls) == 1
+    assert res.coloring == Coloring(res.coloring.assignment, tuple(long))
+    assert type(res.coloring.defects) is tuple and res.coloring.classes() == 10 ** 4
+    assert is_valid(g, res.coloring)
+    calls.clear()
+    assert solve_exact(fx.c5(), (0, 0)).status is SolveStatus.INFEASIBLE
+    assert len(calls) == 1
 
 
 def test_numpy_oracle_agrees_with_pure_python():

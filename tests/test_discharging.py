@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defcolor import cli, discharging, fixtures as fx
-from defcolor.discharging import (_PATTERNS, _UNIT, HIGH_DEGREE, FaceClass,
+from defcolor.discharging import (_PATTERNS, _UNIT, HIGH_DEGREE,
+                                  ClaimViolation, FaceClass, LemmaViolation,
                                   Transfer, _canonical, _r3_share, _symbol,
                                   apply_rules, audit, classify_faces,
-                                  format_fraction, ledger_csv,
+                                  format_fraction, ledger_csv, report_text,
                                   sponsor_instances, transfers_csv)
 from defcolor.embedding import EmbeddedGraph, GirthTooSmallError
 from defcolor.fixtures import find_face
@@ -20,8 +21,9 @@ from defcolor.graphio import serialize_graph
 from gadget_builders import (chorded_cycle, r2_gadget, r3_gadget,
                              sponsor_face_pair, sponsor_gadget,
                              twisted_sponsor_gadget)
-from oracles import (reference_ledger, reference_sponsors,
-                     reference_transfers, reference_transfers_csv)
+from oracles import (reference_audit, reference_ledger, reference_ledger_csv,
+                     reference_sponsors, reference_transfers,
+                     reference_transfers_csv)
 from test_golden import FIXTURE_CASES, _fixture_graph
 
 HALF = Fraction(1, 2)
@@ -366,6 +368,22 @@ def test_audit_flags_high_vertex_below_general_floor():
     assert fl.bound == Fraction(1, 2)
 
 
+def test_audit_does_not_flag_a_high_vertex_on_the_floor():
+    # on Euler genus 2 the floor is 1/2; with no bad face a d-vertex ends
+    # at 2d - 6 - 3d/2, which is 1/2 at d = 13 and 0 at d = 12
+    rot = [list(nbrs) for nbrs in chorded_cycle(1, 310, 2).rotation]
+    for v, leaves in ((100, 11), (200, 10)):
+        rot[v][1:1] = range(len(rot), len(rot) + leaves)
+        rot += [[v]] * leaves
+    g = EmbeddedGraph(rot)
+    assert g.genus == 2 and (g.degree(100), g.degree(200)) == (13, 12)
+    for t, flagged in ((10, [200]), (11, [])):
+        rep = audit(g, t)
+        assert [fl.vertex for fl in rep.high_vertex_flags] == flagged
+        assert rep.ledger.vertex_final[100] == Fraction(1, 2)
+        assert rep.high_vertex_flags == reference_audit(g, t).high_vertex_flags
+
+
 @pytest.mark.parametrize("hub_degree, fires_at", [(12, 10), (13, 11), (17, 15)])
 def test_terrible_bound_reads_structural_high(hub_degree, fires_at):
     # The face pattern's high is fixed at 12, so the face stays Terrible at
@@ -536,43 +554,124 @@ def test_transfer_log_matches_reference_on_random_planar(seed, size):
     _check_transfers(gen_planar_girth5(seed, size))
 
 
-def test_transfer_log_is_a_sequence_of_transfers():
-    g = fx.terrible_face().graph
-    log = apply_rules(g)[1]
-    want = reference_transfers(g, classify_faces(g))
+def _check_row_log(log, want, other):
+    """log reads as the list want: length, int, negative and out-of-range
+    indexing, slices (as lists), equality with want, a tuple of it and
+    nothing else (not other), and no hash."""
     n = len(want)
-    assert isinstance(log, Sequence) and len(log) == n > 8
+    assert isinstance(log, Sequence) and len(log) == n > 4
     assert log[0] == want[0] and log[-1] == want[-1] and log[-n] == want[0]
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             log[i]
     assert log[:4] == want[:4] and log[1:-1:3] == want[1:-1:3]
+    assert log[::-1] == want[::-1]
     assert log[5:2] == [] and type(log[:4]) is list
     assert want[3] in log and log.index(want[3]) == 3
-    assert all(type(tr) is Transfer and type(tr.amount) is Fraction
-               for tr in log)
     assert log == want and want == log and log == tuple(want)
     assert log != want[:-1] and log != [] and log != 0
-    assert log != [*want[1:], want[0]] and log != apply_rules(fx.c5())[1]
-    assert log == apply_rules(g)[1]
-    assert apply_rules(fx.dodecahedron())[1] == []
+    assert log != [*want[1:], want[0]] and log != other
     with pytest.raises(TypeError):
         hash(log)
 
 
+def test_transfer_log_is_a_sequence_of_transfers():
+    g = fx.terrible_face().graph
+    log = apply_rules(g)[1]
+    want = reference_transfers(g, classify_faces(g))
+    assert len(want) > 8
+    _check_row_log(log, want, apply_rules(fx.c5())[1])
+    assert all(type(tr) is Transfer and type(tr.amount) is Fraction
+               for tr in log)
+    assert log == apply_rules(g)[1]
+    assert apply_rules(fx.dodecahedron())[1] == []
+
+
+@pytest.mark.parametrize("log", ["claim_violations", "lemma_violations"])
+def test_violation_log_is_a_sequence(log):
+    g = fx.terrible_face().graph
+    got = getattr(audit(g, 10), log)
+    want = getattr(reference_audit(g, 10), log)
+    _check_row_log(got, want, getattr(audit(fx.c5(), 10), log))
+    assert got == getattr(audit(g, 10), log)
+    assert getattr(audit(fx.dodecahedron(), 10), log) != []
+
+
 def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
+    # nor any claim or lemma violation: the CSV is written from rows
     built = []
-    init = Transfer.__init__
+    for cls in (Transfer, ClaimViolation, LemmaViolation):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Transfer, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
+    g = fx.terrible_face().graph
     gpath, out = tmp_path / "g.txt", tmp_path / "audit.csv"
-    gpath.write_text(serialize_graph(fx.terrible_face().graph))
+    gpath.write_text(serialize_graph(g))
     assert cli.main(["audit", "--input", str(gpath), "--format", "csv",
                      "--output", str(out)]) == 0
     assert built == [] and "\nR8A,f," in out.read_text()
-    apply_rules(fx.c5())[1][0]  # a read builds one, and the count sees it
-    assert len(built) == 1
+    rep = audit(g)
+    assert built == []
+    # a read builds one, and the count sees it
+    rep.transfers[0], rep.claim_violations[-1], rep.lemma_violations[0]
+    assert [type(x) for x in built] == [Transfer, ClaimViolation, LemmaViolation]
+
+
+# -- audit row logs -----------------------------------------------------------
+
+
+def _check_audit(graph):
+    """audit's row logs, flags and text equal reference_audit's lists at
+    t = 10, 11 and 15, and ledger_csv writes the entry-by-entry writer's
+    bytes, from apply_rules' units and from a ledger of Fractions alone."""
+    for t in (10, 11, 15):
+        rep, want = audit(graph, t), reference_audit(graph, t)
+        assert rep.claim_violations == want.claim_violations
+        assert rep.lemma_violations == want.lemma_violations
+        assert rep.high_vertex_flags == want.high_vertex_flags
+        assert rep.violated_lemmas == want.violated_lemmas
+        assert report_text(rep) == report_text(want)
+    assert rep.ledger == want.ledger
+    assert (ledger_csv(rep.ledger) == ledger_csv(want.ledger)
+            == reference_ledger_csv(want.ledger))
+    return rep
+
+
+@pytest.mark.parametrize("name, kwargs", FIXTURE_CASES)
+def test_audit_matches_reference_on_fixtures(name, kwargs):
+    _check_audit(_fixture_graph(name, kwargs))
+
+
+def test_audit_matches_reference_on_corpus_and_gadgets(corpus):
+    gadgets = [sponsor_gadget(d2, d3, w)[0]
+               for d2, d3 in ((3, 3), (3, 4), (4, 4), (2, 3), (2, 4))
+               for w in (2, 3)]
+    graphs = [*corpus[::10], *gadgets, twisted_sponsor_gadget()[0],
+              r2_gadget()[0], r3_gadget()[0], chorded_cycle(1, 310, 2),
+              chorded_cycle(1, 440, 3, twisted=True)]
+    seen = set()
+    for graph in graphs:
+        rep = _check_audit(graph)
+        seen |= {cv.claim for cv in rep.claim_violations} | rep.violated_lemmas
+    assert {"vertex-negative", "face5-negative", "face7-nonpositive",
+            "vx-degree", "no-22", "vx-high-general"} <= seen
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(5, 300))
+def test_audit_matches_reference_on_random_planar(seed, size):
+    _check_audit(gen_planar_girth5(seed, size))
+
+
+def test_ledger_derives_units_from_fractions():
+    led = apply_rules(fx.terrible_face().graph)[0]
+    rebuilt = type(led)(led.vertex_initial, led.face_initial,
+                        led.vertex_final, led.face_final)
+    assert rebuilt == led and rebuilt.initial == led.initial
+    assert rebuilt.net == led.net and ledger_csv(rebuilt) == ledger_csv(led)
+    assert all(type(u) is int for u in (*led.initial, *led.net))
+    with pytest.raises(ValueError, match="not a whole number"):
+        type(led)((Fraction(1, 13),), (), (Fraction(0),), ())
+
