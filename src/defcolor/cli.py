@@ -160,14 +160,12 @@ def _step_template(kind: str, deleted: int, actions: int) -> str:
 
 def _trace_json(trace) -> str:
     """The bytes of ``json.dumps(payload, indent=2)`` for the trace, whose
-    indenting encoder is the stdlib's slow pure-Python one: each step fills
-    the template of its shape, kept once built, with its ints."""
+    indenting encoder is the stdlib's slow pure-Python one: each step row
+    fills the template of its shape, kept once built, with its ints."""
     steps = []
-    for e in trace.steps:
-        step = e.step
-        template = _step_template(step.kind.value, len(step.deleted),
-                                  len(e.actions))
-        steps.append(template % (*step.deleted, *chain.from_iterable(e.actions)))
+    for kind, deleted, _, actions in trace.steps.rows:
+        template = _step_template(kind.value, len(deleted), len(actions))
+        steps.append(template % (*deleted, *chain.from_iterable(actions)))
     base = [f'\n    "{v}": {c}' for v, c in sorted(trace.base.items())]
     return (f'{{\n  "t": {trace.t},\n  "fallback": {json.dumps(trace.fallback)},'
             f'\n  "anomaly": {json.dumps(trace.anomaly)},'

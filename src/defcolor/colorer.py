@@ -26,19 +26,25 @@ O(sum of deg(v)^2 + m log n) over the run.  Kind 4 is a whole-residual
 scan (induced_embedding and classify_faces per component) that runs
 only when all three heaps are empty.
 
-If no configuration exists the colorer falls back to the exact solver;
-at t = 10 on genus <= 1 this is flagged as an anomaly: a counterexample.
+Each step is logged as one plain row (kind, deleted, witness), the
+witness None for kinds 1-3.  If no configuration exists the colorer
+falls back to the exact solver; at t = 10 on genus <= 1 this is flagged
+as an anomaly: a counterexample.
 
-The extension walks the steps in reverse on a class list phi, -1 for
+The extension walks the rows in reverse on a class list phi, -1 for
 uncolored: before each step the colored vertices are exactly the
 residual graph the step was found in, minus its deleted vertices, so
-phi is also the present set.  Each step's recoloring branches are
-tuples of (vertex, class) actions in proof order: one for kinds 1-3,
-the reduction's case analysis for kind 4 (_moves).  _apply_extension
-keeps the first branch under which the moved vertices and their colored
-neighbors keep within their defects, undoing those that fail; this costs
-O(sum of deg(v)^2) for kinds 1-3.  On girth-5 graphs a branch always
-fits, and the final coloring is checked with is_valid.
+phi is also the present set.  _apply_extension returns each step's
+(vertex, class) actions, which color appends to its row.  Kinds 1 and 2
+take their one branch straight: each deleted vertex takes the class
+opposite its colored neighbor, or C_BIG if it has none.  Kinds 3 and 4
+try their branches in proof order (_moves), undoing those that fail.
+Every step's actions must keep the moved vertices and their colored
+neighbors within their defects (_within_defects), so a step costs
+O(sum of deg(v)^2) over its moved vertices v and their neighbors.  On
+girth-5 graphs a branch always fits, and the final coloring is checked
+with is_valid.  ColoringTrace.steps builds a TraceEntry from a finished
+row only when read; cli's trace writer and replay_trace read the rows.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -52,9 +58,9 @@ from typing import Sequence
 
 from .coloring import (Coloring, ColoringError, SolveStatus, is_valid,
                        solve_exact)
-from .discharging import (MIN_T, FaceClass, capacity, classify_faces,
-                          structural_thresholds, terrible_bound,
-                          terrible_corners)
+from .discharging import (MIN_T, FaceClass, RowLog, capacity,
+                          classify_faces, structural_thresholds,
+                          terrible_bound, terrible_corners)
 from .embedding import EmbeddedGraph, induced_embedding, require_girth5
 # bench/selftest.py checks that tracing also rebinds girth under this module
 from .embedding import girth  # noqa: F401
@@ -84,6 +90,11 @@ class ReductionKind(Enum):
     TERRIBLE_RICH_HIGH_VERTEX = "terrible-rich-high-vertex"
 
 
+# Kinds 1-4 for the hot loops: a member lookup on an Enum class is a
+# metaclass call.
+_KIND1, _KIND2, _KIND3, _KIND4 = ReductionKind
+
+
 @dataclass(frozen=True)
 class ReductionStep:
     kind: ReductionKind
@@ -98,15 +109,28 @@ class TraceEntry:
     actions: tuple[tuple[int, int], ...]  # (vertex, class) in order applied
 
 
+def _step(row: tuple, t: int) -> ReductionStep:
+    """The ReductionStep of a step row (kind, deleted, witness, ...)."""
+    kind, deleted, witness = row[:3]
+    return ReductionStep(kind, deleted, {} if witness is None else witness, t)
+
+
+def _trace_steps(rows: list[tuple], t: int) -> RowLog[TraceEntry]:
+    """The step log of a trace: row (kind, deleted, witness, actions) reads
+    as TraceEntry(ReductionStep(kind, deleted, witness or {}, t), actions)."""
+    return RowLog(rows, lambda *row: TraceEntry(_step(row, t), row[3]))
+
+
 @dataclass
 class ColoringTrace:
     """Deletion-ordered steps plus the base coloring of the irreducible rest.
 
-    Replaying the entries in reverse order on top of the base assignments
-    reproduces the final coloring exactly.
+    steps reads its rows (kind, deleted, witness, actions) as TraceEntry
+    objects (_trace_steps).  Replaying the actions in reverse order on top
+    of the base assignments reproduces the final coloring exactly.
     """
 
-    steps: list[TraceEntry]
+    steps: RowLog[TraceEntry]
     base: dict[int, int]
     fallback: bool
     anomaly: bool
@@ -182,24 +206,25 @@ class _Residual:
     def present(self) -> set[int]:
         return {v for v, d in enumerate(self.deg) if d >= 0}
 
-    def next_step(self) -> ReductionStep | None:
-        """First reducible configuration of the residual graph in the fixed
-        search order: kind 1 to 4, smallest witness id within a kind."""
-        t = self.t
-        # a kind-1 witness stays one until it is deleted
-        v = self._top(0, lambda v: self.deg[v] >= 0)
-        if v is not None:
-            return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
+    def next_step(self) -> tuple | None:
+        """Row (kind, deleted, witness) of the first reducible configuration
+        of the residual graph in the fixed search order: kind 1 to 4,
+        smallest witness id within a kind.  The witness is None for kinds
+        1-3."""
+        deg, heap, queued = self.deg, self.heaps[0], self.queued[0]
+        while heap:  # a kind-1 witness stays one until it is deleted
+            v = heap[0]
+            if deg[v] >= 0:
+                return _KIND1, (v,), None
+            queued[heappop(heap)] = 0
         u = self._top(1, self._adjacent_two)
         if u is not None:
-            pair = min(w for w in self.graph.rotation[u] if self.deg[w] == 2)
-            return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
-                                 (u, pair), {}, t)
+            pair = min(w for w in self.graph.rotation[u] if deg[w] == 2)
+            return _KIND2, (u, pair), None
         v = self._top(2, self._all_low)
         if v is not None:
-            return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
-                                 (v,), {}, t)
-        return _find_terrible_reduction(self.graph, self.present(), t)
+            return _KIND3, (v,), None
+        return _find_terrible_reduction(self.graph, self.present(), self.t)
 
     def delete(self, vertices: Sequence[int]) -> None:
         """Remove vertices from the residual graph and queue every vertex
@@ -246,8 +271,9 @@ def _components(graph, present):
 
 
 def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
-                             t: int) -> ReductionStep | None:
-    """Kind-(4) scan: a high vertex with too many incident Terrible faces.
+                             t: int) -> tuple | None:
+    """Kind-(4) scan: a high vertex with too many incident Terrible faces,
+    as a step row (kind, deleted, witness).
 
     The deleted 2-vertex is picked so that the face three rotation steps
     earlier is not terrible, matching the reduction's case analysis.
@@ -289,8 +315,7 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
                 "face": tuple(inv[u] for u in face.verts),
                 "ring_two": ring_two,
             }
-            return ReductionStep(ReductionKind.TERRIBLE_RICH_HIGH_VERTEX,
-                                 (inv[v4],), witness, t)
+            return _KIND4, (inv[v4],), witness
     return None
 
 
@@ -302,7 +327,8 @@ def find_reduction(graph: EmbeddedGraph,
     is below 10."""
     if t is None:
         t = capacity(graph.genus)
-    return _Residual(graph, t).next_step()
+    row = _Residual(graph, t).next_step()
+    return None if row is None else _step(row, t)
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +346,22 @@ def _within_defects(rotation, phi, defects, move):
     return True
 
 
-def _moves(rotation, phi, step):
-    """The recoloring branches of a kind-3 or kind-4 step in proof order,
-    each a tuple of (vertex, class) actions in application order.  Kind 3
-    has one branch."""
-    if step.kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
-        (v,) = step.deleted
+def _moves(rotation, phi, row, t):
+    """The recoloring branches of a kind-3 or kind-4 step row in proof
+    order, each a tuple of (vertex, class) actions in application order.
+    Kind 3 has one branch."""
+    kind, deleted, w = row[:3]
+    if kind is _KIND3:
+        (v,) = deleted
         around = [u for u in rotation[v] if phi[u] >= 0]
         if C_SMALL not in [phi[u] for u in around]:
             return [((v, C_SMALL),)]
         # saturated big-class neighbors move to the small class first
         return [tuple((u, C_SMALL) for u in around
                       if phi[u] == C_BIG
-                      and [phi[x] for x in rotation[u]].count(C_BIG) == step.t)
+                      and [phi[x] for x in rotation[u]].count(C_BIG) == t)
                 + ((v, C_BIG),)]
-    (v4,) = step.deleted
-    w = step.witness
+    (v4,) = deleted
     u4, w4 = w["u4"], w["w4"]
     moves = [((v4, C_SMALL),), ((v4, C_BIG),),
              ((u4, C_SMALL), (v4, C_BIG)), ((u4, C_BIG), (v4, C_SMALL))]
@@ -348,40 +374,43 @@ def _moves(rotation, phi, step):
     return moves
 
 
-def _apply_extension(graph: EmbeddedGraph, phi: list[int],
-                     step: ReductionStep) -> tuple[tuple[int, int], ...]:
-    """Extend phi over step.deleted, where phi[v] is v's class or -1 while
-    v is uncolored (the colored vertices are the step's residual graph
-    minus step.deleted).  The first branch in proof order that keeps every
-    touched vertex within its defect is kept in phi and returned as its
-    (vertex, class) actions; failed branches are undone, and when none
-    fits, which no valid input should reach, ExtensionFailedError is
-    raised."""
+def _apply_extension(graph: EmbeddedGraph, phi: list[int], row: tuple,
+                     t: int) -> tuple[tuple[int, int], ...]:
+    """Extend phi, v's class or -1 while v is uncolored, over the deleted
+    vertices of a step row (kind, deleted, witness, ...) by the first
+    branch that keeps every touched vertex within its defect, and return
+    its (vertex, class) actions.  When none fits, which no valid input
+    should reach, phi is restored and ExtensionFailedError is raised."""
     rotation = graph.rotation
-    kind = step.kind
-    if kind is ReductionKind.DEGREE_AT_MOST_ONE:
-        (v,) = step.deleted
-        around = [c for u in rotation[v] if (c := phi[u]) >= 0]
-        branches = [((v, 1 - around[0] if around else C_BIG),)]
-    elif kind is ReductionKind.ADJACENT_TWO_VERTICES:
-        # each 2-vertex takes the class opposite to its other neighbor
-        u, v = step.deleted
-        cu = next(c for w in rotation[u] if (c := phi[w]) >= 0)
-        cv = next(c for w in rotation[v] if (c := phi[w]) >= 0)
-        branches = [((u, 1 - cu), (v, 1 - cv))]
-    else:
-        branches = _moves(rotation, phi, step)
-    defects = (1, step.t)
-    for move in branches:
-        saved = [phi[x] for x, _ in move]
+    kind, deleted = row[0], row[1]
+    defects = (1, t)
+    if kind is _KIND1 or kind is _KIND2:
+        move = []
+        for v in deleted:
+            c = C_BIG
+            for u in rotation[v]:
+                if phi[u] >= 0:
+                    c = 1 - phi[u]
+                    break
+            move.append((v, c))
         for x, c in move:
             phi[x] = c
         if _within_defects(rotation, phi, defects, move):
-            return move
-        for (x, _), old in zip(move, saved):
-            phi[x] = old
+            return tuple(move)
+        for x in deleted:
+            phi[x] = -1
+    else:
+        for move in _moves(rotation, phi, row, t):
+            saved = [phi[x] for x, _ in move]
+            for x, c in move:
+                phi[x] = c
+            if _within_defects(rotation, phi, defects, move):
+                return move
+            for (x, _), old in zip(move, saved):
+                phi[x] = old
     raise ExtensionFailedError(
-        f"no recoloring branch extends past {list(step.deleted)}", step, phi)
+        f"no recoloring branch extends past {list(deleted)}", _step(row, t),
+        phi)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +443,14 @@ def color(graph: EmbeddedGraph, t: int | None = None,
 
     residual = _Residual(graph, t)
     left = graph.n
-    steps: list[ReductionStep] = []
+    rows: list[tuple] = []  # (kind, deleted, witness) in deletion order
     fallback = anomaly = False
     base: dict[int, int] = {}
     solve_status: SolveStatus | None = None
 
     while left:
-        step = residual.next_step()
-        if step is None:
+        row = residual.next_step()
+        if row is None:
             fallback = True
             anomaly = graph.genus <= 1 and t == MIN_T
             solve_status = SolveStatus.FOUND
@@ -434,32 +463,35 @@ def color(graph: EmbeddedGraph, t: int | None = None,
                 for old, new in remap.items():
                     base[old] = res.coloring.assignment[new]
             break
-        steps.append(step)
-        residual.delete(step.deleted)
-        left -= len(step.deleted)
+        rows.append(row)
+        residual.delete(row[1])
+        left -= len(row[1])
 
-    entries: list[TraceEntry] = []
     coloring: Coloring | None = None
     if solve_status in (None, SolveStatus.FOUND):
         phi = [-1] * graph.n
         for v, c in base.items():
             phi[v] = c
-        for step in reversed(steps):
-            entries.append(TraceEntry(step, _apply_extension(graph, phi, step)))
-        entries.reverse()
+        # each row gets its actions appended, last deletion first
+        for i in range(len(rows) - 1, -1, -1):
+            row = rows[i]
+            rows[i] = (*row, _apply_extension(graph, phi, row, t))
         coloring = Coloring(tuple(phi), (1, t))
         if not is_valid(graph, coloring):
             raise ExtensionFailedError("final coloring invalid",
-                                       steps[-1] if steps else None, phi)
+                                       _step(rows[-1], t) if rows else None,
+                                       phi)
+    else:
+        rows = []
 
-    trace = ColoringTrace(entries, base, fallback, anomaly, t)
+    trace = ColoringTrace(_trace_steps(rows, t), base, fallback, anomaly, t)
     return ColorResult(coloring, trace, solve_status)
 
 
 def replay_trace(graph: EmbeddedGraph, trace: ColoringTrace) -> Coloring:
     """Reproduce the final coloring from the recorded trace."""
     phi = dict(trace.base)
-    for entry in reversed(trace.steps):
-        for v, c in entry.actions:
+    for *_, actions in reversed(trace.steps.rows):
+        for v, c in actions:
             phi[v] = c
     return Coloring(tuple(phi[v] for v in range(graph.n)), (1, trace.t))

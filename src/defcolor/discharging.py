@@ -492,12 +492,14 @@ def apply_rules(graph: EmbeddedGraph,
             coupled.add((inst.f2, two_end))
 
     log = logs["R5"].append
+    # each face's 2-vertices in walk order: rows.sort() below orders them
     for fi, face in enumerate(faces):
-        for u, pos in sorted((u, pos) for pos, u in enumerate(face.verts)
-                             if deg[u] == 2):
-            log(("R5", "f", fi, "v", u, (pos,), _ONE, (fi, u) not in coupled))
-            net[n + fi] -= _ONE
-            net[u] += _ONE
+        for pos, u in enumerate(face.verts):
+            if deg[u] == 2:
+                log(("R5", "f", fi, "v", u, (pos,), _ONE,
+                     (fi, u) not in coupled))
+                net[n + fi] -= _ONE
+                net[u] += _ONE
 
     # keys are unique, so a row's natural order is its key order
     rows = [row for rule in sorted(logs) for row in logs[rule]]
@@ -547,15 +549,15 @@ class AuditReport:
     t: int
     genus: int
     ledger: ChargeLedger
-    transfers: Sequence[Transfer]
+    transfers: RowLog[Transfer]
     face_classes: tuple[FaceClass, ...]
-    claim_violations: Sequence[ClaimViolation]
-    lemma_violations: Sequence[LemmaViolation]
+    claim_violations: RowLog[ClaimViolation]
+    lemma_violations: RowLog[LemmaViolation]
     high_vertex_flags: list[HighVertexFlag]
 
     @property
     def violated_lemmas(self) -> set[str]:
-        return {lv.lemma for lv in self.lemma_violations}
+        return {lemma for lemma, _ in self.lemma_violations.rows}
 
 
 _FACE_CLAIMS = {6: "face6-negative", 5: "face5-negative"}
@@ -639,16 +641,19 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     flags = [HighVertexFlag(v, ledger.vertex_final[v], floor_charge)
              for v, d in enumerate(deg) if d >= high and net[v] < floor]
 
-    vertex_final, face_final = ledger.vertex_final, ledger.face_final
-
     def claim_violation(claim: str, element: tuple[str, int],
                         i: int) -> ClaimViolation:
-        final = vertex_final[i] if i < n else face_final[i - n]
-        return ClaimViolation(claim, element, final)
+        return ClaimViolation(claim, element, _final(ledger, i))
 
     return AuditReport(t, graph.genus, ledger, transfers, classes,
                        RowLog(claims, claim_violation),
                        RowLog(lemmas, LemmaViolation), flags)
+
+
+def _final(ledger: ChargeLedger, i: int) -> Fraction:
+    """The final charge at ledger index i: vertex i, or face i - |V|."""
+    n = len(ledger.vertex_final)
+    return ledger.vertex_final[i] if i < n else ledger.face_final[i - n]
 
 
 # ---------------------------------------------------------------------------
@@ -692,19 +697,21 @@ def transfers_csv(transfers: RowLog[Transfer]) -> str:
 
 
 def report_text(report: AuditReport) -> str:
+    """The text report, written from the claim and lemma rows."""
+    ledger = report.ledger
     lines = [
         f"genus: {report.genus}",
         f"threshold t: {report.t}",
-        f"total initial charge: {format_fraction(report.ledger.total_initial)}",
-        f"total final charge: {format_fraction(report.ledger.total_final)}",
+        f"total initial charge: {format_fraction(ledger.total_initial)}",
+        f"total final charge: {format_fraction(ledger.total_final)}",
         f"claim violations: {len(report.claim_violations)}",
     ]
-    for cv in report.claim_violations:
-        lines.append(f"  {cv.claim} at {cv.element[0]}{cv.element[1]} "
-                     f"(final {format_fraction(cv.final)})")
+    for claim, (kind, index), i in report.claim_violations.rows:
+        lines.append(f"  {claim} at {kind}{index} "
+                     f"(final {format_fraction(_final(ledger, i))})")
     lines.append(f"lemma violations: {len(report.lemma_violations)}")
-    for lv in report.lemma_violations:
-        lines.append(f"  {lv.lemma} witness {lv.witness}")
+    lines += [f"  {lemma} witness {witness}"
+              for lemma, witness in report.lemma_violations.rows]
     lines.append(f"high-vertex floor flags: {len(report.high_vertex_flags)}")
     for fl in report.high_vertex_flags:
         lines.append(f"  vertex {fl.vertex} final {format_fraction(fl.final)} "

@@ -1,7 +1,9 @@
 """Small hand-built graphs exercising individual charge rules and the
 colorer's re-offer triggers, small seeded random girth-5 graphs for the
-solver and oracle tests, and long-girth shapes (cycles, paths, trees,
-chorded cycles of Euler genus 2 and 3) for the colorer at t > 10."""
+solver and oracle tests, long-girth shapes (cycles, paths, trees,
+chorded cycles of Euler genus 2 and 3) for the colorer at t > 10, and a
+projective-plane incidence graph that none of the colorer's reductions
+can shrink."""
 
 from __future__ import annotations
 
@@ -196,6 +198,34 @@ def chorded_cycle(seed: int, n: int, chords: int,
         rot[a + n // 2].insert(1, a)
         ends.append((a, a + n // 2))
     return EmbeddedGraph(rot, ends[:1] if twisted else [])
+
+
+def projective_plane_incidence(q: int, pendants: tuple[int, ...] = ()
+                               ) -> EmbeddedGraph:
+    """Point-line incidence graph of PG(2, q), q prime, plus pendant paths.
+
+    Points are 0 .. q^2 + q and lines the next q^2 + q + 1 ids, each point
+    a normalized triple, incident when their dot product is 0 mod q.  The
+    graph is (q + 1)-regular with girth 6, and each rotation lists
+    neighbors in id order.  pendants[i] hangs a path of that many new
+    vertices on point i.
+    """
+    pts = ([(1, a, b) for a in range(q) for b in range(q)]
+           + [(0, 1, a) for a in range(q)] + [(0, 0, 1)])
+    n = len(pts)
+    rot: list[list[int]] = [[] for _ in range(2 * n)]
+    for li, line in enumerate(pts):
+        for pi, pt in enumerate(pts):
+            if sum(x * y for x, y in zip(line, pt)) % q == 0:
+                rot[pi].append(n + li)
+                rot[n + li].append(pi)
+    for i, length in enumerate(pendants):
+        prev = i
+        for _ in range(length):
+            rot.append([prev])
+            rot[prev].append(len(rot) - 1)
+            prev = len(rot) - 1
+    return EmbeddedGraph(rot)
 
 
 # -- one graph per re-offer trigger of the colorer's worklist ----------------

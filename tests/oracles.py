@@ -22,12 +22,20 @@ the ledger CSV written entry by entry through format_fraction (for
 comparison with audit's row logs and ledger_csv's unit texts), and graph
 documents parsed by a line loop that sorts each line into comment, twist
 or vertex line before reading it and checked vertex by vertex with sets
-(for comparison with parse_graph and EmbeddedGraph's dart index).
+(for comparison with parse_graph and EmbeddedGraph's dart index), the
+audit text report formatted from one violation object at a time (for
+comparison with report_text, which reads the rows), and the colorer as
+its object-per-step loop: one ReductionStep per step from the rescan
+above, every extension through the generic branch loop, one TraceEntry
+per step in a plain list, and the trace document written by the
+stdlib's indenting JSON encoder (for comparison with color's row log,
+its straight kind-1 and kind-2 extension, and cli._trace_json).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -37,11 +45,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from defcolor.colorer import (ReductionKind, ReductionStep,
+from defcolor.colorer import (C_BIG, C_SMALL, ColoringTrace, ColorResult,
+                              ExtensionFailedError, ReductionKind,
+                              ReductionStep, TraceEntry, _components,
                               _find_terrible_reduction)
 from defcolor.coloring import (Coloring, ColoringError, SolveResult,
-                               SolveStatus, validate_defects)
-from defcolor.discharging import (HIGH_DEGREE, AuditReport, ChargeLedger,
+                               SolveStatus, is_valid, solve_exact,
+                               validate_defects)
+from defcolor.discharging import (HIGH_DEGREE, MIN_T, AuditReport, ChargeLedger,
                                   ClaimViolation, FaceClass, HighVertexFlag,
                                   LemmaViolation, SponsorInstance, Transfer,
                                   capacity, classify_faces, format_fraction,
@@ -49,7 +60,8 @@ from defcolor.discharging import (HIGH_DEGREE, AuditReport, ChargeLedger,
                                   terrible_corners)
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, GirthTooSmallError, GraphError,
-                                NonSimpleError)
+                                NonSimpleError, induced_embedding,
+                                require_girth5)
 from defcolor.graphio import ParseError, _check_vertex_count
 
 
@@ -149,7 +161,8 @@ def reference_scan(graph, present, deg, t):
             if all(deg[u] <= low for u in graph.rotation[v] if u in present):
                 return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
                                      (v,), {}, t)
-    return _find_terrible_reduction(graph, present, t)
+    row = _find_terrible_reduction(graph, present, t)
+    return None if row is None else ReductionStep(*row, t)
 
 
 def reference_steps(graph, t):
@@ -169,6 +182,143 @@ def reference_steps(graph, t):
                 if u in present:
                     deg[u] -= 1
     return steps
+
+
+def _reference_within_defects(rotation, phi, defects, move):
+    """Whether every moved vertex and colored neighbor keeps its defect."""
+    for x, _ in move:
+        for y in (x, *rotation[x]):
+            c = phi[y]
+            if c >= 0 and [phi[u] for u in rotation[y]].count(c) > defects[c]:
+                return False
+    return True
+
+
+def _reference_moves(rotation, phi, step):
+    """The recoloring branches of a kind-3 or kind-4 step in proof order,
+    each a tuple of (vertex, class) actions in application order.  Kind 3
+    has one branch."""
+    if step.kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS:
+        (v,) = step.deleted
+        around = [u for u in rotation[v] if phi[u] >= 0]
+        if C_SMALL not in [phi[u] for u in around]:
+            return [((v, C_SMALL),)]
+        # saturated big-class neighbors move to the small class first
+        return [tuple((u, C_SMALL) for u in around
+                      if phi[u] == C_BIG
+                      and [phi[x] for x in rotation[u]].count(C_BIG) == step.t)
+                + ((v, C_BIG),)]
+    (v4,) = step.deleted
+    w = step.witness
+    u4, w4 = w["u4"], w["w4"]
+    moves = [((v4, C_SMALL),), ((v4, C_BIG),),
+             ((u4, C_SMALL), (v4, C_BIG)), ((u4, C_BIG), (v4, C_SMALL))]
+    if w4 is not None:
+        moves.append(((w4, C_SMALL), (u4, C_BIG), (v4, C_SMALL)))
+        moves.append(((w4, C_SMALL), (v4, C_BIG)))
+    for vi, ui in w["ring_two"]:
+        moves.append(((v4, C_BIG), (vi, C_SMALL)))
+        moves.append(((v4, C_BIG), (vi, C_SMALL), (ui, C_BIG)))
+    return moves
+
+
+def _reference_apply_extension(graph: EmbeddedGraph, phi: list[int],
+                               step: ReductionStep) -> tuple[tuple[int, int], ...]:
+    """Extend phi over step.deleted by the first branch in proof order that
+    keeps every touched vertex within its defect, undoing failed ones."""
+    rotation = graph.rotation
+    kind = step.kind
+    if kind is ReductionKind.DEGREE_AT_MOST_ONE:
+        (v,) = step.deleted
+        around = [c for u in rotation[v] if (c := phi[u]) >= 0]
+        branches = [((v, 1 - around[0] if around else C_BIG),)]
+    elif kind is ReductionKind.ADJACENT_TWO_VERTICES:
+        # each 2-vertex takes the class opposite to its other neighbor
+        u, v = step.deleted
+        cu = next(c for w in rotation[u] if (c := phi[w]) >= 0)
+        cv = next(c for w in rotation[v] if (c := phi[w]) >= 0)
+        branches = [((u, 1 - cu), (v, 1 - cv))]
+    else:
+        branches = _reference_moves(rotation, phi, step)
+    defects = (1, step.t)
+    for move in branches:
+        saved = [phi[x] for x, _ in move]
+        for x, c in move:
+            phi[x] = c
+        if _reference_within_defects(rotation, phi, defects, move):
+            return move
+        for (x, _), old in zip(move, saved):
+            phi[x] = old
+    raise ExtensionFailedError(
+        f"no recoloring branch extends past {list(step.deleted)}", step, phi)
+
+
+def reference_color(graph: EmbeddedGraph, t: int | None = None,
+                    budget: int = 10 ** 7) -> ColorResult:
+    """color with one ReductionStep per step, from reference_scan, and one
+    TraceEntry per extension, in a plain list."""
+    require_girth5(graph, "coloring")
+    if t is None:
+        t = capacity(graph.genus)
+
+    present = set(range(graph.n))
+    deg = [graph.degree(v) for v in range(graph.n)]
+    steps: list[ReductionStep] = []
+    fallback = anomaly = False
+    base: dict[int, int] = {}
+    solve_status: SolveStatus | None = None
+
+    while present:
+        step = reference_scan(graph, present, deg, t)
+        if step is None:
+            fallback = True
+            anomaly = graph.genus <= 1 and t == MIN_T
+            solve_status = SolveStatus.FOUND
+            for comp in _components(graph, present):
+                sub, remap = induced_embedding(graph, comp)
+                res = solve_exact(sub, (1, t), budget)
+                if not res.found:
+                    solve_status = res.status
+                    break
+                for old, new in remap.items():
+                    base[old] = res.coloring.assignment[new]
+            break
+        steps.append(step)
+        for v in step.deleted:
+            present.discard(v)
+            for u in graph.rotation[v]:
+                if u in present:
+                    deg[u] -= 1
+
+    entries: list[TraceEntry] = []
+    coloring: Coloring | None = None
+    if solve_status in (None, SolveStatus.FOUND):
+        phi = [-1] * graph.n
+        for v, c in base.items():
+            phi[v] = c
+        for step in reversed(steps):
+            entries.append(TraceEntry(step, _reference_apply_extension(graph, phi, step)))
+        entries.reverse()
+        coloring = Coloring(tuple(phi), (1, t))
+        if not is_valid(graph, coloring):
+            raise ExtensionFailedError("final coloring invalid",
+                                       steps[-1] if steps else None, phi)
+
+    trace = ColoringTrace(entries, base, fallback, anomaly, t)
+    return ColorResult(coloring, trace, solve_status)
+
+
+def reference_trace_json(trace) -> str:
+    """The trace document as the stdlib's indenting encoder writes it, read
+    from the trace's TraceEntry objects."""
+    payload = {
+        "t": trace.t, "fallback": trace.fallback, "anomaly": trace.anomaly,
+        "base": {str(v): c for v, c in sorted(trace.base.items())},
+        "steps": [{"kind": e.step.kind.value, "deleted": list(e.step.deleted),
+                   "actions": [[v, c] for v, c in e.actions]}
+                  for e in trace.steps],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def reference_eligible_edges(b, protected) -> list[tuple[int, int]]:
@@ -488,6 +638,28 @@ def reference_audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
 
     return AuditReport(t, graph.genus, ledger, transfers, classes,
                        claims, lemmas, flags)
+
+
+def reference_report_text(report: AuditReport) -> str:
+    """The text report formatted from one violation object at a time."""
+    lines = [
+        f"genus: {report.genus}",
+        f"threshold t: {report.t}",
+        f"total initial charge: {format_fraction(report.ledger.total_initial)}",
+        f"total final charge: {format_fraction(report.ledger.total_final)}",
+        f"claim violations: {len(report.claim_violations)}",
+    ]
+    for cv in report.claim_violations:
+        lines.append(f"  {cv.claim} at {cv.element[0]}{cv.element[1]} "
+                     f"(final {format_fraction(cv.final)})")
+    lines.append(f"lemma violations: {len(report.lemma_violations)}")
+    for lv in report.lemma_violations:
+        lines.append(f"  {lv.lemma} witness {lv.witness}")
+    lines.append(f"high-vertex floor flags: {len(report.high_vertex_flags)}")
+    for fl in report.high_vertex_flags:
+        lines.append(f"  vertex {fl.vertex} final {format_fraction(fl.final)} "
+                     f"< {format_fraction(fl.bound)}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_ledger_csv(ledger: ChargeLedger) -> str:

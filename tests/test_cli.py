@@ -1,12 +1,12 @@
 import dataclasses
-import json
 
 from defcolor import cli, fixtures as fx
 from defcolor.cli import main
-from defcolor.colorer import (ColoringTrace, ReductionKind, ReductionStep,
-                              TraceEntry, color)
+from defcolor.colorer import ColoringTrace, ReductionKind, color, _trace_steps
 from defcolor.graphio import parse_coloring, serialize_graph
 from defcolor.coloring import is_valid
+
+from oracles import reference_trace_json
 
 
 def write_graph(tmp_path, graph, name="g.txt"):
@@ -39,30 +39,22 @@ def test_color_then_check(tmp_path):
 
 
 def test_trace_json_matches_the_stdlib_indenting_encoder():
-    def stdlib(trace):
-        payload = {
-            "t": trace.t, "fallback": trace.fallback, "anomaly": trace.anomaly,
-            "base": {str(v): c for v, c in sorted(trace.base.items())},
-            "steps": [{"kind": e.step.kind.value, "deleted": list(e.step.deleted),
-                       "actions": [[v, c] for v, c in e.actions]}
-                      for e in trace.steps],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
+    stdlib = reference_trace_json
     for graph in (fx.c5(), fx.dodecahedron(), fx.petersen_projective(),
                   fx.special_face().graph):
         trace = color(graph).trace
-        for variant in (trace, dataclasses.replace(trace, steps=[]),
+        empty = _trace_steps([], trace.t)
+        for variant in (trace, dataclasses.replace(trace, steps=empty),
                         dataclasses.replace(trace, base={}, fallback=True),
-                        dataclasses.replace(trace, steps=[], base={})):
+                        dataclasses.replace(trace, steps=empty, base={})):
             assert cli._trace_json(variant) == stdlib(variant)
 
     # every kind with 1-3 deleted vertices and 0-3 actions, so each kind
     # comes with several counts and each pair of counts with every kind
-    steps = [TraceEntry(ReductionStep(kind, tuple(range(7 * d, 8 * d)), {}, 10),
-                        tuple((3 * a + d, a % 2) for a in range(k)))
-             for d in (1, 2, 3) for k in (0, 1, 2, 3) for kind in ReductionKind]
-    built = ColoringTrace(steps, {0: 1, 12: 0}, False, False, 10)
+    rows = [(kind, tuple(range(7 * d, 8 * d)), None,
+             tuple((3 * a + d, a % 2) for a in range(k)))
+            for d in (1, 2, 3) for k in (0, 1, 2, 3) for kind in ReductionKind]
+    built = ColoringTrace(_trace_steps(rows, 10), {0: 1, 12: 0}, False, False, 10)
     assert cli._trace_json(built) == stdlib(built)
 
 

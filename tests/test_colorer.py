@@ -1,20 +1,27 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from defcolor import fixtures as fx
-from defcolor.colorer import (C_BIG, C_SMALL, ExtensionFailedError,
-                              ReductionKind, ReductionStep, capacity, color,
-                              find_reduction, replay_trace,
-                              _apply_extension, _find_terrible_reduction)
+from defcolor import cli, fixtures as fx
+from defcolor.colorer import (C_BIG, C_SMALL, ColoringTrace,
+                              ExtensionFailedError, ReductionKind,
+                              ReductionStep, TraceEntry, capacity, color,
+                              find_reduction, replay_trace, _apply_extension,
+                              _find_terrible_reduction, _trace_steps)
 from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
 from defcolor.discharging import audit
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
                                 induced_embedding)
 from defcolor.generate import gen_planar_girth5
+from defcolor.graphio import serialize_graph
 
-from gadget_builders import gen_girth5_small
-from oracles import enumerate_two_class
+from gadget_builders import (chorded_cycle, gen_girth5_small, long_cycle,
+                             long_path, projective_plane_incidence,
+                             random_tree)
+from oracles import enumerate_two_class, reference_color, reference_trace_json
+from test_golden import FIXTURE_CASES, _fixture_graph
 
 
 def test_capacity_values():
@@ -63,22 +70,23 @@ def _class_list(graph, phi):
     return classes
 
 
-def _extend(graph, phi, step):
-    """Extend phi, a class per surviving vertex, over step.deleted; the
-    result must be a valid coloring."""
+def _extend(graph, phi, row, t):
+    """Extend phi, a class per surviving vertex, over the deleted vertices
+    of a step row (kind, deleted, witness); the result must be a valid
+    coloring."""
     classes = _class_list(graph, phi)
-    _apply_extension(graph, classes, step)
-    full = Coloring(tuple(classes), (1, step.t))
+    _apply_extension(graph, classes, row, t)
+    full = Coloring(tuple(classes), (1, t))
     assert is_valid(graph, full)
     return full
 
 
 def test_extend_degree_at_most_one():
     g = fx.star(5)
-    step = ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (5,), {}, 10)
+    row = (ReductionKind.DEGREE_AT_MOST_ONE, (5,), None)
     phi = {v: C_SMALL for v in range(5)}
     phi[0] = C_BIG
-    full = _extend(g, phi, step)
+    full = _extend(g, phi, row, 10)
     assert full.assignment[5] == C_SMALL  # opposite of the big-class center
 
 
@@ -86,17 +94,17 @@ def test_extend_star_center_all_low():
     # deleting the center of K_{1,5} with every leaf in the defect-1
     # class forces the center into the big class
     g = fx.star(5)
-    step = ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), {}, 10)
+    row = (ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), None)
     phi = {v: C_SMALL for v in range(1, 6)}
-    full = _extend(g, phi, step)
+    full = _extend(g, phi, row, 10)
     assert full.assignment[0] == C_BIG
 
 
 def test_extend_adjacent_two_same_colored_ends():
     g = fx.path_graph(4)  # u' - u - v - v'
-    step = ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), {}, 10)
+    row = (ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), None)
     phi = {0: C_SMALL, 3: C_SMALL}
-    full = _extend(g, phi, step)
+    full = _extend(g, phi, row, 10)
     assert full.assignment[1] == full.assignment[2] == C_BIG
 
 
@@ -110,8 +118,8 @@ def test_extend_all_low_recolors_saturated_neighbor():
     g = EmbeddedGraph(rot)
     phi = {1: C_BIG, 12: C_SMALL}
     phi.update({w: C_BIG for w in range(2, 12)})
-    step = ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), {}, 10)
-    full = _extend(g, phi, step)
+    row = (ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), None)
+    full = _extend(g, phi, row, 10)
     assert full.assignment[1] == C_SMALL
     assert full.assignment[0] == C_BIG
 
@@ -120,19 +128,20 @@ def test_terrible_reduction_detected_and_extended():
     fix = fx.terrible_face()
     names = fix.names
     g = fix.graph
-    step = _find_terrible_reduction(g, set(range(g.n)), 10)
-    assert step is not None
-    assert step.kind is ReductionKind.TERRIBLE_RICH_HIGH_VERTEX
-    assert step.deleted == (names["v4"],)
-    assert step.witness["hub"] == names["v"]
-    assert step.witness["u4"] == names["u4"]
+    row = _find_terrible_reduction(g, set(range(g.n)), 10)
+    assert row is not None
+    kind, deleted, witness = row
+    assert kind is ReductionKind.TERRIBLE_RICH_HIGH_VERTEX
+    assert deleted == (names["v4"],)
+    assert witness["hub"] == names["v"]
+    assert witness["u4"] == names["u4"]
 
     keep = [v for v in range(g.n) if v != names["v4"]]
     sub, remap = induced_embedding(g, keep)
     res = solve_exact(sub, (1, 10))
     assert res.found
     phi_sub = {old: res.coloring.assignment[new] for old, new in remap.items()}
-    _extend(g, phi_sub, step)
+    _extend(g, phi_sub, row, 10)
 
 
 def test_terrible_branches_tried_in_proof_order():
@@ -141,7 +150,8 @@ def test_terrible_branches_tried_in_proof_order():
     # the whole graph valid.
     fix = fx.terrible_face()
     g, v4, u4 = fix.graph, fix.names["v4"], fix.names["u4"]
-    step = _find_terrible_reduction(g, set(range(g.n)), 10)
+    row = _find_terrible_reduction(g, set(range(g.n)), 10)
+    step = ReductionStep(*row, 10)
     sub, remap = induced_embedding(g, [v for v in range(g.n) if v != v4])
     colors = list(solve_exact(sub, (1, 10)).coloring.assignment)
 
@@ -161,7 +171,7 @@ def test_terrible_branches_tried_in_proof_order():
             continue
         phi = {old: colors[new] for old, new in remap.items()}
         fits = (tuple(b.items()) for b in proof_order if valid(g, {**phi, **b}))
-        actions = _apply_extension(g, _class_list(g, phi), step)
+        actions = _apply_extension(g, _class_list(g, phi), row, 10)
         assert actions == next(fits, None)
         reached.add(actions)
     assert reached == {((v4, C_SMALL),), ((v4, C_BIG),),
@@ -170,9 +180,29 @@ def test_terrible_branches_tried_in_proof_order():
     # every vertex in the defect-1 class overloads the hub, whatever v4 gets
     hopeless = {v: C_SMALL for v in remap}
     with pytest.raises(ExtensionFailedError) as err:
-        _apply_extension(g, _class_list(g, hopeless), step)
-    assert err.value.step is step
+        _apply_extension(g, _class_list(g, hopeless), row, 10)
+    assert err.value.step == step
     assert err.value.phi == hopeless
+
+
+@pytest.mark.parametrize("graph, row, phi", [
+    # the small center already has two small leaves: the new leaf takes
+    # the big class, and the center is still overloaded
+    (fx.star(5), (ReductionKind.DEGREE_AT_MOST_ONE, (5,), None),
+     {0: C_SMALL, 1: C_SMALL, 2: C_SMALL, 3: C_BIG, 4: C_BIG}),
+    # a - u - v - b with two small leaves on a: a overloads whatever u takes
+    (EmbeddedGraph([[1, 4, 5], [0, 2], [1, 3], [2], [0], [0]]),
+     (ReductionKind.ADJACENT_TWO_VERTICES, (1, 2), None),
+     {0: C_SMALL, 3: C_SMALL, 4: C_SMALL, 5: C_SMALL}),
+], ids=["kind-1", "kind-2"])
+def test_single_branch_failure_carries_step_and_classes(graph, row, phi):
+    with pytest.raises(ExtensionFailedError) as err:
+        _apply_extension(graph, _class_list(graph, phi), row, 10)
+    step = err.value.step
+    assert type(step) is ReductionStep
+    assert step == ReductionStep(row[0], row[1], {}, 10)
+    # the failed branch is undone: the deleted vertices stay uncolored
+    assert err.value.phi == phi
 
 
 def test_color_theorem_instances():
@@ -190,6 +220,18 @@ def test_c5_trace_replay_and_progress():
     assert sorted(deleted) == list(range(5))
     assert len(res.trace.steps) == 4  # the 2-2 pair goes first, then singles
     assert replay_trace(g, res.trace).assignment == res.coloring.assignment
+
+
+def test_replay_applies_the_last_deletion_first():
+    # vertex 1, deleted second, is colored first; the kind-3 step that
+    # deleted vertex 0 then moves it to the small class, as a saturated
+    # big-class neighbor
+    rows = [(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), None,
+             ((1, C_SMALL), (0, C_BIG))),
+            (ReductionKind.DEGREE_AT_MOST_ONE, (1,), None, ((1, C_BIG),))]
+    trace = ColoringTrace(_trace_steps(rows, 10), {}, False, False, 10)
+    edge = EmbeddedGraph([[1], [0]])
+    assert replay_trace(edge, trace).assignment == (C_BIG, C_SMALL)
 
 
 def test_color_rejects_small_girth():
@@ -247,3 +289,107 @@ def test_no_fallback_on_planar_corpus_sample():
         assert is_valid(g, res.coloring)
         assert not res.trace.fallback
         assert replay_trace(g, res.trace).assignment == res.coloring.assignment
+
+
+# -- the row log against the object-per-step colorer ---------------------------
+
+
+def _check_color(graph, t, kinds=None, budget=10 ** 7):
+    """color at t gives reference_color's coloring, base, flags, steps
+    (read as TraceEntry objects) and trace document."""
+    res, want = color(graph, t, budget), reference_color(graph, t, budget)
+    assert res.coloring == want.coloring
+    assert res.solve_status is want.solve_status
+    got, ref = res.trace, want.trace
+    assert (got.base, got.fallback, got.anomaly, got.t) == (
+        ref.base, ref.fallback, ref.anomaly, ref.t)
+    assert got.steps == ref.steps
+    assert all(type(e) is TraceEntry and type(e.step) is ReductionStep
+               for e in got.steps)
+    assert cli._trace_json(got) == reference_trace_json(ref)
+    if kinds is not None:
+        kinds.update(row[0] for row in got.steps.rows)
+
+
+@pytest.mark.parametrize("name, kwargs", FIXTURE_CASES)
+def test_color_matches_reference_on_fixtures(name, kwargs):
+    for t in (10, 15):
+        _check_color(_fixture_graph(name, kwargs), t)
+
+
+def test_color_matches_reference_on_corpus_slice(corpus):
+    kinds = Counter()
+    for graph in corpus[::10]:
+        for t in (10, 15):
+            _check_color(graph, t, kinds)
+    assert kinds[ReductionKind.ADJACENT_TWO_VERTICES] > 0
+
+
+def test_color_matches_reference_on_small_random_graphs():
+    # arbitrary rotations: the all-low rule fires here far more often
+    # than on the planar corpus
+    kinds = Counter()
+    for seed in range(40):
+        for n in (20, 40, 80):
+            graph = gen_girth5_small(seed, n)
+            for t in (10, 15):
+                _check_color(graph, t, kinds)
+    assert kinds[ReductionKind.ALL_LOW_DEGREE_NEIGHBORS] > 1000
+
+
+@pytest.mark.parametrize("graph, t", [
+    (long_cycle(217), 10), (long_path(245), 10), (random_tree(1, 270), 10),
+    (chorded_cycle(1, 310, 2), 11),
+    (chorded_cycle(1, 440, 3, twisted=True), 15),
+], ids=["cycle", "path", "tree", "chords-genus2", "twisted-genus3"])
+def test_color_matches_reference_on_gate_shapes(graph, t):
+    _check_color(graph, t)
+
+
+def test_color_matches_reference_through_the_fallback():
+    # PG(2, 11)'s incidence graph is 12-regular with girth 6: at t = 10 no
+    # vertex is low and no face is a 5-face, so once the pendant paths
+    # are gone the exact solver colors the rest, and the extension
+    # starts from its base coloring
+    g = projective_plane_incidence(11, pendants=(1, 2, 3, 1))
+    kinds = Counter()
+    _check_color(g, 10, kinds)
+    trace = color(g, 10).trace
+    assert trace.fallback and not trace.anomaly and len(trace.base) == 266
+    assert kinds == {ReductionKind.DEGREE_AT_MOST_ONE: 7}
+    # a budget too small for the solve leaves no coloring and no steps
+    res = color(g, 10, budget=1)
+    assert res.coloring is None and res.solve_status is SolveStatus.UNKNOWN
+    assert res.trace.steps == [] and res.trace.steps.rows == []
+    _check_color(g, 10, budget=1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(5, 300))
+def test_color_matches_reference_on_random_planar(seed, size):
+    _check_color(gen_planar_girth5(seed, size), 10)
+
+
+def test_cli_color_trace_builds_no_step_object(tmp_path, monkeypatch):
+    # the trace JSON is written from the step rows
+    built = []
+    for cls in (ReductionStep, TraceEntry):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    g = gen_girth5_small(3, 80)
+    gpath, out, trace = (tmp_path / name for name in ("g.txt", "c.txt", "t.json"))
+    gpath.write_text(serialize_graph(g))
+    assert cli.main(["color", "--input", str(gpath), "--output", str(out),
+                     "--trace", str(trace)]) == 0
+    assert built == [] and '"kind": "all-low-degree-neighbors"' in trace.read_text()
+    res = color(g)
+    assert {row[0] for row in res.trace.steps.rows} == {
+        ReductionKind.DEGREE_AT_MOST_ONE, ReductionKind.ADJACENT_TWO_VERTICES,
+        ReductionKind.ALL_LOW_DEGREE_NEIGHBORS}
+    assert replay_trace(g, res.trace) == res.coloring and built == []
+    # a read builds one of each, and the count sees it
+    res.trace.steps[0]
+    assert [type(x) for x in built] == [ReductionStep, TraceEntry]

@@ -22,8 +22,8 @@ from gadget_builders import (chorded_cycle, r2_gadget, r3_gadget,
                              sponsor_face_pair, sponsor_gadget,
                              twisted_sponsor_gadget)
 from oracles import (reference_audit, reference_ledger, reference_ledger_csv,
-                     reference_sponsors, reference_transfers,
-                     reference_transfers_csv)
+                     reference_report_text, reference_sponsors,
+                     reference_transfers, reference_transfers_csv)
 from test_golden import FIXTURE_CASES, _fixture_graph
 
 HALF = Fraction(1, 2)
@@ -598,7 +598,8 @@ def test_violation_log_is_a_sequence(log):
 
 
 def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
-    # nor any claim or lemma violation: the CSV is written from rows
+    # nor any claim or lemma violation: the CSV and the text report are
+    # written from rows
     built = []
     for cls in (Transfer, ClaimViolation, LemmaViolation):
         def counted(self, *args, _init=cls.__init__, **kwargs):
@@ -612,7 +613,13 @@ def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
     assert cli.main(["audit", "--input", str(gpath), "--format", "csv",
                      "--output", str(out)]) == 0
     assert built == [] and "\nR8A,f," in out.read_text()
+    text = tmp_path / "audit.txt"
+    assert cli.main(["audit", "--input", str(gpath), "--output",
+                     str(text)]) == 0
+    assert built == [] and "\nclaim violations: " in text.read_text()
     rep = audit(g)
+    assert rep.lemma_violations.rows and rep.claim_violations.rows
+    assert report_text(rep) == text.read_text() and rep.violated_lemmas
     assert built == []
     # a read builds one, and the count sees it
     rep.transfers[0], rep.claim_violations[-1], rep.lemma_violations[0]
@@ -631,8 +638,8 @@ def _check_audit(graph):
         assert rep.claim_violations == want.claim_violations
         assert rep.lemma_violations == want.lemma_violations
         assert rep.high_vertex_flags == want.high_vertex_flags
-        assert rep.violated_lemmas == want.violated_lemmas
-        assert report_text(rep) == report_text(want)
+        assert rep.violated_lemmas == {lv.lemma for lv in want.lemma_violations}
+        assert report_text(rep) == reference_report_text(want)
     assert rep.ledger == want.ledger
     assert (ledger_csv(rep.ledger) == ledger_csv(want.ledger)
             == reference_ledger_csv(want.ledger))

@@ -1,13 +1,16 @@
 """Golden SHA-256 digests of outputs that refactors must keep byte-identical.
 
-Two groups are pinned:
+Three groups are pinned:
 
 * every 10th corpus graph and every large-corpus graph, run through the
   CLI: the ``color --trace`` JSON, the coloring document, the
   ``audit --format csv`` output and the text report (with exit codes);
 * every face fixture and knob perturbation of acceptance criterion 2,
   the genus-2 gadget and the projective Petersen graph: the face classes,
-  the audit CSV and the violated-lemma set at t = 10, 11 and 15.
+  the audit CSV and the violated-lemma set at t = 10, 11 and 15;
+* the same fixtures at t = 10 and 15, and the chorded genus-2 and twisted
+  genus-3 cycles at t = capacity(genus), run through ``color --trace``:
+  the exit code, the coloring document and the trace JSON.
 
 The corpus never yields a Y1, Y2 or Terrible face, so only the fixtures
 pin those branches of the face matcher.
@@ -29,8 +32,10 @@ from defcolor.discharging import audit, classify_faces, ledger_csv, transfers_cs
 from defcolor.graphio import serialize_graph
 
 from conftest import CORPUS_COUNT, LARGE_SIZES, corpus_spec
+from gadget_builders import chorded_cycle
 
 THRESHOLDS = (10, 11, 15)
+TRACE_THRESHOLDS = (10, 15)
 
 # (builder name, keyword arguments); the builders return a FaceFixture or
 # an EmbeddedGraph.
@@ -90,6 +95,26 @@ def fixture_digest(graph) -> str:
         parts += [t, ledger_csv(rep.ledger) + transfers_csv(rep.transfers),
                   sorted(rep.violated_lemmas)]
     return _digest(parts)
+
+
+def trace_digest(graph, workdir: Path, t: int | None) -> str:
+    """Digest of ``color --trace`` on graph at t (None: capacity(genus))."""
+    gpath, col, trace = (workdir / name for name in ("g.txt", "col", "trace"))
+    gpath.write_text(serialize_graph(graph))
+    argv = ["color", "--input", str(gpath), "--output", str(col),
+            "--trace", str(trace)]
+    code = main(argv + (["--t", str(t)] if t is not None else []))
+    return _digest([code, col.read_text(), trace.read_text()])
+
+
+def trace_digests() -> dict[str, str]:
+    cases = [(f"{_case_name(name, kw)} t={t}", _fixture_graph(name, kw), t)
+             for name, kw in FIXTURE_CASES for t in TRACE_THRESHOLDS]
+    cases += [("chorded_cycle(1, 310, 2)", chorded_cycle(1, 310, 2), None),
+              ("chorded_cycle(1, 440, 3, twisted=True)",
+               chorded_cycle(1, 440, 3, twisted=True), None)]
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: trace_digest(g, Path(tmp), t) for name, g, t in cases}
 
 
 def corpus_digests(corpus, corpus_large) -> dict[str, str]:
@@ -377,12 +402,128 @@ FIXTURE_GOLDEN = {
 }
 
 
+TRACE_GOLDEN = {
+    "special_face() t=10":
+        "5ef5515021cf4b131b70b23d9264ef79aff29dbc7f3734df4f0d1f02b7729ebe",
+    "special_face() t=15":
+        "924b84f3f307c4302812c7ca5142fa735e4f461d1bd4486110fd86e505323e34",
+    "special_face(hub=11) t=10":
+        "a149b100ab360521c9549f52137d42faf6c62581b393d830560d14123e18b830",
+    "special_face(hub=11) t=15":
+        "64a98f6984df6f006e4c691059d7a6a1e8ca70435cdf7fc900eb9fa1763a2d38",
+    "special_face(p_deg=6) t=10":
+        "959ec0cd90683da2ac26d11e449f44a17454aa5ae7d7fd80527ff61713320480",
+    "special_face(p_deg=6) t=15":
+        "df068e5498f1aa99e077680cf76c35fd78eda70297a52487abd3cccbb35507d4",
+    "special_face(q_deg=4) t=10":
+        "b33de9cbb1bac66732b0de44a207d95152de0bdf4f580608e52dd07d45cba177",
+    "special_face(q_deg=4) t=15":
+        "81915ea430f1ec5669b32105282d78b9ae5da44198cc06b54926846fa6139dd5",
+    "x1_face() t=10":
+        "50b287a0cc998159cfbd07ce24896df221061513ccc742f8ac6fab2c0126e935",
+    "x1_face() t=15":
+        "9fd4a76ab0acba0422d84daca018bb21379fa6bb4211efe6a0a151109ad16df0",
+    "x1_face(h1=11) t=10":
+        "bcbef9010d6176c2d315593bfb0cce1f9230994a6659b4c6d14b1d4211694401",
+    "x1_face(h1=11) t=15":
+        "af854780ef83fe13057dd8386f183de205c6e2902e46f25f5b69f2de0033dee7",
+    "x1_face(s_deg=4) t=10":
+        "9b829eecfbf8f3493cb0015d99dddac5ad2124611dd81eb007689329029aae14",
+    "x1_face(s_deg=4) t=15":
+        "21d209e0ed5cea2ac61b4bfc168cda8aebc28d926aac221415e531352b031d18",
+    "x1_face(external_high=True) t=10":
+        "1b69a48ef1aa7422b05c757a454ddb08e35f9a34cf23f61908a6f8437991c63c",
+    "x1_face(external_high=True) t=15":
+        "9ce91e7311295511e5f74884364900ba51903b83d66bc483866e2ca46bf51762",
+    "x2_face() t=10":
+        "1cfef3306b918c1e283b881540dbe23176827befdf013bc5ac5e0c1b66f92e30",
+    "x2_face() t=15":
+        "2dab358bdf59bec90a35a56e3bb7904b6daeaa285b501d7e53c5df9346b984ef",
+    "x2_face(h2=11) t=10":
+        "e1f763505955cb6eaebf27ce7a1b524ed51079506e2d9b67ce6e2f5ce90ea649",
+    "x2_face(h2=11) t=15":
+        "247449fe21dac431551f64d9112229d34befdbfa89a7e6b36a895918f5664f58",
+    "x2_face(u_deg=5) t=10":
+        "1c323b50fd2ef6ac99d36a9a04cad550a883a488f7c130f686ec2f11acb3617c",
+    "x2_face(u_deg=5) t=15":
+        "166328836529549aee63cfe6e93f3765215d4a1ce9478e2428d54cdbf98b108b",
+    "x2_face(y_deg=1) t=10":
+        "9b829eecfbf8f3493cb0015d99dddac5ad2124611dd81eb007689329029aae14",
+    "x2_face(y_deg=1) t=15":
+        "21d209e0ed5cea2ac61b4bfc168cda8aebc28d926aac221415e531352b031d18",
+    "y1_face() t=10":
+        "bd9528fb7108a789343e3f5824e657f5e36a25f596d95f6863108636de237db0",
+    "y1_face() t=15":
+        "419259811cf23a371021aa996916c32febd6c3366a798b50fab3ac69ca892398",
+    "y1_face(h_deg=11) t=10":
+        "2ede4e87d4ec2af480f40e71bb5548e2a199657fd1705408f6ae5fd9c4a8641b",
+    "y1_face(h_deg=11) t=15":
+        "2ced900dee9856c6581eb9088452a43b6065af9c5299f6ba34942236fb55ce58",
+    "y1_face(w_extra=1) t=10":
+        "7a7c7c325c46df96e6b0dc00720ba4470921216c8bb8222cf003d4917e18e9fb",
+    "y1_face(w_extra=1) t=15":
+        "cef7f3bd4dc6c0e2ec639f73d3023079c7d577295bc3dcb7a3c5433c6ef2286d",
+    "y1_face(u_extra=1) t=10":
+        "0ad9c6b06d856a29279e363927985bcf2e5a0801ae8dd36a4ae51de43a7cd965",
+    "y1_face(u_extra=1) t=15":
+        "cc0c0944028bd4c0d9172f6694fc06b78fa91361abf200c35969c95aafaf6317",
+    "y2_face() t=10":
+        "6aad0c8e8c5a985f05605dfca82f1cd01c13f4107becce5957373fc53071bc64",
+    "y2_face() t=15":
+        "1a71c6d9705e878c5748e00f8f2bec76ba02d3dc40e62a0f83d414a506660532",
+    "y2_face(h_deg=11) t=10":
+        "6ca74de93e5ab9ce3eb4394382eadc9b7bec32ff19d74e6aa2d290cc91c808c6",
+    "y2_face(h_deg=11) t=15":
+        "3c58d8c3036c8866ff6fad880652c043acf47a8654dbea8482f81394e988b1e9",
+    "y2_face(s_extra=1) t=10":
+        "69ff77a2eb04034392d139ffc38756d41d44ae9ef4695eb44835c93afdbc67e9",
+    "y2_face(s_extra=1) t=15":
+        "1094550e24c656560516ce549c643f5de36bfdc35084fc43757bb5caca5ae463",
+    "y2_face(r_extra=1) t=10":
+        "3447c7f56625572ddad7940be095e8dad4ae841608cce524a164a15cda5a8fc8",
+    "y2_face(r_extra=1) t=15":
+        "635824b967352e3616d69b648244ab060caf149315bee579c9d0de824d8238bf",
+    "terrible_face() t=10":
+        "17679c97650eea98946eeefacf2f577564a3494aa035c6c77b02d09d36ac4177",
+    "terrible_face() t=15":
+        "9c5a133a0b3e3864a9d2e78657d01997989b9820f146b948a5cf38cc60091713",
+    "terrible_face(v_deg=11) t=10":
+        "b912d330582c26a9fdbcd681cfae965ebaee213c0c99d09b5752ff2c1c2e75f3",
+    "terrible_face(v_deg=11) t=15":
+        "ba5cac9b07ec7fca027899c7b619f4b973a1cb1af7cb53a6cff9366e18746e4d",
+    "terrible_face(u4_extra=1) t=10":
+        "5ff6a57cf3f5e903ce671987f826238ef9eb04d4070a749de16b4c03741cb4df",
+    "terrible_face(u4_extra=1) t=15":
+        "0da8cd3244dba026ff214b7a320581e9fc5998ab65c9307cc65d75066a09bff1",
+    "terrible_face(w4_children=0) t=10":
+        "86e53294ff0b862a68f740df08b5c44c53381f82a30cd103806c3e5380ad88e9",
+    "terrible_face(w4_children=0) t=15":
+        "4c0d0c4b34eaf248f2caa2311c2727fc68a0b84caaf095e1773e9e8403f18123",
+    "genus2_bad_face_gadget() t=10":
+        "eba472fe52b0da114548450172fc5bba21d545db13d94dea184a94b0f7ed93fe",
+    "genus2_bad_face_gadget() t=15":
+        "b3c4f43432b3182776a467263495c25c7bdfcae4747b8b9edbd6d7d2f82020ad",
+    "petersen_projective() t=10":
+        "21b92d73127e2937b3a2fbcff221435405e193f6caff1f8c860a6627424f3a87",
+    "petersen_projective() t=15":
+        "cadd01952571385c2a68269d471f498692acea9d2b3ddbaadd45fde23c36c53d",
+    "chorded_cycle(1, 310, 2)":
+        "7f2b343a9131292f3a3a079cb6c1e2468b828f10ed9b7b3857db56b86f8c8dff",
+    "chorded_cycle(1, 440, 3, twisted=True)":
+        "d8fe2b7f95107009b78f8949b7832bf0bf0d6fcc38db653fd5cdb97c04a887f8",
+}
+
+
 def test_corpus_outputs_match_golden(corpus, corpus_large):
     assert corpus_digests(corpus, corpus_large) == CORPUS_GOLDEN
 
 
 def test_fixture_outputs_match_golden():
     assert fixture_digests() == FIXTURE_GOLDEN
+
+
+def test_trace_outputs_match_golden():
+    assert trace_digests() == TRACE_GOLDEN
 
 
 if __name__ == "__main__":
@@ -393,7 +534,8 @@ if __name__ == "__main__":
     large = [gen_planar_girth5(77000 + i, size)
              for i, size in enumerate(LARGE_SIZES)]
     for title, table in (("CORPUS_GOLDEN", corpus_digests(corpus, large)),
-                         ("FIXTURE_GOLDEN", fixture_digests())):
+                         ("FIXTURE_GOLDEN", fixture_digests()),
+                         ("TRACE_GOLDEN", trace_digests())):
         print(f"{title} = {{")
         for key, value in table.items():
             print(f'    "{key}":\n        "{value}",')
