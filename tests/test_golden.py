@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of outputs that refactors must keep byte-identical.
 
-Three groups are pinned:
+Four groups are pinned:
 
 * every 10th corpus graph and every large-corpus graph, run through the
   CLI: the ``color --trace`` JSON, the coloring document, the
@@ -10,7 +10,9 @@ Three groups are pinned:
   the audit CSV and the violated-lemma set at t = 10, 11 and 15;
 * the same fixtures at t = 10 and 15, and the chorded genus-2 and twisted
   genus-3 cycles at t = capacity(genus), run through ``color --trace``:
-  the exit code, the coloring document and the trace JSON.
+  the exit code, the coloring document and the trace JSON;
+* the same corpus graphs, fixtures and chorded cycles run through
+  ``stats``: the text and the CSV output (with exit codes).
 
 The corpus never yields a Y1, Y2 or Terrible face, so only the fixtures
 pin those branches of the face matcher.
@@ -122,6 +124,27 @@ def corpus_digests(corpus, corpus_large) -> dict[str, str]:
     graphs += [(f"large[{i}]", g) for i, g in enumerate(corpus_large)]
     with tempfile.TemporaryDirectory() as tmp:
         return {name: cli_digest(g, Path(tmp)) for name, g in graphs}
+
+
+def stats_digest(graph, workdir: Path) -> str:
+    gpath, text, csv = (workdir / name for name in ("g.txt", "text", "csv"))
+    gpath.write_text(serialize_graph(graph))
+    codes = [main(["stats", "--input", str(gpath), "--output", str(text)]),
+             main(["stats", "--input", str(gpath), "--format", "csv",
+                   "--output", str(csv)])]
+    return _digest(codes + [text.read_text(), csv.read_text()])
+
+
+def stats_digests(corpus, corpus_large) -> dict[str, str]:
+    graphs = [(f"corpus[{i}]", corpus[i]) for i in range(0, len(corpus), 10)]
+    graphs += [(f"large[{i}]", g) for i, g in enumerate(corpus_large)]
+    graphs += [(_case_name(name, kw), _fixture_graph(name, kw))
+               for name, kw in FIXTURE_CASES]
+    graphs += [("chorded_cycle(1, 310, 2)", chorded_cycle(1, 310, 2)),
+               ("chorded_cycle(1, 440, 3, twisted=True)",
+                chorded_cycle(1, 440, 3, twisted=True))]
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: stats_digest(g, Path(tmp)) for name, g in graphs}
 
 
 def fixture_digests() -> dict[str, str]:
@@ -514,6 +537,280 @@ TRACE_GOLDEN = {
 }
 
 
+STATS_GOLDEN = {
+    "corpus[0]":
+        "83186ea5afb72b8b58cdc8b016354d177389f6f856612b8ed3d5647ffaf828f8",
+    "corpus[10]":
+        "c17649b0934880e370636c543aa98385507104aed7def8cd2b43ad7856c4738a",
+    "corpus[20]":
+        "3b0884c4eabfab3b75d8e8f86c77ec9dfb3d859641b0fb80385596cfadb87703",
+    "corpus[30]":
+        "67108c752d97cf278946c5fb6169ce0ade2d983f75cb3b847b1cbfe8ee35973a",
+    "corpus[40]":
+        "5a5dbb823a00f079a078049b4cd0eb4751a006d4bd4584e49c9737b430e031f5",
+    "corpus[50]":
+        "ecaa0774e725f4760dd0f210820dfc7d83cfc2ce69f644fb487e39924323b0ab",
+    "corpus[60]":
+        "e16e973aa4879f72083af163a78141168c33c355b4dd7362ea53e10b04663f3f",
+    "corpus[70]":
+        "3e2cbd0d360201f5cedd1ea618941105f8804185131b2ea2166cbe225ce98b1a",
+    "corpus[80]":
+        "2ec3ad559ce699e06a1f9b014c9ccc0ac3dc33fee76ce4466960235551abdc28",
+    "corpus[90]":
+        "b7486ebf25a393c0c74e4dd9304586c65d8cc13fd585992f37c28974e54fd2e1",
+    "corpus[100]":
+        "d614f6b07c65b72845aa34b0a778a017dfdaf41f6ad1f47e4926b7f19866cee5",
+    "corpus[110]":
+        "778dce7b50d433dd9d0adc791e4f9b410a64e70a04f92ec29dd9453857360974",
+    "corpus[120]":
+        "40aa4aa8b2f08cc15f1021c4f02350b906ee65fc5fcb2552a2dbc66ed430f734",
+    "corpus[130]":
+        "4a8e01ad0bef022a65b4e58902bec7d4572e29c2de65140fa6ce4b4acf093818",
+    "corpus[140]":
+        "33c47dce7a5e40fc0960e9c5174cc6d55a2bb49f918e915e7a9aa149cd5fb749",
+    "corpus[150]":
+        "3f61df7ef07734acd31de002a6409803386d4b98a3f3b14a675db3b392c6d22f",
+    "corpus[160]":
+        "478ec14ce87aaeca4f7ba383111ab1c6ac41dd0d0563bc5354212069945e0ac2",
+    "corpus[170]":
+        "9b4241b20f72fe5253f4bae3131c31753855183bc554976fe6f44f2f72c1814f",
+    "corpus[180]":
+        "f382e89d374ca7685a22d3493106e5739fc10669b4dad3016eaf72340dbbf1a1",
+    "corpus[190]":
+        "b7759ed1fc9034e39181b3dc106df56ec116745b7ff96f579d348de0597bb1f5",
+    "corpus[200]":
+        "8f269c3e47d546bd406c632c22bbdd30ef34618efe9722873d9cd9f078661a48",
+    "corpus[210]":
+        "3495121df4e481705331a39ae0c19753f005840779e82d285f23e97054897c9f",
+    "corpus[220]":
+        "7bfd22bde247f6eecfab0a69d9edac9466268e69afc87b7f78eab28e8ea90880",
+    "corpus[230]":
+        "0d9caf24f9353d94a2c8e53a38ec8dab8cff9495b3ab16e01dd4cea761775b45",
+    "corpus[240]":
+        "37891900ed37a6e6cff21c07a025ad962b9081a69f5fd20b388920fea985e544",
+    "corpus[250]":
+        "3c932ae3c82c4a43234c62870b4e7ab0ee7b2b6820913d1a855939d7e6c55950",
+    "corpus[260]":
+        "b4298d051ee72ce821de2fab21664883d6e76fce024b8d0e84b3639f9feca95e",
+    "corpus[270]":
+        "717dde7a8477903edad92cdb5e03a87b2b4ad25e6f241628a2d5a13e246413d6",
+    "corpus[280]":
+        "9196f6772e716d273c1693a67fd8ef8602cd64e67cf8be7c877d8451459f78ac",
+    "corpus[290]":
+        "d0cf66b4741932a660097162827f1ed942db599b76a0101f0bf638631dbedc7f",
+    "corpus[300]":
+        "50842a4163a7bb7cde0bd0b8301c1b8a501a86d31309b51362529419b250de63",
+    "corpus[310]":
+        "1ba5719593f0f9e006a2633edc1996082c34f09468b086646346b54b5cbd9b3c",
+    "corpus[320]":
+        "d811e07b15735738bfedbcc1a509b480a97d322feb5c915cea6a41a859417644",
+    "corpus[330]":
+        "2c1be568cf33e8c6b10ad279a90b4b08878fbbf49ce0183169d10d9177139336",
+    "corpus[340]":
+        "3c0113d3c34df02bdc43aab35ca59758961839c4f65e109f8358675db32d360d",
+    "corpus[350]":
+        "894eb294fae0eaa4fdc1d250f9df9215647664748efcf704272dc695f3ceedaa",
+    "corpus[360]":
+        "3982ea3432f0e41443bb530d482c00068a8834a56c8cdd6dbc3e43c317feaa5d",
+    "corpus[370]":
+        "10497c39c6b581e1795aca2863bb8e3a9a7cdff1e87a12ea9794f012cb8a18ea",
+    "corpus[380]":
+        "4a12575bf2f023a08449845b9652f2fcd0c2beaefdfd429d060a57d7b8062aef",
+    "corpus[390]":
+        "2481b168f74a5a05521c439a65653fc0f97919f634d8c24b9c6ce2af47249dc1",
+    "corpus[400]":
+        "62fe2a202eb724f62cbcba585ffca54ff686fce14b60a3350fa5c5b7e2c06a84",
+    "corpus[410]":
+        "b14faa99f92cd6f8462969b2b311c9938068f63ab9b6a8930b9ae21a2dce0fa2",
+    "corpus[420]":
+        "72d4e9f2f4b9d3ce4c01a98126a8d2a243bef59139155f356aa5218a41b9b971",
+    "corpus[430]":
+        "e96094d76bda5cdec2d65b1ec101a5909b6584cbea088cbd532edf735b805e59",
+    "corpus[440]":
+        "201143b51c552a0226502a4bb613e82d54f1b87aa9d4d0d9a37e2780e0331389",
+    "corpus[450]":
+        "e41410f9b7683b318aefd8a5512731e8da8c577017bdd2a36b8259039fcbaa20",
+    "corpus[460]":
+        "0edbd99c8b1ffd630f9b8d9b751b7958997cb8956ff89284f96d80e3abb2125a",
+    "corpus[470]":
+        "b6f00fd6a6b4d210897a661bb7d859d0b00c4cc17be52c31955ea5f9f48433cd",
+    "corpus[480]":
+        "367f86148356339bb172a04d07e767c47396503dbf2c8583c726ace304592a24",
+    "corpus[490]":
+        "52b8f4324ac3012ab0a2661bd41cc3b8d61e6acb987fd514a1c85f8718d2c694",
+    "corpus[500]":
+        "48800390f1555a495d73e7ab8b8834a41e3bf99cddfa772db9b667db2998a301",
+    "corpus[510]":
+        "51d7cde376990db02036400d1099f73f51d1547f8e7c38eea8328ef985fc9c04",
+    "corpus[520]":
+        "71634594296f553eab9676dd1fd757895ff70877cbc074155181275f685f6b90",
+    "corpus[530]":
+        "a5ea9852618ebd6e79229dca63e299fe448cc8d4d5d2d7a69b5e3b67f9e2a81e",
+    "corpus[540]":
+        "12e25eec6ba5ac34220a83401b70c96e73a8cdb6253fd440e19175410e42ffd9",
+    "corpus[550]":
+        "da5e7bca6262d1318254e4d36eaf10c12aedd0c0f7104962452f1b1cec521a7b",
+    "corpus[560]":
+        "5511c1259aa567a1e7565a1fe51d17bcb6769d11defa1849a6bb381b48578ec8",
+    "corpus[570]":
+        "8325a01e7b32d75bd4859b28d34e485a3218cca3eb57f5ca1606de2b835d3b1d",
+    "corpus[580]":
+        "918654bb2e8dece4b5d43e20fd32a29e9c1426a80e063cfa21c7ee0ff55a0d1e",
+    "corpus[590]":
+        "4cf73aa8e6826d7315b3924e94f52db3665648d89e985dcc256fe024a47ebec8",
+    "corpus[600]":
+        "81aadd659d8bf94132899f0d8582c1a6bd5e9d983562a13c936bc56e4078ceb8",
+    "corpus[610]":
+        "f5daab3e5c13075bd85fc969ef842988205c47e51eb203de090e27b26d0b0377",
+    "corpus[620]":
+        "1e992c441d96a06a1549278dd7ebeba750427cc090a037f151c37e679539110c",
+    "corpus[630]":
+        "f5aff4c88a46b2ca6db99bc1a7c8cf0008aefdd1da1be4e0ae212ab1aaa68d6e",
+    "corpus[640]":
+        "9c5647b6f8a78f407f9a6d610dbdbf70d6daac053573c8e94cb081331f836e17",
+    "corpus[650]":
+        "6f018cae534d12175ce2af56de69bbe1202dd4706da79d99f61edb014051a074",
+    "corpus[660]":
+        "19d8c38b12d4d5734f7abfec059e957dbef50383bf61a456402d29d37c9186fb",
+    "corpus[670]":
+        "d4405f0073d478a6c6774bc00593512fb4619e8c9c12a578f3a148994a19d45d",
+    "corpus[680]":
+        "fde08333401bcf23f7235392a5b80bb444c585bbd34e7071d10b444cb3cee200",
+    "corpus[690]":
+        "08cb45b1e40a1853000cb007ba57079d5273a0f2ae3e33bba8db0d5e37e3e06d",
+    "corpus[700]":
+        "7c3c59bfc8193fe1ce1c1f606d8cfcf8d8ea587110d1ac008eb571868a268008",
+    "corpus[710]":
+        "2239924effe3411d41404d7cae18208a65947c88ee8c76235233583d4feaa447",
+    "corpus[720]":
+        "cdbf01a7103b69f31a9d63be8c3e712d46b5dd820a5475463393e21e99cc6edd",
+    "corpus[730]":
+        "e162585a495b512d5df922b75c20cc2ed32435cbe7ba0c07262bf9c04d27521d",
+    "corpus[740]":
+        "fcde6c54ef99947e41a2467d2a688a8232ef8f0297039431b9b00d34bc056eb6",
+    "corpus[750]":
+        "27f103cfc18fc1334ff556804d26ebf6eafc2b04454ba32417ac347335115136",
+    "corpus[760]":
+        "f6890584ade7c3c1469664c5df49fbd2386afdd6467cfb03e051f2d97a26a888",
+    "corpus[770]":
+        "debdf358d2d17d730293746683007ab0b97a4f392f5f83c2c231f561c15dabcb",
+    "corpus[780]":
+        "95f8a4a9658fa03d94fc3d268f7c31001540b8ec25683803278cc93cca33c5ae",
+    "corpus[790]":
+        "3048719c7e77cefae2cd78bdbd7a59032c0101d17a51f856b7345a8fd8c72792",
+    "corpus[800]":
+        "4a491fd56a52a248c21da2d98da662d8b52ea28247d8f19caa6e50f2b079ab2a",
+    "corpus[810]":
+        "195ad8f0cc7eea517d6060304635239854e8a5f2a16064e25fd66ed7ba05945e",
+    "corpus[820]":
+        "53730a721fc4df1040595a3870353e391a62ba23ea37da74f3297ec1a829b493",
+    "corpus[830]":
+        "d21a00d3de857e15b4304b810dbd658dbc50327c05d55dae24e8897683ce8394",
+    "corpus[840]":
+        "54cc6d647774909009a825c673961558f5372179764344f90f84336968a6dc6a",
+    "corpus[850]":
+        "8075a57283f1334c2d7a4d284b412fb06acfb3c9d36de928b9c9400b5e0e6291",
+    "corpus[860]":
+        "76213e18853ce4dfdc70956c5e8fc3ee62e553e53c76610f9594f93479b554d3",
+    "corpus[870]":
+        "85d268247c56bd408f826d934372bd42829b18d19e70f9f5e6a389f96b53c52f",
+    "corpus[880]":
+        "99ca01dd385031fadc5cce0c8ea4349e768766c85e045bd3b1d12e623d5ec6b4",
+    "corpus[890]":
+        "f3c189bc0017713c2df08d6235801612b82006f89c79b73e4b6fb01548883548",
+    "corpus[900]":
+        "966f1650ed4614c259150ba79b58d15c1c5f63a05d88abc5920e4e73f1d4c72f",
+    "corpus[910]":
+        "5de6d861082e7bf2e202476b3c1d01dc22200ca0a08626d4c9638e06ef491d07",
+    "corpus[920]":
+        "a1cad3b6c9a124d981fa2560df4bbb1b365df6164fedb0bffcfdbe30de77ce3b",
+    "corpus[930]":
+        "c1ca4e05d198febf49432b9a7b45787abee45ebde614f63022e255c1f0606865",
+    "corpus[940]":
+        "2d9a4976e098138cc4139cb0e64440d5ce1725cadbaf1653405ff66792600dec",
+    "corpus[950]":
+        "0cdd79d1c92f6c978520c84b04231dfabe8a94140b94b7d3d1fc432545839ca7",
+    "corpus[960]":
+        "dcca6d7de0793fce84aeb2e275786571d7329e5440d265cdaba0d2ae8cf2b63b",
+    "corpus[970]":
+        "177216a1b44888f334af3393bf81c5ec671834e0ac2b76fd2398421c1cea4ee9",
+    "corpus[980]":
+        "73e7a26163cf0615fd4803b2000c52f91d8ffed3cc979009023dea0cb52ef2d2",
+    "corpus[990]":
+        "09b087daaa694dd137086d2c008fa4b6eafba62bd2d5c218861c39fdb1dadf26",
+    "large[0]":
+        "9223a14919f285afb92a42b41c3a41373c8dfc68028f5d338e954c09e413b98f",
+    "large[1]":
+        "d6848ddc819b97b07d684cde2dbae49433e0fe0c0edaf8c530892374012a5e0c",
+    "large[2]":
+        "4966c55ae0a19dbca5332f1aa2f709536bdd8948b0e402de9d148aa53bb7d9b5",
+    "large[3]":
+        "c215391178a4480589ff7e52c3d7ec65cde87c353b7be984b0a67e19cea694e1",
+    "large[4]":
+        "961f20986c53a09dbefc00cbda7cbfc8580f163a4fbf342868a0411425ce6208",
+    "large[5]":
+        "f6362b76adf931ac3593b33728878d1a43cb41926cba42f582fc3112abf85105",
+    "large[6]":
+        "8310e1d796369bbb88f3b386f40f6edc94f655d3dfb3db4bb5081e7e871de3df",
+    "special_face()":
+        "3eb629f7d2ba66e8047fd8bcba3fcdec3f0bef77f84307c76d748aa02a1bfbc8",
+    "special_face(hub=11)":
+        "137b92cd821a36e3a58c92f4e329d8d4977bb97d8ce4ff5f188b4269a5999486",
+    "special_face(p_deg=6)":
+        "c9cbd809d228ee450f47287337ff800e8a2af1e1f73f09a976b11354c8ea9c20",
+    "special_face(q_deg=4)":
+        "4775d281645182f77445a919a4c74b4eef31923148444ca3cffabb5524c1cec2",
+    "x1_face()":
+        "a3c60061825a0883316a4722d36427f17c37172815c55265cc04d92bf32b108e",
+    "x1_face(h1=11)":
+        "78a63cc5dcc386c2630fb37dd940c1f07e8ba050aa7f583e01b363678b83d1ee",
+    "x1_face(s_deg=4)":
+        "da9762734ff798b04bf69c5049e16f436117ee38a29320995b1ac5a56e521d8a",
+    "x1_face(external_high=True)":
+        "8a6bde147d68285e1e498cccc384412196c642a044945f7eb7b4c22e50d5b86e",
+    "x2_face()":
+        "4b6875062299398a48d6770965020f5581df35f6d951b4975b69e4457ca14f19",
+    "x2_face(h2=11)":
+        "594faa8d6295710a2bd6d3a861e2f5c9b97bb3507297a1dbe4c16e15e2f27166",
+    "x2_face(u_deg=5)":
+        "7b40fe2a065dcd338f23ee9ae6a68005004339a2917c892c5301a840b9d95fd0",
+    "x2_face(y_deg=1)":
+        "da9762734ff798b04bf69c5049e16f436117ee38a29320995b1ac5a56e521d8a",
+    "y1_face()":
+        "6ea53c2262db8a0951d5a17533d2702070cba0b15eb6192f5062f097efd385f8",
+    "y1_face(h_deg=11)":
+        "cf0efd58b65016aa661960a0cf1578c95f44423975b7d31910a602053d3791c2",
+    "y1_face(w_extra=1)":
+        "8b1b290b54a2994aac5c0bef7387a55add87b67cd97414d29e71f8c7de4d26b3",
+    "y1_face(u_extra=1)":
+        "41497abb5bbfab0072b70568806949876ee0493385da7f8a77cb26e66ecc931a",
+    "y2_face()":
+        "7c7554c46c1b031b71cb7da5551ba3d49cfe9f2c86213062bd619f773354d3a4",
+    "y2_face(h_deg=11)":
+        "89b6e996c8d903da5e5158643eebb6a3b4dd4d2a65d73344dd1d80ac929e3e5b",
+    "y2_face(s_extra=1)":
+        "0f040c8d760cf4e7ca2d3c54035bb5d3a6a237ffe0c0ff71231abd26f53632b8",
+    "y2_face(r_extra=1)":
+        "0f040c8d760cf4e7ca2d3c54035bb5d3a6a237ffe0c0ff71231abd26f53632b8",
+    "terrible_face()":
+        "eee617e91ec38af4e4aedad048c17f67f557ba0384b1f875e3278b1dfab1e3b4",
+    "terrible_face(v_deg=11)":
+        "93793436229f3aca332d3031ffd1f21d47cb31bcea583a4d0090acc6c67e5de9",
+    "terrible_face(u4_extra=1)":
+        "c00f5ee1bf4455056a8c61249f85431e867327fed90ab47afa5e03892d568c09",
+    "terrible_face(w4_children=0)":
+        "8b1b290b54a2994aac5c0bef7387a55add87b67cd97414d29e71f8c7de4d26b3",
+    "genus2_bad_face_gadget()":
+        "6744c6c0cde8243e74dd749b28a4b61841b84eaefe2013753e55d3185e58f33f",
+    "petersen_projective()":
+        "797e56e2bac8eb2ee42da170553a9dcde63ce52c9552532be2cddc856d2e1e68",
+    "chorded_cycle(1, 310, 2)":
+        "8921cb84f984fabfb2fc8b0e56bbbfd69a7135c559037deb47f316dc8e709e55",
+    "chorded_cycle(1, 440, 3, twisted=True)":
+        "605c893494275bb39231d18304391a84f86884b93a9e01d56a797732d422304b",
+}
+
+
 def test_corpus_outputs_match_golden(corpus, corpus_large):
     assert corpus_digests(corpus, corpus_large) == CORPUS_GOLDEN
 
@@ -526,6 +823,10 @@ def test_trace_outputs_match_golden():
     assert trace_digests() == TRACE_GOLDEN
 
 
+def test_stats_outputs_match_golden(corpus, corpus_large):
+    assert stats_digests(corpus, corpus_large) == STATS_GOLDEN
+
+
 if __name__ == "__main__":
     from defcolor.generate import gen_planar_girth5
 
@@ -535,7 +836,8 @@ if __name__ == "__main__":
              for i, size in enumerate(LARGE_SIZES)]
     for title, table in (("CORPUS_GOLDEN", corpus_digests(corpus, large)),
                          ("FIXTURE_GOLDEN", fixture_digests()),
-                         ("TRACE_GOLDEN", trace_digests())):
+                         ("TRACE_GOLDEN", trace_digests()),
+                         ("STATS_GOLDEN", stats_digests(corpus, large))):
         print(f"{title} = {{")
         for key, value in table.items():
             print(f'    "{key}":\n        "{value}",')
