@@ -19,6 +19,9 @@ for t in transfers[:4]:
     print("  ", t.rule, t.source, "->", t.target, t.amount)
 print("   ... and", len(transfers) - 4, "more")
 print("totals:", ledger.total_initial, "->", ledger.total_final)
+# The ledger holds integer units of 1/27720; its Fraction views are
+# built on first read.
+print("face finals in units:", ledger.net[ledger.n:])
 print("face finals:", ledger.face_final)
 
 # Dodecahedron: 3-vertices neither send nor receive; nothing fires.
@@ -34,7 +37,7 @@ classes = classify_faces(G)
 print("\nterrible fixture 5-face classes:",
       sorted(c.value for c in classes if c is not FaceClass.PLAIN))
 ledger, transfers = apply_rules(G)
-print("terrible face final:", ledger.face_final[fix.face.index])
+print("terrible face final:", ledger.face_final[fix.face_index])
 print("hub final:", ledger.vertex_final[fix.names["v"]])
 print("rules fired:", sorted({t.rule for t in transfers}))
 

@@ -25,7 +25,7 @@ res = color(g, t=10)
 print("C5 colored:", res.coloring.assignment,
       "valid:", is_valid(g, res.coloring))
 for entry in res.trace.steps:
-    print("  ", entry.step.kind.value, "deleted", entry.step.deleted,
+    print("  ", entry.kind.value, "deleted", entry.deleted,
           "actions", entry.actions)
 
 # The trace replays to the identical coloring.
@@ -37,14 +37,14 @@ print("replay matches:", replay_trace(g, res.trace).assignment
 for name, graph in [("dodecahedron", dodecahedron()),
                     ("petersen", petersen_projective())]:
     res = color(graph, t=10)
-    kinds = Counter(e.step.kind.value for e in res.trace.steps)
+    kinds = Counter(e.kind.value for e in res.trace.steps)
     print(f"\n{name}: valid={is_valid(graph, res.coloring)} "
           f"fallback={res.trace.fallback} steps={dict(kinds)}")
 
 # A 300-vertex generated graph reduces in milliseconds.
 big = gen_planar_girth5(seed=5, target_size=300)
 res = color(big, t=10)
-kinds = Counter(e.step.kind.value for e in res.trace.steps)
+kinds = Counter(e.kind.value for e in res.trace.steps)
 print(f"\n{big.n}-vertex corpus graph: valid={is_valid(big, res.coloring)} "
       f"fallback={res.trace.fallback}")
 print("reduction mix:", dict(kinds))

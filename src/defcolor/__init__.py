@@ -18,8 +18,8 @@ from .discharging import (AuditReport, ChargeLedger, FaceClass, Transfer,
                           apply_rules, audit, capacity, classify_faces,
                           ledger_csv, sponsor_instances, transfers_csv)
 from .embedding import (AsymmetricError, DisconnectedError, EmbeddedGraph,
-                        Face, GirthTooSmallError, GraphError, NonSimpleError,
-                        girth, induced_embedding)
+                        GirthTooSmallError, GraphError, NonSimpleError, girth,
+                        induced_embedding)
 from .generate import gen_planar_girth5
 from .graphio import (ParseError, parse_coloring, parse_graph,
                       serialize_coloring, serialize_graph)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetricError", "AuditReport", "ChargeLedger", "ColorResult",
     "Coloring", "ColoringError", "ColoringTrace", "DisconnectedError",
-    "EmbeddedGraph", "ExtensionFailedError", "Face", "FaceClass",
+    "EmbeddedGraph", "ExtensionFailedError", "FaceClass",
     "GirthTooSmallError", "GraphError", "NonSimpleError", "ParseError",
     "PartialColoringError", "PlanarBuilder", "ReductionKind", "ReductionStep",
     "SolveResult", "SolveStatus", "Transfer", "apply_rules", "audit",

@@ -39,7 +39,8 @@ class PlanarBuilder:
         if graph.twists:
             raise ValueError("builder does not support twisted edges")
         rot = [list(nbrs) for nbrs in graph.rotation]
-        faces = {f.index: list(f.darts) for f in graph.faces}
+        faces = {fi: list(zip(walk, walk[1:] + walk[:1]))
+                 for fi, walk in enumerate(graph.faces)}
         return cls(rot, faces)
 
     # -- queries -----------------------------------------------------------

@@ -213,7 +213,7 @@ def _cmd_stats(args) -> int:
     degs = Counter(graph.degree(v) for v in range(graph.n))
     g = girth(graph)
     classes = Counter(c.value for c in classify_faces(graph))
-    faces = Counter(f.degree for f in graph.faces)
+    faces = Counter(map(len, graph.faces))
     rows = [
         ("vertices", graph.n),
         ("edges", graph.m),

@@ -43,8 +43,9 @@ Every step's actions must keep the moved vertices and their colored
 neighbors within their defects (_within_defects), so a step costs
 O(sum of deg(v)^2) over its moved vertices v and their neighbors.  On
 girth-5 graphs a branch always fits, and the final coloring is checked
-with is_valid.  ColoringTrace.steps builds a TraceEntry from a finished
-row only when read; cli's trace writer and replay_trace read the rows.
+with is_valid.  ColoringTrace.steps builds a ReductionStep from a
+finished row only when read; cli's trace writer and replay_trace read
+the rows.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -97,40 +98,25 @@ _KIND1, _KIND2, _KIND3, _KIND4 = ReductionKind
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """One step row: the witness is None for kinds 1-3, and actions are
+    the (vertex, class) moves of its extension, in the order applied."""
+
     kind: ReductionKind
     deleted: tuple[int, ...]
-    witness: dict
-    t: int
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    step: ReductionStep
-    actions: tuple[tuple[int, int], ...]  # (vertex, class) in order applied
-
-
-def _step(row: tuple, t: int) -> ReductionStep:
-    """The ReductionStep of a step row (kind, deleted, witness, ...)."""
-    kind, deleted, witness = row[:3]
-    return ReductionStep(kind, deleted, {} if witness is None else witness, t)
-
-
-def _trace_steps(rows: list[tuple], t: int) -> RowLog[TraceEntry]:
-    """The step log of a trace: row (kind, deleted, witness, actions) reads
-    as TraceEntry(ReductionStep(kind, deleted, witness or {}, t), actions)."""
-    return RowLog(rows, lambda *row: TraceEntry(_step(row, t), row[3]))
+    witness: dict | None
+    actions: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
 class ColoringTrace:
     """Deletion-ordered steps plus the base coloring of the irreducible rest.
 
-    steps reads its rows (kind, deleted, witness, actions) as TraceEntry
-    objects (_trace_steps).  Replaying the actions in reverse order on top
-    of the base assignments reproduces the final coloring exactly.
+    steps reads its rows (kind, deleted, witness, actions) as ReductionStep
+    objects.  Replaying the actions in reverse order on top of the base
+    assignments reproduces the final coloring exactly.
     """
 
-    steps: RowLog[TraceEntry]
+    steps: RowLog[ReductionStep]
     base: dict[int, int]
     fallback: bool
     anomaly: bool
@@ -312,7 +298,7 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
                 "u4": inv[u4],
                 "u5": inv[u5],
                 "w4": inv[w4] if w4 is not None else None,
-                "face": tuple(inv[u] for u in face.verts),
+                "face": tuple(inv[u] for u in face),
                 "ring_two": ring_two,
             }
             return _KIND4, (inv[v4],), witness
@@ -328,7 +314,7 @@ def find_reduction(graph: EmbeddedGraph,
     if t is None:
         t = capacity(graph.genus)
     row = _Residual(graph, t).next_step()
-    return None if row is None else _step(row, t)
+    return None if row is None else ReductionStep(*row)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +395,8 @@ def _apply_extension(graph: EmbeddedGraph, phi: list[int], row: tuple,
             for (x, _), old in zip(move, saved):
                 phi[x] = old
     raise ExtensionFailedError(
-        f"no recoloring branch extends past {list(deleted)}", _step(row, t),
-        phi)
+        f"no recoloring branch extends past {list(deleted)}",
+        ReductionStep(*row), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +418,8 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     is_valid or an ExtensionFailedError is raised.
 
     Of the faces of ``graph`` only the genus is read, for the default t
-    and the anomaly flag, which builds no Face (the kind-4 scan reads the
-    faces of the residual components, graphs of their own).
+    and the anomaly flag, which cuts no face walk (the kind-4 scan reads
+    the faces of the residual components, graphs of their own).
     """
     if budget <= 0:
         raise ColoringError("budget must be positive")
@@ -478,13 +464,13 @@ def color(graph: EmbeddedGraph, t: int | None = None,
             rows[i] = (*row, _apply_extension(graph, phi, row, t))
         coloring = Coloring(tuple(phi), (1, t))
         if not is_valid(graph, coloring):
-            raise ExtensionFailedError("final coloring invalid",
-                                       _step(rows[-1], t) if rows else None,
-                                       phi)
+            raise ExtensionFailedError(
+                "final coloring invalid",
+                ReductionStep(*rows[-1]) if rows else None, phi)
     else:
         rows = []
 
-    trace = ColoringTrace(_trace_steps(rows, t), base, fallback, anomaly, t)
+    trace = ColoringTrace(RowLog(rows, ReductionStep), base, fallback, anomaly, t)
     return ColorResult(coloring, trace, solve_status)
 
 

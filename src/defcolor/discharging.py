@@ -22,15 +22,16 @@ and no float is used anywhere: apply_rules accumulates charges in
 integer units of 1/_UNIT = 1/27720, the least common multiple of every
 denominator a rule can produce (2, and R3's count k <= d <= 11), and
 every public value (ledger entries, transfer amounts, claim and flag
-charges) is a fractions.Fraction.  The ledger keeps the settled units
-beside its Fractions (ChargeLedger.initial and .net): audit reads the
-sign of a charge from them and ledger_csv writes from them, formatting
-each distinct value once.  The three logs hold plain rows and build
-their objects only when read (RowLog): the transfer log in key order,
-one row (lemma, witness) per lemma violation and one row (claim,
-element, ledger index) per claim violation.  The rules and the audit
-assume girth >= 5: both apply_rules and audit raise GirthTooSmallError
-below it (embedding.require_girth5), as color does.
+charges) is a fractions.Fraction.  The ledger holds only the settled
+units (ChargeLedger.initial and .net) and builds its four Fraction
+views on first read: audit reads the sign of a charge from the units,
+and ledger_csv, transfers_csv and report_text write from them,
+formatting each distinct value once.  The three logs hold plain rows
+and build their objects only when read (RowLog): the transfer log in
+key order, one row (lemma, witness) per lemma violation and one row
+(claim, element, final units) per claim violation.  The rules and the
+audit assume girth >= 5: both apply_rules and audit raise
+GirthTooSmallError below it (embedding.require_girth5), as color does.
 
 This module owns both degree thresholds.  The face patterns and rules
 R1-R8 read degrees through one symbol map: 2, 3, 4 and 5 stand for
@@ -63,14 +64,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import product, starmap
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
-from .embedding import EmbeddedGraph, Face, require_girth5
+from .embedding import EmbeddedGraph, require_girth5
 
 HIGH_DEGREE = 12  # "high" in the face patterns and rules R1-R8
 MIN_T = 10        # smallest defect threshold the structural lemmas cover
@@ -178,22 +179,23 @@ def _matches(deg: Sequence[int], verts: Sequence[int]) -> frozenset[FaceClass]:
     return _PATTERNS.get(_canonical(word), _NO_MATCH)
 
 
-def _own_class(graph: EmbeddedGraph, deg: Sequence[int], face: Face) -> FaceClass:
+def _own_class(graph: EmbeddedGraph, deg: Sequence[int],
+               face: tuple[int, ...]) -> FaceClass:
     """The class a face's degree word, 4-vertices and, for X1, the outside
     neighbor of its 3-vertex give it, before any cross face is read."""
-    classes = _matches(deg, face.verts) if face.degree == 5 else _NO_MATCH
+    classes = _matches(deg, face) if len(face) == 5 else _NO_MATCH
     if not classes:
         return FaceClass.PLAIN
     (cls,) = classes  # no two face words agree up to rotation or reversal
     # vacuous for the rows whose word has no 4
     if not all(cls in _matches(deg, graph.rotation[q])
-               for q in face.verts if deg[q] == 4):
+               for q in face if deg[q] == 4):
         return FaceClass.PLAIN
     if cls is FaceClass.X1:
         # one outside neighbor, of degree 11-; below girth 5 (stats) a
         # chord can leave none
-        (three,) = (u for u in face.verts if deg[u] == 3)
-        ext = [u for u in graph.rotation[three] if u not in face.vert_set]
+        (three,) = (u for u in face if deg[u] == 3)
+        ext = [u for u in graph.rotation[three] if u not in face]
         if len(ext) != 1 or deg[ext[0]] >= HIGH_DEGREE:
             return FaceClass.PLAIN
     return cls
@@ -211,11 +213,11 @@ def classify_faces(graph: EmbeddedGraph) -> tuple[FaceClass, ...]:
     deg = [len(nbrs) for nbrs in graph.rotation]
     own = [_own_class(graph, deg, face) for face in faces]
     out = []
-    for face, cls in zip(faces, own):
+    for index, (face, cls) in enumerate(zip(faces, own)):
         cross = _FACE_TABLE[cls].cross if cls is not FaceClass.PLAIN else ()
         if cross:
-            found = tuple(own[fi] for w in face.verts if deg[w] == 2
-                          for fi, _ in graph.passages(w) if fi != face.index)
+            found = tuple(own[fi] for w in face if deg[w] == 2
+                          for fi, _ in graph.passages(w) if fi != index)
             if found not in (cross, cross[::-1]):
                 cls = FaceClass.PLAIN
         out.append(cls)
@@ -275,7 +277,7 @@ def sponsor_instances(graph: EmbeddedGraph) -> list[SponsorInstance]:
         if f1 == f2:  # also at a 1-vertex, whose two corners are one
             continue
         for fi, pos, other in ((f1, p1, f2), (f2, p2, f1)):
-            verts = faces[fi].verts
+            verts = faces[fi]
             n = len(verts)
             if verts[(pos + 1) % n] != b:  # it came from b: walks (b, a)
                 pos = (pos - 1) % n
@@ -290,39 +292,34 @@ def sponsor_instances(graph: EmbeddedGraph) -> list[SponsorInstance]:
 # ---------------------------------------------------------------------------
 
 
-def _units(charges: Sequence[Fraction]) -> list[int]:
-    """Each charge as a whole number of units of 1/_UNIT."""
-    out = []
-    for x in charges:
-        units = Fraction(x) * _UNIT
-        if units.denominator != 1:
-            raise ValueError(f"charge {x} is not a whole number of 1/{_UNIT}")
-        out.append(units.numerator)
-    return out
-
-
-@dataclass
+@dataclass(frozen=True)
 class ChargeLedger:
     """Exact per-element charges before and after redistribution.
 
-    initial and net hold the same charges in integer units of 1/_UNIT,
-    vertex v at v and face fi at |V| + fi.  apply_rules passes the units
-    it settled; a ledger built from the Fractions alone derives them.
-    They take no part in equality or repr.
+    initial and net hold the charges in integer units of 1/_UNIT, vertex
+    v at v and face fi at n + fi, where n is the vertex count.  The four
+    Fraction tuples are views of them, each built on its first read.
     """
 
-    vertex_initial: tuple[Fraction, ...]
-    face_initial: tuple[Fraction, ...]
-    vertex_final: tuple[Fraction, ...]
-    face_final: tuple[Fraction, ...]
-    initial: Sequence[int] = field(default=None, compare=False, repr=False)
-    net: Sequence[int] = field(default=None, compare=False, repr=False)
+    n: int
+    initial: tuple[int, ...]
+    net: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.initial is None:
-            self.initial = _units(self.vertex_initial + self.face_initial)
-        if self.net is None:
-            self.net = _units(self.vertex_final + self.face_final)
+    @cached_property
+    def vertex_initial(self) -> tuple[Fraction, ...]:
+        return _fractions(self.initial[:self.n])
+
+    @cached_property
+    def face_initial(self) -> tuple[Fraction, ...]:
+        return _fractions(self.initial[self.n:])
+
+    @cached_property
+    def vertex_final(self) -> tuple[Fraction, ...]:
+        return _fractions(self.net[:self.n])
+
+    @cached_property
+    def face_final(self) -> tuple[Fraction, ...]:
+        return _fractions(self.net[self.n:])
 
     @property
     def total_initial(self) -> Fraction:
@@ -415,9 +412,8 @@ def apply_rules(graph: EmbeddedGraph,
     target id, witness, units, independent), read as a Transfer, and
     moves its amount, in integer units of 1/_UNIT, between two running
     charges, one per vertex and face.  The rows are sorted by rule id,
-    then source, target and witness.  The ledger keeps the settled units
-    and their Fractions, built once per distinct value.  Requires girth
-    at least 5 (require_girth5).
+    then source, target and witness.  The ledger keeps the settled
+    units.  Requires girth at least 5 (require_girth5).
     """
     require_girth5(graph, "apply_rules")
     if classes is None:
@@ -426,15 +422,18 @@ def apply_rules(graph: EmbeddedGraph,
     deg = [len(nbrs) for nbrs in rotation]
     # vertex v at v, face fi at n + fi
     initial = ([(2 * d - 6) * _UNIT for d in deg]
-               + [(face.degree - 6) * _UNIT for face in faces])
+               + [(len(face) - 6) * _UNIT for face in faces])
     net = initial.copy()
     # one log per rule; all but the sponsor rules' come out in key order,
     # so the final sort of their concatenation mostly walks sorted runs
     logs: dict[str, list[tuple]] = defaultdict(list)
 
+    # the faces each high vertex passes, for "fi carries a high neighbor"
+    passed = {h: {fi for fi, _ in graph.passages(h)}
+              for h, d in enumerate(deg) if d >= HIGH_DEGREE}
+
     def carries(fi: int, high: list[int]) -> bool:
-        vs = faces[fi].vert_set
-        return any(u in vs for u in high)
+        return any(fi in passed[u] for u in high)
 
     for v, d in enumerate(deg):
         sym = _symbol(d)
@@ -494,7 +493,7 @@ def apply_rules(graph: EmbeddedGraph,
     log = logs["R5"].append
     # each face's 2-vertices in walk order: rows.sort() below orders them
     for fi, face in enumerate(faces):
-        for pos, u in enumerate(face.verts):
+        for pos, u in enumerate(face):
             if deg[u] == 2:
                 log(("R5", "f", fi, "v", u, (pos,), _ONE,
                      (fi, u) not in coupled))
@@ -504,9 +503,7 @@ def apply_rules(graph: EmbeddedGraph,
     # keys are unique, so a row's natural order is its key order
     rows = [row for rule in sorted(logs) for row in logs[rule]]
     rows.sort()
-    start, end = _fractions(initial), _fractions(net)
-    ledger = ChargeLedger(start[:n], start[n:], end[:n], end[n:], initial, net)
-    return ledger, RowLog(rows, _transfer)
+    return ChargeLedger(n, tuple(initial), tuple(net)), RowLog(rows, _transfer)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +538,8 @@ class AuditReport:
     transfers, claim_violations and lemma_violations are RowLogs: plain
     rows that build a Transfer, ClaimViolation or LemmaViolation on each
     read and compare equal to a list of the same objects.  A claim row is
-    (claim, element, ledger index), the index into ledger.initial and
-    ledger.net; a lemma row is (lemma, witness).  The rows come in the
-    order of the checks in audit.
+    (claim, element, final charge in units); a lemma row is (lemma,
+    witness).  The rows come in the order of the checks in audit.
     """
 
     t: int
@@ -587,15 +583,16 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     n, rot = graph.n, graph.rotation
     net = ledger.net
 
-    claims = [("vertex-negative", ("v", v), v) for v in range(n) if net[v] < 0]
-    for face in graph.faces:
-        i = n + face.index
-        if face.degree >= 7:
-            if net[i] <= 0:
-                claims.append(("face7-nonpositive", ("f", face.index), i))
-        elif net[i] < 0:
-            claim = _FACE_CLAIMS.get(face.degree, "small-face-negative")
-            claims.append((claim, ("f", face.index), i))
+    claims = [("vertex-negative", ("v", v), net[v])
+              for v in range(n) if net[v] < 0]
+    for fi, face in enumerate(graph.faces):
+        final = net[n + fi]
+        if len(face) >= 7:
+            if final <= 0:
+                claims.append(("face7-nonpositive", ("f", fi), final))
+        elif final < 0:
+            claim = _FACE_CLAIMS.get(len(face), "small-face-negative")
+            claims.append((claim, ("f", fi), final))
 
     # one pass, three row lists in the order of the checks: min-degree
     # and vx-degree by vertex, then no-22 by edge, then the face counts
@@ -638,22 +635,17 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
 
     floor = 2 * graph.genus * _UNIT - 7 * _HALF  # 2*genus - 3.5, in units
     floor_charge = Fraction(floor, _UNIT)
-    flags = [HighVertexFlag(v, ledger.vertex_final[v], floor_charge)
+    flags = [HighVertexFlag(v, Fraction(net[v], _UNIT), floor_charge)
              for v, d in enumerate(deg) if d >= high and net[v] < floor]
-
-    def claim_violation(claim: str, element: tuple[str, int],
-                        i: int) -> ClaimViolation:
-        return ClaimViolation(claim, element, _final(ledger, i))
-
     return AuditReport(t, graph.genus, ledger, transfers, classes,
-                       RowLog(claims, claim_violation),
+                       RowLog(claims, _claim_violation),
                        RowLog(lemmas, LemmaViolation), flags)
 
 
-def _final(ledger: ChargeLedger, i: int) -> Fraction:
-    """The final charge at ledger index i: vertex i, or face i - |V|."""
-    n = len(ledger.vertex_final)
-    return ledger.vertex_final[i] if i < n else ledger.face_final[i - n]
+def _claim_violation(claim: str, element: tuple[str, int],
+                     final: int) -> ClaimViolation:
+    """The ClaimViolation of one claim row."""
+    return ClaimViolation(claim, element, Fraction(final, _UNIT))
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +664,8 @@ def _unit_texts(units: set[int]) -> dict[int, str]:
 
 def ledger_csv(ledger: ChargeLedger) -> str:
     """One line per vertex and then per face, from the ledger's units."""
-    initial, net = ledger.initial, ledger.net
+    initial, net, n = ledger.initial, ledger.net, ledger.n
     text = _unit_texts({*initial, *net})
-    n = len(ledger.vertex_initial)
     lines = ["element_kind,element_id,initial,final"]
     lines += [f"v,{v},{text[a]},{text[b]}"
               for v, (a, b) in enumerate(zip(initial[:n], net[:n]))]
@@ -697,8 +688,10 @@ def transfers_csv(transfers: RowLog[Transfer]) -> str:
 
 
 def report_text(report: AuditReport) -> str:
-    """The text report, written from the claim and lemma rows."""
-    ledger = report.ledger
+    """The text report, written from the claim and lemma rows; each
+    distinct claim final is formatted once."""
+    ledger, claims = report.ledger, report.claim_violations.rows
+    final = _unit_texts({row[2] for row in claims})
     lines = [
         f"genus: {report.genus}",
         f"threshold t: {report.t}",
@@ -706,9 +699,8 @@ def report_text(report: AuditReport) -> str:
         f"total final charge: {format_fraction(ledger.total_final)}",
         f"claim violations: {len(report.claim_violations)}",
     ]
-    for claim, (kind, index), i in report.claim_violations.rows:
-        lines.append(f"  {claim} at {kind}{index} "
-                     f"(final {format_fraction(_final(ledger, i))})")
+    lines += [f"  {claim} at {kind}{index} (final {final[units]})"
+              for claim, (kind, index), units in claims]
     lines.append(f"lemma violations: {len(report.lemma_violations)}")
     lines += [f"  {lemma} witness {witness}"
               for lemma, witness in report.lemma_violations.rows]

@@ -18,11 +18,14 @@ non-orientable surfaces; with no twists every face is a sense-0 orbit of
 the successor rule.  Each face is walked once, from its least state in
 either direction.
 
-Faces are read on two levels.  The first ``genus`` read runs the walk
-and keeps it, building no Face.  The first ``faces`` or ``passages``
-read builds the Face objects and the corner store from that walk,
-walking first if nothing has: corner ``offset[u] + i``, the one just
-before dart (u, rotation[u][i]), holds the (face, position) of the
+A face is its closed boundary walk, a tuple of vertex ids that goes
+from ``face[k]`` to ``face[k+1]``, wrapping at the end, and may revisit
+a vertex (a bridge is walked twice); its index is its position in
+``faces`` and its degree is ``len(face)``.  The first ``genus`` read
+runs the walk and keeps it, building no face.  The first ``faces`` or
+``passages`` read cuts the face tuples and the corner store from that
+walk, walking first if nothing has: corner ``offset[u] + i``, the one
+just before dart (u, rotation[u][i]), holds the (face, position) of the
 passage through it.  So a graph is walked once at most, and ``color``
 at its default t builds no face.  The girth-5 gate ``short_cycle`` is
 likewise cached on first use.  Every query returns the same value
@@ -38,7 +41,6 @@ GirthTooSmallError when the cached gate finds a 3- or 4-cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, pairwise
 from operator import contains
 from typing import Iterable, Sequence
@@ -65,39 +67,6 @@ class GirthTooSmallError(GraphError):
 
 
 Dart = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face of an embedding, as a closed boundary walk of vertices.
-
-    The walk goes from ``verts[k]`` to ``verts[k+1]``, wrapping at the
-    end, and may revisit vertices (a bridge is walked twice).  Position k
-    passes the corner of verts[k] between verts[k-1] and verts[k+1] (see
-    EmbeddedGraph.passages).  ``degree`` is the walk length.
-    """
-
-    index: int
-    verts: tuple[int, ...]
-    # Set once at construction: filling it on first read would write
-    # through the instance __dict__ and slow every later attribute read.
-    vert_set: frozenset[int] = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vert_set", frozenset(self.verts))
-
-    @property
-    def darts(self) -> tuple[Dart, ...]:
-        """The walk as darts, ``darts[k] = (verts[k], verts[k+1])``."""
-        verts = self.verts
-        return tuple(zip(verts, verts[1:] + verts[:1]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.verts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Face({self.index}, {'-'.join(map(str, self.verts))})"
 
 
 class EmbeddedGraph:
@@ -168,7 +137,7 @@ class EmbeddedGraph:
         self._walked: tuple[list[int], list[int]] | None = None
         self._genus: int | None = None
         self._corners: tuple[list[int], list[int], list[int]] | None = None
-        self._faces: tuple[Face, ...] | None = None
+        self._faces: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -200,8 +169,10 @@ class EmbeddedGraph:
         return self._short_cycle
 
     @property
-    def faces(self) -> tuple[Face, ...]:
-        """The faces in index order; built on the first face read."""
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Each face's boundary walk, in index order; built on the first
+        face read.  Position k of a walk passes the corner of face[k]
+        between face[k-1] and face[k+1] (see passages)."""
         if self._faces is None:
             self._build()
         return self._faces
@@ -294,7 +265,7 @@ class EmbeddedGraph:
         return walked, ends
 
     def _build(self) -> None:
-        """Build the faces and the corner store from the walk, check that
+        """Cut the face walks and the corner store from the walk, check that
         each corner is passed once, and publish them, faces last; then
         drop the walk.  A state leaving by dart d came in from the
         neighbor before d in sense 0 and after d in sense 1, so it passes
@@ -314,11 +285,11 @@ class EmbeddedGraph:
             if a < b:  # the corner after a vertex's last dart is its first
                 corner[2 * b - 1] = a
         corners = list(map(corner.__getitem__, states))
-        verts = list(map(tails.__getitem__, corners))  # corner c is at tails[c]
+        verts = tuple(map(tails.__getitem__, corners))  # corner c is at tails[c]
         face_of, pos_of = [-1] * darts, [0] * darts
         faces = []
         for index, (begin, end) in enumerate(pairwise([0, *ends])):
-            faces.append(Face(index, tuple(verts[begin:end])))
+            faces.append(verts[begin:end])
             for pos, c in enumerate(corners[begin:end]):
                 face_of[c] = index
                 pos_of[c] = pos

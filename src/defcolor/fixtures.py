@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .builder import PlanarBuilder
-from .embedding import EmbeddedGraph, Face
+from .embedding import EmbeddedGraph
 
 DODECAHEDRON_ROTATION = [
     [10, 9, 8],
@@ -103,14 +103,15 @@ class FaceFixture:
     names: Mapping[str, int] = field(default_factory=dict)
 
     @property
-    def face(self) -> Face:
+    def face_index(self) -> int:
         return find_face(self.graph, self.face_verts)
 
 
-def find_face(graph: EmbeddedGraph, verts) -> Face:
-    """The unique face whose boundary visits exactly these vertices."""
+def find_face(graph: EmbeddedGraph, verts) -> int:
+    """The index of the unique face whose boundary visits exactly these
+    vertices."""
     want = sorted(verts)
-    hits = [f for f in graph.faces if sorted(f.verts) == want]
+    hits = [fi for fi, face in enumerate(graph.faces) if sorted(face) == want]
     if len(hits) != 1:
         raise ValueError(f"face {verts} matched {len(hits)} faces")
     return hits[0]

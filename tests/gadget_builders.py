@@ -108,9 +108,9 @@ def twisted_sponsor_gadget():
 
 
 def sponsor_face_pair(graph, verts):
-    """(sponsor face, sponsored face) for a sponsor_gadget graph."""
+    """(sponsor face, sponsored face) indices for a sponsor_gadget graph."""
     f1 = find_face(graph, verts)
-    other = next(f for f in graph.faces if f.index != f1.index)
+    other = next(fi for fi in range(len(graph.faces)) if fi != f1)
     return f1, other
 
 

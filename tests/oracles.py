@@ -12,9 +12,10 @@ sponsor_instances, which reads two rotation corners per edge), the
 exact solver as three recursive closures (for comparison with
 solve_exact's loop), and the generator's subdividable edges rebuilt
 from the whole builder (for comparison with its incrementally counted
-pool), the discharging ledger settled by adding every transfer's Fraction amount one at a time
-(for comparison with apply_rules' integer charge units), the transfer
-log as one Transfer per firing sorted by an attrgetter key, and its CSV
+pool), the discharging ledger settled by adding every transfer's
+Fraction amount one at a time and only then read in units (for
+comparison with apply_rules' integer charge units), the transfer log
+as one Transfer per firing sorted by an attrgetter key, and its CSV
 written transfer by transfer (for comparison with apply_rules' row log
 and transfers_csv), the audit's claim, lemma and flag checks as loops
 that build one violation object each, over the reference ledger, and
@@ -26,14 +27,16 @@ or vertex line before reading it and checked vertex by vertex with sets
 audit text report formatted from one violation object at a time (for
 comparison with report_text, which reads the rows), and the colorer as
 its object-per-step loop: one ReductionStep per step from the rescan
-above, every extension through the generic branch loop, one TraceEntry
-per step in a plain list, and the trace document written by the
-stdlib's indenting JSON encoder (for comparison with color's row log,
-its straight kind-1 and kind-2 extension, and cli._trace_json).
+above, every extension through the generic branch loop, one
+ReductionStep with its actions per step in a plain list, and the trace
+document written by the stdlib's indenting JSON encoder (for
+comparison with color's row log, its straight kind-1 and kind-2
+extension, and cli._trace_json).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -47,14 +50,15 @@ import numpy as np
 
 from defcolor.colorer import (C_BIG, C_SMALL, ColoringTrace, ColorResult,
                               ExtensionFailedError, ReductionKind,
-                              ReductionStep, TraceEntry, _components,
+                              ReductionStep, _components,
                               _find_terrible_reduction)
 from defcolor.coloring import (Coloring, ColoringError, SolveResult,
                                SolveStatus, is_valid, solve_exact,
                                validate_defects)
-from defcolor.discharging import (HIGH_DEGREE, MIN_T, AuditReport, ChargeLedger,
-                                  ClaimViolation, FaceClass, HighVertexFlag,
-                                  LemmaViolation, SponsorInstance, Transfer,
+from defcolor.discharging import (_UNIT, HIGH_DEGREE, MIN_T, AuditReport,
+                                  ChargeLedger, ClaimViolation, FaceClass,
+                                  HighVertexFlag, LemmaViolation,
+                                  SponsorInstance, Transfer,
                                   capacity, classify_faces, format_fraction,
                                   structural_thresholds, terrible_bound,
                                   terrible_corners)
@@ -148,21 +152,21 @@ def reference_scan(graph, present, deg, t):
     low, _ = structural_thresholds(t)
     for v in range(graph.n):
         if v in present and deg[v] <= 1:
-            return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), {}, t)
+            return ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (v,), None)
     for u in range(graph.n):
         if u in present and deg[u] == 2:
             two = [w for w in graph.rotation[u]
                    if w in present and deg[w] == 2]
             if two:
                 return ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES,
-                                     (u, min(two)), {}, t)
+                                     (u, min(two)), None)
     for v in range(graph.n):
         if v in present and deg[v] <= low:
             if all(deg[u] <= low for u in graph.rotation[v] if u in present):
                 return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
-                                     (v,), {}, t)
+                                     (v,), None)
     row = _find_terrible_reduction(graph, present, t)
-    return None if row is None else ReductionStep(*row, t)
+    return None if row is None else ReductionStep(*row)
 
 
 def reference_steps(graph, t):
@@ -194,7 +198,7 @@ def _reference_within_defects(rotation, phi, defects, move):
     return True
 
 
-def _reference_moves(rotation, phi, step):
+def _reference_moves(rotation, phi, step, t):
     """The recoloring branches of a kind-3 or kind-4 step in proof order,
     each a tuple of (vertex, class) actions in application order.  Kind 3
     has one branch."""
@@ -206,7 +210,7 @@ def _reference_moves(rotation, phi, step):
         # saturated big-class neighbors move to the small class first
         return [tuple((u, C_SMALL) for u in around
                       if phi[u] == C_BIG
-                      and [phi[x] for x in rotation[u]].count(C_BIG) == step.t)
+                      and [phi[x] for x in rotation[u]].count(C_BIG) == t)
                 + ((v, C_BIG),)]
     (v4,) = step.deleted
     w = step.witness
@@ -223,7 +227,8 @@ def _reference_moves(rotation, phi, step):
 
 
 def _reference_apply_extension(graph: EmbeddedGraph, phi: list[int],
-                               step: ReductionStep) -> tuple[tuple[int, int], ...]:
+                               step: ReductionStep,
+                               t: int) -> tuple[tuple[int, int], ...]:
     """Extend phi over step.deleted by the first branch in proof order that
     keeps every touched vertex within its defect, undoing failed ones."""
     rotation = graph.rotation
@@ -239,8 +244,8 @@ def _reference_apply_extension(graph: EmbeddedGraph, phi: list[int],
         cv = next(c for w in rotation[v] if (c := phi[w]) >= 0)
         branches = [((u, 1 - cu), (v, 1 - cv))]
     else:
-        branches = _reference_moves(rotation, phi, step)
-    defects = (1, step.t)
+        branches = _reference_moves(rotation, phi, step, t)
+    defects = (1, t)
     for move in branches:
         saved = [phi[x] for x, _ in move]
         for x, c in move:
@@ -255,8 +260,8 @@ def _reference_apply_extension(graph: EmbeddedGraph, phi: list[int],
 
 def reference_color(graph: EmbeddedGraph, t: int | None = None,
                     budget: int = 10 ** 7) -> ColorResult:
-    """color with one ReductionStep per step, from reference_scan, and one
-    TraceEntry per extension, in a plain list."""
+    """color with one ReductionStep per step, from reference_scan, copied
+    with its actions by each extension into a plain list."""
     require_girth5(graph, "coloring")
     if t is None:
         t = capacity(graph.genus)
@@ -290,14 +295,15 @@ def reference_color(graph: EmbeddedGraph, t: int | None = None,
                 if u in present:
                     deg[u] -= 1
 
-    entries: list[TraceEntry] = []
+    entries: list[ReductionStep] = []
     coloring: Coloring | None = None
     if solve_status in (None, SolveStatus.FOUND):
         phi = [-1] * graph.n
         for v, c in base.items():
             phi[v] = c
         for step in reversed(steps):
-            entries.append(TraceEntry(step, _reference_apply_extension(graph, phi, step)))
+            actions = _reference_apply_extension(graph, phi, step, t)
+            entries.append(dataclasses.replace(step, actions=actions))
         entries.reverse()
         coloring = Coloring(tuple(phi), (1, t))
         if not is_valid(graph, coloring):
@@ -310,11 +316,11 @@ def reference_color(graph: EmbeddedGraph, t: int | None = None,
 
 def reference_trace_json(trace) -> str:
     """The trace document as the stdlib's indenting encoder writes it, read
-    from the trace's TraceEntry objects."""
+    from the trace's ReductionStep objects."""
     payload = {
         "t": trace.t, "fallback": trace.fallback, "anomaly": trace.anomaly,
         "base": {str(v): c for v, c in sorted(trace.base.items())},
-        "steps": [{"kind": e.step.kind.value, "deleted": list(e.step.deleted),
+        "steps": [{"kind": e.kind.value, "deleted": list(e.deleted),
                    "actions": [[v, c] for v, c in e.actions]}
                   for e in trace.steps],
     }
@@ -489,16 +495,28 @@ def reference_solve(graph: EmbeddedGraph, defects: Sequence[int],
     return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
 
 
+def reference_units(charges: Iterable[Fraction]) -> tuple[int, ...]:
+    """Each charge as a whole number of units of 1/_UNIT."""
+    out = []
+    for x in charges:
+        units = Fraction(x) * _UNIT
+        if units.denominator != 1:
+            raise ValueError(f"charge {x} is not a whole number of 1/{_UNIT}")
+        out.append(units.numerator)
+    return tuple(out)
+
+
 def reference_ledger(graph: EmbeddedGraph, transfers) -> ChargeLedger:
     """The charges 2d(v) - 6 and d(f) - 6, settled by adding and taking
-    each transfer's Fraction amount in turn."""
+    each transfer's Fraction amount in turn, then read in units."""
     vertex = tuple(Fraction(2 * graph.degree(u) - 6) for u in range(graph.n))
-    face = tuple(Fraction(f.degree - 6) for f in graph.faces)
+    face = tuple(Fraction(len(f) - 6) for f in graph.faces)
     final = {"v": list(vertex), "f": list(face)}
     for tr in transfers:
         final[tr.source[0]][tr.source[1]] -= tr.amount
         final[tr.target[0]][tr.target[1]] += tr.amount
-    return ChargeLedger(vertex, face, tuple(final["v"]), tuple(final["f"]))
+    return ChargeLedger(graph.n, reference_units(vertex + face),
+                        reference_units(final["v"] + final["f"]))
 
 
 def reference_transfers(graph: EmbeddedGraph,
@@ -512,7 +530,7 @@ def reference_transfers(graph: EmbeddedGraph,
     three_halves, two = Fraction(3, 2), Fraction(2)
 
     def carries(fi, high):
-        return any(u in faces[fi].vert_set for u in high)
+        return any(u in faces[fi] for u in high)
 
     out = []
     for v, d in enumerate(deg):
@@ -559,7 +577,7 @@ def reference_transfers(graph: EmbeddedGraph,
     for fi, face in enumerate(faces):
         out += [Transfer("R5", ("f", fi), ("v", u), one, (pos,),
                          independent=(fi, u) not in coupled)
-                for pos, u in enumerate(face.verts) if deg[u] == 2]
+                for pos, u in enumerate(face) if deg[u] == 2]
     out.sort(key=attrgetter("rule", "source", "target", "witness"))
     return out
 
@@ -591,16 +609,16 @@ def reference_audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     for v, final in enumerate(ledger.vertex_final):
         if final.numerator < 0:
             claims.append(ClaimViolation("vertex-negative", ("v", v), final))
-    for face, final in zip(graph.faces, ledger.face_final):
-        d, sign = face.degree, final.numerator
+    for fi, (face, final) in enumerate(zip(graph.faces, ledger.face_final)):
+        d, sign = len(face), final.numerator
         if d >= 7:
             if sign <= 0:
                 claims.append(ClaimViolation("face7-nonpositive",
-                                             ("f", face.index), final))
+                                             ("f", fi), final))
         elif sign < 0:
             claim = {6: "face6-negative",
                      5: "face5-negative"}.get(d, "small-face-negative")
-            claims.append(ClaimViolation(claim, ("f", face.index), final))
+            claims.append(ClaimViolation(claim, ("f", fi), final))
 
     deg = [len(nbrs) for nbrs in graph.rotation]
     lemmas: list[LemmaViolation] = []

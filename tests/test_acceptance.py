@@ -46,11 +46,11 @@ def test_criterion_2_fixture_classification():
     cases = []
 
     def check(fixture, expected):
-        got = classify_faces(fixture.graph)[fixture.face.index]
+        got = classify_faces(fixture.graph)[fixture.face_index]
         cases.append(got is expected)
 
     def check_not(fixture, avoided):
-        got = classify_faces(fixture.graph)[fixture.face.index]
+        got = classify_faces(fixture.graph)[fixture.face_index]
         cases.append(got is not avoided)
 
     check(fx.special_face(), FaceClass.SPECIAL)
@@ -136,7 +136,7 @@ def test_criterion_5_contrapositive_audit(corpus, corpus_audits):
     for g, rep in zip(corpus, corpus_audits):
         negative = (any(f < 0 for f in rep.ledger.vertex_final)
                     or any(f < 0 for f in rep.ledger.face_final)
-                    or any(face.degree >= 7 and fin <= 0
+                    or any(len(face) >= 7 and fin <= 0
                            for face, fin in zip(g.faces, rep.ledger.face_final)))
         if negative:
             checked += 1
@@ -156,7 +156,7 @@ def test_criterion_6_surface_capacity():
     g, hub = gadget.graph, gadget.names["hub"]
     rep = audit(g, t=capacity(g.genus))
     flag_ok = (g.genus == 2
-               and classify_faces(g)[gadget.face.index] is FaceClass.Y1
+               and classify_faces(g)[gadget.face_index] is FaceClass.Y1
                and any(fl.vertex == hub and fl.final < Fraction(1, 2)
                        for fl in rep.high_vertex_flags))
     clean = audit(fx.dodecahedron(), 10)

@@ -17,7 +17,7 @@ def canonical_faces(walks):
 
 def assert_faces_match(b: PlanarBuilder):
     g = EmbeddedGraph([tuple(r) for r in b.rotations])
-    traced = canonical_faces([list(f.darts) for f in g.faces])
+    traced = canonical_faces([list(zip(f, f[1:] + f[:1])) for f in g.faces])
     kept = canonical_faces([list(w) for w in b.faces.values()])
     assert traced == kept
 

@@ -2,7 +2,8 @@ import dataclasses
 
 from defcolor import cli, fixtures as fx
 from defcolor.cli import main
-from defcolor.colorer import ColoringTrace, ReductionKind, color, _trace_steps
+from defcolor.colorer import ColoringTrace, ReductionKind, ReductionStep, color
+from defcolor.discharging import RowLog
 from defcolor.graphio import parse_coloring, serialize_graph
 from defcolor.coloring import is_valid
 
@@ -43,7 +44,7 @@ def test_trace_json_matches_the_stdlib_indenting_encoder():
     for graph in (fx.c5(), fx.dodecahedron(), fx.petersen_projective(),
                   fx.special_face().graph):
         trace = color(graph).trace
-        empty = _trace_steps([], trace.t)
+        empty = RowLog([], ReductionStep)
         for variant in (trace, dataclasses.replace(trace, steps=empty),
                         dataclasses.replace(trace, base={}, fallback=True),
                         dataclasses.replace(trace, steps=empty, base={})):
@@ -54,7 +55,8 @@ def test_trace_json_matches_the_stdlib_indenting_encoder():
     rows = [(kind, tuple(range(7 * d, 8 * d)), None,
              tuple((3 * a + d, a % 2) for a in range(k)))
             for d in (1, 2, 3) for k in (0, 1, 2, 3) for kind in ReductionKind]
-    built = ColoringTrace(_trace_steps(rows, 10), {0: 1, 12: 0}, False, False, 10)
+    built = ColoringTrace(RowLog(rows, ReductionStep), {0: 1, 12: 0}, False,
+                          False, 10)
     assert cli._trace_json(built) == stdlib(built)
 
 

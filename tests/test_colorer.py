@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from defcolor import cli, fixtures as fx
 from defcolor.colorer import (C_BIG, C_SMALL, ColoringTrace,
                               ExtensionFailedError, ReductionKind,
-                              ReductionStep, TraceEntry, capacity, color,
-                              find_reduction, replay_trace, _apply_extension,
-                              _find_terrible_reduction, _trace_steps)
+                              ReductionStep, capacity, color, find_reduction,
+                              replay_trace, _apply_extension,
+                              _find_terrible_reduction)
 from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
-from defcolor.discharging import audit
+from defcolor.discharging import RowLog, audit
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
                                 induced_embedding)
 from defcolor.generate import gen_planar_girth5
@@ -151,7 +151,7 @@ def test_terrible_branches_tried_in_proof_order():
     fix = fx.terrible_face()
     g, v4, u4 = fix.graph, fix.names["v4"], fix.names["u4"]
     row = _find_terrible_reduction(g, set(range(g.n)), 10)
-    step = ReductionStep(*row, 10)
+    step = ReductionStep(*row)
     sub, remap = induced_embedding(g, [v for v in range(g.n) if v != v4])
     colors = list(solve_exact(sub, (1, 10)).coloring.assignment)
 
@@ -200,7 +200,7 @@ def test_single_branch_failure_carries_step_and_classes(graph, row, phi):
         _apply_extension(graph, _class_list(graph, phi), row, 10)
     step = err.value.step
     assert type(step) is ReductionStep
-    assert step == ReductionStep(row[0], row[1], {}, 10)
+    assert step == ReductionStep(row[0], row[1], None)
     # the failed branch is undone: the deleted vertices stay uncolored
     assert err.value.phi == phi
 
@@ -216,7 +216,7 @@ def test_color_theorem_instances():
 def test_c5_trace_replay_and_progress():
     g = fx.c5()
     res = color(g, 10)
-    deleted = [v for e in res.trace.steps for v in e.step.deleted]
+    deleted = [v for e in res.trace.steps for v in e.deleted]
     assert sorted(deleted) == list(range(5))
     assert len(res.trace.steps) == 4  # the 2-2 pair goes first, then singles
     assert replay_trace(g, res.trace).assignment == res.coloring.assignment
@@ -229,7 +229,7 @@ def test_replay_applies_the_last_deletion_first():
     rows = [(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), None,
              ((1, C_SMALL), (0, C_BIG))),
             (ReductionKind.DEGREE_AT_MOST_ONE, (1,), None, ((1, C_BIG),))]
-    trace = ColoringTrace(_trace_steps(rows, 10), {}, False, False, 10)
+    trace = ColoringTrace(RowLog(rows, ReductionStep), {}, False, False, 10)
     edge = EmbeddedGraph([[1], [0]])
     assert replay_trace(edge, trace).assignment == (C_BIG, C_SMALL)
 
@@ -296,7 +296,7 @@ def test_no_fallback_on_planar_corpus_sample():
 
 def _check_color(graph, t, kinds=None, budget=10 ** 7):
     """color at t gives reference_color's coloring, base, flags, steps
-    (read as TraceEntry objects) and trace document."""
+    (read as ReductionStep objects) and trace document."""
     res, want = color(graph, t, budget), reference_color(graph, t, budget)
     assert res.coloring == want.coloring
     assert res.solve_status is want.solve_status
@@ -304,8 +304,7 @@ def _check_color(graph, t, kinds=None, budget=10 ** 7):
     assert (got.base, got.fallback, got.anomaly, got.t) == (
         ref.base, ref.fallback, ref.anomaly, ref.t)
     assert got.steps == ref.steps
-    assert all(type(e) is TraceEntry and type(e.step) is ReductionStep
-               for e in got.steps)
+    assert all(type(e) is ReductionStep for e in got.steps)
     assert cli._trace_json(got) == reference_trace_json(ref)
     if kinds is not None:
         kinds.update(row[0] for row in got.steps.rows)
@@ -373,12 +372,13 @@ def test_color_matches_reference_on_random_planar(seed, size):
 def test_cli_color_trace_builds_no_step_object(tmp_path, monkeypatch):
     # the trace JSON is written from the step rows
     built = []
-    for cls in (ReductionStep, TraceEntry):
-        def counted(self, *args, _init=cls.__init__, **kwargs):
-            built.append(self)
-            _init(self, *args, **kwargs)
+    init = ReductionStep.__init__
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReductionStep, "__init__", counted)
     g = gen_girth5_small(3, 80)
     gpath, out, trace = (tmp_path / name for name in ("g.txt", "c.txt", "t.json"))
     gpath.write_text(serialize_graph(g))
@@ -390,6 +390,6 @@ def test_cli_color_trace_builds_no_step_object(tmp_path, monkeypatch):
         ReductionKind.DEGREE_AT_MOST_ONE, ReductionKind.ADJACENT_TWO_VERTICES,
         ReductionKind.ALL_LOW_DEGREE_NEIGHBORS}
     assert replay_trace(g, res.trace) == res.coloring and built == []
-    # a read builds one of each, and the count sees it
+    # a read builds one, and the count sees it
     res.trace.steps[0]
-    assert [type(x) for x in built] == [ReductionStep, TraceEntry]
+    assert [type(x) for x in built] == [ReductionStep]

@@ -23,7 +23,8 @@ from gadget_builders import (chorded_cycle, r2_gadget, r3_gadget,
                              twisted_sponsor_gadget)
 from oracles import (reference_audit, reference_ledger, reference_ledger_csv,
                      reference_report_text, reference_sponsors,
-                     reference_transfers, reference_transfers_csv)
+                     reference_transfers, reference_transfers_csv,
+                     reference_units)
 from test_golden import FIXTURE_CASES, _fixture_graph
 
 HALF = Fraction(1, 2)
@@ -44,7 +45,7 @@ def test_initial_charges_values():
     fix = fx.special_face()
     led = apply_rules(fix.graph)[0]
     assert led.vertex_initial[0] == Fraction(-2)      # a 2-vertex
-    assert led.face_initial[fix.face.index] == Fraction(-1)  # a 5-face
+    assert led.face_initial[fix.face_index] == Fraction(-1)  # a 5-face
     assert led.total_initial == Fraction(-12)
 
 
@@ -120,11 +121,11 @@ def test_r2_special_and_blocked_faces():
     g, special_verts, pent_verts, p, h2 = r2_gadget()
     special = find_face(g, special_verts)
     pent = find_face(g, pent_verts)
-    assert classify_faces(g)[special.index] is FaceClass.SPECIAL
+    assert classify_faces(g)[special] is FaceClass.SPECIAL
     _, transfers = apply_rules(g)
     mine = transfers_from(transfers, "R2", ("v", p))
     by_face = {t.target[1]: t.amount for t in mine}
-    assert by_face == {special.index: THREE_HALVES, pent.index: Fraction(1)}
+    assert by_face == {special: THREE_HALVES, pent: Fraction(1)}
 
 
 def test_r3_uniform_split_and_zero_eligible():
@@ -197,11 +198,11 @@ def test_pattern_table_agrees_with_paper_patterns(patterns, length, degrees):
 def test_bad_face_gets_two_from_high_vertex():
     fix = fx.y1_face()
     g = fix.graph
-    face = fix.face
-    assert classify_faces(g)[face.index] is FaceClass.Y1
+    face = fix.face_index
+    assert classify_faces(g)[face] is FaceClass.Y1
     _, transfers = apply_rules(g)
     r4 = [t for t in transfers_from(transfers, "R4", ("v", 1))
-          if t.target == ("f", face.index)]
+          if t.target == ("f", face)]
     assert len(r4) == 1 and r4[0].amount == Fraction(2)
 
 
@@ -212,10 +213,10 @@ def test_five_five_sponsor_reported_but_silent():
     g, verts, s, t = sponsor_gadget(5, 5, 2)
     f1, f2 = sponsor_face_pair(g, verts)
     edges = [i.edge for i in sponsor_instances(g)
-             if (i.f1, i.f2) == (f1.index, f2.index)]
+             if (i.f1, i.f2) == (f1, f2)]
     assert edges
     assert [g.degree(u) for u in edges[0]] == [5, 5]
-    assert classify_faces(g)[f1.index] not in (FaceClass.X1, FaceClass.X2)
+    assert classify_faces(g)[f1] not in (FaceClass.X1, FaceClass.X2)
     _, transfers = apply_rules(g)
     assert all(t.rule not in ("R6", "R7", "R8A", "R8B") for t in transfers)
 
@@ -224,7 +225,7 @@ def test_non_sponsor_when_flank_not_high():
     # the sponsored side: its u1/u4 are low, so no sponsorship back
     g, verts, s, t = sponsor_gadget(3, 3, 2)
     f1, f2 = sponsor_face_pair(g, verts)
-    assert all((i.f1, i.f2) != (f2.index, f1.index)
+    assert all((i.f1, i.f2) != (f2, f1)
                for i in sponsor_instances(g))
 
 
@@ -234,8 +235,8 @@ def test_sponsors_match_reference(corpus):
                for d2, d3 in ((3, 3), (3, 4), (4, 4), (2, 3), (2, 4))
                for w in (2, 3)]
     twisted, s, t = twisted_sponsor_gadget()
-    walks = [(f.index, dart) for f in twisted.faces for dart in f.darts
-             if set(dart) == {s, t}]
+    walks = [(fi, dart) for fi, f in enumerate(twisted.faces)
+             for dart in zip(f, f[1:] + f[:1]) if set(dart) == {s, t}]
     assert [dart for _, dart in walks] == [(t, s), (t, s)]
     assert walks[0][0] != walks[1][0] and (s, t) in twisted.twists
     for graph in (*fixtures, *gadgets, twisted, *corpus[::10]):
@@ -249,47 +250,47 @@ def test_r6_sponsor_sends_one():
     g, verts, s, t = sponsor_gadget(3, 3, 2)
     f1, f2 = sponsor_face_pair(g, verts)
     _, transfers = apply_rules(g)
-    r6 = transfers_from(transfers, "R6", ("f", f1.index))
+    r6 = transfers_from(transfers, "R6", ("f", f1))
     assert len(r6) == 1
     assert r6[0].amount == Fraction(1)
-    assert r6[0].target == ("f", f2.index)
+    assert r6[0].target == ("f", f2)
 
 
 def test_r7_fires_unless_sponsor_is_x1():
     g, verts, s, t = sponsor_gadget(2, 3, 3)
     f1, f2 = sponsor_face_pair(g, verts)
-    assert classify_faces(g)[f1.index] is not FaceClass.X1
+    assert classify_faces(g)[f1] is not FaceClass.X1
     _, transfers = apply_rules(g)
-    r7 = transfers_from(transfers, "R7", ("f", f1.index))
+    r7 = transfers_from(transfers, "R7", ("f", f1))
     assert len(r7) == 1 and r7[0].amount == HALF
 
     # with w a 2-vertex the pentagon is an X1-face: R7 must stay silent
     gx, vertsx, sx, tx = sponsor_gadget(2, 3, 2)
     fx1, _ = sponsor_face_pair(gx, vertsx)
-    assert classify_faces(gx)[fx1.index] is FaceClass.X1
+    assert classify_faces(gx)[fx1] is FaceClass.X1
     _, transfersx = apply_rules(gx)
-    assert transfers_from(transfersx, "R7", ("f", fx1.index)) == []
+    assert transfers_from(transfersx, "R7", ("f", fx1)) == []
 
 
 def test_r8b_with_r1_refund():
     g, verts, s, t = sponsor_gadget(2, 4, 3)
     f1, f2 = sponsor_face_pair(g, verts)
-    assert classify_faces(g)[f1.index] is not FaceClass.X2
+    assert classify_faces(g)[f1] is not FaceClass.X2
     _, transfers = apply_rules(g)
-    r8b = transfers_from(transfers, "R8B", ("f", f1.index))
+    r8b = transfers_from(transfers, "R8B", ("f", f1))
     assert len(r8b) == 1 and r8b[0].amount == Fraction(1)
     refund = [tr for tr in transfers_from(transfers, "R1", ("v", t))
-              if tr.target == ("f", f1.index)]
+              if tr.target == ("f", f1)]
     assert refund and refund[0].amount == HALF
 
 
 def test_r8a_from_x2_face():
     fix = fx.x2_face()
     g = fix.graph
-    face = fix.face
-    assert classify_faces(g)[face.index] is FaceClass.X2
+    face = fix.face_index
+    assert classify_faces(g)[face] is FaceClass.X2
     _, transfers = apply_rules(g)
-    r8a = transfers_from(transfers, "R8A", ("f", face.index))
+    r8a = transfers_from(transfers, "R8A", ("f", face))
     assert len(r8a) == 1 and r8a[0].amount == HALF
 
 
@@ -311,12 +312,12 @@ def test_terrible_fixture_exact_finals():
     names = fix.names
     g = fix.graph
     led, transfers = apply_rules(g)
-    assert led.face_final[fix.face.index] == HALF
+    assert led.face_final[fix.face_index] == HALF
     assert led.vertex_final[names["v"]] == Fraction(0)
     g4 = find_face(g, (names["v"], names["v4"], names["u4"],
                        names["h4"], names["c4"]))
-    assert classify_faces(g)[g4.index] is FaceClass.X2
-    assert led.face_final[g4.index] == Fraction(0)
+    assert classify_faces(g)[g4] is FaceClass.X2
+    assert led.face_final[g4] == Fraction(0)
     assert led.total_final == Fraction(-12)
 
 
@@ -360,7 +361,7 @@ def test_audit_flags_high_vertex_below_general_floor():
     g, hub = fix.graph, fix.names["hub"]
     assert g.genus == 2
     rep = audit(g, t=11)
-    assert classify_faces(g)[fix.face.index] is FaceClass.Y1
+    assert classify_faces(g)[fix.face_index] is FaceClass.Y1
     flagged = {fl.vertex for fl in rep.high_vertex_flags}
     assert hub in flagged
     fl = next(fl for fl in rep.high_vertex_flags if fl.vertex == hub)
@@ -392,7 +393,7 @@ def test_terrible_bound_reads_structural_high(hub_degree, fires_at):
     fix = fx.terrible_face(v_deg=hub_degree)
     for t in (10, 11, 15):
         rep = audit(fix.graph, t)
-        assert rep.face_classes[fix.face.index] is FaceClass.TERRIBLE
+        assert rep.face_classes[fix.face_index] is FaceClass.TERRIBLE
         assert ("terrible-faces-num" in rep.violated_lemmas) == (t == fires_at)
 
 
@@ -512,7 +513,7 @@ R3_CASES = [(d, k) for d in range(6, HIGH_DEGREE)
 def test_every_r3_share_settles_exactly(d, k):
     graph = flower(d, d - k) if k < d else flower(d, 0)
     assert graph.genus == 0 and graph.degree(0) == d
-    assert [f.degree for f in graph.faces].count(5) == d
+    assert [len(f) for f in graph.faces].count(5) == d
     _, transfers = _check_ledger(graph)
     r3 = transfers_from(transfers, "R3", ("v", 0))
     assert len(r3) == k
@@ -598,8 +599,8 @@ def test_violation_log_is_a_sequence(log):
 
 
 def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
-    # nor any claim or lemma violation: the CSV and the text report are
-    # written from rows
+    # nor any claim or lemma violation, nor a Fraction per element: the
+    # CSV and the text report are written from rows and units
     built = []
     for cls in (Transfer, ClaimViolation, LemmaViolation):
         def counted(self, *args, _init=cls.__init__, **kwargs):
@@ -607,23 +608,34 @@ def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    views, fractions = [], discharging._fractions
+
+    def counted_fractions(units):
+        views.append(len(units))
+        return fractions(units)
+
+    monkeypatch.setattr(discharging, "_fractions", counted_fractions)
     g = fx.terrible_face().graph
     gpath, out = tmp_path / "g.txt", tmp_path / "audit.csv"
     gpath.write_text(serialize_graph(g))
     assert cli.main(["audit", "--input", str(gpath), "--format", "csv",
                      "--output", str(out)]) == 0
-    assert built == [] and "\nR8A,f," in out.read_text()
+    assert built == views == [] and "\nR8A,f," in out.read_text()
     text = tmp_path / "audit.txt"
     assert cli.main(["audit", "--input", str(gpath), "--output",
                      str(text)]) == 0
-    assert built == [] and "\nclaim violations: " in text.read_text()
+    assert built == views == [] and "\nclaim violations: " in text.read_text()
     rep = audit(g)
     assert rep.lemma_violations.rows and rep.claim_violations.rows
     assert report_text(rep) == text.read_text() and rep.violated_lemmas
-    assert built == []
+    assert built == views == []
     # a read builds one, and the count sees it
     rep.transfers[0], rep.claim_violations[-1], rep.lemma_violations[0]
     assert [type(x) for x in built] == [Transfer, ClaimViolation, LemmaViolation]
+    # the first read of a Fraction view builds it, and later reads reuse it
+    first = rep.ledger.vertex_final
+    assert views == [g.n] and rep.ledger.vertex_final is first
+    assert views == [g.n] and first[0] == Fraction(rep.ledger.net[0], _UNIT)
 
 
 # -- audit row logs -----------------------------------------------------------
@@ -672,13 +684,18 @@ def test_audit_matches_reference_on_random_planar(seed, size):
     _check_audit(gen_planar_girth5(seed, size))
 
 
-def test_ledger_derives_units_from_fractions():
-    led = apply_rules(fx.terrible_face().graph)[0]
-    rebuilt = type(led)(led.vertex_initial, led.face_initial,
-                        led.vertex_final, led.face_final)
-    assert rebuilt == led and rebuilt.initial == led.initial
-    assert rebuilt.net == led.net and ledger_csv(rebuilt) == ledger_csv(led)
+def test_ledger_fraction_views_read_its_units():
+    g = fx.terrible_face().graph
+    led, transfers = apply_rules(g)
+    assert led.n == g.n and len(led.initial) == len(led.net) == g.n + len(g.faces)
     assert all(type(u) is int for u in (*led.initial, *led.net))
+    assert led.vertex_initial + led.face_initial == tuple(
+        Fraction(u, _UNIT) for u in led.initial)
+    assert led.vertex_final + led.face_final == tuple(
+        Fraction(u, _UNIT) for u in led.net)
+    # a ledger settled in Fractions reads the same once in units
+    rebuilt = reference_ledger(g, transfers)
+    assert rebuilt == led and ledger_csv(rebuilt) == ledger_csv(led)
     with pytest.raises(ValueError, match="not a whole number"):
-        type(led)((Fraction(1, 13),), (), (Fraction(0),), ())
+        reference_units([Fraction(1, 13)])
 

@@ -20,7 +20,7 @@ def test_c5_two_faces_genus_zero():
     g = EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)])
     assert len(g.faces) == 2
     assert g.genus == 0
-    assert all(f.degree == 5 for f in g.faces)
+    assert all(len(f) == 5 for f in g.faces)
 
 
 @pytest.mark.parametrize("v", [-1, 5])
@@ -61,7 +61,7 @@ def test_petersen_projective_embedding():
     assert g.genus == 1
     # Euler's formula with the traced face count
     assert g.n - len(g.edges) + len(g.faces) == 2 - 1
-    assert all(f.degree == 5 for f in g.faces)
+    assert all(len(f) == 5 for f in g.faces)
 
 
 def test_dodecahedron():
@@ -76,7 +76,7 @@ def test_single_vertex_and_tree_faces():
     assert len(single.faces) == 1 and single.genus == 0
     tree = fx.path_graph(6)
     assert len(tree.faces) == 1
-    assert tree.faces[0].degree == 10  # every edge walked twice
+    assert len(tree.faces[0]) == 10  # every edge walked twice
     assert girth(tree) == math.inf
 
 
@@ -86,7 +86,7 @@ def test_twisted_cycle_is_projective():
     g = EmbeddedGraph([[(i - 1) % 5, (i + 1) % 5] for i in range(5)],
                     twists=[(0, 1)])
     assert len(g.faces) == 1
-    assert g.faces[0].degree == 10
+    assert len(g.faces[0]) == 10
     assert g.genus == 1
 
 
@@ -115,15 +115,16 @@ def test_girth_matches_oracle_on_small_graphs():
 
 def test_face_vert_set_gives_external_neighbors():
     g = fx.c5()
-    for f in g.faces:
-        assert f.vert_set == frozenset(range(5))
+    for i in range(len(g.faces)):
+        verts = set(g.faces[i])
+        assert verts == set(range(5))
         for v in range(5):
-            assert [u for u in g.rotation[v] if u not in f.vert_set] == []
+            assert [u for u in g.rotation[v] if u not in verts] == []
     fix = fx.special_face()
-    face = fix.face
-    assert face.vert_set == frozenset(fix.face_verts)
+    verts = set(fix.graph.faces[fix.face_index])
+    assert verts == set(fix.face_verts)
     ext = [u for u in fix.graph.rotation[4]  # the 3-vertex
-           if u not in face.vert_set]
+           if u not in verts]
     assert len(ext) == 1
     assert fix.graph.degree(ext[0]) == 1
 
@@ -131,10 +132,10 @@ def test_face_vert_set_gives_external_neighbors():
 def test_face_degree_sum_and_dart_uniqueness():
     for seed in range(12):
         g = gen_planar_girth5(seed, 20 + 10 * seed)
-        assert sum(f.degree for f in g.faces) == 2 * len(g.edges)
+        assert sum(map(len, g.faces)) == 2 * len(g.edges)
         seen = set()
         for f in g.faces:
-            for d in f.darts:
+            for d in zip(f, f[1:] + f[:1]):
                 assert d not in seen  # untwisted: every dart on one face
                 seen.add(d)
         assert len(seen) == 2 * len(g.edges)
@@ -144,7 +145,7 @@ def test_face_degree_sum_and_dart_uniqueness():
 
 def test_passage_count_on_twisted_graph():
     g = fx.petersen_projective()
-    assert sum(f.degree for f in g.faces) == 2 * len(g.edges)
+    assert sum(map(len, g.faces)) == 2 * len(g.edges)
     for v in range(g.n):
         assert len(g.passages(v)) == g.degree(v)
 

@@ -7,7 +7,7 @@ from defcolor.embedding import girth
 
 
 def classify(fixture):
-    return classify_faces(fixture.graph)[fixture.face.index]
+    return classify_faces(fixture.graph)[fixture.face_index]
 
 
 def test_all_fixture_graphs_have_girth_five():
@@ -87,15 +87,15 @@ def test_classification_mirror_invariant():
         mirror = EmbeddedGraph([tuple(reversed(r)) for r in g.rotation],
                                g.twists)
         face = find_face(mirror, fix.face_verts)
-        assert classify_faces(mirror)[face.index] is want
+        assert classify_faces(mirror)[face] is want
 
 
 def test_cross_faces_of_composite_fixtures():
     fix = fx.y1_face()
     g = fix.graph
-    classes = {c for f, c in zip(g.faces, classify_faces(g)) if f.degree == 5}
+    classes = {c for f, c in zip(g.faces, classify_faces(g)) if len(f) == 5}
     assert {FaceClass.Y1, FaceClass.X1, FaceClass.X2} <= classes
     g2 = fx.y2_face().graph
     classes2 = {c for f, c in zip(g2.faces, classify_faces(g2))
-                if f.degree == 5}
+                if len(f) == 5}
     assert {FaceClass.Y2, FaceClass.X1} <= classes2

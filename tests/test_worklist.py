@@ -6,6 +6,7 @@ instead.  Both must yield the same steps in the same order, so the
 traces (and everything derived from them) cannot tell the two apart.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -23,7 +24,7 @@ THRESHOLDS = (10, 15)
 
 def _assert_same_steps(graph, t, kinds):
     res = color(graph, t)
-    steps = [e.step for e in res.trace.steps]
+    steps = [dataclasses.replace(e, actions=()) for e in res.trace.steps]
     assert res.coloring is not None
     assert steps == reference_steps(graph, t)
     kinds.update(s.kind for s in steps)
@@ -82,8 +83,8 @@ def test_reoffer_when_a_neighbor_drops_to_degree_two():
     g = two_trigger_gadget()
     steps = _assert_same_steps(g, 10, Counter())
     assert steps[:2] == [
-        ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (22,), {}, 10),
-        ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (20, 21), {}, 10)]
+        ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (22,), None),
+        ReductionStep(ReductionKind.ADJACENT_TWO_VERTICES, (20, 21), None)]
 
 
 def test_reoffer_when_a_hub_drops_to_low_degree():
@@ -91,5 +92,5 @@ def test_reoffer_when_a_hub_drops_to_low_degree():
     assert g.degree(22) == 12  # high at t = 10, low once its leaf is gone
     steps = _assert_same_steps(g, 10, Counter())
     assert steps[:2] == [
-        ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (23,), {}, 10),
-        ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), {}, 10)]
+        ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (23,), None),
+        ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), None)]
