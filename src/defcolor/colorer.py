@@ -23,8 +23,8 @@ Deleting a vertex re-offers its present neighbors, and their neighbors
 only when a neighbor's degree has just fallen to 2 or to low: on
 girth >= 5 no other status can turn on (see _Residual).  The search costs
 O(sum of deg(v)^2 + m log n) over the run.  Kind 4 is a whole-residual
-scan (induced_embedding and classify_faces per component) that runs
-only when all three heaps are empty.
+scan (induced_embedding and classify_faces per component), run only
+when all three heaps are empty: each component then has 5+ vertices.
 
 Each step is logged as one plain row (kind, deleted, witness), the
 witness None for kinds 1-3.  If no configuration exists the colorer
@@ -33,19 +33,20 @@ as an anomaly: a counterexample.
 
 The extension walks the rows in reverse on a class list phi, -1 for
 uncolored: before each step the colored vertices are exactly the
-residual graph the step was found in, minus its deleted vertices, so
-phi is also the present set.  _apply_extension returns each step's
-(vertex, class) actions, which color appends to its row.  Kinds 1 and 2
-take their one branch straight: each deleted vertex takes the class
-opposite its colored neighbor, or C_BIG if it has none.  Kinds 3 and 4
-try their branches in proof order (_moves), undoing those that fail.
-Every step's actions must keep the moved vertices and their colored
-neighbors within their defects (_within_defects), so a step costs
-O(sum of deg(v)^2) over its moved vertices v and their neighbors.  On
-girth-5 graphs a branch always fits, and the final coloring is checked
-with is_valid.  ColoringTrace.steps builds a ReductionStep from a
-finished row only when read; cli's trace writer and replay_trace read
-the rows.
+residual graph the step was found in, minus its deleted vertices, so phi
+is also the present set.  _apply_extension returns each step's (vertex,
+class) actions, which color appends to its row.  Kinds 1 and 2 take
+their one branch straight: each deleted vertex takes the class opposite
+its colored neighbor, or C_BIG if it has none.  Kinds 3 and 4 try their
+branches in proof order (_moves), undoing those that fail;
+tests/reducibility.py extends every coloring state of their fixtures,
+takes each branch and fails none.  Every step's actions must keep the
+moved vertices and their colored neighbors within their defects
+(_within_defects), so a step costs O(sum of deg(v)^2) over its moved
+vertices v and their neighbors.  On girth-5 graphs a branch always fits,
+and the final coloring is checked with is_valid.  ColoringTrace.steps
+builds a ReductionStep from a finished row only when read; cli's trace
+writer and replay_trace read the rows.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -59,7 +60,7 @@ from typing import Sequence
 
 from .coloring import (Coloring, ColoringError, SolveStatus, is_valid,
                        solve_exact)
-from .discharging import (MIN_T, FaceClass, RowLog, capacity,
+from .discharging import (HIGH_DEGREE, MIN_T, FaceClass, RowLog, capacity,
                           classify_faces, structural_thresholds,
                           terrible_bound, terrible_corners)
 from .embedding import EmbeddedGraph, induced_embedding, require_girth5
@@ -138,8 +139,9 @@ class ColorResult:
 class _Residual:
     """The shrinking graph of a reduction run and its kind-1..3 worklist.
 
-    deg[v] is the residual degree of v, or -1 once v is deleted, so a
-    deleted neighbor never reads as a 2-vertex and always as low.
+    deg[v] is the residual degree of v, or -1 once v is deleted (the one
+    record of who is present), so a deleted neighbor never reads as a
+    2-vertex and always as low.
     heaps[k] holds the ids that may be the kind-(k + 1) witness, each at
     most once (queued[k][v]), re-checked at the top and dropped when
     stale.  Every qualifying vertex is queued: all are at the start,
@@ -189,9 +191,6 @@ class _Residual:
             queued[v] = 1
             heappush(self.heaps[k], v)
 
-    def present(self) -> set[int]:
-        return {v for v, d in enumerate(self.deg) if d >= 0}
-
     def next_step(self) -> tuple | None:
         """Row (kind, deleted, witness) of the first reducible configuration
         of the residual graph in the fixed search order: kind 1 to 4,
@@ -210,7 +209,7 @@ class _Residual:
         v = self._top(2, self._all_low)
         if v is not None:
             return _KIND3, (v,), None
-        return _find_terrible_reduction(self.graph, self.present(), self.t)
+        return _find_terrible_reduction(self.graph, deg, self.t)
 
     def delete(self, vertices: Sequence[int]) -> None:
         """Remove vertices from the residual graph and queue every vertex
@@ -240,34 +239,37 @@ class _Residual:
                             push(2, w)
 
 
-def _components(graph, present):
-    """Sorted components of the residual graph, by their least vertex."""
+def _components(graph, deg):
+    """Sorted components of the residual graph (deg >= 0), by least vertex."""
     seen, comps = set(), []
-    for start in sorted(present):
-        if start not in seen:
+    for start in range(graph.n):
+        if deg[start] >= 0 and start not in seen:
             seen.add(start)
             comp = [start]
             for v in comp:  # comp grows while it is walked
                 for u in graph.rotation[v]:
-                    if u in present and u not in seen:
+                    if deg[u] >= 0 and u not in seen:
                         seen.add(u)
                         comp.append(u)
             comps.append(sorted(comp))
     return comps
 
 
-def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
+def _find_terrible_reduction(graph: EmbeddedGraph, deg: Sequence[int],
                              t: int) -> tuple | None:
-    """Kind-(4) scan: a high vertex with too many incident Terrible faces,
-    as a step row (kind, deleted, witness).
+    """Kind-(4) scan of the residual graph (deg >= 0): a high vertex with
+    too many incident Terrible faces, as a step row (kind, deleted,
+    witness); the witness omits v4, which is deleted[0].
 
-    The deleted 2-vertex is picked so that the face three rotation steps
-    earlier is not terrible, matching the reduction's case analysis.
+    v4 is picked so that the face three rotation steps earlier is not
+    terrible, matching the reduction's case analysis.  u4 matches the
+    pattern 24LH, so off the face it has one neighbor below HIGH_DEGREE:
+    w4.  No component is too small to scan: kinds 1-3 have run dry, so
+    every residual degree is >= 2, each component has a cycle, and by
+    girth >= 5 at least 5 vertices.
     """
-    low, high = structural_thresholds(t)
-    for comp in _components(graph, present):
-        if len(comp) < 5:
-            continue
+    _, high = structural_thresholds(t)
+    for comp in _components(graph, deg):
         sub, remap = induced_embedding(graph, comp)
         inv = {new: old for old, new in remap.items()}
         classes = classify_faces(sub)
@@ -283,25 +285,16 @@ def _find_terrible_reduction(graph: EmbeddedGraph, present: set[int],
             pick = next((j for j in terrible
                          if classes[ring[j - 3][0]] is not FaceClass.TERRIBLE),
                         terrible[0])
-            v4, v5 = rot[pick - 1], rot[pick]
-            face = sub.faces[ring[pick][0]]
+            v4, face = rot[pick - 1], sub.faces[ring[pick][0]]
             u4 = next(u for u in sub.rotation[v4] if u != v)
-            u5 = next(u for u in sub.rotation[v5] if u != v)
-            w4 = next((u for u in sub.rotation[u4]
-                       if u not in (v4, u5) and sub.degree(u) <= low), None)
+            w4 = next(u for u in sub.rotation[u4]
+                      if u not in face and sub.degree(u) < HIGH_DEGREE)
             ring_two = tuple(
                 (inv[vi], inv[next(u for u in sub.rotation[vi] if u != v)])
                 for vi in rot if sub.degree(vi) == 2 and vi != v4)
-            witness = {
-                "hub": inv[v],
-                "v4": inv[v4],
-                "u4": inv[u4],
-                "u5": inv[u5],
-                "w4": inv[w4] if w4 is not None else None,
-                "face": tuple(inv[u] for u in face),
-                "ring_two": ring_two,
-            }
-            return _KIND4, (inv[v4],), witness
+            return _KIND4, (inv[v4],), {
+                "hub": inv[v], "u4": inv[u4], "w4": inv[w4],
+                "face": tuple(inv[u] for u in face), "ring_two": ring_two}
     return None
 
 
@@ -335,7 +328,13 @@ def _within_defects(rotation, phi, defects, move):
 def _moves(rotation, phi, row, t):
     """The recoloring branches of a kind-3 or kind-4 step row in proof
     order, each a tuple of (vertex, class) actions in application order.
-    Kind 3 has one branch."""
+    Kind 3 has one branch.
+
+    Kind 4 needs no {u4: small, v4: big} or {w4: small, v4: big} after
+    {v4: big} fails: only a hub saturated in the big class fails it (u4,
+    v4's other colored neighbor, has residual degree 4 <= t), and u4 and
+    w4 are not adjacent to the hub (a triangle or a 4-cycle).
+    """
     kind, deleted, w = row[:3]
     if kind is _KIND3:
         (v,) = deleted
@@ -349,11 +348,8 @@ def _moves(rotation, phi, row, t):
                 + ((v, C_BIG),)]
     (v4,) = deleted
     u4, w4 = w["u4"], w["w4"]
-    moves = [((v4, C_SMALL),), ((v4, C_BIG),),
-             ((u4, C_SMALL), (v4, C_BIG)), ((u4, C_BIG), (v4, C_SMALL))]
-    if w4 is not None:
-        moves.append(((w4, C_SMALL), (u4, C_BIG), (v4, C_SMALL)))
-        moves.append(((w4, C_SMALL), (v4, C_BIG)))
+    moves = [((v4, C_SMALL),), ((v4, C_BIG),), ((u4, C_BIG), (v4, C_SMALL)),
+             ((w4, C_SMALL), (u4, C_BIG), (v4, C_SMALL))]
     for vi, ui in w["ring_two"]:
         moves.append(((v4, C_BIG), (vi, C_SMALL)))
         moves.append(((v4, C_BIG), (vi, C_SMALL), (ui, C_BIG)))
@@ -440,7 +436,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
             fallback = True
             anomaly = graph.genus <= 1 and t == MIN_T
             solve_status = SolveStatus.FOUND
-            for comp in _components(graph, residual.present()):
+            for comp in _components(graph, residual.deg):
                 sub, remap = induced_embedding(graph, comp)
                 res = solve_exact(sub, (1, t), budget)
                 if not res.found:

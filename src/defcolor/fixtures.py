@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .builder import PlanarBuilder
+from .discharging import HIGH_DEGREE
 from .embedding import EmbeddedGraph
 
 DODECAHEDRON_ROTATION = [
@@ -138,7 +139,7 @@ def _flanked_pentagon() -> tuple[PlanarBuilder, list[int], list[int]]:
     return b, p, q
 
 
-def special_face(hub: int = 12, p_deg: int = 5, q_deg: int = 3) -> FaceFixture:
+def special_face(hub: int = HIGH_DEGREE, p_deg: int = 5, q_deg: int = 3) -> FaceFixture:
     """5-face with degrees (2, hub, 2, p, q) around vertices (0, 1, 2, 3, 4)."""
     b = PlanarBuilder.cycle(5)
     b.reserved.add(0)
@@ -148,7 +149,7 @@ def special_face(hub: int = 12, p_deg: int = 5, q_deg: int = 3) -> FaceFixture:
     return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
 
 
-def x1_face(h1: int = 12, h2: int = 12, s_deg: int = 3,
+def x1_face(h1: int = HIGH_DEGREE, h2: int = HIGH_DEGREE, s_deg: int = 3,
             external_high: bool = False) -> FaceFixture:
     """Pentagon (2, h1, 2, h2, s); the 3-vertex's outside neighbor is low
     unless external_high pumps it to 12."""
@@ -159,11 +160,11 @@ def x1_face(h1: int = 12, h2: int = 12, s_deg: int = 3,
     _pump(b, 1, h1)
     _pump(b, 3, h2)
     if external_high:
-        _pump(b, x, 12)
+        _pump(b, x, HIGH_DEGREE)
     return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
 
 
-def x2_face(h1: int = 12, h2: int = 12, u_deg: int = 4,
+def x2_face(h1: int = HIGH_DEGREE, h2: int = HIGH_DEGREE, u_deg: int = 4,
             y_deg: int = 2) -> FaceFixture:
     """Pentagon (2, h1, 2, h2, 4); the 4-vertex's rotation reads
     (h2, a, x, y) so its neighbor degrees match (11-, 2, 12+, 2+).
@@ -179,7 +180,7 @@ def x2_face(h1: int = 12, h2: int = 12, u_deg: int = 4,
     return FaceFixture(b.graph(), (0, 1, 2, 3, 4), {"x": x, "y": y})
 
 
-def y1_face(h_deg: int = 12, w_extra: int = 0, u_extra: int = 0,
+def y1_face(h_deg: int = HIGH_DEGREE, w_extra: int = 0, u_extra: int = 0,
             p_deg: int = 2) -> FaceFixture:
     """Pentagon f = (a, h, b, u, w) with degrees (2, 12+, 2, 4, 3), the
     4-vertex pattern (2, 3, 11-, 12+), and cross-faces X1 and X2."""
@@ -189,8 +190,8 @@ def y1_face(h_deg: int = 12, w_extra: int = 0, u_extra: int = 0,
     p = b.attach_leaf_at(3)  # lands between w and z in u's rotation
     _pump(b, p, p_deg)
     _pump(b, 1, h_deg)
-    _pump(b, hp, 12)
-    _pump(b, z, 12)
+    _pump(b, hp, HIGH_DEGREE)
+    _pump(b, z, HIGH_DEGREE)
     if w_extra:
         _pump(b, 4, 3 + w_extra)
     if u_extra:
@@ -198,15 +199,15 @@ def y1_face(h_deg: int = 12, w_extra: int = 0, u_extra: int = 0,
     return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
 
 
-def y2_face(h_deg: int = 12, s_extra: int = 0, r_extra: int = 0) -> FaceFixture:
+def y2_face(h_deg: int = HIGH_DEGREE, s_extra: int = 0, r_extra: int = 0) -> FaceFixture:
     """Pentagon f = (a, h, b, s, r) with degrees (2, 12+, 2, 3, 3) and both
     cross-faces X1."""
     # f = [a=0, h=1, b=2, s=3, r=4]; cross-faces [h, a, r, h', b'] and
     # [s, b, h, c, h'']
     b, (hp, _), (hpp, _) = _flanked_pentagon()
     _pump(b, 1, h_deg)
-    _pump(b, hp, 12)
-    _pump(b, hpp, 12)
+    _pump(b, hp, HIGH_DEGREE)
+    _pump(b, hpp, HIGH_DEGREE)
     if s_extra:
         _pump(b, 3, 3 + s_extra)
     if r_extra:
@@ -214,7 +215,7 @@ def y2_face(h_deg: int = 12, s_extra: int = 0, r_extra: int = 0) -> FaceFixture:
     return FaceFixture(b.graph(), (0, 1, 2, 3, 4))
 
 
-def terrible_face(v_deg: int = 12, u4_extra: int = 0,
+def terrible_face(v_deg: int = HIGH_DEGREE, u4_extra: int = 0,
                   w4_children: int = 1) -> FaceFixture:
     """Pentagon f = (v4, v, v5, u5, u4) with degrees (2, 12+, 2, 4, 4),
     both 4-vertex patterns (2, 4, 11-, 12+), and both cross-faces X2.
@@ -231,8 +232,8 @@ def terrible_face(v_deg: int = 12, u4_extra: int = 0,
         b.attach_leaf_at(w4)
     b.attach_leaf_at(w5)
     _pump(b, 1, v_deg)
-    _pump(b, h4, 12)
-    _pump(b, h5, 12)
+    _pump(b, h4, HIGH_DEGREE)
+    _pump(b, h5, HIGH_DEGREE)
     if u4_extra:
         _pump(b, 4, 4 + u4_extra)
     names = {"v": 1, "v4": 0, "v5": 2, "u4": 4, "u5": 3,
@@ -252,8 +253,8 @@ def genus2_bad_face_gadget() -> FaceFixture:
     b, (hp, _), (z, _) = _flanked_pentagon()
     p = b.attach_leaf_at(3)
     b.attach_leaf_at(p)
-    _pump(b, hp, 12)
-    _pump(b, z, 12)
+    _pump(b, hp, HIGH_DEGREE)
+    _pump(b, z, HIGH_DEGREE)
     # hub to degree 13: two chains of length 3 plus plain leaves
     a1 = b.attach_leaf_at(1)
     a2 = b.attach_leaf_at(a1)

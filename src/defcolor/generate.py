@@ -26,6 +26,7 @@ from bisect import bisect_left
 from random import Random
 
 from .builder import PlanarBuilder
+from .discharging import HIGH_DEGREE
 from .embedding import EmbeddedGraph
 from .fixtures import c5, dodecahedron
 
@@ -223,8 +224,8 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
             u, w = verts[pair[0]], verts[pair[1]]
             f1, f2, (s1, s2) = pool.insert_path(fid, pair[0], pair[1], 3)
             pool.reserve(f1 if len(b.faces[f1]) <= len(b.faces[f2]) else f2)
-            hub_target[u] = rng.randint(12, 14)
-            hub_target[w] = rng.randint(12, 14)
+            hub_target[u] = rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2)
+            hub_target[w] = rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2)
             d2, d3 = rng.choice([(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
             hub_target[s1] = d2
             hub_target[s2] = d3
@@ -236,19 +237,20 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         if not cands:
             return
         v = rng.choice(cands)
-        hub_target[v] = 12 if target_size < 90 else rng.randint(12, 14)
+        hub_target[v] = (HIGH_DEGREE if target_size < 90
+                         else rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2))
         if with_partner and rng.random() < 0.7:
             partners = [m for m in b.rotations[v]
                         if m not in hub_target and b.degree(m) <= 4]
             if partners:
                 m = rng.choice(partners)
-                hub_target[m] = rng.randint(6, 11)
+                hub_target[m] = rng.randint(6, HIGH_DEGREE - 1)
                 pool.protect(v, m)
 
     def special_motif() -> None:
         nonlocal special_motifs
         highs = sorted(v for v, tgt in hub_target.items()
-                       if tgt >= 12 and b.degree(v) >= 3)
+                       if tgt >= HIGH_DEGREE and b.degree(v) >= 3)
         if not highs:
             return
         h = rng.choice(highs)
@@ -298,8 +300,8 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
 
     graph = b.graph()
     for v in range(graph.n):
-        if 6 <= graph.degree(v) <= 11:
-            if not any(graph.degree(u) >= 12 for u in graph.rotation[v]):
+        if 6 <= graph.degree(v) < HIGH_DEGREE:
+            if not any(graph.degree(u) >= HIGH_DEGREE for u in graph.rotation[v]):
                 raise AssertionError(
                     f"medium vertex {v} lacks a high neighbor (generator bug)")
     return graph

@@ -71,6 +71,30 @@ def r3_gadget(eligible_pentagon: bool = True):
     return b.graph(), 0, 1
 
 
+def triple_special_gadget():
+    """A 5-vertex p on three Special faces (2, 12, 2, 5, 3) in a row:
+    (p, n0, h0, a0, n1), (p, n1, a1, h1, n2) and (p, n2, h1, a2, n3).
+
+    The 3-vertex n1 and the 2-vertex n2 each lie on two of them, and h1
+    on the last two; p's fifth neighbor and n3's third are leaves.
+    Returns (graph, p).
+    """
+    b = PlanarBuilder.cycle(5)  # [p=0, n0=1, h0=2, a0=3, n1=4]
+    b.reserved.add(0)
+    outer = 1
+    five, outer, (_, h1, _) = b.insert_path(
+        outer, b.occurrences(outer, 4)[0], b.occurrences(outer, 0)[0], 4)
+    b.reserved.add(five)
+    five, _, (n3, _) = b.insert_path(
+        outer, b.occurrences(outer, h1)[0], b.occurrences(outer, 0)[0], 3)
+    b.reserved.add(five)
+    b.attach_leaf_at(n3)
+    b.attach_leaf_at(0)
+    _pump(b, 2, 12)
+    _pump(b, h1, 12)
+    return b.graph(), 0
+
+
 def sponsor_gadget(d_s: int, d_t: int, w_deg: int):
     """Pentagon (h1, s, t, h2, w): h1, h2 high, so the pentagon is a
     (d_s, d_t)-sponsor of the face across the edge s-t.
@@ -265,3 +289,22 @@ def low_trigger_gadget() -> EmbeddedGraph:
     rot.append(list(range(k)) + [leaf])
     rot.append([hub])
     return EmbeddedGraph(rot)
+
+
+# -- reducibility configurations ----------------------------------------------
+
+
+def all_low_gadget(t: int):
+    """Pentagon (v, a, x, y, b) with a third neighbor c of v carrying one
+    leaf: a has t - 1 leaves, so it is low (degree t + 1) and can be
+    saturated in the big class without v; b has t - 2 and can never be.
+    v is low with all neighbors low: a kind-3 witness at threshold t.
+
+    Returns (graph, v).
+    """
+    b = PlanarBuilder.cycle(5)
+    c = b.attach_leaf_at(0)
+    b.attach_leaf_at(c)
+    _pump(b, 1, t + 1)
+    _pump(b, 4, t)
+    return b.graph(), 0

@@ -165,8 +165,13 @@ def reference_scan(graph, present, deg, t):
             if all(deg[u] <= low for u in graph.rotation[v] if u in present):
                 return ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
                                      (v,), None)
-    row = _find_terrible_reduction(graph, present, t)
+    row = _find_terrible_reduction(graph, _present_deg(present, deg), t)
     return None if row is None else ReductionStep(*row)
+
+
+def _present_deg(present, deg):
+    """deg as the colorer reads a residual graph: -1 for absent vertices."""
+    return [d if v in present else -1 for v, d in enumerate(deg)]
 
 
 def reference_steps(graph, t):
@@ -215,11 +220,8 @@ def _reference_moves(rotation, phi, step, t):
     (v4,) = step.deleted
     w = step.witness
     u4, w4 = w["u4"], w["w4"]
-    moves = [((v4, C_SMALL),), ((v4, C_BIG),),
-             ((u4, C_SMALL), (v4, C_BIG)), ((u4, C_BIG), (v4, C_SMALL))]
-    if w4 is not None:
-        moves.append(((w4, C_SMALL), (u4, C_BIG), (v4, C_SMALL)))
-        moves.append(((w4, C_SMALL), (v4, C_BIG)))
+    moves = [((v4, C_SMALL),), ((v4, C_BIG),), ((u4, C_BIG), (v4, C_SMALL)),
+             ((w4, C_SMALL), (u4, C_BIG), (v4, C_SMALL))]
     for vi, ui in w["ring_two"]:
         moves.append(((v4, C_BIG), (vi, C_SMALL)))
         moves.append(((v4, C_BIG), (vi, C_SMALL), (ui, C_BIG)))
@@ -279,7 +281,7 @@ def reference_color(graph: EmbeddedGraph, t: int | None = None,
             fallback = True
             anomaly = graph.genus <= 1 and t == MIN_T
             solve_status = SolveStatus.FOUND
-            for comp in _components(graph, present):
+            for comp in _components(graph, _present_deg(present, deg)):
                 sub, remap = induced_embedding(graph, comp)
                 res = solve_exact(sub, (1, t), budget)
                 if not res.found:

@@ -124,24 +124,33 @@ def test_extend_all_low_recolors_saturated_neighbor():
     assert full.assignment[0] == C_BIG
 
 
-def test_terrible_reduction_detected_and_extended():
-    fix = fx.terrible_face()
-    names = fix.names
-    g = fix.graph
-    row = _find_terrible_reduction(g, set(range(g.n)), 10)
-    assert row is not None
-    kind, deleted, witness = row
-    assert kind is ReductionKind.TERRIBLE_RICH_HIGH_VERTEX
-    assert deleted == (names["v4"],)
-    assert witness["hub"] == names["v"]
-    assert witness["u4"] == names["u4"]
+def _terrible_row(graph, t):
+    """The kind-4 scan of the whole graph as the residual."""
+    return _find_terrible_reduction(graph, [len(r) for r in graph.rotation], t)
 
-    keep = [v for v in range(g.n) if v != names["v4"]]
-    sub, remap = induced_embedding(g, keep)
-    res = solve_exact(sub, (1, 10))
-    assert res.found
-    phi_sub = {old: res.coloring.assignment[new] for old, new in remap.items()}
-    _extend(g, phi_sub, row, 10)
+
+def test_terrible_reduction_detected_and_extended():
+    for v_deg, t in ((12, 10), (17, 15)):
+        fix = fx.terrible_face(v_deg=v_deg)
+        names = fix.names
+        g = fix.graph
+        row = _terrible_row(g, t)
+        assert row is not None
+        kind, deleted, witness = row
+        assert kind is ReductionKind.TERRIBLE_RICH_HIGH_VERTEX
+        assert deleted == (names["v4"],)
+        assert witness["hub"] == names["v"]
+        assert witness["u4"] == names["u4"]
+        # the pattern's L-neighbor of u4, not h4 (degree 12 <= low at t = 15)
+        assert witness["w4"] == names["w4"]
+
+        keep = [v for v in range(g.n) if v != names["v4"]]
+        sub, remap = induced_embedding(g, keep)
+        res = solve_exact(sub, (1, t))
+        assert res.found
+        phi_sub = {old: res.coloring.assignment[new]
+                   for old, new in remap.items()}
+        _extend(g, phi_sub, row, t)
 
 
 def test_terrible_branches_tried_in_proof_order():
@@ -150,7 +159,7 @@ def test_terrible_branches_tried_in_proof_order():
     # the whole graph valid.
     fix = fx.terrible_face()
     g, v4, u4 = fix.graph, fix.names["v4"], fix.names["u4"]
-    row = _find_terrible_reduction(g, set(range(g.n)), 10)
+    row = _terrible_row(g, 10)
     step = ReductionStep(*row)
     sub, remap = induced_embedding(g, [v for v in range(g.n) if v != v4])
     colors = list(solve_exact(sub, (1, 10)).coloring.assignment)
@@ -159,6 +168,8 @@ def test_terrible_branches_tried_in_proof_order():
         return is_valid(graph, Coloring(tuple(classes[v] for v in range(graph.n)),
                                         (1, 10)))
 
+    # {u4: small, v4: big} is not a branch (see colorer._moves); it stays
+    # in this list because it never fits where the branches before it fail
     proof_order = [{v4: C_SMALL}, {v4: C_BIG},
                    {u4: C_SMALL, v4: C_BIG}, {u4: C_BIG, v4: C_SMALL}]
     rng = random.Random(1)

@@ -20,7 +20,7 @@ from defcolor.graphio import serialize_graph
 
 from gadget_builders import (chorded_cycle, r2_gadget, r3_gadget,
                              sponsor_face_pair, sponsor_gadget,
-                             twisted_sponsor_gadget)
+                             triple_special_gadget, twisted_sponsor_gadget)
 from oracles import (reference_audit, reference_ledger, reference_ledger_csv,
                      reference_report_text, reference_sponsors,
                      reference_transfers, reference_transfers_csv,
@@ -244,6 +244,17 @@ def test_sponsors_match_reference(corpus):
         assert len(set(got)) == len(got)
         assert set(got) == reference_sponsors(graph)
     assert all(sponsor_instances(graph) for graph in (*gadgets, twisted))
+
+
+def test_sponsors_skip_leaf_edges_between_adjacent_hubs():
+    # w is a hub too, so h1 and h2 each have a high neighbor: their leaf
+    # edges are near-high on both ends, and a leaf's two corners are one
+    g, _, _, _ = sponsor_gadget(3, 3, HIGH_DEGREE)
+    h1, w = 0, 4
+    assert g.degree(w) >= HIGH_DEGREE and w in g.rotation[h1]
+    assert any(g.degree(u) == 1 for u in g.rotation[h1])
+    got = sponsor_instances(g)
+    assert got and set(got) == reference_sponsors(g)
 
 
 def test_r6_sponsor_sends_one():
@@ -656,6 +667,14 @@ def _check_audit(graph):
     assert (ledger_csv(rep.ledger) == ledger_csv(want.ledger)
             == reference_ledger_csv(want.ledger))
     return rep
+
+
+def test_audit_flags_five_vertex_on_three_special_faces():
+    g, p = triple_special_gadget()
+    classes = classify_faces(g)
+    assert [classes[fi] for fi, _ in g.passages(p)].count(FaceClass.SPECIAL) == 3
+    rep = _check_audit(g)
+    assert ("special-faces-num", (p, 3)) in rep.lemma_violations.rows
 
 
 @pytest.mark.parametrize("name, kwargs", FIXTURE_CASES)
