@@ -1,52 +1,35 @@
 """Constructive (1, t)-coloring by reducible configurations.
 
 The colorer repeatedly finds one of four local configurations, deletes
-its witness vertices, colors the rest, and extends the coloring back:
+its witness vertices, colors the rest, and extends the coloring back.
+Each breaks one of audit's structural lemmas:
 
-  1. a vertex of degree at most one,
-  2. two adjacent 2-vertices,
-  3. a low vertex all of whose neighbors are low,
-  4. a high vertex with more incident Terrible faces than
-     terrible_bound(d, high), from which a 2-vertex is deleted.
+  1. a vertex of degree at most one (min-degree),
+  2. two adjacent 2-vertices (no-22),
+  3. a low vertex all of whose neighbors are low (vx-degree),
+  4. a high vertex with more incident Terrible faces than its bound
+     allows, from which a 2-vertex is deleted (terrible-faces-num).
 
-Low and high are the structural degree thresholds for t that
-discharging.structural_thresholds owns; the Terrible faces themselves
+Low and high are discharging.structural_thresholds(t); the Terrible faces
 are classified with the fixed high degree 12 of the face patterns.
 
-Each step takes the first configuration in a fixed search order: the
-lowest kind that occurs, and within it the smallest witness id (for
-kind 2 the smaller 2-vertex u, paired with its smallest 2-neighbor).
-Both phases run on flat per-vertex lists.  _Residual keeps the shrinking
-graph as a deg list, -1 for a deleted vertex, and, for kinds 1-3, one
-min-heap of candidate ids, re-checked when an id reaches the top.
-Deleting a vertex re-offers its present neighbors, and their neighbors
-only when a neighbor's degree has just fallen to 2 or to low: on
-girth >= 5 no other status can turn on (see _Residual).  The search costs
-O(sum of deg(v)^2 + m log n) over the run.  Kind 4 is a whole-residual
-scan (induced_embedding and classify_faces per component), run only
-when all three heaps are empty: each component then has 5+ vertices.
+Each step takes the lowest kind that occurs.  Kinds 1-3 take the
+smallest witness id (for kind 2 the smaller 2-vertex u, paired with its
+smallest 2-neighbor).  Kind 4 takes the residual components in order of
+their least vertex, and in the first that has one the smallest hub, so a
+hub in a later component can have a smaller id.  If no configuration
+exists the colorer falls back to the exact solver; at t = 10 on genus
+<= 1 this is flagged as an anomaly: a counterexample.
 
-Each step is logged as one plain row (kind, deleted, witness), the
-witness None for kinds 1-3.  If no configuration exists the colorer
-falls back to the exact solver; at t = 10 on genus <= 1 this is flagged
-as an anomaly: a counterexample.
-
-The extension walks the rows in reverse on a class list phi, -1 for
+The extension walks the steps in reverse on a class list phi, -1 for
 uncolored: before each step the colored vertices are exactly the
-residual graph the step was found in, minus its deleted vertices, so phi
-is also the present set.  _apply_extension returns each step's (vertex,
-class) actions, which color appends to its row.  Kinds 1 and 2 take
-their one branch straight: each deleted vertex takes the class opposite
-its colored neighbor, or C_BIG if it has none.  Kinds 3 and 4 try their
-branches in proof order (_moves), undoing those that fail;
-tests/reducibility.py extends every coloring state of their fixtures,
-takes each branch and fails none.  Every step's actions must keep the
-moved vertices and their colored neighbors within their defects
-(_within_defects), so a step costs O(sum of deg(v)^2) over its moved
-vertices v and their neighbors.  On girth-5 graphs a branch always fits,
-and the final coloring is checked with is_valid.  ColoringTrace.steps
-builds a ReductionStep from a finished row only when read; cli's trace
-writer and replay_trace read the rows.
+residual graph the step was found in, minus its deleted vertices.  Kinds
+1 and 2 give each deleted vertex the class opposite its colored
+neighbor, or C_BIG; kinds 3 and 4 try their branches in proof order
+(_moves), and tests/reducibility.py extends every coloring state of
+their fixtures through each branch and fails none.  Every step keeps
+the moved vertices and their colored neighbors within their defects,
+and the final coloring is checked with is_valid.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -60,9 +43,9 @@ from typing import Sequence
 
 from .coloring import (Coloring, ColoringError, SolveStatus, is_valid,
                        solve_exact)
-from .discharging import (HIGH_DEGREE, MIN_T, FaceClass, RowLog, capacity,
-                          classify_faces, structural_thresholds,
-                          terrible_bound, terrible_corners)
+from .discharging import (HIGH_DEGREE, MIN_T, FaceClass, RowLog, _near_high,
+                          capacity, classify_faces, excess_terrible,
+                          structural_thresholds)
 from .embedding import EmbeddedGraph, induced_embedding, require_girth5
 # bench/selftest.py checks that tracing also rebinds girth under this module
 from .embedding import girth  # noqa: F401
@@ -139,30 +122,32 @@ class ColorResult:
 class _Residual:
     """The shrinking graph of a reduction run and its kind-1..3 worklist.
 
-    deg[v] is the residual degree of v, or -1 once v is deleted (the one
-    record of who is present), so a deleted neighbor never reads as a
-    2-vertex and always as low.
-    heaps[k] holds the ids that may be the kind-(k + 1) witness, each at
-    most once (queued[k][v]), re-checked at the top and dropped when
-    stale.  Every qualifying vertex is queued: all are at the start,
-    and delete queues every vertex whose status a deletion turns on.
+    deg[v] is the residual degree of v, or -1 once v is deleted, and
+    highs[v] the number of v's present neighbors of degree >= high.
+    heaps[k] holds every vertex that may be the kind-(k + 1) witness, each
+    at most once (queued[k][v]), re-checked at the top and dropped when
+    stale.  The search costs O(sum of deg(v)^2 + m log n) over the run.
 
-    By girth >= 5 those are few.  A deletion lowers the degree of each
-    present neighbor u of a deleted vertex by exactly one (no vertex is
-    adjacent to both of a kind-2 pair: that closes a triangle) and no
-    other degree, so u is tested for every kind.  A vertex w further away
-    keeps its degree and kind-1 status; its kind-2 status can turn on only
-    through a neighbor u whose degree just became 2, its kind-3 status
-    only through one whose degree just became low.  delete tests u's
-    neighbors on these two triggers only; each fires at most once per u.
+    Every deleted vertex is low: kinds 1, 2 and 4 delete vertices of
+    degree <= 2, kind 3 one of degree <= low.  So a deletion changes a
+    high count only through a neighbor u whose degree falls to low.  By
+    girth >= 5 it lowers the degree of each present neighbor u of a
+    deleted vertex by exactly one (no vertex is adjacent to both of a
+    kind-2 pair: that closes a triangle) and no other degree.  A vertex w
+    further away keeps its degree and kind-1 status; its kind-2 status
+    can turn on only through a neighbor u whose degree just became 2, its
+    kind-3 status only through one whose degree just became low.  delete
+    tests u and its neighbors on these two triggers only; each fires at
+    most once per u.
     """
 
     def __init__(self, graph: EmbeddedGraph, t: int):
         self.graph = graph
         self.t = t
-        self.low, _ = structural_thresholds(t)
+        self.low, high = structural_thresholds(t)
         n = graph.n
         self.deg = deg = [len(nbrs) for nbrs in graph.rotation]
+        self.highs = _near_high(graph.rotation, deg, high)
         self.queued = (bytearray(d <= 1 for d in deg),
                        bytearray(map(self._adjacent_two, range(n))),
                        bytearray(map(self._all_low, range(n))))
@@ -175,9 +160,7 @@ class _Residual:
         return deg[u] == 2 and 2 in [deg[w] for w in self.graph.rotation[u]]
 
     def _all_low(self, v):
-        deg, low = self.deg, self.low
-        return (0 <= deg[v] <= low
-                and all(deg[u] <= low for u in self.graph.rotation[v]))
+        return 0 <= self.deg[v] <= self.low and not self.highs[v]
 
     def _top(self, k, ok):
         heap, queued = self.heaps[k], self.queued[k]
@@ -193,9 +176,8 @@ class _Residual:
 
     def next_step(self) -> tuple | None:
         """Row (kind, deleted, witness) of the first reducible configuration
-        of the residual graph in the fixed search order: kind 1 to 4,
-        smallest witness id within a kind.  The witness is None for kinds
-        1-3."""
+        of the residual graph in the search order of the module docstring.
+        The witness is None for kinds 1-3."""
         deg, heap, queued = self.deg, self.heaps[0], self.queued[0]
         while heap:  # a kind-1 witness stays one until it is deleted
             v = heap[0]
@@ -220,7 +202,8 @@ class _Residual:
             for u in rotation[v]:
                 if deg[u] >= 0:
                     deg[u] -= 1
-        push, all_low, lows = self._push, self._all_low, self.queued[2]
+        push, all_low, lows, highs = (self._push, self._all_low,
+                                      self.queued[2], self.highs)
         for v in vertices:
             for u in rotation[v]:
                 d = deg[u]
@@ -233,15 +216,18 @@ class _Residual:
                         if deg[w] == 2:
                             push(1, u)
                             push(1, w)
-                if d <= low:  # second trigger when d == low
-                    for w in (u, *rotation[u]) if d == low else (u,):
+                elif d == low:  # second trigger: u is high no more
+                    for w in rotation[u]:
+                        highs[w] -= 1
+                    for w in (u, *rotation[u]):
                         if not lows[w] and all_low(w):
                             push(2, w)
 
 
 def _components(graph, deg):
-    """Sorted components of the residual graph (deg >= 0), by least vertex."""
-    seen, comps = set(), []
+    """Each component of the residual graph (deg >= 0), by least vertex,
+    as (sorted vertices comp, induced embedding): its vertex i is comp[i]."""
+    seen = set()
     for start in range(graph.n):
         if deg[start] >= 0 and start not in seen:
             seen.add(start)
@@ -251,15 +237,15 @@ def _components(graph, deg):
                     if deg[u] >= 0 and u not in seen:
                         seen.add(u)
                         comp.append(u)
-            comps.append(sorted(comp))
-    return comps
+            comp.sort()
+            yield comp, induced_embedding(graph, comp)[0]
 
 
 def _find_terrible_reduction(graph: EmbeddedGraph, deg: Sequence[int],
                              t: int) -> tuple | None:
-    """Kind-(4) scan of the residual graph (deg >= 0): a high vertex with
-    too many incident Terrible faces, as a step row (kind, deleted,
-    witness); the witness omits v4, which is deleted[0].
+    """Kind-4 scan of the residual graph (deg >= 0): the first hub, by
+    component and then by id, with too many Terrible faces, as a step row
+    (kind, deleted, witness); the witness omits v4, which is deleted[0].
 
     v4 is picked so that the face three rotation steps earlier is not
     terrible, matching the reduction's case analysis.  u4 matches the
@@ -269,16 +255,11 @@ def _find_terrible_reduction(graph: EmbeddedGraph, deg: Sequence[int],
     girth >= 5 at least 5 vertices.
     """
     _, high = structural_thresholds(t)
-    for comp in _components(graph, deg):
-        sub, remap = induced_embedding(graph, comp)
-        inv = {new: old for old, new in remap.items()}
+    for comp, sub in _components(graph, deg):
         classes = classify_faces(sub)
         for v in range(sub.n):
-            d = sub.degree(v)
-            if d < high:
-                continue
-            terrible = terrible_corners(sub, classes, v)
-            if len(terrible) <= terrible_bound(d, high):
+            terrible = excess_terrible(sub, classes, v, high)
+            if not terrible:
                 continue
             # corner i of v lies between rot[i-1] and rot[i]
             rot, ring = sub.rotation[v], sub.passages(v)
@@ -290,11 +271,11 @@ def _find_terrible_reduction(graph: EmbeddedGraph, deg: Sequence[int],
             w4 = next(u for u in sub.rotation[u4]
                       if u not in face and sub.degree(u) < HIGH_DEGREE)
             ring_two = tuple(
-                (inv[vi], inv[next(u for u in sub.rotation[vi] if u != v)])
+                (comp[vi], comp[next(u for u in sub.rotation[vi] if u != v)])
                 for vi in rot if sub.degree(vi) == 2 and vi != v4)
-            return _KIND4, (inv[v4],), {
-                "hub": inv[v], "u4": inv[u4], "w4": inv[w4],
-                "face": tuple(inv[u] for u in face), "ring_two": ring_two}
+            return _KIND4, (comp[v4],), {
+                "hub": comp[v], "u4": comp[u4], "w4": comp[w4],
+                "face": tuple(comp[u] for u in face), "ring_two": ring_two}
     return None
 
 
@@ -406,16 +387,11 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     genus capacity.  Requires girth at least 5 (require_girth5); raises
     ValueError when t is below 10 or budget is not positive.
 
-    The fallback exact solve only runs when no reducible configuration
-    exists; on genus <= 1 inputs at t = 10 that is flagged as an anomaly.
-    It solves each connected component of the residual graph on its own,
-    and each of those solves gets the full ``budget`` of nodes.
-    Every extension is validity-checked; the final coloring passes
-    is_valid or an ExtensionFailedError is raised.
-
-    Of the faces of ``graph`` only the genus is read, for the default t
-    and the anomaly flag, which cuts no face walk (the kind-4 scan reads
-    the faces of the residual components, graphs of their own).
+    The fallback solves each component of the irreducible residual graph
+    on its own, each with the full ``budget`` of nodes.  The final
+    coloring passes is_valid or an ExtensionFailedError is raised.  Of
+    the faces of ``graph`` only the genus is read, which cuts no face
+    walk (the kind-4 scan walks the residual components' own faces).
     """
     if budget <= 0:
         raise ColoringError("budget must be positive")
@@ -436,14 +412,12 @@ def color(graph: EmbeddedGraph, t: int | None = None,
             fallback = True
             anomaly = graph.genus <= 1 and t == MIN_T
             solve_status = SolveStatus.FOUND
-            for comp in _components(graph, residual.deg):
-                sub, remap = induced_embedding(graph, comp)
+            for comp, sub in _components(graph, residual.deg):
                 res = solve_exact(sub, (1, t), budget)
                 if not res.found:
                     solve_status = res.status
                     break
-                for old, new in remap.items():
-                    base[old] = res.coloring.assignment[new]
+                base.update(zip(comp, res.coloring.assignment))
             break
         rows.append(row)
         residual.delete(row[1])

@@ -22,42 +22,26 @@ and no float is used anywhere: apply_rules accumulates charges in
 integer units of 1/_UNIT = 1/27720, the least common multiple of every
 denominator a rule can produce (2, and R3's count k <= d <= 11), and
 every public value (ledger entries, transfer amounts, claim and flag
-charges) is a fractions.Fraction.  The ledger holds only the settled
-units (ChargeLedger.initial and .net) and builds its four Fraction
-views on first read: audit reads the sign of a charge from the units,
-and ledger_csv, transfers_csv and report_text write from them,
-formatting each distinct value once.  The three logs hold plain rows
-and build their objects only when read (RowLog): the transfer log in
-key order, one row (lemma, witness) per lemma violation and one row
-(claim, element, final units) per claim violation.  The rules and the
-audit assume girth >= 5: both apply_rules and audit raise
-GirthTooSmallError below it (embedding.require_girth5), as color does.
+charges) is a fractions.Fraction built from those units.  The rules and
+the audit assume girth >= 5 and raise GirthTooSmallError below it.
 
 This module owns both degree thresholds.  The face patterns and rules
 R1-R8 read degrees through one symbol map: 2, 3, 4 and 5 stand for
 themselves, medium is 6..11, high is HIGH_DEGREE = 12 or more, whatever
-the defect threshold t.  The structural conclusions, checked by audit
-and used by the colorer's reductions, depend on t: a vertex is low at
-degree <= t + 1 and high at degree >= t + 2 (structural_thresholds).
-At t = 10 the two notions of high coincide.  Above it (genus >= 2,
-where t = capacity(genus)) a Terrible face still needs only a 12+ hub,
-while the bound on a hub's Terrible faces applies from degree t + 2 on.
-capacity(genus) is the default t of audit and of the colorer.
+the defect threshold t.  The structural lemmas, checked by audit and
+reduced by the colorer, depend on t: a vertex is low at degree <= t + 1
+and high at degree >= t + 2 (structural_thresholds).  At t = 10 the two
+notions of high coincide.  Above it (genus >= 2, where t =
+capacity(genus)) a Terrible face still needs only a 12+ hub, while the
+bound on a hub's Terrible faces applies from degree t + 2 on.
 
-The face classes are data.  _FACE_TABLE holds one row per classified
-5-face (Special, X1, X2, Y1, Y2, Terrible): its degree word, the
-pattern every 4-vertex on the face must match, and the classes the two
-faces across its 2-vertices must have (X1+X2 for Y1, X1+X1 for Y2,
-X2+X2 for Terrible).  classify_faces reads it in two passes.  Pass 1
-gives every face its own class from the word, the 4-vertex patterns
-and, for X1, the test that the 3-vertex has one outside neighbor, of
-degree 11-.  Pass 2 turns a Y1, Y2 or Terrible face PLAIN when the own
-classes of its cross faces do not match its row.  A 5-face that
-matches a word has five distinct vertices: a closed walk of length 5
-could only revisit a vertex two steps later (one step would be a loop),
-by turning back at a degree-1 vertex ("o"), and no face word contains
-"o".  So a word's 2-, 3- and 4-vertices are distinct vertices of the
-face, and each 2-vertex has its other passage on another face.
+The face classes are data: _FACE_TABLE holds one row per classified
+5-face (Special, X1, X2, Y1, Y2, Terrible), read by classify_faces.  A
+5-face that matches a word has five distinct vertices: a closed walk of
+length 5 could only revisit a vertex two steps later (one step would be
+a loop), by turning back at a degree-1 vertex ("o"), and no face word
+contains "o".  So a word's 2-, 3- and 4-vertices are distinct vertices
+of the face, and each 2-vertex has its other passage on another face.
 """
 
 from __future__ import annotations
@@ -224,22 +208,26 @@ def classify_faces(graph: EmbeddedGraph) -> tuple[FaceClass, ...]:
     return tuple(out)
 
 
-def terrible_corners(graph: EmbeddedGraph, classes: Sequence[FaceClass],
-                     v: int) -> list[int]:
-    """The corners i of v (passages(v)[i]) whose face is Terrible."""
-    return [i for i, (fi, _) in enumerate(graph.passages(v))
-            if classes[fi] is FaceClass.TERRIBLE]
+def excess_terrible(graph: EmbeddedGraph, classes: Sequence[FaceClass],
+                    v: int, high: int) -> list[int]:
+    """The corners i of v (passages(v)[i]) whose face is Terrible, when
+    v is high and has more of them than terrible_bound allows; else []."""
+    d = graph.degree(v)
+    if d < high:
+        return []
+    corners = [i for i, (fi, _) in enumerate(graph.passages(v))
+               if classes[fi] is FaceClass.TERRIBLE]
+    return corners if len(corners) > terrible_bound(d, high) else []
 
 
 def _near_high(rotation: Sequence[Sequence[int]], deg: Sequence[int],
-               high: int) -> bytearray:
-    """1 at every vertex with a neighbor of degree >= high, else 0; each
-    such neighbor marks its own neighbors once."""
-    near = bytearray(len(deg))
+               high: int) -> list[int]:
+    """Each vertex's count of neighbors of degree >= high."""
+    near = [0] * len(deg)
     for h, d in enumerate(deg):
         if d >= high:
             for u in rotation[h]:
-                near[u] = 1
+                near[u] += 1
     return near
 
 
@@ -409,11 +397,8 @@ def apply_rules(graph: EmbeddedGraph,
     """Run R1-R8 and return the settled ledger plus the transfer log.
 
     Each firing logs one row (rule, source kind, source id, target kind,
-    target id, witness, units, independent), read as a Transfer, and
-    moves its amount, in integer units of 1/_UNIT, between two running
-    charges, one per vertex and face.  The rows are sorted by rule id,
-    then source, target and witness.  The ledger keeps the settled
-    units.  Requires girth at least 5 (require_girth5).
+    target id, witness, units, independent), read as a Transfer; the rows
+    are sorted by rule id, then source, target and witness.
     """
     require_girth5(graph, "apply_rules")
     if classes is None:
@@ -535,11 +520,8 @@ class HighVertexFlag:
 class AuditReport:
     """What audit found, at threshold t on a surface of this genus.
 
-    transfers, claim_violations and lemma_violations are RowLogs: plain
-    rows that build a Transfer, ClaimViolation or LemmaViolation on each
-    read and compare equal to a list of the same objects.  A claim row is
-    (claim, element, final charge in units); a lemma row is (lemma,
-    witness).  The rows come in the order of the checks in audit.
+    A claim row is (claim, element, final charge in units), a lemma row
+    (lemma, witness), in the order of the checks in audit.
     """
 
     t: int
@@ -571,8 +553,7 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     face bound min(d//3, d - t - 2); at least three (t+2)+ vertices when
     a cycle exists.  Finally every (t+2)+ vertex's final charge is
     checked against the general-surface floor 2*genus - 3.5.  t defaults
-    to capacity(genus), as in color.  Every check reads the ledger's
-    integer units, and each violation is logged as one row.
+    to capacity(genus), as in color.
     """
     if t is None:
         t = capacity(graph.genus)
@@ -597,7 +578,7 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     # one pass, three row lists in the order of the checks: min-degree
     # and vx-degree by vertex, then no-22 by edge, then the face counts
     deg = [len(nbrs) for nbrs in rot]
-    near = _near_high(rot, deg, high)
+    highs = _near_high(rot, deg, high)
     lemmas, no22, counts = [], [], []
     for v, d in enumerate(deg):
         if d <= low:
@@ -611,7 +592,7 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
                     no22.append(("no-22", (v, a)))
                 if b > v and deg[b] == 2:
                     no22.append(("no-22", (v, b)))
-            if not near[v]:
+            if not highs[v]:
                 lemmas.append(("vx-degree", (v,)))
             if d == 5:
                 special = sum(1 for fi, _ in graph.passages(v)
@@ -619,12 +600,11 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
                 if special > 2:
                     counts.append(("special-faces-num", (v, special)))
         else:  # d >= high
-            bound = terrible_bound(d, high)
-            terr = len(terrible_corners(graph, classes, v))
+            terrible = excess_terrible(graph, classes, v, high)
+            if terrible:
+                counts.append(("terrible-faces-num", (v, len(terrible))))
             bad = sum(1 for fi, _ in graph.passages(v) if classes[fi].is_bad)
-            if terr > bound:
-                counts.append(("terrible-faces-num", (v, terr)))
-            if bad > bound:
+            if bad > terrible_bound(d, high):
                 counts.append(("bad-faces-num", (v, bad)))
     lemmas += no22
     lemmas += counts

@@ -67,11 +67,11 @@ def c5() -> EmbeddedGraph:
 
 
 def path_graph(n: int) -> EmbeddedGraph:
-    """Path on n vertices (a tree; single face)."""
-    rot = [[i - 1, i + 1] for i in range(n)]
-    rot[0] = [1]
-    rot[-1] = [n - 2]
-    return EmbeddedGraph(rot)
+    """Path on n >= 1 vertices (a tree; single face)."""
+    if n < 1:
+        raise ValueError(f"a path needs at least one vertex, got {n}")
+    return EmbeddedGraph([[u for u in (i - 1, i + 1) if 0 <= u < n]
+                          for i in range(n)])
 
 
 def star(k: int) -> EmbeddedGraph:

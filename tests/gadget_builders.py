@@ -11,7 +11,7 @@ from random import Random
 
 from defcolor.builder import PlanarBuilder
 from defcolor.embedding import EmbeddedGraph
-from defcolor.fixtures import DODECAHEDRON_ROTATION, find_face
+from defcolor.fixtures import DODECAHEDRON_ROTATION, find_face, path_graph
 
 
 def _pump(b, v, target):
@@ -189,8 +189,7 @@ def long_cycle(n: int) -> EmbeddedGraph:
 
 
 def long_path(n: int) -> EmbeddedGraph:
-    return EmbeddedGraph([[u for u in (i - 1, i + 1) if 0 <= u < n]
-                          for i in range(n)])
+    return path_graph(n)
 
 
 def random_tree(seed: int, n: int) -> EmbeddedGraph:

@@ -60,12 +60,10 @@ from defcolor.discharging import (_UNIT, HIGH_DEGREE, MIN_T, AuditReport,
                                   HighVertexFlag, LemmaViolation,
                                   SponsorInstance, Transfer,
                                   capacity, classify_faces, format_fraction,
-                                  structural_thresholds, terrible_bound,
-                                  terrible_corners)
+                                  structural_thresholds, terrible_bound)
 from defcolor.embedding import (AsymmetricError, DisconnectedError,
                                 EmbeddedGraph, GirthTooSmallError, GraphError,
-                                NonSimpleError, induced_embedding,
-                                require_girth5)
+                                NonSimpleError, require_girth5)
 from defcolor.graphio import ParseError, _check_vertex_count
 
 
@@ -281,13 +279,12 @@ def reference_color(graph: EmbeddedGraph, t: int | None = None,
             fallback = True
             anomaly = graph.genus <= 1 and t == MIN_T
             solve_status = SolveStatus.FOUND
-            for comp in _components(graph, _present_deg(present, deg)):
-                sub, remap = induced_embedding(graph, comp)
+            for comp, sub in _components(graph, _present_deg(present, deg)):
                 res = solve_exact(sub, (1, t), budget)
                 if not res.found:
                     solve_status = res.status
                     break
-                for old, new in remap.items():
+                for new, old in enumerate(comp):
                     base[old] = res.coloring.assignment[new]
             break
         steps.append(step)
@@ -593,6 +590,13 @@ def reference_transfers_csv(transfers: Iterable[Transfer]) -> str:
         lines.append(f"{tr.rule},{tr.source[0]},{tr.source[1]},{tr.target[0]},"
                      f"{tr.target[1]},{format_fraction(tr.amount)},{wit},{ind}")
     return "\n".join(lines) + "\n"
+
+
+def terrible_corners(graph: EmbeddedGraph, classes: Sequence[FaceClass],
+                     v: int) -> list[int]:
+    """The corners i of v (passages(v)[i]) whose face is Terrible."""
+    return [i for i, (fi, _) in enumerate(graph.passages(v))
+            if classes[fi] is FaceClass.TERRIBLE]
 
 
 def reference_audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:

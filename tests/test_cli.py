@@ -1,12 +1,15 @@
 import dataclasses
+import json
 
 from defcolor import cli, fixtures as fx
 from defcolor.cli import main
-from defcolor.colorer import ColoringTrace, ReductionKind, ReductionStep, color
+from defcolor.colorer import (ColoringTrace, ColorResult, ReductionKind,
+                              ReductionStep, color)
 from defcolor.discharging import RowLog
 from defcolor.graphio import parse_coloring, serialize_graph
-from defcolor.coloring import is_valid
+from defcolor.coloring import Coloring, SolveStatus, is_valid
 
+from gadget_builders import projective_plane_incidence
 from oracles import reference_trace_json
 
 
@@ -66,6 +69,56 @@ def test_check_rejects_bad_coloring(tmp_path, capsys):
     bad.write_text("coloring 5 defects 1,10\n0 1\n1 1\n2 1\n3 1\n4 1\n")
     assert main(["check", "--input", gpath, "--coloring", str(bad)]) == 1
     assert "invalid" in capsys.readouterr().out
+
+
+def test_check_rejects_a_vertex_count_mismatch(tmp_path, capsys):
+    gpath = write_graph(tmp_path, fx.c5())
+    short = tmp_path / "short.txt"
+    short.write_text("coloring 4 defects 1,10\n0 1\n1 2\n2 1\n3 2\n")
+    assert main(["check", "--input", gpath, "--coloring", str(short)]) == 1
+    assert capsys.readouterr().out == "result: invalid (vertex count mismatch)\n"
+
+
+def test_color_budget_exhaustion(tmp_path, capsys):
+    # the pendant paths reduce; the 12-regular incidence graph does not,
+    # and one node is too few for the fallback solver
+    gpath = write_graph(tmp_path, projective_plane_incidence(11, (1, 2, 3, 1)))
+    tpath = tmp_path / "trace.json"
+    assert main(["color", "--input", gpath, "--t", "10", "--budget", "1",
+                 "--trace", str(tpath)]) == cli.EXIT_BUDGET == 4
+    assert capsys.readouterr().out == "result: unknown\n"
+    trace = json.loads(tpath.read_text())
+    assert trace["fallback"] and trace["steps"] == []
+
+
+def _fake_color(coloring, status, anomaly):
+    """A stand-in for cli.color returning a fixed result; no real input
+    reaches the infeasible or anomaly exits."""
+    def fake(graph, t, budget):
+        trace = ColoringTrace(RowLog([], ReductionStep), {}, True, anomaly, 10)
+        return ColorResult(coloring, trace, status)
+    return fake
+
+
+def test_color_infeasible_exit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "color",
+                        _fake_color(None, SolveStatus.INFEASIBLE, False))
+    gpath = write_graph(tmp_path, fx.c5())
+    assert main(["color", "--input", gpath, "--t", "10"]) == 1
+    assert capsys.readouterr().out == "result: infeasible\n"
+
+
+def test_color_anomaly_exit(monkeypatch, tmp_path, capsys):
+    coloring = Coloring((0, 1, 0, 1, 1), (1, 10))
+    monkeypatch.setattr(cli, "color",
+                        _fake_color(coloring, SolveStatus.FOUND, True))
+    gpath = write_graph(tmp_path, fx.c5())
+    cpath = tmp_path / "col.txt"
+    assert main(["color", "--input", gpath, "--t", "10",
+                 "--output", str(cpath)]) == 1
+    assert parse_coloring(cpath.read_text()) == coloring
+    assert capsys.readouterr().err == (
+        "result: anomaly (fallback fired on a genus<=1 input at t=10)\n")
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):

@@ -53,6 +53,14 @@ def test_partial_coloring_rejected():
         induced_max_degrees(g, {0: 0, 1: 1})
 
 
+def test_coloring_rejects_classes_out_of_range():
+    # the error names the first bad vertex
+    for bad in (2, -1, None):
+        with pytest.raises(PartialColoringError,
+                           match=r"^vertex 3 has no class in 0\.\.1$"):
+            Coloring((0, 1, 1, bad, 2), (1, 10))
+
+
 def test_is_saturated():
     path = fx.path_graph(3)
     phi = Coloring((0, 0, 1), (1, 10))

@@ -1,5 +1,7 @@
 """Classification of the hand-built face configurations and their
-single-degree perturbations."""
+single-degree perturbations, and the small named graphs at their edges."""
+
+import pytest
 
 from defcolor import fixtures as fx
 from defcolor.discharging import FaceClass, classify_faces
@@ -99,3 +101,14 @@ def test_cross_faces_of_composite_fixtures():
     classes2 = {c for f, c in zip(g2.faces, classify_faces(g2))
                 if len(f) == 5}
     assert {FaceClass.Y2, FaceClass.X1} <= classes2
+
+
+def test_path_graph_small_sizes():
+    rotations = {1: ((),), 2: ((1,), (0,)), 3: ((1,), (0, 2), (1,))}
+    for n, rotation in rotations.items():
+        g = fx.path_graph(n)
+        assert g.rotation == rotation
+        assert (g.genus, len(g.faces)) == (0, 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            fx.path_graph(n)

@@ -4,6 +4,8 @@ color picks each reduction from per-kind candidate heaps that deletions
 update locally; oracles.reference_steps rescans the whole residual graph
 instead.  Both must yield the same steps in the same order, so the
 traces (and everything derived from them) cannot tell the two apart.
+The worklist's starting candidates must also be audit's lemma witnesses,
+and its high-neighbor counts must stay those of the residual graph.
 """
 
 import dataclasses
@@ -11,7 +13,9 @@ from collections import Counter
 
 import pytest
 
-from defcolor.colorer import ReductionKind, ReductionStep, capacity, color
+from defcolor.colorer import (ReductionKind, ReductionStep, _Residual,
+                              capacity, color)
+from defcolor.discharging import _near_high, audit, structural_thresholds
 
 from gadget_builders import (chorded_cycle, gen_girth5_small, long_cycle,
                              long_path, low_trigger_gadget, random_tree,
@@ -94,3 +98,36 @@ def test_reoffer_when_a_hub_drops_to_low_degree():
     assert steps[:2] == [
         ReductionStep(ReductionKind.DEGREE_AT_MOST_ONE, (23,), None),
         ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), None)]
+
+
+def _lemma_graphs(corpus):
+    return (corpus[::10]
+            + [_fixture_graph(name, kwargs) for name, kwargs in FIXTURE_CASES]
+            + [graph for _, graph, _ in GATE_SHAPES])
+
+
+@pytest.mark.parametrize("t", (10, 11, 15))
+def test_starting_candidates_are_the_audit_witnesses(corpus, t):
+    # kinds 1-3 are the min-degree, no-22 and vx-degree lemmas
+    for graph in _lemma_graphs(corpus):
+        found = {"min-degree": set(), "no-22": set(), "vx-degree": set()}
+        for lemma, witness in audit(graph, t).lemma_violations.rows:
+            if lemma in found:
+                found[lemma].update(witness)
+        queued = [{v for v, here in enumerate(q) if here}
+                  for q in _Residual(graph, t).queued]
+        assert queued == [found["min-degree"], found["no-22"],
+                          found["vx-degree"]]
+
+
+@pytest.mark.parametrize("t", (10, 11, 15))
+def test_high_counts_follow_every_deletion(corpus, t):
+    _, high = structural_thresholds(t)
+    for graph in _lemma_graphs(corpus):
+        residual = _Residual(graph, t)
+        deg, highs = residual.deg, residual.highs
+        while (row := residual.next_step()) is not None:
+            residual.delete(row[1])
+            fresh = _near_high(graph.rotation, deg, high)
+            assert all(highs[v] == fresh[v]
+                       for v in range(graph.n) if deg[v] >= 0)
