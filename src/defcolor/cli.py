@@ -76,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact defective-coloring search")
     add_common(p)
     p.add_argument("--defects", type=_defects, required=True)
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=int, default=10 ** 7,
+                   help="node budget: one node per branching attempt "
+                        "(vertex, class); forced classes cost none "
+                        "(default 10^7)")
 
     p = sub.add_parser("color", help="constructive (1,t)-coloring")
     add_common(p)
@@ -85,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write the reduction trace (JSON)")
     p.add_argument("--budget", type=int, default=10 ** 7,
                    help="node budget of the fallback exact solve, given in "
-                        "full to each residual component (default 10^7)")
+                        "full to each residual component: one node per "
+                        "branching attempt (vertex, class); forced classes "
+                        "cost none (default 10^7)")
 
     p = sub.add_parser("audit", help="charge ledger, transfer log, and report")
     add_common(p)
@@ -127,9 +132,12 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     if res.status is SolveStatus.INFEASIBLE:
         print("result: infeasible")
-        return EXIT_NEGATIVE
-    print("result: unknown (budget exhausted)")
-    return EXIT_BUDGET
+        code = EXIT_NEGATIVE
+    else:
+        print("result: unknown (budget exhausted)")
+        code = EXIT_BUDGET
+    print(f"nodes {res.nodes}", file=sys.stderr)
+    return code
 
 
 # The trace document's layout under json.dumps(payload, indent=2).

@@ -9,10 +9,14 @@ All functions are pure and safe to call from several threads at once.
 solve_exact is one loop over the search depth: it never recurses and
 leaves interpreter state (the recursion limit included) alone.  It is
 deterministic for fixed inputs.  It tries vertices in decreasing-degree
-order (ties by id); at each depth only the earlier vertices are assigned,
-so it reads only a vertex's earlier neighbors, and its table of classes
-to try is bounded by the largest number of earlier neighbors, not by the
-length of the defect vector.
+order (ties by id) and classes in ascending order, and after each
+branching decision it propagates forced classes: a vertex left with one
+admissible class takes it, one left with none refutes the decision.  A
+node is one branching attempt (vertex, class); a forced class costs none.
+Propagation only drops branches that have no valid completion, so the
+first coloring found is the one the plain chronological search finds.
+The classes it tries are bounded by the largest number of earlier
+neighbors, not by the length of the defect vector.
 """
 
 from __future__ import annotations
@@ -143,77 +147,133 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
                 budget: int = 10 ** 7) -> SolveResult:
     """Exhaustive search for a valid defective coloring.
 
-    Depth-first over vertices in decreasing-degree order (ties by id), as
-    one loop over the depth i.  The vertex v at depth i tries its classes
-    in order, rejecting class c when v has more than d_c neighbors in c or
-    one of them already has d_c; a placement moves i up one.  Running out
-    of classes unassigns v and moves i down one, where that vertex takes
-    its class off and tries the next.  Each (vertex, class) attempt is a
-    node counted against the budget.  FOUND results always pass is_valid;
-    INFEASIBLE means the whole search space was exhausted; UNKNOWN means
-    the node budget ran out first.
+    Depth-first over vertices in decreasing-degree order (ties by id),
+    each trying its classes in ascending order, as one loop over the
+    decision depth i.  A node is one branching attempt (vertex, class),
+    counted against the budget whether or not the class is admissible.
+    FOUND results always pass is_valid; INFEASIBLE means the whole search
+    space was exhausted; UNKNOWN means the node budget ran out first.
 
-    At depth i exactly the vertices at depths 0..i-1 are assigned, so the
-    loop works on depths, not ids, and each step reads only back[i], the
-    depths of v's earlier neighbors.  The classes to try after c come
-    from a table of (class, defect) pairs.  A vertex with b earlier
-    neighbors has an admissible class among any b + 1 classes (one holds
-    none of them), so with b_max the largest b, the search never
-    backtracks when r > b_max: the table keeps min(r, b_max + 1) + 1
-    rows of at most b_max + 1 pairs, bounded by the graph, not by r.
+    Class x is closed at an unassigned vertex w when w has more than d_x
+    neighbors in x, or one of them already has d_x; closure only grows as
+    the assignment grows.  After each decision a work queue visits the
+    unassigned vertices whose closures may have grown: one with no open
+    class refutes the decision, and one with exactly one open class takes
+    it on a trail, at no node.  Backtracking undoes the trail to the
+    decision's mark, and the loop skips forced depths.  Forced vertices
+    can sit deeper than i, so the admissibility test and the same-class
+    counts read whole neighbor lists.
+
+    The result is the one the plain chronological search returns: a
+    forced class agrees with every completion of the current assignment
+    and a refuted decision has none, so the first coloring found is the
+    same, INFEASIBLE comes exactly when that search exhausts, and each
+    node is one of that search's nodes.
+
+    A vertex with b earlier neighbors has an admissible class among any
+    b + 1 classes (one holds none of them), so with b_max the largest b
+    the chronological search never needs a class past b_max: only classes
+    below min(r, b_max + 1) are tried, a bound set by the graph, not by
+    the length of the defect vector.
     """
     if budget <= 0:
         raise ColoringError("budget must be positive")
     d = validate_defects(defects)
-    r = len(d)
     n = graph.n
     rotation = graph.rotation
     order = sorted(range(n), key=lambda v: (-len(rotation[v]), v))
     depth = [0] * n
     for i, v in enumerate(order):
         depth[v] = i
-    back = [tuple(depth[u] for u in rotation[v] if depth[u] < i)
-            for i, v in enumerate(order)]
-    span = max(map(len, back), default=0) + 1
-    steps = [tuple((c, d[c]) for c in range(k, min(r, k + span)))
-             for k in range(min(r, span) + 1)]  # steps[c + 1]: classes after c
+    nbrs = [tuple(depth[u] for u in rotation[v]) for v in order]
+    b_max = max((sum(1 for u in nb if u < i) for i, nb in enumerate(nbrs)),
+                default=0)
+    r = min(len(d), b_max + 1)  # classes tried
+    dr = d[:r]
+    every = (1 << r) - 1  # bit x stands for class x
     assign = [-1] * n  # class at each depth, -1 while unassigned
     same = [0] * n  # same-class neighbors at each assigned depth
+    trail = []  # assigned depths in assignment order
+    marks = []  # trail length before each standing decision
     nodes = 0
-    i = 0
-    while 0 <= i < n:
-        bk = back[i]
-        c = assign[i]
-        # Backtracked here: take c off.  Every later depth is unassigned,
-        # so same[i] counts earlier neighbors only; at 0 there is none in c.
-        if c >= 0 and same[i]:
-            for u in bk:
-                if assign[u] == c:
-                    same[u] -= 1
-        for c, dc in steps[c + 1]:
-            nodes += 1
-            if nodes > budget:
-                return SolveResult(SolveStatus.UNKNOWN, None, nodes)
-            cnt = 0
-            for u in bk:
-                if assign[u] == c:
-                    cnt += 1
-                    if cnt > dc or same[u] >= dc:
-                        break
-            else:
-                assign[i] = c
-                same[i] = cnt
-                if cnt:
-                    for u in bk:
-                        if assign[u] == c:
-                            same[u] += 1
-                i += 1
-                break
+    i = c = 0  # decision depth and the class to try there
+    while True:
+        if c == r:
+            # Depth i has no class left, or the decision just made was
+            # refuted: undo the latest decision and try its next class.
+            if not marks:
+                return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
+            mark = marks.pop()
+            i = trail[mark]
+            c = assign[i] + 1
+            while len(trail) > mark:
+                w = trail.pop()
+                x = assign[w]
+                assign[w] = -1
+                for u in nbrs[w]:
+                    if assign[u] == x:
+                        same[u] -= 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            return SolveResult(SolveStatus.UNKNOWN, None, nodes)
+        dc = dr[c]
+        cnt = 0
+        for u in nbrs[i]:
+            if assign[u] == c:
+                cnt += 1
+                if cnt > dc or same[u] >= dc:
+                    break
         else:
-            assign[i] = -1
-            i -= 1
-    if i < 0:
-        return SolveResult(SolveStatus.INFEASIBLE, None, nodes)
-    return SolveResult(SolveStatus.FOUND,
-                       Coloring._checked(tuple(assign[k] for k in depth), d),
-                       nodes)
+            marks.append(len(trail))
+            queue = []  # depths whose closures may have grown
+            k = 0
+            w, x = i, c
+            while True:
+                # w takes x: its neighbors' closures grow, and so do the
+                # closures of the neighbors of any neighbor that x fills.
+                assign[w] = x
+                trail.append(w)
+                dx = dr[x]
+                cnt = 0
+                for u in nbrs[w]:
+                    if assign[u] == x:
+                        cnt += 1
+                        same[u] += 1
+                        if same[u] == dx:
+                            queue += nbrs[u]
+                same[w] = cnt
+                queue += nbrs[w]
+                w = -1
+                while k < len(queue):
+                    v = queue[k]
+                    k += 1
+                    if assign[v] >= 0:
+                        continue
+                    tally = [0] * r
+                    shut = 0
+                    for u in nbrs[v]:
+                        a = assign[u]
+                        if a >= 0:
+                            tally[a] += 1
+                            if tally[a] > dr[a] or same[u] >= dr[a]:
+                                shut |= 1 << a
+                    left = every & ~shut
+                    if not left & (left - 1):  # one open class or none
+                        w, x = v, left.bit_length() - 1
+                        break
+                if w < 0 or x < 0:
+                    break
+            if w >= 0:  # w has no open class
+                c = r
+                continue
+            while i < n and assign[i] >= 0:
+                i += 1
+            if i == n:
+                return SolveResult(SolveStatus.FOUND,
+                                   Coloring._checked(
+                                       tuple(assign[j] for j in depth), d),
+                                   nodes)
+            c = 0
+            continue
+        c += 1

@@ -7,7 +7,7 @@ from defcolor.colorer import (ColoringTrace, ColorResult, ReductionKind,
                               ReductionStep, color)
 from defcolor.discharging import RowLog
 from defcolor.graphio import parse_coloring, serialize_graph
-from defcolor.coloring import Coloring, SolveStatus, is_valid
+from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
 
 from gadget_builders import projective_plane_incidence
 from oracles import reference_trace_json
@@ -141,6 +141,19 @@ def test_solve_budget_exhaustion(tmp_path, capsys):
     assert main(["solve", "--input", gpath, "--defects", "0,0,0",
                  "--budget", "3"]) == 4
     assert "unknown" in capsys.readouterr().out
+
+
+def test_solve_reports_nodes_on_stderr_when_not_found(tmp_path, capsys):
+    # stdout keeps its one result line; the node count goes to stderr
+    for graph, defects, budget, code, out in (
+            (fx.c5(), (0, 0), 10 ** 7, 1, "result: infeasible\n"),
+            (fx.petersen_projective(), (0, 0, 0), 3, 4,
+             "result: unknown (budget exhausted)\n")):
+        assert main(["solve", "--input", write_graph(tmp_path, graph),
+                     "--defects", ",".join(map(str, defects)),
+                     "--budget", str(budget)]) == code
+        nodes = solve_exact(graph, defects, budget).nodes
+        assert capsys.readouterr() == (out, f"nodes {nodes}\n")
 
 
 def test_audit_text_and_csv(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The exact solver's loop against the recursive reference solver.
 
-coloring.solve_exact walks the search depth in one loop;
-oracles.reference_solve is the same search as recursive closures.  On
-every input they must agree on status, coloring and node count, also at
-the budgets where the search only just finishes or only just runs out.
+coloring.solve_exact walks the search depth in one loop and propagates
+forced classes; oracles.reference_solve is the plain chronological search
+as recursive closures.  Wherever the reference decides, they must agree
+on status and coloring; solve_exact may decide where the reference runs
+out, never the other way round, and never takes more nodes.  It decides
+at a budget of exactly its node count and runs out one node short.
 """
 
 import random
@@ -37,12 +39,27 @@ def _random_connected_graph(rng: random.Random) -> EmbeddedGraph:
     return EmbeddedGraph(nbrs)
 
 
-def _assert_same(graph, defects, budget):
+def _assert_agrees(graph, defects, budget):
+    """solve_exact against reference_solve at one budget: the same status
+    and coloring wherever the reference decides (so UNKNOWN only where the
+    reference is UNKNOWN too), and no more nodes."""
     got = solve_exact(graph, defects, budget)
     want = reference_solve(graph, defects, budget)
-    assert (got.status, got.coloring, got.nodes) == \
-        (want.status, want.coloring, want.nodes)
+    if want.status is not SolveStatus.UNKNOWN:
+        assert (got.status, got.coloring) == (want.status, want.coloring)
+    assert got.nodes <= want.nodes
     return got
+
+
+def _assert_decides_at(graph, defects, res):
+    """A decided result is decided again at a budget of res.nodes and is
+    UNKNOWN at res.nodes - 1; returns 1 when that lower budget exists."""
+    assert _assert_agrees(graph, defects, res.nodes).status is res.status
+    if res.nodes == 1:
+        return 0
+    assert _assert_agrees(graph, defects, res.nodes - 1).status \
+        is SolveStatus.UNKNOWN
+    return 1
 
 
 def test_random_graphs_match_reference():
@@ -51,18 +68,14 @@ def test_random_graphs_match_reference():
     for _ in range(250):
         graph = _random_connected_graph(rng)
         for defects in DEFECTS:
-            finished = set()
+            full = _assert_agrees(graph, defects, BUDGETS[-1])
+            assert full.status is not SolveStatus.UNKNOWN
             for budget in BUDGETS:
-                res = _assert_same(graph, defects, budget)
+                res = _assert_agrees(graph, defects, budget)
                 if res.status is not SolveStatus.UNKNOWN:
-                    finished.add(res.nodes)
-            for nodes in finished:
-                assert _assert_same(graph, defects, nodes).status \
-                    is not SolveStatus.UNKNOWN
-                if nodes > 1:
-                    short = _assert_same(graph, defects, nodes - 1)
-                    assert short.status is SolveStatus.UNKNOWN
-                    boundaries += 1
+                    assert (res.status, res.coloring, res.nodes) == \
+                        (full.status, full.coloring, full.nodes)
+            boundaries += _assert_decides_at(graph, defects, full)
     assert boundaries > 1000
 
 
