@@ -236,7 +236,7 @@ def _cmd_stats(args) -> int:
         out = "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
     else:
         out = "\n".join(f"{k}: {v}" for k, v in rows) + "\n"
-    _write(getattr(args, "output", None), out)
+    _write(args.output, out)
     return EXIT_OK
 
 

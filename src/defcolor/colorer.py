@@ -13,23 +13,14 @@ Each breaks one of audit's structural lemmas:
 Low and high are discharging.structural_thresholds(t); the Terrible faces
 are classified with the fixed high degree 12 of the face patterns.
 
-Each step takes the lowest kind that occurs.  Kinds 1-3 take the
-smallest witness id (for kind 2 the smaller 2-vertex u, paired with its
-smallest 2-neighbor).  Kind 4 takes the residual components in order of
-their least vertex, and in the first that has one the smallest hub, so a
-hub in a later component can have a smaller id.  If no configuration
-exists the colorer falls back to the exact solver; at t = 10 on genus
-<= 1 this is flagged as an anomaly: a counterexample.
+If no configuration exists the colorer falls back to the exact solver;
+at t = 10 on genus <= 1 this is flagged as an anomaly: a counterexample.
 
-The extension walks the steps in reverse on a class list phi, -1 for
-uncolored: before each step the colored vertices are exactly the
-residual graph the step was found in, minus its deleted vertices.  Kinds
-1 and 2 give each deleted vertex the class opposite its colored
-neighbor, or C_BIG; kinds 3 and 4 try their branches in proof order
-(_moves), and tests/reducibility.py extends every coloring state of
-their fixtures through each branch and fails none.  Every step keeps
-the moved vertices and their colored neighbors within their defects,
-and the final coloring is checked with is_valid.
+The extension walks the steps in reverse: before each step the colored
+vertices are exactly the residual graph the step was found in, minus its
+deleted vertices.  tests/reducibility.py extends every coloring state of
+the kind-3 and kind-4 fixtures through each branch of _moves and fails
+none.
 
 Class 0 is the defect-1 class, class 1 the defect-t class.
 """
@@ -176,8 +167,9 @@ class _Residual:
 
     def next_step(self) -> tuple | None:
         """Row (kind, deleted, witness) of the first reducible configuration
-        of the residual graph in the search order of the module docstring.
-        The witness is None for kinds 1-3."""
+        of the residual graph: the lowest kind that occurs, with the
+        smallest witness id; for kind 2 the smaller 2-vertex u, paired with
+        its smallest 2-neighbor.  The witness is None for kinds 1-3."""
         deg, heap, queued = self.deg, self.heaps[0], self.queued[0]
         while heap:  # a kind-1 witness stays one until it is deleted
             v = heap[0]
@@ -402,46 +394,38 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     residual = _Residual(graph, t)
     left = graph.n
     rows: list[tuple] = []  # (kind, deleted, witness) in deletion order
-    fallback = anomaly = False
-    base: dict[int, int] = {}
-    solve_status: SolveStatus | None = None
-
-    while left:
-        row = residual.next_step()
-        if row is None:
-            fallback = True
-            anomaly = graph.genus <= 1 and t == MIN_T
-            solve_status = SolveStatus.FOUND
-            for comp, sub in _components(graph, residual.deg):
-                res = solve_exact(sub, (1, t), budget)
-                if not res.found:
-                    solve_status = res.status
-                    break
-                base.update(zip(comp, res.coloring.assignment))
-            break
+    while left and (row := residual.next_step()) is not None:
         rows.append(row)
         residual.delete(row[1])
         left -= len(row[1])
 
-    coloring: Coloring | None = None
-    if solve_status in (None, SolveStatus.FOUND):
-        phi = [-1] * graph.n
-        for v, c in base.items():
-            phi[v] = c
-        # each row gets its actions appended, last deletion first
-        for i in range(len(rows) - 1, -1, -1):
-            row = rows[i]
-            rows[i] = (*row, _apply_extension(graph, phi, row, t))
-        coloring = Coloring(tuple(phi), (1, t))
-        if not is_valid(graph, coloring):
-            raise ExtensionFailedError(
-                "final coloring invalid",
-                ReductionStep(*rows[-1]) if rows else None, phi)
-    else:
-        rows = []
+    fallback = bool(left)
+    anomaly = fallback and graph.genus <= 1 and t == MIN_T
+    base: dict[int, int] = {}
+    if fallback:
+        for comp, sub in _components(graph, residual.deg):
+            res = solve_exact(sub, (1, t), budget)
+            if not res.found:
+                trace = ColoringTrace(RowLog([], ReductionStep), base, True,
+                                      anomaly, t)
+                return ColorResult(None, trace, res.status)
+            base.update(zip(comp, res.coloring.assignment))
 
+    phi = [-1] * graph.n
+    for v, c in base.items():
+        phi[v] = c
+    # each row gets its actions appended, last deletion first
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        rows[i] = (*row, _apply_extension(graph, phi, row, t))
+    coloring = Coloring(tuple(phi), (1, t))
+    if not is_valid(graph, coloring):
+        raise ExtensionFailedError(
+            "final coloring invalid",
+            ReductionStep(*rows[-1]) if rows else None, phi)
     trace = ColoringTrace(RowLog(rows, ReductionStep), base, fallback, anomaly, t)
-    return ColorResult(coloring, trace, solve_status)
+    return ColorResult(coloring, trace,
+                       SolveStatus.FOUND if fallback else None)
 
 
 def replay_trace(graph: EmbeddedGraph, trace: ColoringTrace) -> Coloring:

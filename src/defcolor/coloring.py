@@ -8,19 +8,12 @@ are the classes whose defects are 1 and 10.
 All functions are pure and safe to call from several threads at once.
 solve_exact is one loop over the search depth: it never recurses and
 leaves interpreter state (the recursion limit included) alone.  It is
-deterministic for fixed inputs.  It tries vertices in decreasing-degree
-order (ties by id) and classes in ascending order, and after each
-branching decision it propagates forced classes: a vertex left with one
-admissible class takes it, one left with none refutes the decision.  A
-node is one branching attempt (vertex, class); a forced class costs none.
-Propagation only drops branches that have no valid completion, so the
-first coloring found is the one the plain chronological search finds.
-The classes it tries are bounded by the largest number of earlier
-neighbors, not by the length of the defect vector.
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -37,7 +30,10 @@ class PartialColoringError(ColoringError):
 
 
 def validate_defects(defects: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(map(int, defects))
+    try:
+        d = tuple(map(operator.index, defects))
+    except TypeError as exc:
+        raise ColoringError(f"defect vector must hold integers: {exc}") from None
     if not d or min(d) < 0:
         raise ColoringError(f"defect vector must be non-empty and non-negative: {d}")
     return d
@@ -60,7 +56,7 @@ class Coloring:
         object.__setattr__(self, "defects", validate_defects(self.defects))
         r = len(self.defects)
         for v, c in enumerate(self.assignment):
-            if c is None or not (0 <= c < r):
+            if not isinstance(c, int) or not 0 <= c < r:
                 raise PartialColoringError(f"vertex {v} has no class in 0..{r - 1}")
 
     @classmethod
@@ -152,7 +148,8 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
     decision depth i.  A node is one branching attempt (vertex, class),
     counted against the budget whether or not the class is admissible.
     FOUND results always pass is_valid; INFEASIBLE means the whole search
-    space was exhausted; UNKNOWN means the node budget ran out first.
+    space was exhausted; UNKNOWN means the node budget ran out first, and
+    its nodes is the budget: the attempt that would overrun it is not made.
 
     Class x is closed at an unassigned vertex w when w has more than d_x
     neighbors in x, or one of them already has d_x; closure only grows as
@@ -214,9 +211,9 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
                     if assign[u] == x:
                         same[u] -= 1
             continue
-        nodes += 1
-        if nodes > budget:
+        if nodes == budget:
             return SolveResult(SolveStatus.UNKNOWN, None, nodes)
+        nodes += 1
         dc = dr[c]
         cnt = 0
         for u in nbrs[i]:

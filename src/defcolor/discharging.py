@@ -47,7 +47,6 @@ of the face, and each 2-vertex has its other passage on another face.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -409,9 +408,8 @@ def apply_rules(graph: EmbeddedGraph,
     initial = ([(2 * d - 6) * _UNIT for d in deg]
                + [(len(face) - 6) * _UNIT for face in faces])
     net = initial.copy()
-    # one log per rule; all but the sponsor rules' come out in key order,
-    # so the final sort of their concatenation mostly walks sorted runs
-    logs: dict[str, list[tuple]] = defaultdict(list)
+    rows: list[tuple] = []
+    log = rows.append
 
     # the faces each high vertex passes, for "fi carries a high neighbor"
     passed = {h: {fi for fi, _ in graph.passages(h)}
@@ -446,7 +444,6 @@ def apply_rules(graph: EmbeddedGraph,
             sends = [(fi, pos, share) for fi, pos in eligible]
         else:
             continue
-        log = logs[rule].append
         for fi, pos, units in sends:
             log((rule, "v", v, "f", fi, (pos,), units, None))
             net[v] -= units
@@ -466,8 +463,8 @@ def apply_rules(graph: EmbeddedGraph,
                            else ("R8B", _ONE))
         else:
             continue
-        logs[rule].append((rule, "f", inst.f1, "f", inst.f2,
-                           (u2, u3, inst.position), units, None))
+        log((rule, "f", inst.f1, "f", inst.f2, (u2, u3, inst.position),
+             units, None))
         net[n + inst.f1] -= units
         net[n + inst.f2] += units
         if rule != "R6":
@@ -475,7 +472,6 @@ def apply_rules(graph: EmbeddedGraph,
             coupled.add((inst.f1, two_end))
             coupled.add((inst.f2, two_end))
 
-    log = logs["R5"].append
     # each face's 2-vertices in walk order: rows.sort() below orders them
     for fi, face in enumerate(faces):
         for pos, u in enumerate(face):
@@ -486,7 +482,6 @@ def apply_rules(graph: EmbeddedGraph,
                 net[u] += _ONE
 
     # keys are unique, so a row's natural order is its key order
-    rows = [row for rule in sorted(logs) for row in logs[rule]]
     rows.sort()
     return ChargeLedger(n, tuple(initial), tuple(net)), RowLog(rows, _transfer)
 
@@ -668,10 +663,8 @@ def transfers_csv(transfers: RowLog[Transfer]) -> str:
 
 
 def report_text(report: AuditReport) -> str:
-    """The text report, written from the claim and lemma rows; each
-    distinct claim final is formatted once."""
+    """The text report, written from the claim and lemma rows."""
     ledger, claims = report.ledger, report.claim_violations.rows
-    final = _unit_texts({row[2] for row in claims})
     lines = [
         f"genus: {report.genus}",
         f"threshold t: {report.t}",
@@ -679,7 +672,8 @@ def report_text(report: AuditReport) -> str:
         f"total final charge: {format_fraction(ledger.total_final)}",
         f"claim violations: {len(report.claim_violations)}",
     ]
-    lines += [f"  {claim} at {kind}{index} (final {final[units]})"
+    lines += [f"  {claim} at {kind}{index} "
+              f"(final {format_fraction(Fraction(units, _UNIT))})"
               for claim, (kind, index), units in claims]
     lines.append(f"lemma violations: {len(report.lemma_violations)}")
     lines += [f"  {lemma} witness {witness}"

@@ -10,32 +10,17 @@ rotation[u][i]).  It checks the rotation system against that numbering,
 keeps each dart's reverse and the twisted darts for the face walk, and
 walks no face; ``edges``, the sorted edge tuple, is built on first read.
 
-Faces are traced in one walk over integer states ``2*d + s``, dart d in
-sense s.  In sense 0, after dart ``(u, v)`` comes ``(v, w)`` where ``w``
-follows ``u`` in the rotation of ``v``; in sense 1 ``w`` precedes it.
-Crossing a twisted edge flips the sense, which traces embeddings in
-non-orientable surfaces; with no twists every face is a sense-0 orbit of
-the successor rule.  Each face is walked once, from its least state in
-either direction.
+Crossing a twisted edge flips the sense of the face walk (_walk), which
+traces embeddings in non-orientable surfaces.
 
 A face is its closed boundary walk, a tuple of vertex ids that goes
 from ``face[k]`` to ``face[k+1]``, wrapping at the end, and may revisit
 a vertex (a bridge is walked twice); its index is its position in
-``faces`` and its degree is ``len(face)``.  The first ``genus`` read
-runs the walk and keeps it, building no face.  The first ``faces`` or
-``passages`` read cuts the face tuples and the corner store from that
-walk, walking first if nothing has: corner ``offset[u] + i``, the one
-just before dart (u, rotation[u][i]), holds the (face, position) of the
-passage through it.  So a graph is walked once at most, and ``color``
-at its default t builds no face.  The girth-5 gate ``short_cycle`` is
-likewise cached on first use.  Every query returns the same value
-whenever it is asked, so instances are safe to share between threads:
-the walk is published before the genus, and ``_faces``, which marks the
-faces as built, after the corners.
-
-Girth policy: any simple connected graph embeds, but color, audit and
-apply_rules need girth >= 5 and call require_girth5, which raises
-GirthTooSmallError when the cached gate finds a 3- or 4-cycle.
+``faces`` and its degree is ``len(face)``.  A graph is walked once at
+most and its faces are built only when read, so ``color`` at its
+default t builds no face.  Every query returns the same value whenever
+it is asked, and each cache is published after what it is built from,
+so instances are safe to share between threads.
 """
 
 from __future__ import annotations

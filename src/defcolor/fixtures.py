@@ -16,6 +16,7 @@ vertex ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .builder import PlanarBuilder
@@ -103,7 +104,7 @@ class FaceFixture:
     face_verts: tuple[int, ...]
     names: Mapping[str, int] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def face_index(self) -> int:
         return find_face(self.graph, self.face_verts)
 

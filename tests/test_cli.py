@@ -140,7 +140,8 @@ def test_solve_budget_exhaustion(tmp_path, capsys):
     gpath = write_graph(tmp_path, fx.petersen_projective())
     assert main(["solve", "--input", gpath, "--defects", "0,0,0",
                  "--budget", "3"]) == 4
-    assert "unknown" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "unknown" in out and err == "nodes 3\n"
 
 
 def test_solve_reports_nodes_on_stderr_when_not_found(tmp_path, capsys):

@@ -55,10 +55,18 @@ def test_partial_coloring_rejected():
 
 def test_coloring_rejects_classes_out_of_range():
     # the error names the first bad vertex
-    for bad in (2, -1, None):
+    for bad in (2, -1, None, 0.5, "1"):
         with pytest.raises(PartialColoringError,
                            match=r"^vertex 3 has no class in 0\.\.1$"):
             Coloring((0, 1, 1, bad, 2), (1, 10))
+
+
+def test_non_integer_defects_are_rejected():
+    for bad in ((1, 1.5), (1.7, "3"), ("3",)):
+        with pytest.raises(ColoringError, match="must hold integers"):
+            Coloring((0, 0, 0, 0, 0), bad)
+        with pytest.raises(ColoringError, match="must hold integers"):
+            solve_exact(fx.c5(), bad)
 
 
 def test_is_saturated():
@@ -123,6 +131,9 @@ def test_solve_exact_budget_and_determinism():
     g = fx.petersen_projective()
     tiny = solve_exact(g, (0, 0, 0), budget=5)
     assert tiny.status is SolveStatus.UNKNOWN
+    # the attempt that would overrun the budget is neither made nor counted
+    for budget in (1, 3, 5):
+        assert solve_exact(g, (0, 0, 0), budget).nodes == budget
     a = solve_exact(g, (1, 10))
     b = solve_exact(g, (1, 10))
     assert a.coloring.assignment == b.coloring.assignment

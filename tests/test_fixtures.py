@@ -12,6 +12,20 @@ def classify(fixture):
     return classify_faces(fixture.graph)[fixture.face_index]
 
 
+def test_face_index_is_found_once(monkeypatch):
+    calls = []
+    find = fx.find_face
+
+    def counted(graph, verts):
+        calls.append(verts)
+        return find(graph, verts)
+
+    monkeypatch.setattr(fx, "find_face", counted)
+    fixture = fx.terrible_face()
+    assert fixture.face_index == fixture.face_index
+    assert len(calls) == 1
+
+
 def test_all_fixture_graphs_have_girth_five():
     graphs = [fx.special_face().graph, fx.x1_face().graph,
               fx.x2_face().graph, fx.y1_face().graph,
