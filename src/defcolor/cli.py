@@ -4,11 +4,15 @@ Subcommands: check, solve, color, audit, gen, stats.  Exit codes:
 0 success, 1 negative result (invalid coloring / infeasible / anomaly),
 2 usage error, 3 bad input, 4 budget exhausted, 5 out of memory.  Errors
 print one machine-readable line ``error: <category>: <detail>`` on stderr.
+``main`` pauses the cyclic garbage collector for the command and restores
+the caller's setting after it: no command leaves cyclic garbage, so the
+collections would free nothing (the library functions leave it alone).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -256,6 +260,16 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

@@ -1,9 +1,10 @@
 """Small hand-built graphs exercising individual charge rules and the
 colorer's re-offer triggers, small seeded random girth-5 graphs for the
 solver and oracle tests, long-girth shapes (cycles, paths, trees,
-chorded cycles of Euler genus 2 and 3) for the colorer at t > 10, and a
+chorded cycles of Euler genus 2 and 3) for the colorer at t > 10, a
 projective-plane incidence graph that none of the colorer's reductions
-can shrink."""
+can shrink, and the tripod lattice, whose torus form breaks no lemma at
+t = 10 and whose planar patches need more than (1, 1) colors."""
 
 from __future__ import annotations
 
@@ -307,3 +308,74 @@ def all_low_gadget(t: int):
     _pump(b, 1, t + 1)
     _pump(b, 4, t)
     return b.graph(), 0
+
+
+# -- the tripod lattice: every lemma holds at t = 10 ---------------------------
+
+# the triangular lattice's directions, counter-clockwise
+_LATTICE_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def _tripod_graph(hubs, wrap) -> EmbeddedGraph:
+    """The triangular lattice on ``hubs`` with each lattice edge subdivided
+    once and a tripod in each triangle, keeping only the edges and
+    triangles whose ends ``wrap`` maps into ``hubs``.
+
+    A tripod is a 3-vertex y joined directly to the first corner of the
+    triangle's counter-clockwise triple and through a new 2-vertex to the
+    other two; y lists the three in that order.  A hub's rotation takes
+    the directions counter-clockwise, each direction's edge 2-vertex
+    followed by the hub's tripod neighbour in the triangle before the
+    next direction, skipping absent items.
+    """
+    index = {h: k for k, h in enumerate(hubs)}
+    rot: list[list[int]] = [[] for _ in hubs]
+
+    def hub(i, j):
+        return index.get(wrap(i, j))
+
+    def new(*nbrs):
+        rot.append(list(nbrs))
+        return len(rot) - 1
+
+    edge = {}
+    for i, j in hubs:
+        u = hub(i, j)
+        for di, dj in _LATTICE_DIRS[:3]:
+            w = hub(i + di, j + dj)
+            if w is not None:
+                edge[u, w] = edge[w, u] = new(u, w)
+    leg = {}  # (hub, corner set) -> the hub's neighbour in that tripod
+    for i, j in hubs:
+        for tri in (((i, j), (i + 1, j), (i, j + 1)),
+                    ((i + 1, j), (i + 1, j + 1), (i, j + 1))):
+            c = [hub(*p) for p in tri]
+            if None in c:
+                continue
+            y = new()
+            rot[y] = [c[0], new(y, c[1]), new(y, c[2])]
+            for corner, x in zip(c, (y, *rot[y][1:])):
+                leg[corner, frozenset(c)] = x
+    for i, j in hubs:
+        v = hub(i, j)
+        nbrs = [hub(i + di, j + dj) for di, dj in _LATTICE_DIRS]
+        for a, b in zip(nbrs, nbrs[1:] + nbrs[:1]):
+            if a is not None:
+                rot[v].append(edge[v, a])
+                if b is not None:
+                    rot[v].append(leg[v, frozenset((v, a, b))])
+    return EmbeddedGraph(rot)
+
+
+def tripod_lattice(a: int, b: int) -> EmbeddedGraph:
+    """The tripod lattice on the a x b torus: 10 vertices per hub, hubs of
+    degree 12, Euler genus 2 and girth 5 (for a, b >= 3)."""
+    return _tripod_graph([(i, j) for i in range(a) for j in range(b)],
+                         lambda i, j: (i % a, j % b))
+
+
+def tripod_patch(a: int) -> EmbeddedGraph:
+    """The planar a x a parallelogram patch of the tripod lattice: hubs at
+    (i, j) in [0, a)^2 and only the edges and triangles inside it."""
+    return _tripod_graph([(i, j) for i in range(a) for j in range(a)],
+                         lambda i, j: (i, j))
