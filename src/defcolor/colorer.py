@@ -18,7 +18,13 @@ at t = 10 on genus <= 1 this is flagged as an anomaly: a counterexample.
 
 The extension walks the steps in reverse: before each step the colored
 vertices are exactly the residual graph the step was found in, minus its
-deleted vertices.  tests/reducibility.py extends every coloring state of
+deleted vertices.  Alongside the class list phi (-1 while uncolored) it
+keeps same[v], the number of v's colored neighbors in v's own class (0
+while v is uncolored): equal to a recount of phi after every class a
+vertex takes, changes or loses, failed branches and their undoing
+included.  Each such move touches only v and its neighbors, so a step
+costs O(sum of deg(x)) over the vertices x it moves, and the defect
+check reads counts.  tests/reducibility.py extends every coloring state of
 the kind-3 and kind-4 fixtures through each branch of _moves and fails
 none.
 
@@ -135,16 +141,27 @@ class _Residual:
     def __init__(self, graph: EmbeddedGraph, t: int):
         self.graph = graph
         self.t = t
-        self.low, high = structural_thresholds(t)
+        low, high = structural_thresholds(t)
+        self.low = low
         n = graph.n
-        self.deg = deg = [len(nbrs) for nbrs in graph.rotation]
-        self.highs = _near_high(graph.rotation, deg, high)
-        self.queued = (bytearray(d <= 1 for d in deg),
-                       bytearray(map(self._adjacent_two, range(n))),
-                       bytearray(map(self._all_low, range(n))))
-        # ascending lists are already heaps
-        self.heaps = tuple([v for v, here in enumerate(queued) if here]
-                           for queued in self.queued)
+        rotation = graph.rotation
+        self.deg = deg = [len(nbrs) for nbrs in rotation]
+        self.highs = highs = _near_high(rotation, deg, high)
+        # one pass over the vertices finds every witness _adjacent_two and
+        # _all_low accept; the ascending lists are already heaps
+        self.heaps = ones, pairs, lows = [], [], []
+        for v, d in enumerate(deg):
+            if d <= low:
+                if d <= 1:
+                    ones.append(v)
+                elif d == 2 and 2 in [deg[w] for w in rotation[v]]:
+                    pairs.append(v)
+                if not highs[v]:
+                    lows.append(v)
+        self.queued = tuple(bytearray(n) for _ in self.heaps)
+        for heap, queued in zip(self.heaps, self.queued):
+            for v in heap:
+                queued[v] = 1
 
     def _adjacent_two(self, u):
         deg = self.deg
@@ -288,17 +305,48 @@ def find_reduction(graph: EmbeddedGraph,
 # ---------------------------------------------------------------------------
 
 
-def _within_defects(rotation, phi, defects, move):
+def _same_counts(rotation, phi):
+    """same[v] for a class list phi: v's colored neighbors in v's own
+    class, 0 while v is uncolored."""
+    return [[phi[u] for u in nbrs].count(c) if c >= 0 else 0
+            for c, nbrs in zip(phi, rotation)]
+
+
+def _assign(rotation, phi, same, actions):
+    """Apply (vertex, class) actions to phi in order, class -1 uncoloring
+    the vertex, and keep same current."""
+    for x, c in actions:
+        old = phi[x]
+        if old == c:
+            continue
+        nbrs = rotation[x]
+        if old >= 0:
+            for u in nbrs:
+                if phi[u] == old:
+                    same[u] -= 1
+        phi[x] = c
+        k = 0
+        if c >= 0:
+            for u in nbrs:
+                if phi[u] == c:
+                    same[u] += 1
+                    k += 1
+        same[x] = k
+
+
+def _within_defects(rotation, phi, same, defects, move):
     """Whether every moved vertex and colored neighbor keeps its defect."""
     for x, _ in move:
-        for y in (x, *rotation[x]):
+        if same[x] > defects[phi[x]]:
+            return False
+        for y in rotation[x]:
             c = phi[y]
-            if c >= 0 and [phi[u] for u in rotation[y]].count(c) > defects[c]:
+            if c >= 0 and same[y] > defects[c]:
                 return False
     return True
 
 
-def _moves(rotation, phi, row, t):
+def _moves(rotation, phi, same, row, t):
     """The recoloring branches of a kind-3 or kind-4 step row in proof
     order, each a tuple of (vertex, class) actions in application order.
     Kind 3 has one branch.
@@ -316,8 +364,7 @@ def _moves(rotation, phi, row, t):
             return [((v, C_SMALL),)]
         # saturated big-class neighbors move to the small class first
         return [tuple((u, C_SMALL) for u in around
-                      if phi[u] == C_BIG
-                      and [phi[x] for x in rotation[u]].count(C_BIG) == t)
+                      if phi[u] == C_BIG and same[u] == t)
                 + ((v, C_BIG),)]
     (v4,) = deleted
     u4, w4 = w["u4"], w["w4"]
@@ -329,13 +376,14 @@ def _moves(rotation, phi, row, t):
     return moves
 
 
-def _apply_extension(graph: EmbeddedGraph, phi: list[int], row: tuple,
-                     t: int) -> tuple[tuple[int, int], ...]:
+def _apply_extension(graph: EmbeddedGraph, phi: list[int], same: list[int],
+                     row: tuple, t: int) -> tuple[tuple[int, int], ...]:
     """Extend phi, v's class or -1 while v is uncolored, over the deleted
     vertices of a step row (kind, deleted, witness, ...) by the first
     branch that keeps every touched vertex within its defect, and return
-    its (vertex, class) actions.  When none fits, which no valid input
-    should reach, phi is restored and ExtensionFailedError is raised."""
+    its (vertex, class) actions.  same holds _same_counts(rotation, phi)
+    and is kept so.  When none fits, which no valid input should reach,
+    phi and same are restored and ExtensionFailedError is raised."""
     rotation = graph.rotation
     kind, deleted = row[0], row[1]
     defects = (1, t)
@@ -348,21 +396,17 @@ def _apply_extension(graph: EmbeddedGraph, phi: list[int], row: tuple,
                     c = 1 - phi[u]
                     break
             move.append((v, c))
-        for x, c in move:
-            phi[x] = c
-        if _within_defects(rotation, phi, defects, move):
+        _assign(rotation, phi, same, move)
+        if _within_defects(rotation, phi, same, defects, move):
             return tuple(move)
-        for x in deleted:
-            phi[x] = -1
+        _assign(rotation, phi, same, [(x, -1) for x in deleted])
     else:
-        for move in _moves(rotation, phi, row, t):
-            saved = [phi[x] for x, _ in move]
-            for x, c in move:
-                phi[x] = c
-            if _within_defects(rotation, phi, defects, move):
+        for move in _moves(rotation, phi, same, row, t):
+            saved = [(x, phi[x]) for x, _ in move]
+            _assign(rotation, phi, same, move)
+            if _within_defects(rotation, phi, same, defects, move):
                 return move
-            for (x, _), old in zip(move, saved):
-                phi[x] = old
+            _assign(rotation, phi, same, saved)
     raise ExtensionFailedError(
         f"no recoloring branch extends past {list(deleted)}",
         ReductionStep(*row), phi)
@@ -414,10 +458,11 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     phi = [-1] * graph.n
     for v, c in base.items():
         phi[v] = c
+    same = _same_counts(graph.rotation, phi)
     # each row gets its actions appended, last deletion first
     for i in range(len(rows) - 1, -1, -1):
         row = rows[i]
-        rows[i] = (*row, _apply_extension(graph, phi, row, t))
+        rows[i] = (*row, _apply_extension(graph, phi, same, row, t))
     coloring = Coloring(tuple(phi), (1, t))
     if not is_valid(graph, coloring):
         raise ExtensionFailedError(

@@ -96,9 +96,8 @@ def induced_max_degrees(graph: EmbeddedGraph, phi: Coloring) -> list[int]:
     """Maximum degree of each color class's induced subgraph (0 if empty)."""
     assign = _total_assignment(graph, phi)
     out = [0] * phi.classes()
-    for v in range(graph.n):
-        c = assign[v]
-        same = sum(1 for u in graph.rotation[v] if assign[u] == c)
+    for c, nbrs in zip(assign, graph.rotation):
+        same = [assign[u] for u in nbrs].count(c)
         if same > out[c]:
             out[c] = same
     return out
@@ -116,10 +115,11 @@ def is_saturated(graph: EmbeddedGraph, phi: Coloring, v: int,
                  defects: Sequence[int] | None = None) -> bool:
     """True iff v has exactly defect(class(v)) neighbors of its own class."""
     assign = _total_assignment(graph, phi)
+    if v < 0:  # a negative index would read from the end
+        raise IndexError(f"vertex {v} out of range")
     c = assign[v]
     d = _defects_for(phi, defects)
-    same = sum(1 for u in graph.rotation[v] if assign[u] == c)
-    return same == d[c]
+    return [assign[u] for u in graph.rotation[v]].count(c) == d[c]
 
 
 class SolveStatus(Enum):

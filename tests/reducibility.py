@@ -19,7 +19,8 @@ t - D or less.  The tallies count leaf-count states.
 Kind 4's proof needs no {u4: small, v4: big} or {w4: small, v4: big}
 branch (see colorer._moves).  On every state where {v4: small} and
 {v4: big} both fail, the check applies each of those two branches
-directly and counts the ones that fit.
+directly and counts the ones that fit, judged by the recounting
+oracles._reference_within_defects rather than the colorer's own counts.
 
 After an intended change, print fresh pins with
 ``PYTHONPATH=src python tests/reducibility.py``.
@@ -33,9 +34,10 @@ from itertools import product
 from defcolor import fixtures as fx
 from defcolor.colorer import (C_BIG, C_SMALL, ReductionKind,
                               _apply_extension, _find_terrible_reduction,
-                              _moves, _within_defects)
+                              _moves, _same_counts)
 
 from gadget_builders import all_low_gadget
+from oracles import _reference_within_defects
 
 _KIND3, _KIND4 = (ReductionKind.ALL_LOW_DEGREE_NEIGHBORS,
                   ReductionKind.TERRIBLE_RICH_HIGH_VERTEX)
@@ -84,7 +86,7 @@ def kind4_branches(graph, row, t, roles):
     where = {role: x for x, role in roles.items()}
     deleted = [tuple((where[r], c) for r, c in b) for b in DELETED_BRANCHES]
     # kind 4's branches depend on the witness only, not on the classes
-    return _moves(graph.rotation, None, row, t), deleted
+    return _moves(graph.rotation, None, None, row, t), deleted
 
 
 def _core_colorings(rotation, core, t):
@@ -180,7 +182,8 @@ def enumerate_states(graph, row, t, roles, exact=False):
                 for i, x in enumerate(xs):
                     phi[x] = C_SMALL if i < k else C_BIG
             saved = [(x, phi[x]) for x in moved]
-            actions = _apply_extension(graph, phi, row, t)
+            same = _same_counts(rotation, phi)
+            actions = _apply_extension(graph, phi, same, row, t)
             for x, c in saved:
                 phi[x] = c
             states += 1
@@ -190,7 +193,8 @@ def enumerate_states(graph, row, t, roles, exact=False):
                 for move in deleted_moves:
                     for x, c in move:
                         phi[x] = c
-                    fits += _within_defects(rotation, phi, (1, t), move)
+                    fits += _reference_within_defects(rotation, phi, (1, t),
+                                                      move)
                     for x, c in saved:
                         phi[x] = c
     return states, branches, (fits, tried)

@@ -9,7 +9,7 @@ from defcolor.colorer import (C_BIG, C_SMALL, ColoringTrace,
                               ExtensionFailedError, ReductionKind,
                               ReductionStep, capacity, color, find_reduction,
                               replay_trace, _apply_extension,
-                              _find_terrible_reduction)
+                              _find_terrible_reduction, _same_counts)
 from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
 from defcolor.discharging import RowLog, audit
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
@@ -17,10 +17,11 @@ from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
 from defcolor.generate import gen_planar_girth5
 from defcolor.graphio import serialize_graph
 
-from gadget_builders import (chorded_cycle, gen_girth5_small, long_cycle,
-                             long_path, projective_plane_incidence,
-                             random_tree)
-from oracles import enumerate_two_class, reference_color, reference_trace_json
+from gadget_builders import (all_low_gadget, chorded_cycle, gen_girth5_small,
+                             long_cycle, long_path, projective_plane_incidence,
+                             random_tree, tripod_lattice)
+from oracles import (_reference_apply_extension, enumerate_two_class,
+                     reference_color, reference_trace_json)
 from test_golden import FIXTURE_CASES, _fixture_graph
 
 
@@ -70,12 +71,23 @@ def _class_list(graph, phi):
     return classes
 
 
+def _counted(graph, classes, row, t):
+    """_apply_extension on a bare class list, with its same-class counts
+    seeded by _same_counts; whether it extends or raises, the kept counts
+    equal a recount after it."""
+    same = _same_counts(graph.rotation, classes)
+    try:
+        return _apply_extension(graph, classes, same, row, t)
+    finally:
+        assert same == _same_counts(graph.rotation, classes)
+
+
 def _extend(graph, phi, row, t):
     """Extend phi, a class per surviving vertex, over the deleted vertices
     of a step row (kind, deleted, witness); the result must be a valid
     coloring."""
     classes = _class_list(graph, phi)
-    _apply_extension(graph, classes, row, t)
+    _counted(graph, classes, row, t)
     full = Coloring(tuple(classes), (1, t))
     assert is_valid(graph, full)
     return full
@@ -182,7 +194,7 @@ def test_terrible_branches_tried_in_proof_order():
             continue
         phi = {old: colors[new] for old, new in remap.items()}
         fits = (tuple(b.items()) for b in proof_order if valid(g, {**phi, **b}))
-        actions = _apply_extension(g, _class_list(g, phi), row, 10)
+        actions = _counted(g, _class_list(g, phi), row, 10)
         assert actions == next(fits, None)
         reached.add(actions)
     assert reached == {((v4, C_SMALL),), ((v4, C_BIG),),
@@ -191,7 +203,7 @@ def test_terrible_branches_tried_in_proof_order():
     # every vertex in the defect-1 class overloads the hub, whatever v4 gets
     hopeless = {v: C_SMALL for v in remap}
     with pytest.raises(ExtensionFailedError) as err:
-        _apply_extension(g, _class_list(g, hopeless), row, 10)
+        _counted(g, _class_list(g, hopeless), row, 10)
     assert err.value.step == step
     assert err.value.phi == hopeless
 
@@ -208,12 +220,83 @@ def test_terrible_branches_tried_in_proof_order():
 ], ids=["kind-1", "kind-2"])
 def test_single_branch_failure_carries_step_and_classes(graph, row, phi):
     with pytest.raises(ExtensionFailedError) as err:
-        _apply_extension(graph, _class_list(graph, phi), row, 10)
+        _counted(graph, _class_list(graph, phi), row, 10)
     step = err.value.step
     assert type(step) is ReductionStep
     assert step == ReductionStep(row[0], row[1], None)
     # the failed branch is undone: the deleted vertices stay uncolored
     assert err.value.phi == phi
+
+
+def _outcome(extend, *args):
+    """(actions, None) when extend(*args) extends its class list, else
+    (None, the classes ExtensionFailedError carries)."""
+    try:
+        return extend(*args), None
+    except ExtensionFailedError as err:
+        return None, err.phi
+
+
+def _extension_cases(graphs, t):
+    """(graph, final classes, step row, colored flags, states to draw) for
+    every step row color takes on graphs, with the vertices colored
+    before the row is extended, then for the kind-4 scan rows of the
+    terrible_face fixtures and the kind-3 row of all_low_gadget(t),
+    with every vertex but the deleted one colored: kind 4 never fires
+    inside color on the fixtures, and kind 3 rarely."""
+    for graph in graphs:
+        res = color(graph, t)
+        colored = [True] * graph.n
+        for step in res.trace.steps:
+            for v in step.deleted:
+                colored[v] = False
+            kind3 = step.kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS
+            yield (graph, res.coloring.assignment,
+                   (step.kind, step.deleted, step.witness), colored,
+                   20 if kind3 else 2)
+    rows = []
+    for knobs in ({}, {"w4_children": 10}, {"v_deg": 17}):
+        graph = fx.terrible_face(**knobs).graph
+        rows.append((graph, _terrible_row(graph, t)))
+    graph, v = all_low_gadget(t)
+    rows.append((graph, (ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (v,), None)))
+    for graph, row in rows:
+        if row is not None:
+            colored = [v != row[1][0] for v in range(graph.n)]
+            yield graph, color(graph, t).coloring.assignment, row, colored, 400
+
+
+@pytest.mark.parametrize("t", [10, 15])
+def test_counted_extension_matches_reference_on_random_states(corpus, t):
+    # every step row of the corpus slice and the fixtures, each extended
+    # from random class states of the vertices colored before it: half
+    # the real final classes with a few flipped, half uniform, so many
+    # overload some vertex
+    graphs = corpus[::10] + [_fixture_graph(name, kw)
+                             for name, kw in FIXTURE_CASES]
+    rng = random.Random(t)
+    outcomes = Counter()  # (kind, extended)
+    for graph, final, row, colored, draws in _extension_cases(graphs, t):
+        for _ in range(draws):
+            if rng.random() < 0.5:
+                start = [c ^ (rng.random() < 0.1) for c in final]
+            else:
+                start = [rng.randrange(2) for _ in final]
+            start = [c if here else -1 for c, here in zip(start, colored)]
+            phi, ref = start[:], start[:]
+            same = _same_counts(graph.rotation, phi)
+            got = _outcome(_apply_extension, graph, phi, same, row, t)
+            want = _outcome(_reference_apply_extension, graph, ref,
+                            ReductionStep(*row), t)
+            assert got == want and phi == ref
+            assert same == _same_counts(graph.rotation, phi)
+            if got[0] is None:  # the failed branches are undone
+                assert phi == start
+            outcomes[row[0], got[0] is not None] += 1
+            if row[0] is ReductionKind.TERRIBLE_RICH_HIGH_VERTEX and got[0]:
+                # a later branch extends only after earlier ones are undone
+                outcomes["later"] += got[0] != ((row[1][0], C_SMALL),)
+    assert len(outcomes) == 9 and min(outcomes.values()) >= 50
 
 
 def test_color_theorem_instances():
@@ -354,6 +437,15 @@ def test_color_matches_reference_on_small_random_graphs():
 ], ids=["cycle", "path", "tree", "chords-genus2", "twisted-genus3"])
 def test_color_matches_reference_on_gate_shapes(graph, t):
     _check_color(graph, t)
+
+
+@pytest.mark.parametrize("t", [11, 12])
+def test_color_matches_reference_on_tripod_lattice(t):
+    # kind-3 steps run between hundreds of kind-1 and kind-2 steps next
+    # to the lattice's 12-hubs
+    kinds = Counter()
+    _check_color(tripod_lattice(6, 6), t, kinds)
+    assert kinds[ReductionKind.ALL_LOW_DEGREE_NEIGHBORS] > 0
 
 
 def test_color_matches_reference_through_the_fallback():

@@ -86,6 +86,10 @@ def test_is_saturated():
         is_saturated(path, [0, 0, 1], 1, defects=(1, 10))
     with pytest.raises(PartialColoringError):
         is_saturated(path, Coloring((0, 0), (1, 10)), 1)
+    # a negative id would read from the end: -3 is not vertex 0
+    for v in (-3, -1, 3):
+        with pytest.raises(IndexError):
+            is_saturated(path, phi, v)
 
 
 def test_is_valid_and_is_saturated_reject_the_same_inputs():
