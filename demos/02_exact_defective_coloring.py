@@ -6,8 +6,7 @@ induces maximum degree at most d_i.  The solver either finds one, proves
 none exists, or runs out of budget.
 """
 
-from defcolor import (Coloring, induced_max_degrees, is_saturated, is_valid,
-                      solve_exact)
+from defcolor import Coloring, induced_max_degrees, is_valid, solve_exact
 from defcolor.fixtures import c5, petersen_projective, star
 
 g = c5()
@@ -24,11 +23,12 @@ print("C5 with defects (1,0):", res.status.value,
       "assignment", res.coloring.assignment)
 print("  valid:", is_valid(g, res.coloring))
 
-# Saturation: a vertex with exactly defect-many same-class neighbors
-# cannot absorb another one.
+# Saturation: the star's center has exactly defect-many (10) big-class
+# neighbors, so it cannot absorb another one.
 s = star(10)
 allbig = Coloring((1,) * 11, (1, 10))
-print("\nstar center 10-saturated:", is_saturated(s, allbig, 0))
+print("\nstar all-big induced degrees under (1,10):",
+      induced_max_degrees(s, allbig))
 
 # The Petersen graph is (1,10)-colorable, as every projective-planar
 # girth-5 graph must be.

@@ -9,7 +9,7 @@ back with the configuration's recoloring recipe.
 
 from collections import Counter
 
-from defcolor import capacity, color, find_reduction, is_valid, replay_trace
+from defcolor import capacity, color, is_valid, replay_trace
 from defcolor.fixtures import c5, dodecahedron, petersen_projective
 from defcolor.generate import gen_planar_girth5
 
@@ -18,10 +18,9 @@ print("capacity by genus:", {g: capacity(g) for g in range(6)})
 
 # C5: the first reduction is an adjacent 2-vertex pair.
 g = c5()
-step = find_reduction(g, t=10)
-print("\nC5 first reduction:", step.kind.value, "deletes", step.deleted)
-
 res = color(g, t=10)
+step = res.trace.steps[0]
+print("\nC5 first reduction:", step.kind.value, "deletes", step.deleted)
 print("C5 colored:", res.coloring.assignment,
       "valid:", is_valid(g, res.coloring))
 for entry in res.trace.steps:

@@ -9,17 +9,15 @@ corpus generation (generate) and plain-text documents (graphio).
 
 from .builder import PlanarBuilder
 from .colorer import (ColoringTrace, ColorResult, ExtensionFailedError,
-                      ReductionKind, ReductionStep, color, find_reduction,
-                      replay_trace)
+                      ReductionKind, ReductionStep, color, replay_trace)
 from .coloring import (Coloring, ColoringError, PartialColoringError,
-                       SolveResult, SolveStatus, induced_max_degrees,
-                       is_saturated, is_valid, solve_exact)
+                       SolveResult, SolveStatus, induced_max_degrees, is_valid,
+                       solve_exact)
 from .discharging import (AuditReport, ChargeLedger, FaceClass, Transfer,
                           apply_rules, audit, capacity, classify_faces,
                           ledger_csv, sponsor_instances, transfers_csv)
 from .embedding import (AsymmetricError, DisconnectedError, EmbeddedGraph,
-                        GirthTooSmallError, GraphError, NonSimpleError, girth,
-                        induced_embedding)
+                        GirthTooSmallError, GraphError, NonSimpleError, girth)
 from .generate import gen_planar_girth5
 from .graphio import (ParseError, parse_coloring, parse_graph,
                       serialize_coloring, serialize_graph)
@@ -33,9 +31,8 @@ __all__ = [
     "GirthTooSmallError", "GraphError", "NonSimpleError", "ParseError",
     "PartialColoringError", "PlanarBuilder", "ReductionKind", "ReductionStep",
     "SolveResult", "SolveStatus", "Transfer", "apply_rules", "audit",
-    "capacity", "classify_faces", "color", "find_reduction",
-    "gen_planar_girth5", "girth", "induced_embedding", "induced_max_degrees",
-    "is_saturated", "is_valid", "ledger_csv", "parse_coloring", "parse_graph",
-    "replay_trace", "serialize_coloring", "serialize_graph", "solve_exact",
-    "sponsor_instances", "transfers_csv",
+    "capacity", "classify_faces", "color", "gen_planar_girth5", "girth",
+    "induced_max_degrees", "is_valid", "ledger_csv", "parse_coloring",
+    "parse_graph", "replay_trace", "serialize_coloring", "serialize_graph",
+    "solve_exact", "sponsor_instances", "transfers_csv",
 ]

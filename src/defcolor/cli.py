@@ -21,7 +21,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .colorer import color
-from .coloring import SolveStatus, is_valid, solve_exact
+from .coloring import SolveStatus, is_valid, solve_exact, validate_defects
 from .discharging import (audit, classify_faces, ledger_csv, report_text,
                           transfers_csv)
 from .embedding import girth
@@ -53,8 +53,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _defects(spec: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in spec.split(","))
+    try:  # a ColoringError is a ValueError
+        return validate_defects([int(x) for x in spec.split(",")])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad defect vector {spec!r}") from None
 

@@ -16,6 +16,20 @@ are classified with the fixed high degree 12 of the face patterns.
 If no configuration exists the colorer falls back to the exact solver;
 at t = 10 on genus <= 1 this is flagged as an anomaly: a counterexample.
 
+vx-high-general (fewer than three high vertices on a graph with a
+cycle) needs no reduction of its own: a nonempty graph with at most two
+high vertices, h1 and h2 (either may be missing), always has a kind 1-3
+witness.  Suppose it has none.  Then every low vertex has a high
+neighbor.  Take a low vertex v next to h1 but not h2.  A low neighbor w
+of v has a high neighbor too, and it is h2, as h1 would close a
+triangle; v has at most one such w, as two would close a 4-cycle
+through h2.  So v has degree <= 2, and so has w, which is next to h2 but
+not h1: v is a kind-1 witness, or v and w are adjacent 2-vertices (kind
+2).  So every low vertex is next to both h1 and h2, and by girth 5 at
+most one vertex is; but the graph is not empty, and a high vertex has
+at least t + 2 neighbors, all low but one.  Deletions never add a high
+vertex, so such a graph reduces to nothing by kinds 1-3.
+
 The extension walks the steps in reverse: before each step the colored
 vertices are exactly the residual graph the step was found in, minus its
 deleted vertices.  Alongside the class list phi (-1 while uncolored) it
@@ -286,18 +300,6 @@ def _find_terrible_reduction(graph: EmbeddedGraph, deg: Sequence[int],
                 "hub": comp[v], "u4": comp[u4], "w4": comp[w4],
                 "face": tuple(comp[u] for u in face), "ring_two": ring_two}
     return None
-
-
-def find_reduction(graph: EmbeddedGraph,
-                   t: int | None = None) -> ReductionStep | None:
-    """First reducible configuration in the fixed search order, or None.
-
-    t defaults to capacity(genus), as in color.  Raises ValueError when t
-    is below 10."""
-    if t is None:
-        t = capacity(graph.genus)
-    row = _Residual(graph, t).next_step()
-    return None if row is None else ReductionStep(*row)
 
 
 # ---------------------------------------------------------------------------

@@ -73,28 +73,13 @@ class Coloring:
         return len(self.defects)
 
 
-def _total_assignment(graph: EmbeddedGraph, phi: Coloring) -> tuple[int, ...]:
-    """phi's classes, after checking phi is a Coloring of every vertex."""
-    if not isinstance(phi, Coloring):
-        raise ColoringError(f"expected a Coloring, got {type(phi).__name__}")
-    if len(phi.assignment) != graph.n:
-        raise PartialColoringError("coloring must assign every vertex")
-    return phi.assignment
-
-
-def _defects_for(phi: Coloring, defects: Sequence[int] | None) -> tuple[int, ...]:
-    """The defect vector to check phi against: defects when given, else
-    phi's own; one entry per class of phi."""
-    d = validate_defects(defects) if defects is not None else phi.defects
-    if len(d) != phi.classes():
-        raise ColoringError(
-            f"defect vector has {len(d)} entries for {phi.classes()} classes")
-    return d
-
-
 def induced_max_degrees(graph: EmbeddedGraph, phi: Coloring) -> list[int]:
     """Maximum degree of each color class's induced subgraph (0 if empty)."""
-    assign = _total_assignment(graph, phi)
+    if not isinstance(phi, Coloring):
+        raise ColoringError(f"expected a Coloring, got {type(phi).__name__}")
+    assign = phi.assignment
+    if len(assign) != graph.n:
+        raise PartialColoringError("coloring must assign every vertex")
     out = [0] * phi.classes()
     for c, nbrs in zip(assign, graph.rotation):
         same = [assign[u] for u in nbrs].count(c)
@@ -105,21 +90,14 @@ def induced_max_degrees(graph: EmbeddedGraph, phi: Coloring) -> list[int]:
 
 def is_valid(graph: EmbeddedGraph, phi: Coloring,
              defects: Sequence[int] | None = None) -> bool:
-    """True iff every class's induced maximum degree is within its defect."""
+    """True iff every class's induced maximum degree is within its defect:
+    defects when given, else phi's own, with one entry per class of phi."""
     degs = induced_max_degrees(graph, phi)
-    d = _defects_for(phi, defects)
+    d = validate_defects(defects) if defects is not None else phi.defects
+    if len(d) != len(degs):
+        raise ColoringError(
+            f"defect vector has {len(d)} entries for {len(degs)} classes")
     return all(degs[i] <= d[i] for i in range(len(d)))
-
-
-def is_saturated(graph: EmbeddedGraph, phi: Coloring, v: int,
-                 defects: Sequence[int] | None = None) -> bool:
-    """True iff v has exactly defect(class(v)) neighbors of its own class."""
-    assign = _total_assignment(graph, phi)
-    if v < 0:  # a negative index would read from the end
-        raise IndexError(f"vertex {v} out of range")
-    c = assign[v]
-    d = _defects_for(phi, defects)
-    return [assign[u] for u in graph.rotation[v]].count(c) == d[c]
 
 
 class SolveStatus(Enum):

@@ -111,12 +111,6 @@ def _symbol(d: int) -> str:
     return _SYMBOLS[d] if d < HIGH_DEGREE else "H"
 
 
-def _canonical(word: str) -> str:
-    """Least rotation of the word or of its reversal."""
-    back = word[::-1]
-    return min(w[i:] + w[:i] for w in (word, back) for i in range(len(word)))
-
-
 class _Row(NamedTuple):
     """One classified 5-face; cross classes match in either order."""
 
@@ -138,17 +132,21 @@ _WILDCARDS = {"L": "o2345M", "+": "2345MH"}
 
 
 def _pattern_table() -> dict[str, frozenset[FaceClass]]:
-    """Every signature a face word or 4-vertex pattern matches, mapped to
-    the matching classes.
+    """Every word a face or 4-vertex pattern matches, read from any start
+    in either direction, mapped to the matching classes.
 
-    Wildcards are expanded, so a lookup is an exact match.  Face keys
-    have five symbols and 4-vertex keys four, so the two never collide.
+    Wildcards are expanded and every rotation and reversal is a key, so
+    a lookup is one exact match.  Face keys have five symbols and
+    4-vertex keys four, so the two never collide.
     """
     table: dict[str, set[FaceClass]] = {}
     for cls, row in _FACE_TABLE.items():
         for pattern in filter(None, (row.word, row.four)):
-            for word in product(*(_WILDCARDS.get(c, c) for c in pattern)):
-                table.setdefault(_canonical("".join(word)), set()).add(cls)
+            for letters in product(*(_WILDCARDS.get(c, c) for c in pattern)):
+                word = "".join(letters)
+                for w in (word, word[::-1]):
+                    for i in range(len(w)):
+                        table.setdefault(w[i:] + w[:i], set()).add(cls)
     return {sig: frozenset(classes) for sig, classes in table.items()}
 
 
@@ -158,8 +156,7 @@ _NO_MATCH: frozenset[FaceClass] = frozenset()
 
 def _matches(deg: Sequence[int], verts: Sequence[int]) -> frozenset[FaceClass]:
     """Classes whose pattern the degrees around the cyclic verts match."""
-    word = "".join(_symbol(deg[u]) for u in verts)
-    return _PATTERNS.get(_canonical(word), _NO_MATCH)
+    return _PATTERNS.get("".join(_symbol(deg[u]) for u in verts), _NO_MATCH)
 
 
 def _own_class(graph: EmbeddedGraph, deg: Sequence[int],

@@ -20,7 +20,7 @@ it sorts no edges.
 
 from __future__ import annotations
 
-from .coloring import Coloring
+from .coloring import Coloring, ColoringError, validate_defects
 from .embedding import EmbeddedGraph, GirthTooSmallError
 
 
@@ -124,7 +124,9 @@ def parse_coloring(text: str) -> Coloring:
         raise ParseError(1, "expected header 'coloring <n> defects <d1>,<d2>,...'")
     try:
         n = int(head[1])
-        defects = tuple(int(x) for x in head[3].split(","))
+        defects = validate_defects([int(x) for x in head[3].split(",")])
+    except ColoringError as exc:
+        raise ParseError(1, str(exc)) from None
     except ValueError:
         raise ParseError(1, "bad counts or defect vector") from None
     _check_vertex_count(n, lines)

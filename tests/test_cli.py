@@ -78,6 +78,25 @@ def test_check_rejects_bad_coloring(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().out
 
 
+def test_a_bad_defect_vector_is_reported_where_it_was_written(tmp_path,
+                                                             capsys):
+    gpath = write_graph(tmp_path, fx.c5())
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("coloring 5 defects 1,10\n0 1\n1 1\n2 2\n3 1\n4 2\n")
+    # on the command line: a usage error, whatever is wrong with it
+    for spec in ("x", "1,-1", ""):
+        for argv in (["solve", "--input", gpath],
+                     ["check", "--input", gpath, "--coloring", str(cpath)]):
+            assert main([*argv, "--defects", spec]) == cli.EXIT_USAGE
+            assert f"bad defect vector {spec!r}" in capsys.readouterr().err
+    # in a coloring document: a parse error on its header line
+    cpath.write_text("coloring 5 defects 1,-1\n0 1\n1 1\n2 2\n3 1\n4 2\n")
+    assert main(["check", "--input", gpath, "--coloring", str(cpath)]) == 3
+    assert capsys.readouterr().err == (
+        "error: parse: line 1: defect vector must be non-empty and "
+        "non-negative: (1, -1)\n")
+
+
 def test_check_rejects_a_vertex_count_mismatch(tmp_path, capsys):
     gpath = write_graph(tmp_path, fx.c5())
     short = tmp_path / "short.txt"

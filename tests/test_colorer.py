@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from defcolor import cli, fixtures as fx
 from defcolor.colorer import (C_BIG, C_SMALL, ColoringTrace,
                               ExtensionFailedError, ReductionKind,
-                              ReductionStep, capacity, color, find_reduction,
-                              replay_trace, _apply_extension,
-                              _find_terrible_reduction, _same_counts)
+                              ReductionStep, capacity, color, replay_trace,
+                              _apply_extension, _find_terrible_reduction,
+                              _same_counts)
 from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
 from defcolor.discharging import RowLog, audit
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
@@ -34,17 +34,18 @@ def test_capacity_values():
 
 
 def test_find_reduction_order():
+    # the first step of a trace is the first configuration found
     single = EmbeddedGraph([[]])
-    step = find_reduction(single, 10)
+    step = color(single, 10).trace.steps[0]
     assert step.kind is ReductionKind.DEGREE_AT_MOST_ONE
 
     # adjacent 2-vertices win over the all-low rule
-    step = find_reduction(fx.c5(), 10)
+    step = color(fx.c5(), 10).trace.steps[0]
     assert step.kind is ReductionKind.ADJACENT_TWO_VERTICES
     assert step.deleted == (0, 1)
 
     # no 2-2 pair in the dodecahedron, so the all-low rule fires
-    step = find_reduction(fx.dodecahedron(), 10)
+    step = color(fx.dodecahedron(), 10).trace.steps[0]
     assert step.kind is ReductionKind.ALL_LOW_DEGREE_NEIGHBORS
     assert step.deleted == (0,)
 
@@ -58,7 +59,7 @@ def test_adjacent_two_before_all_low_in_larger_graph():
     m2 = b.subdivide(0, m1)
     g = b.graph()
     assert all(g.degree(v) == 3 for v in range(20))
-    step = find_reduction(g, 10)
+    step = color(g, 10).trace.steps[0]
     assert step.kind is ReductionKind.ADJACENT_TWO_VERTICES
     assert set(step.deleted) == {m1, m2}
 
@@ -349,7 +350,7 @@ def test_audit_and_find_reduction_default_to_capacity():
     g = fx.genus2_bad_face_gadget().graph
     assert g.genus == 2
     assert audit(g).t == color(g).trace.t == capacity(2) == 11
-    assert find_reduction(g) == find_reduction(g, 11)
+    assert color(g).trace.steps == color(g, 11).trace.steps
 
 
 def test_color_handles_disconnection_during_reduction():

@@ -2,8 +2,8 @@ import pytest
 
 from defcolor import coloring, fixtures as fx
 from defcolor.coloring import (Coloring, ColoringError, PartialColoringError,
-                               SolveStatus, induced_max_degrees,
-                               is_saturated, is_valid, solve_exact)
+                               SolveStatus, induced_max_degrees, is_valid,
+                               solve_exact)
 from defcolor.embedding import EmbeddedGraph
 
 from gadget_builders import gen_girth5_small
@@ -69,55 +69,21 @@ def test_non_integer_defects_are_rejected():
             solve_exact(fx.c5(), bad)
 
 
-def test_is_saturated():
-    path = fx.path_graph(3)
-    phi = Coloring((0, 0, 1), (1, 10))
-    assert is_saturated(path, phi, 1)       # one same-class neighbor, defect 1
-    assert not is_saturated(path, phi, 2)   # zero of ten
-    lone = EmbeddedGraph([[]])
-    assert not is_saturated(lone, Coloring((0,), (1, 10)), 0)
-    starg = fx.star(10)
-    allbig = Coloring((1,) * 11, (1, 10))
-    assert is_saturated(starg, allbig, 0)
-    # only a Coloring is accepted, not a mapping or a sequence
-    with pytest.raises(ColoringError):
-        is_saturated(path, {0: 0, 1: 0, 2: 1}, 1)
-    with pytest.raises(ColoringError):
-        is_saturated(path, [0, 0, 1], 1, defects=(1, 10))
-    with pytest.raises(PartialColoringError):
-        is_saturated(path, Coloring((0, 0), (1, 10)), 1)
-    # a negative id would read from the end: -3 is not vertex 0
-    for v in (-3, -1, 3):
-        with pytest.raises(IndexError):
-            is_saturated(path, phi, v)
-
-
 def test_is_valid_and_is_saturated_reject_the_same_inputs():
     g = fx.c5()
     phi = Coloring((0, 1, 0, 1, 1), (1, 1))
-    message = "defect vector has 1 entries for 2 classes"
-    with pytest.raises(ColoringError, match=message):
+    with pytest.raises(ColoringError,
+                       match="defect vector has 1 entries for 2 classes"):
         is_valid(g, phi, (1,))
-    with pytest.raises(ColoringError, match=message):
-        is_saturated(g, phi, 4, (1,))
     with pytest.raises(ColoringError, match="3 entries for 2 classes"):
-        is_saturated(g, phi, 0, (1, 1, 1))
-    # only a Coloring is accepted, by both checks alike
-    for check in (lambda psi: is_valid(g, psi), lambda psi: is_saturated(g, psi, 0)):
+        is_valid(g, phi, (1, 1, 1))
+    # only a Coloring is accepted
+    for psi in ({0: 0}, [0, 1, 0, 1, 1]):
         with pytest.raises(ColoringError, match="expected a Coloring"):
-            check({0: 0})
-        with pytest.raises(ColoringError, match="expected a Coloring"):
-            check([0, 1, 0, 1, 1])
-
-
-def test_saturated_implies_enough_neighbors():
-    for seed in range(20):
-        g = gen_girth5_small(seed, 10)
-        res = solve_exact(g, (1, 10))
-        assert res.found
-        for v in range(g.n):
-            if is_saturated(g, res.coloring, v):
-                assert g.degree(v) >= res.coloring.defects[res.coloring.assignment[v]]
+            is_valid(g, psi)
+    with pytest.raises(PartialColoringError,
+                       match="coloring must assign every vertex"):
+        is_valid(g, Coloring((0, 1), (1, 1)))
 
 
 def test_solve_exact_examples():

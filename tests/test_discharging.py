@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from defcolor import cli, discharging, fixtures as fx
 from defcolor.discharging import (_PATTERNS, _UNIT, HIGH_DEGREE,
                                   ClaimViolation, FaceClass, LemmaViolation,
-                                  Transfer, _canonical, _r3_share, _symbol,
+                                  Transfer, _r3_share, _symbol,
                                   apply_rules, audit, classify_faces,
                                   format_fraction, ledger_csv, report_text,
                                   sponsor_instances, transfers_csv)
@@ -187,12 +187,16 @@ def _cyclic_match(degs, tests):
     (PAPER_FOUR_VERTEX_PATTERNS, 4, (1, 2, 3, 4, 5, 6, 11, 12, 13)),
 ])
 def test_pattern_table_agrees_with_paper_patterns(patterns, length, degrees):
+    # every reading of the word, from any start in either direction, is
+    # looked up as it is
     compiled = {cls: _degree_tests(pat) for cls, pat in patterns.items()}
     for degs in product(degrees, repeat=length):
         want = {cls for cls, tests in compiled.items()
                 if _cyclic_match(degs, tests)}
-        word = _canonical("".join(_symbol(d) for d in degs))
-        assert _PATTERNS.get(word, frozenset()) == want, degs
+        word = "".join(_symbol(d) for d in degs)
+        for w in (word, word[::-1]):
+            for i in range(length):
+                assert _PATTERNS.get(w[i:] + w[:i], frozenset()) == want, degs
 
 
 def test_bad_face_gets_two_from_high_vertex():

@@ -95,3 +95,9 @@ def test_coloring_parse_errors():
         parse_coloring("coloring 2 defects 1,10\n0 1\n1 1\n0 2\n")
     with pytest.raises(ParseError, match="line 1: vertex count -1 is negative"):
         parse_coloring("coloring -1 defects 1,10\n")
+    # a bad header vector is reported on the header line
+    with pytest.raises(ParseError, match=r"^line 1: defect vector must be "
+                                         r"non-empty and non-negative"):
+        parse_coloring("coloring 2 defects 1,-1\n0 1\n1 2\n")
+    with pytest.raises(ParseError, match="^line 1: bad counts or defect vector"):
+        parse_coloring("coloring 2 defects 1,x\n0 1\n1 2\n")

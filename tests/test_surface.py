@@ -7,7 +7,8 @@ every name in it must be bound.  ``bench/run.py --trace`` rebinds each
 globals.  The tier-1 run does not collect ``bench/selftest.py``, so these
 checks keep a cut of the surface from silently breaking the tracer.
 Every public function, and every public method and property of
-``EmbeddedGraph``, must also have a caller outside the tests.
+``EmbeddedGraph``, must also have a caller in the package or the
+benchmark: a demo or a test alone does not keep a name public.
 """
 
 import ast
@@ -91,13 +92,23 @@ def _names_read(node, inside=()):
         yield from _names_read(child, inside)
 
 
+# Public with no caller in src/ or bench/, each with the reason it stays.
+CALLER_EXEMPT = {
+    # the only check of a trace until a trace verifier replaces it
+    # (ROADMAP item 8)
+    "replay_trace",
+}
+
+
 def test_every_public_function_has_a_caller():
-    # a public function that only tests call is a second entry point to
-    # code the package already reaches another way
+    # a public function that only demos or tests call is a second entry
+    # point to code the package already reaches another way
     files = [*(ROOT / "src" / "defcolor").glob("*.py"),
-             *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+             *(ROOT / "bench").glob("*.py")]
     read = {name for path in files
             for name in _names_read(ast.parse(path.read_text()))}
+    assert CALLER_EXEMPT.isdisjoint(read)  # drop an entry once it has one
+    read |= CALLER_EXEMPT
     functions = [name for name in defcolor.__all__
                  if inspect.isfunction(getattr(defcolor, name))]
     assert len(functions) > 10

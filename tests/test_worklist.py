@@ -12,10 +12,12 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defcolor.colorer import (ReductionKind, ReductionStep, _Residual,
                               capacity, color)
 from defcolor.discharging import _near_high, audit, structural_thresholds
+from defcolor.embedding import EmbeddedGraph
 
 from gadget_builders import (chorded_cycle, gen_girth5_small, long_cycle,
                              long_path, low_trigger_gadget, random_tree,
@@ -131,3 +133,78 @@ def test_high_counts_follow_every_deletion(corpus, t):
             fresh = _near_high(graph.rotation, deg, high)
             assert all(highs[v] == fresh[v]
                        for v in range(graph.n) if deg[v] >= 0)
+
+
+def _distance(nbrs, a, b):
+    """Edges on a shortest a-b path (len(nbrs) when there is none)."""
+    dist, order = {a: 0}, [a]
+    for v in order:  # order grows while it is walked
+        for u in nbrs[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                order.append(u)
+    return dist.get(b, len(nbrs))
+
+
+@st.composite
+def _two_terminal_graphs(draw):
+    """(graph, t, hubs): two to five paths between vertices 0 and 1, of
+    length >= 2 and at most one of length 2, so every cycle has length
+    >= 5; then a few more paths between any two vertices, each kept only
+    when it closes no cycle shorter than 5 and leaves every degree <= 6;
+    pendant vertices hung from vertices other than 0 and 1, up to degree
+    10; and the first ``hubs`` of vertices 0 and 1 grown by leaves to
+    degree >= t + 2."""
+    t = draw(st.integers(10, 13))
+    hubs = draw(st.integers(0, 2))
+    lengths = sorted(draw(st.lists(st.integers(2, 6), min_size=2, max_size=5)))
+    lengths[1:] = [max(3, k) for k in lengths[1:]]
+    nbrs = [[], []]
+
+    def hang(u):
+        nbrs.append([u])
+        nbrs[u].append(len(nbrs) - 1)
+        return len(nbrs) - 1
+
+    def join(a, b, k):
+        for _ in range(k - 1):
+            a = hang(a)
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    for k in lengths:
+        join(0, 1, k)
+    picks = st.integers(0, 10 ** 6)
+    for x, y, k in draw(st.lists(st.tuples(picks, picks, st.integers(2, 3)),
+                                 max_size=10)):
+        a, b = x % len(nbrs), y % len(nbrs)
+        if (a != b and _distance(nbrs, a, b) + k >= 5
+                and max(len(nbrs[a]), len(nbrs[b])) < 6):
+            join(a, b, k)
+    for x in draw(st.lists(picks, max_size=8)):
+        u = 2 + x % (len(nbrs) - 2)
+        if len(nbrs[u]) < 10:
+            hang(u)
+    for h in range(hubs):
+        for _ in range(t + 2 + draw(st.integers(0, 3)) - len(nbrs[h])):
+            hang(h)
+    return EmbeddedGraph(nbrs), t, hubs
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_two_terminal_graphs())
+def test_vx_high_general_needs_no_reduction(case):
+    # the colorer's docstring argues that a graph with at most two (t+2)+
+    # vertices always has a kind-1..3 witness; deletions keep it so, and
+    # the residual graph empties without the kind-4 scan or the fallback
+    graph, t, hubs = case
+    _, high = structural_thresholds(t)
+    assert sum(1 for v in range(graph.n) if graph.degree(v) >= high) == hubs
+    assert "vx-high-general" in audit(graph, t).violated_lemmas
+    residual, left = _Residual(graph, t), graph.n
+    while left:
+        row = residual.next_step()
+        assert row is not None
+        assert row[0] is not ReductionKind.TERRIBLE_RICH_HIGH_VERTEX
+        residual.delete(row[1])
+        left -= len(row[1])
