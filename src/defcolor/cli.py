@@ -116,11 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     graph = parse_graph(_read(args.input))
     coloring = parse_coloring(_read(args.coloring))
-    defects = args.defects if args.defects else coloring.defects
     if len(coloring.assignment) != graph.n:
         print("result: invalid (vertex count mismatch)")
         return EXIT_NEGATIVE
-    if is_valid(graph, coloring, defects):
+    if is_valid(graph, coloring, args.defects):
         print("result: valid")
         return EXIT_OK
     print("result: invalid")

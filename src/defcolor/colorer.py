@@ -52,8 +52,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .coloring import (Coloring, ColoringError, SolveStatus, is_valid,
-                       solve_exact)
+from .coloring import Coloring, SolveStatus, _budget, is_valid, solve_exact
 from .discharging import (HIGH_DEGREE, MIN_T, FaceClass, RowLog, _near_high,
                           capacity, classify_faces, excess_terrible,
                           structural_thresholds)
@@ -423,7 +422,8 @@ def color(graph: EmbeddedGraph, t: int | None = None,
           budget: int = 10 ** 7) -> ColorResult:
     """Color the whole graph with defects (1, t); t defaults to the
     genus capacity.  Requires girth at least 5 (require_girth5); raises
-    ValueError when t is below 10 or budget is not positive.
+    ValueError, before any reduction, when t is not an integer of at
+    least 10 or budget is not a positive integer.
 
     The fallback solves each component of the irreducible residual graph
     on its own, each with the full ``budget`` of nodes.  The final
@@ -431,8 +431,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
     the faces of ``graph`` only the genus is read, which cuts no face
     walk (the kind-4 scan walks the residual components' own faces).
     """
-    if budget <= 0:
-        raise ColoringError("budget must be positive")
+    budget = _budget(budget)
     require_girth5(graph, "coloring")
     if t is None:
         t = capacity(graph.genus)

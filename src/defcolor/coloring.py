@@ -39,14 +39,23 @@ def validate_defects(defects: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
+def _budget(budget: int) -> int:
+    """A node budget, checked: a positive integer."""
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise ColoringError(f"budget must be an integer, got {budget!r}") from None
+    if budget <= 0:
+        raise ColoringError("budget must be positive")
+    return budget
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Total class assignment (0-based) with its defect vector.
 
     Construction validates the defect vector and range-checks every
-    class.  solve_exact, which has validated its vector and assigns only
-    classes in range, builds its result through _checked instead, so a
-    vector is validated once on every path.
+    class.
     """
 
     assignment: tuple[int, ...]
@@ -58,16 +67,6 @@ class Coloring:
         for v, c in enumerate(self.assignment):
             if not isinstance(c, int) or not 0 <= c < r:
                 raise PartialColoringError(f"vertex {v} has no class in 0..{r - 1}")
-
-    @classmethod
-    def _checked(cls, assignment: tuple[int, ...],
-                 defects: tuple[int, ...]) -> Coloring:
-        """A Coloring of an assignment and a validated defect vector whose
-        classes are all in range, built without checking them again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "defects", defects)
-        return self
 
     def classes(self) -> int:
         return len(self.defects)
@@ -151,8 +150,7 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
     below min(r, b_max + 1) are tried, a bound set by the graph, not by
     the length of the defect vector.
     """
-    if budget <= 0:
-        raise ColoringError("budget must be positive")
+    budget = _budget(budget)
     d = validate_defects(defects)
     n = graph.n
     rotation = graph.rotation
@@ -246,8 +244,7 @@ def solve_exact(graph: EmbeddedGraph, defects: Sequence[int],
                 i += 1
             if i == n:
                 return SolveResult(SolveStatus.FOUND,
-                                   Coloring._checked(
-                                       tuple(assign[j] for j in depth), d),
+                                   Coloring(tuple(assign[j] for j in depth), d),
                                    nodes)
             c = 0
             continue

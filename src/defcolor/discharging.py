@@ -22,7 +22,7 @@ and no float is used anywhere: apply_rules accumulates charges in
 integer units of 1/_UNIT = 1/27720, the least common multiple of every
 denominator a rule can produce (2, and R3's count k <= d <= 11), and
 every public value (ledger entries, transfer amounts, claim and flag
-charges) is a fractions.Fraction built from those units.  The rules and
+charges) is a fractions.Fraction that _amount builds.  The rules and
 the audit assume girth >= 5 and raise GirthTooSmallError below it.
 
 This module owns both degree thresholds.  The face patterns and rules
@@ -47,6 +47,7 @@ of the face, and each 2-vertex has its other passage on another face.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -67,9 +68,24 @@ _UNIT = math.lcm(*range(1, HIGH_DEGREE))
 _HALF, _ONE, _THREE_HALVES, _TWO = _UNIT // 2, _UNIT, 3 * _UNIT // 2, 2 * _UNIT
 
 
+@cache
+def _amount(units: int) -> Fraction:
+    """units / _UNIT: every public charge is built here, once per value.
+
+    The cache is keyed by int, since hashing a Fraction costs a modular
+    inverse, and charges take few distinct values.
+    """
+    return Fraction(units, _UNIT)
+
+
 def structural_thresholds(t: int) -> tuple[int, int]:
     """(low, high) = (t + 1, t + 2) degree thresholds of the structural
-    lemmas: (t+1)-.vertices are low, (t+2)+-vertices are high."""
+    lemmas: (t+1)-.vertices are low, (t+2)+-vertices are high.  t must be
+    an integer: color also uses it as a class's defect."""
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise ValueError(f"threshold t must be an integer, got {t!r}") from None
     if t < MIN_T:
         raise ValueError(f"threshold t must be at least {MIN_T}, got {t}")
     return t + 1, t + 2
@@ -291,27 +307,27 @@ class ChargeLedger:
 
     @cached_property
     def vertex_initial(self) -> tuple[Fraction, ...]:
-        return _fractions(self.initial[:self.n])
+        return tuple(map(_amount, self.initial[:self.n]))
 
     @cached_property
     def face_initial(self) -> tuple[Fraction, ...]:
-        return _fractions(self.initial[self.n:])
+        return tuple(map(_amount, self.initial[self.n:]))
 
     @cached_property
     def vertex_final(self) -> tuple[Fraction, ...]:
-        return _fractions(self.net[:self.n])
+        return tuple(map(_amount, self.net[:self.n]))
 
     @cached_property
     def face_final(self) -> tuple[Fraction, ...]:
-        return _fractions(self.net[self.n:])
+        return tuple(map(_amount, self.net[self.n:]))
 
     @property
     def total_initial(self) -> Fraction:
-        return Fraction(sum(self.initial), _UNIT)
+        return _amount(sum(self.initial))
 
     @property
     def total_final(self) -> Fraction:
-        return Fraction(sum(self.net), _UNIT)
+        return _amount(sum(self.net))
 
 
 @dataclass(frozen=True)
@@ -360,26 +376,10 @@ class RowLog(Sequence[_T]):
         return NotImplemented
 
 
-@cache
-def _amount(units: int) -> Fraction:
-    """units / _UNIT; transfer amounts take only a few values."""
-    return Fraction(units, _UNIT)
-
-
 def _transfer(rule, source_kind, source_id, target_kind, target_id, witness,
               units, independent) -> Transfer:
-    """The Transfer of one transfer-log row."""
     return Transfer(rule, (source_kind, source_id), (target_kind, target_id),
                     _amount(units), witness, independent)
-
-
-def _fractions(units: Sequence[int]) -> tuple[Fraction, ...]:
-    """Each value in units as a Fraction, built once per distinct value.
-
-    The cache is keyed by int: hashing a Fraction costs a modular inverse.
-    """
-    made = {x: Fraction(x, _UNIT) for x in set(units)}
-    return tuple(map(made.__getitem__, units))
 
 
 def _r3_share(d: int, k: int) -> int:
@@ -401,7 +401,6 @@ def apply_rules(graph: EmbeddedGraph,
         classes = classify_faces(graph)
     n, rotation, faces = graph.n, graph.rotation, graph.faces
     deg = [len(nbrs) for nbrs in rotation]
-    # vertex v at v, face fi at n + fi
     initial = ([(2 * d - 6) * _UNIT for d in deg]
                + [(len(face) - 6) * _UNIT for face in faces])
     net = initial.copy()
@@ -606,8 +605,7 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
             lemmas.append(("vx-high-general", (high_count,)))
 
     floor = 2 * graph.genus * _UNIT - 7 * _HALF  # 2*genus - 3.5, in units
-    floor_charge = Fraction(floor, _UNIT)
-    flags = [HighVertexFlag(v, Fraction(net[v], _UNIT), floor_charge)
+    flags = [HighVertexFlag(v, _amount(net[v]), _amount(floor))
              for v, d in enumerate(deg) if d >= high and net[v] < floor]
     return AuditReport(t, graph.genus, ledger, transfers, classes,
                        RowLog(claims, _claim_violation),
@@ -616,8 +614,7 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
 
 def _claim_violation(claim: str, element: tuple[str, int],
                      final: int) -> ClaimViolation:
-    """The ClaimViolation of one claim row."""
-    return ClaimViolation(claim, element, Fraction(final, _UNIT))
+    return ClaimViolation(claim, element, _amount(final))
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +627,11 @@ def format_fraction(x: Fraction) -> str:
 
 
 def _unit_texts(units: set[int]) -> dict[int, str]:
-    """The "p/q" text of each value, given in units."""
-    return {u: format_fraction(Fraction(u, _UNIT)) for u in units}
+    return {u: format_fraction(_amount(u)) for u in units}
 
 
 def ledger_csv(ledger: ChargeLedger) -> str:
-    """One line per vertex and then per face, from the ledger's units."""
+    """Written from the ledger's units, so no Fraction view is built."""
     initial, net, n = ledger.initial, ledger.net, ledger.n
     text = _unit_texts({*initial, *net})
     lines = ["element_kind,element_id,initial,final"]
@@ -647,8 +643,8 @@ def ledger_csv(ledger: ChargeLedger) -> str:
 
 
 def transfers_csv(transfers: RowLog[Transfer]) -> str:
-    """One line per transfer, in log order, from the log's rows; each
-    distinct amount is formatted once."""
+    """Written from the log's rows, so no Transfer is built; each distinct
+    amount is formatted once."""
     text = _unit_texts({row[6] for row in transfers.rows})
     flag = {None: "", True: "true", False: "false"}
     lines = ["rule,source_kind,source_id,target_kind,target_id,amount,witness,independent"]
@@ -660,7 +656,7 @@ def transfers_csv(transfers: RowLog[Transfer]) -> str:
 
 
 def report_text(report: AuditReport) -> str:
-    """The text report, written from the claim and lemma rows."""
+    """Written from the claim and lemma rows, so no violation is built."""
     ledger, claims = report.ledger, report.claim_violations.rows
     lines = [
         f"genus: {report.genus}",
@@ -670,7 +666,7 @@ def report_text(report: AuditReport) -> str:
         f"claim violations: {len(report.claim_violations)}",
     ]
     lines += [f"  {claim} at {kind}{index} "
-              f"(final {format_fraction(Fraction(units, _UNIT))})"
+              f"(final {format_fraction(_amount(units))})"
               for claim, (kind, index), units in claims]
     lines.append(f"lemma violations: {len(report.lemma_violations)}")
     lines += [f"  {lemma} witness {witness}"

@@ -284,10 +284,6 @@ class EmbeddedGraph:
         self._faces = tuple(faces)
         self._walked = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"EmbeddedGraph(n={self.n}, m={self.m}, "
-                f"f={len(self.faces)}, genus={self.genus})")
-
 
 def _name_fault(rot: tuple[tuple[int, ...], ...]) -> None:
     """Raise the first fault of a rotation system, scanning vertex by

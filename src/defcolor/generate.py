@@ -168,9 +168,6 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
     def eligible(v: int) -> bool:
         return b.degree(v) < hub_target.get(v, 5)
 
-    def adjacency(v: int, w: int) -> bool:
-        return w in b.rotations[v]
-
     def grow_at(v: int) -> bool:
         faces = [f for f in dict.fromkeys(b.faces_at(v)) if f not in b.reserved]
         rng.shuffle(faces)
@@ -183,7 +180,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
                 continue
             i = rng.choice(occs)
             j = rng.choice(others)
-            length = 4 if adjacency(v, verts[j]) else 3
+            length = 4 if verts[j] in b.rotations[v] else 3
             pool.insert_path(fid, i, j, length)
             return True
         for fid in faces:
@@ -218,7 +215,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
             rng.shuffle(idxs)
             pair = next(((i, j) for k, i in enumerate(idxs) for j in idxs[k + 1:]
                          if verts[i] != verts[j]
-                         and not adjacency(verts[i], verts[j])), None)
+                         and verts[j] not in b.rotations[verts[i]]), None)
             if pair is None:
                 continue
             u, w = verts[pair[0]], verts[pair[1]]

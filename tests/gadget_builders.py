@@ -12,12 +12,7 @@ from random import Random
 
 from defcolor.builder import PlanarBuilder
 from defcolor.embedding import EmbeddedGraph
-from defcolor.fixtures import DODECAHEDRON_ROTATION, find_face, path_graph
-
-
-def _pump(b, v, target):
-    while b.degree(v) < target:
-        b.attach_leaf_at(v)
+from defcolor.fixtures import DODECAHEDRON_ROTATION, _pump, find_face
 
 
 def r2_gadget():
@@ -187,10 +182,6 @@ def gen_girth5_small(seed: int, n: int) -> EmbeddedGraph:
 
 def long_cycle(n: int) -> EmbeddedGraph:
     return EmbeddedGraph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
-
-
-def long_path(n: int) -> EmbeddedGraph:
-    return path_graph(n)
 
 
 def random_tree(seed: int, n: int) -> EmbeddedGraph:

@@ -10,7 +10,8 @@ from defcolor.colorer import (C_BIG, C_SMALL, ColoringTrace,
                               ReductionStep, capacity, color, replay_trace,
                               _apply_extension, _find_terrible_reduction,
                               _same_counts)
-from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
+from defcolor.coloring import (Coloring, ColoringError, SolveStatus, is_valid,
+                               solve_exact)
 from defcolor.discharging import RowLog, audit
 from defcolor.embedding import (EmbeddedGraph, GirthTooSmallError,
                                 induced_embedding)
@@ -18,7 +19,7 @@ from defcolor.generate import gen_planar_girth5
 from defcolor.graphio import serialize_graph
 
 from gadget_builders import (all_low_gadget, chorded_cycle, gen_girth5_small,
-                             long_cycle, long_path, projective_plane_incidence,
+                             long_cycle, projective_plane_incidence,
                              random_tree, tripod_lattice)
 from oracles import (_reference_apply_extension, enumerate_two_class,
                      reference_color, reference_trace_json)
@@ -335,6 +336,9 @@ def test_color_rejects_small_girth():
         color(g, 10)
     with pytest.raises(ValueError):
         color(fx.c5(), 9)
+    # refused before any reduction, not at the final Coloring's defects
+    with pytest.raises(ValueError, match="threshold t must be an integer"):
+        color(gen_planar_girth5(1, 200), 10.5)
 
 
 def test_color_uses_capacity_by_default():
@@ -432,7 +436,7 @@ def test_color_matches_reference_on_small_random_graphs():
 
 
 @pytest.mark.parametrize("graph, t", [
-    (long_cycle(217), 10), (long_path(245), 10), (random_tree(1, 270), 10),
+    (long_cycle(217), 10), (fx.path_graph(245), 10), (random_tree(1, 270), 10),
     (chorded_cycle(1, 310, 2), 11),
     (chorded_cycle(1, 440, 3, twisted=True), 15),
 ], ids=["cycle", "path", "tree", "chords-genus2", "twisted-genus3"])
@@ -465,6 +469,9 @@ def test_color_matches_reference_through_the_fallback():
     assert res.coloring is None and res.solve_status is SolveStatus.UNKNOWN
     assert res.trace.steps == [] and res.trace.steps.rows == []
     _check_color(g, 10, budget=1)
+    # a non-integer budget is refused, not left unreachable by the node count
+    with pytest.raises(ColoringError, match="budget must be an integer"):
+        color(g, 10, budget=2.5)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -4,9 +4,11 @@ from defcolor import coloring, fixtures as fx
 from defcolor.coloring import (Coloring, ColoringError, PartialColoringError,
                                SolveStatus, induced_max_degrees, is_valid,
                                solve_exact)
+from defcolor.colorer import color
 from defcolor.embedding import EmbeddedGraph
+from defcolor.graphio import parse_coloring, serialize_coloring
 
-from gadget_builders import gen_girth5_small
+from gadget_builders import gen_girth5_small, tripod_lattice
 from oracles import enumerate_two_class, enumerate_two_class_slow
 
 
@@ -110,9 +112,12 @@ def test_solve_exact_budget_and_determinism():
     assert a.nodes == b.nodes
     with pytest.raises(ColoringError):
         solve_exact(g, (1, 10), budget=0)
+    # nodes never equal 2.5, so such a budget would switch the count off
+    with pytest.raises(ColoringError, match="budget must be an integer"):
+        solve_exact(g, (0, 0, 0), 2.5)
 
 
-def test_solve_exact_validates_the_defect_vector_once(monkeypatch):
+def test_solve_exact_validates_the_defect_vector_before_searching(monkeypatch):
     g = fx.petersen_projective()
     for bad in ((), (1, -1), [0] * 50 + [-2]):
         for budget in (1, 10 ** 7):  # raises before any search
@@ -128,13 +133,38 @@ def test_solve_exact_validates_the_defect_vector_once(monkeypatch):
     monkeypatch.setattr(coloring, "validate_defects", counted)
     long = [0] * 10 ** 4
     res = solve_exact(g, long)
-    assert res.found and len(calls) == 1
+    # the search's own check, then the result's, as every Coloring's
+    assert res.found and len(calls) == 2
     assert res.coloring == Coloring(res.coloring.assignment, tuple(long))
     assert type(res.coloring.defects) is tuple and res.coloring.classes() == 10 ** 4
     assert is_valid(g, res.coloring)
     calls.clear()
     assert solve_exact(fx.c5(), (0, 0)).status is SolveStatus.INFEASIBLE
     assert len(calls) == 1
+
+
+def test_every_coloring_handed_out_is_validated(monkeypatch):
+    validated = []
+    check = Coloring.__post_init__
+
+    def counted(self):
+        check(self)
+        validated.append(self)
+
+    monkeypatch.setattr(Coloring, "__post_init__", counted)
+    found = solve_exact(fx.petersen_projective(), (1, 10))
+    assert found.found and validated == [found.coloring]
+    validated.clear()
+    reduced = color(fx.dodecahedron(), 10)
+    assert not reduced.trace.fallback and validated == [reduced.coloring]
+    validated.clear()
+    # the fallback's solve result, then the extended coloring
+    lattice = color(tripod_lattice(6, 6), 10)
+    assert lattice.trace.fallback and len(validated) == 2
+    assert validated[-1] is lattice.coloring
+    validated.clear()
+    parsed = parse_coloring(serialize_coloring(found.coloring))
+    assert parsed == found.coloring and validated == [parsed]
 
 
 def test_numpy_oracle_agrees_with_pure_python():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from defcolor import cli, discharging, fixtures as fx
 from defcolor.discharging import (_PATTERNS, _UNIT, HIGH_DEGREE,
-                                  ClaimViolation, FaceClass, LemmaViolation,
-                                  Transfer, _r3_share, _symbol,
+                                  ChargeLedger, ClaimViolation, FaceClass,
+                                  LemmaViolation, Transfer, _r3_share, _symbol,
                                   apply_rules, audit, classify_faces,
                                   format_fraction, ledger_csv, report_text,
                                   sponsor_instances, transfers_csv)
@@ -363,6 +363,11 @@ def test_audit_rejects_small_girth():
         audit(g, 10)
 
 
+def test_audit_rejects_a_non_integer_threshold():
+    with pytest.raises(ValueError, match="threshold t must be an integer, got 10.5"):
+        audit(gen_planar_girth5(1, 200), 10.5)
+
+
 def test_audit_min_degree_lemma_catches_pendant_vertices():
     # a pendant vertex has final charge -4; only 4.1(iii) explains it
     fix = fx.special_face()
@@ -623,13 +628,15 @@ def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    views, fractions = [], discharging._fractions
+    views = []
+    for name in ("vertex_initial", "face_initial", "vertex_final", "face_final"):
+        view = vars(ChargeLedger)[name]
 
-    def counted_fractions(units):
-        views.append(len(units))
-        return fractions(units)
+        def counted_view(ledger, _build=view.func, _name=name):
+            views.append(_name)
+            return _build(ledger)
 
-    monkeypatch.setattr(discharging, "_fractions", counted_fractions)
+        monkeypatch.setattr(view, "func", counted_view)
     g = fx.terrible_face().graph
     gpath, out = tmp_path / "g.txt", tmp_path / "audit.csv"
     gpath.write_text(serialize_graph(g))
@@ -649,8 +656,9 @@ def test_cli_audit_csv_builds_no_transfer(tmp_path, monkeypatch):
     assert [type(x) for x in built] == [Transfer, ClaimViolation, LemmaViolation]
     # the first read of a Fraction view builds it, and later reads reuse it
     first = rep.ledger.vertex_final
-    assert views == [g.n] and rep.ledger.vertex_final is first
-    assert views == [g.n] and first[0] == Fraction(rep.ledger.net[0], _UNIT)
+    assert views == ["vertex_final"] and rep.ledger.vertex_final is first
+    assert first[0] == Fraction(rep.ledger.net[0], _UNIT)
+    assert views == ["vertex_final"]
 
 
 # -- audit row logs -----------------------------------------------------------

@@ -18,10 +18,10 @@ from defcolor.colorer import (ReductionKind, ReductionStep, _Residual,
                               capacity, color)
 from defcolor.discharging import _near_high, audit, structural_thresholds
 from defcolor.embedding import EmbeddedGraph
+from defcolor.fixtures import path_graph
 
 from gadget_builders import (chorded_cycle, gen_girth5_small, long_cycle,
-                             long_path, low_trigger_gadget, random_tree,
-                             two_trigger_gadget)
+                             low_trigger_gadget, random_tree, two_trigger_gadget)
 from oracles import reference_steps
 from test_golden import FIXTURE_CASES, _fixture_graph
 
@@ -69,7 +69,7 @@ def test_worklist_matches_rescan_on_corpus_slice(corpus, t):
 
 GATE_SHAPES = (
     [("cycle", long_cycle(n), 0) for n in (5, 6, 213, 217)]
-    + [("path", long_path(n), 0) for n in (1, 2, 243, 247)]
+    + [("path", path_graph(n), 0) for n in (1, 2, 243, 247)]
     + [("tree", random_tree(seed, 270), 0) for seed in range(4)]
     + [("chords-genus2", chorded_cycle(seed, 310, 2), 2) for seed in range(3)]
     + [("twisted-genus3", chorded_cycle(seed, 440, 3, twisted=True), 3)
