@@ -20,7 +20,7 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from .colorer import color
+from .colorer import ReductionKind, color
 from .coloring import SolveStatus, is_valid, solve_exact, validate_defects
 from .discharging import (audit, classify_faces, ledger_csv, report_text,
                           transfers_csv)
@@ -144,6 +144,7 @@ def _cmd_solve(args) -> int:
 
 
 # The trace document's layout under json.dumps(payload, indent=2).
+_BASE = '\n    "%d": %d'
 _STEP = ('\n    {\n      "kind": %s,\n      "deleted": %s,'
          '\n      "actions": %s\n    }')
 _DELETED = "\n        %d"
@@ -159,29 +160,34 @@ def _json_container(brackets: str, members: list[str], pad: str) -> str:
 
 
 @cache
-def _step_template(kind: str, deleted: int, actions: int) -> str:
+def _step_template(kind: ReductionKind, deleted: int, actions: int) -> str:
     """The %-template of a trace step of this kind with this many deleted
     vertices and actions, taking the deleted ids and then each action's
     vertex and class.  Kept per shape: a step deletes one or two vertices
     and moves a few, so the shapes are few."""
-    return _STEP % (encode_basestring_ascii(kind).replace("%", "%%"),
+    return _STEP % (encode_basestring_ascii(kind.value).replace("%", "%%"),
                     _json_container("[]", [_DELETED] * deleted, "      "),
                     _json_container("[]", [_ACTION] * actions, "      "))
 
 
 def _trace_json(trace) -> str:
     """The bytes of ``json.dumps(payload, indent=2)`` for the trace, whose
-    indenting encoder is the stdlib's slow pure-Python one: each step row
-    fills the template of its shape, kept once built, with its ints."""
-    steps = []
+    indenting encoder is the stdlib's slow pure-Python one: the document
+    is one template, each base entry and step row taking the template of
+    its shape, filled by one % with all their ints in order."""
+    base = sorted(trace.base.items())
+    ints = [*chain.from_iterable(base)]
+    templates = []
     for kind, deleted, _, actions in trace.steps.rows:
-        template = _step_template(kind.value, len(deleted), len(actions))
-        steps.append(template % (*deleted, *chain.from_iterable(actions)))
-    base = [f'\n    "{v}": {c}' for v, c in sorted(trace.base.items())]
+        templates.append(_step_template(kind, len(deleted), len(actions)))
+        ints += deleted
+        for action in actions:
+            ints += action
     return (f'{{\n  "t": {trace.t},\n  "fallback": {json.dumps(trace.fallback)},'
             f'\n  "anomaly": {json.dumps(trace.anomaly)},'
-            f'\n  "base": {_json_container("{}", base, "  ")},'
-            f'\n  "steps": {_json_container("[]", steps, "  ")}\n}}\n')
+            f'\n  "base": {_json_container("{}", [_BASE] * len(base), "  ")},'
+            f'\n  "steps": {_json_container("[]", templates, "  ")}\n}}\n'
+            ) % tuple(ints)
 
 
 def _cmd_color(args) -> int:

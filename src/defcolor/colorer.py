@@ -32,13 +32,9 @@ vertex, so such a graph reduces to nothing by kinds 1-3.
 
 The extension walks the steps in reverse: before each step the colored
 vertices are exactly the residual graph the step was found in, minus its
-deleted vertices.  Alongside the class list phi (-1 while uncolored) it
-keeps same[v], the number of v's colored neighbors in v's own class (0
-while v is uncolored): equal to a recount of phi after every class a
-vertex takes, changes or loses, failed branches and their undoing
-included.  Each such move touches only v and its neighbors, so a step
-costs O(sum of deg(x)) over the vertices x it moves, and the defect
-check reads counts.  tests/reducibility.py extends every coloring state of
+deleted vertices.  It keeps same[v], v's colored neighbors in v's own
+class, current through every move, so a step costs the degrees of the
+vertices it moves.  tests/reducibility.py extends every coloring state of
 the kind-3 and kind-4 fixtures through each branch of _moves and fails
 none.
 
@@ -50,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coloring import Coloring, SolveStatus, _budget, is_valid, solve_exact
 from .discharging import (HIGH_DEGREE, MIN_T, FaceClass, RowLog, _near_high,
@@ -65,11 +61,8 @@ C_BIG = 1    # defect-t class (paper color "10")
 
 
 class ExtensionFailedError(RuntimeError):
-    """No recoloring branch extended the sub-coloring; carries a witness.
-
-    Never expected on valid inputs: it would mean either an implementation
-    bug or a counterexample to the reduction lemma that produced the step.
-    """
+    """No recoloring branch extended the sub-coloring: an implementation
+    bug or a counterexample to the step's reduction lemma."""
 
     def __init__(self, message: str, step: "ReductionStep", phi: list[int]):
         super().__init__(message)
@@ -103,12 +96,9 @@ class ReductionStep:
 
 @dataclass
 class ColoringTrace:
-    """Deletion-ordered steps plus the base coloring of the irreducible rest.
-
-    steps reads its rows (kind, deleted, witness, actions) as ReductionStep
-    objects.  Replaying the actions in reverse order on top of the base
-    assignments reproduces the final coloring exactly.
-    """
+    """Deletion-ordered step rows, read as ReductionStep objects, and the
+    base coloring of the irreducible rest: replay_trace applies the actions
+    in reverse over base and gets the final coloring."""
 
     steps: RowLog[ReductionStep]
     base: dict[int, int]
@@ -136,7 +126,8 @@ class _Residual:
     highs[v] the number of v's present neighbors of degree >= high.
     heaps[k] holds every vertex that may be the kind-(k + 1) witness, each
     at most once (queued[k][v]), re-checked at the top and dropped when
-    stale.  The search costs O(sum of deg(v)^2 + m log n) over the run.
+    stale.  steps() runs the reduction; the search costs
+    O(sum of deg(v)^2 + m log n) over the run.
 
     Every deleted vertex is low: kinds 1, 2 and 4 delete vertices of
     degree <= 2, kind 3 one of degree <= low.  So a deletion changes a
@@ -146,9 +137,9 @@ class _Residual:
     kind-2 pair: that closes a triangle) and no other degree.  A vertex w
     further away keeps its degree and kind-1 status; its kind-2 status
     can turn on only through a neighbor u whose degree just became 2, its
-    kind-3 status only through one whose degree just became low.  delete
-    tests u and its neighbors on these two triggers only; each fires at
-    most once per u.
+    kind-3 status only through one whose degree just became low.  A
+    deletion tests u and its neighbors on these two triggers only; each
+    fires at most once per u.
     """
 
     def __init__(self, graph: EmbeddedGraph, t: int):
@@ -160,8 +151,7 @@ class _Residual:
         rotation = graph.rotation
         self.deg = deg = [len(nbrs) for nbrs in rotation]
         self.highs = highs = _near_high(rotation, deg, high)
-        # one pass over the vertices finds every witness _adjacent_two and
-        # _all_low accept; the ascending lists are already heaps
+        # the ascending candidate lists are already heaps
         self.heaps = ones, pairs, lows = [], [], []
         for v, d in enumerate(deg):
             if d <= low:
@@ -176,74 +166,78 @@ class _Residual:
             for v in heap:
                 queued[v] = 1
 
-    def _adjacent_two(self, u):
-        deg = self.deg
-        return deg[u] == 2 and 2 in [deg[w] for w in self.graph.rotation[u]]
-
-    def _all_low(self, v):
-        return 0 <= self.deg[v] <= self.low and not self.highs[v]
-
-    def _top(self, k, ok):
-        heap, queued = self.heaps[k], self.queued[k]
-        while heap and not ok(heap[0]):
-            queued[heappop(heap)] = 0
-        return heap[0] if heap else None
-
-    def _push(self, k, v):
-        queued = self.queued[k]
-        if not queued[v]:
-            queued[v] = 1
-            heappush(self.heaps[k], v)
-
-    def next_step(self) -> tuple | None:
-        """Row (kind, deleted, witness) of the first reducible configuration
-        of the residual graph: the lowest kind that occurs, with the
-        smallest witness id; for kind 2 the smaller 2-vertex u, paired with
-        its smallest 2-neighbor.  The witness is None for kinds 1-3."""
-        deg, heap, queued = self.deg, self.heaps[0], self.queued[0]
-        while heap:  # a kind-1 witness stays one until it is deleted
-            v = heap[0]
-            if deg[v] >= 0:
-                return _KIND1, (v,), None
-            queued[heappop(heap)] = 0
-        u = self._top(1, self._adjacent_two)
-        if u is not None:
-            pair = min(w for w in self.graph.rotation[u] if deg[w] == 2)
-            return _KIND2, (u, pair), None
-        v = self._top(2, self._all_low)
-        if v is not None:
-            return _KIND3, (v,), None
-        return _find_terrible_reduction(self.graph, deg, self.t)
-
-    def delete(self, vertices: Sequence[int]) -> None:
-        """Remove vertices from the residual graph and queue every vertex
-        whose kind-1..3 status the removal turns on."""
-        rotation, deg, low = self.graph.rotation, self.deg, self.low
-        for v in vertices:
-            deg[v] = -1
-            for u in rotation[v]:
-                if deg[u] >= 0:
-                    deg[u] -= 1
-        push, all_low, lows, highs = (self._push, self._all_low,
-                                      self.queued[2], self.highs)
-        for v in vertices:
-            for u in rotation[v]:
-                d = deg[u]
-                if d < 0:
-                    continue
-                if d <= 1:
-                    push(0, u)
-                elif d == 2:  # first trigger: u pairs with its 2-neighbors
-                    for w in rotation[u]:
-                        if deg[w] == 2:
-                            push(1, u)
-                            push(1, w)
-                elif d == low:  # second trigger: u is high no more
-                    for w in rotation[u]:
-                        highs[w] -= 1
-                    for w in (u, *rotation[u]):
-                        if not lows[w] and all_low(w):
-                            push(2, w)
+    def steps(self) -> Iterator[tuple]:
+        """Yield the row (kind, deleted, witness) of the first reducible
+        configuration of the residual graph, and delete its vertices when
+        resumed, until the graph is empty or has none.  The row is of the
+        lowest kind that occurs, with the smallest witness id; for kind 2
+        the smaller 2-vertex u, paired with its smallest 2-neighbor.  The
+        witness is None for kinds 1-3."""
+        graph, t, low = self.graph, self.t, self.low
+        rotation, deg, highs = graph.rotation, self.deg, self.highs
+        ones, pairs, lows = self.heaps
+        in_ones, in_pairs, in_lows = self.queued
+        left = graph.n
+        while left:
+            # a kind-1 witness stays one until it is deleted
+            while ones and deg[ones[0]] < 0:
+                in_ones[heappop(ones)] = 0
+            if ones:
+                row = _KIND1, (ones[0],), None
+            else:
+                while pairs:
+                    u = pairs[0]
+                    if deg[u] == 2:
+                        twos = [w for w in rotation[u] if deg[w] == 2]
+                        if twos:
+                            break
+                    in_pairs[heappop(pairs)] = 0
+                if pairs:
+                    row = _KIND2, (u, min(twos)), None
+                else:
+                    while lows:
+                        v = lows[0]
+                        if 0 <= deg[v] <= low and not highs[v]:
+                            break
+                        in_lows[heappop(lows)] = 0
+                    if lows:
+                        row = _KIND3, (v,), None
+                    else:
+                        row = _find_terrible_reduction(graph, deg, t)
+                        if row is None:
+                            return
+            yield row
+            deleted = row[1]
+            left -= len(deleted)
+            for v in deleted:
+                deg[v] = -1
+                for u in rotation[v]:
+                    if deg[u] >= 0:
+                        deg[u] -= 1
+            for v in deleted:
+                for u in rotation[v]:
+                    d = deg[u]
+                    if d < 0:
+                        continue
+                    if d <= 1:
+                        if not in_ones[u]:
+                            in_ones[u] = 1
+                            heappush(ones, u)
+                    elif d == 2:  # first trigger: u pairs with its 2-neighbors
+                        for w in rotation[u]:
+                            if deg[w] == 2:
+                                for x in (u, w):
+                                    if not in_pairs[x]:
+                                        in_pairs[x] = 1
+                                        heappush(pairs, x)
+                    elif d == low:  # second trigger: u is high no more
+                        for w in rotation[u]:
+                            highs[w] -= 1
+                        for w in (u, *rotation[u]):
+                            if (not in_lows[w] and 0 <= deg[w] <= low
+                                    and not highs[w]):
+                                in_lows[w] = 1
+                                heappush(lows, w)
 
 
 def _components(graph, deg):
@@ -379,12 +373,10 @@ def _moves(rotation, phi, same, row, t):
 
 def _apply_extension(graph: EmbeddedGraph, phi: list[int], same: list[int],
                      row: tuple, t: int) -> tuple[tuple[int, int], ...]:
-    """Extend phi, v's class or -1 while v is uncolored, over the deleted
-    vertices of a step row (kind, deleted, witness, ...) by the first
-    branch that keeps every touched vertex within its defect, and return
-    its (vertex, class) actions.  same holds _same_counts(rotation, phi)
-    and is kept so.  When none fits, which no valid input should reach,
-    phi and same are restored and ExtensionFailedError is raised."""
+    """Extend phi and same over the deleted vertices of a step row by the
+    first branch that keeps every touched vertex within its defect, and
+    return its (vertex, class) actions.  When none fits, phi and same are
+    restored and ExtensionFailedError is raised."""
     rotation = graph.rotation
     kind, deleted = row[0], row[1]
     defects = (1, t)
@@ -397,8 +389,23 @@ def _apply_extension(graph: EmbeddedGraph, phi: list[int], same: list[int],
                     c = 1 - phi[u]
                     break
             move.append((v, c))
-        _assign(rotation, phi, same, move)
-        if _within_defects(rotation, phi, same, defects, move):
+        # each x is uncolored, so its class only raises counts; by girth 5
+        # only a kind-2 partner raises a count read before, and reads it
+        # again, so every count is checked after its last raise
+        fits = True
+        for x, c in move:
+            phi[x] = c
+            k = 0
+            for y in rotation[x]:
+                b = phi[y]
+                if b == c:
+                    same[y] += 1
+                    k += 1
+                if b >= 0 and same[y] > defects[b]:
+                    fits = False
+            same[x] = k
+            fits = fits and k <= defects[c]
+        if fits:
             return tuple(move)
         _assign(rotation, phi, same, [(x, -1) for x in deleted])
     else:
@@ -427,9 +434,7 @@ def color(graph: EmbeddedGraph, t: int | None = None,
 
     The fallback solves each component of the irreducible residual graph
     on its own, each with the full ``budget`` of nodes.  The final
-    coloring passes is_valid or an ExtensionFailedError is raised.  Of
-    the faces of ``graph`` only the genus is read, which cuts no face
-    walk (the kind-4 scan walks the residual components' own faces).
+    coloring passes is_valid or an ExtensionFailedError is raised.
     """
     budget = _budget(budget)
     require_girth5(graph, "coloring")
@@ -437,14 +442,8 @@ def color(graph: EmbeddedGraph, t: int | None = None,
         t = capacity(graph.genus)
 
     residual = _Residual(graph, t)
-    left = graph.n
-    rows: list[tuple] = []  # (kind, deleted, witness) in deletion order
-    while left and (row := residual.next_step()) is not None:
-        rows.append(row)
-        residual.delete(row[1])
-        left -= len(row[1])
-
-    fallback = bool(left)
+    rows = list(residual.steps())  # (kind, deleted, witness) in deletion order
+    fallback = max(residual.deg) >= 0  # some vertex is left
     anomaly = fallback and graph.genus <= 1 and t == MIN_T
     base: dict[int, int] = {}
     if fallback:

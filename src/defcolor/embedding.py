@@ -95,7 +95,7 @@ class EmbeddedGraph:
             if twisted[d]:  # two sign flips would cancel, not merge
                 raise GraphError(f"twist {u}-{v} listed twice")
             twisted[d] = twisted[reverse[d]] = 1
-            tw.append((a, b))
+            tw.append((heads[reverse[d]], heads[d]))  # the rotation's ids
 
         seen = bytearray(n)
         seen[0] = 1

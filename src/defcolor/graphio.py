@@ -77,10 +77,10 @@ def parse_graph(text: str) -> EmbeddedGraph:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if not line.startswith("twist"):  # no vertex line, comment or twist
+        parts = line.split()
+        if parts[0] != "twist":  # no vertex line, comment or twist
             raise ParseError(lineno, "vertex ids must be integers" if colon
                              else "expected '<vertex>: <neighbors>'")
-        parts = line.split()
         if len(parts) != 3:
             raise ParseError(lineno, "expected 'twist <u> <v>'")
         try:

@@ -771,8 +771,8 @@ def reference_parse_graph(text: str) -> SimpleNamespace:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("twist"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "twist":
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'twist <u> <v>'")
             try:

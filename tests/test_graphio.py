@@ -2,7 +2,8 @@ import pytest
 
 from defcolor import cli, fixtures as fx
 from defcolor.coloring import Coloring
-from defcolor.embedding import AsymmetricError, GirthTooSmallError
+from defcolor.embedding import (AsymmetricError, EmbeddedGraph,
+                                GirthTooSmallError)
 from defcolor.generate import gen_planar_girth5
 from defcolor.graphio import (ParseError, parse_coloring, parse_graph,
                               serialize_coloring, serialize_graph)
@@ -49,6 +50,29 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 3
+
+
+def test_only_the_word_twist_starts_a_twist_line():
+    doc = serialize_graph(fx.c5())
+    assert parse_graph(doc + "twist 0 1\n").genus == 1
+    for line in ("twisty 0 1", "twist0 1 2", "twists 0 1"):
+        with pytest.raises(ParseError, match="^line 7: expected '<vertex>: "
+                                             "<neighbors>'$"):
+            parse_graph(doc + line + "\n")
+
+
+@pytest.mark.parametrize("twist", [(0, 1.0), (True, 0)])
+def test_twists_given_as_equal_numbers_round_trip(twist):
+    # the twist is stored as the edge's own int endpoints, so the
+    # document names it as the parser expects
+    g = EmbeddedGraph(fx.c5().rotation, [twist])
+    assert [tuple(map(type, e)) for e in g.twists] == [(int, int)]
+    doc = serialize_graph(g)
+    assert doc.endswith("\ntwist 0 1\n")
+    back = parse_graph(doc)
+    assert back.twists == g.twists == {(0, 1)}
+    assert back.genus == g.genus == 1
+    assert serialize_graph(back) == doc
 
 
 def test_repeated_twist_rejected(tmp_path, capsys):

@@ -89,7 +89,9 @@ def test_kind3_takes_both_outcomes():
     for name in KIND3:
         (graph, row, t, _), (_, branches, _) = _run(name)
         require_girth5(graph, "reducibility")
-        assert _Residual(graph, t)._all_low(row[1][0])
+        # the fresh worklist queues for kind 3 exactly the low vertices
+        # with no high neighbor
+        assert _Residual(graph, t).queued[2][row[1][0]]
         # no small neighbor; or saturated big neighbors to small, v big
         assert {"v:S", "n:S v:B"} <= set(branches)
 

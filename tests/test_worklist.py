@@ -10,10 +10,12 @@ and its high-neighbor counts must stay those of the residual graph.
 
 import dataclasses
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defcolor import colorer
 from defcolor.colorer import (ReductionKind, ReductionStep, _Residual,
                               capacity, color)
 from defcolor.discharging import _near_high, audit, structural_thresholds
@@ -21,7 +23,8 @@ from defcolor.embedding import EmbeddedGraph
 from defcolor.fixtures import path_graph
 
 from gadget_builders import (chorded_cycle, gen_girth5_small, long_cycle,
-                             low_trigger_gadget, random_tree, two_trigger_gadget)
+                             low_trigger_gadget, random_tree, tripod_lattice,
+                             two_trigger_gadget)
 from oracles import reference_steps
 from test_golden import FIXTURE_CASES, _fixture_graph
 
@@ -102,6 +105,28 @@ def test_reoffer_when_a_hub_drops_to_low_degree():
         ReductionStep(ReductionKind.ALL_LOW_DEGREE_NEIGHBORS, (0,), None)]
 
 
+def test_kind4_scan_runs_only_on_a_nonempty_residual(corpus, monkeypatch):
+    # kinds 1-3 empty the corpus and the gate shapes, so steps() stops
+    # before the scan, which embeds each residual component anew; the
+    # torus lattice has no kind-1..3 witness, and is scanned
+    scans = []
+    scan = colorer._find_terrible_reduction
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(colorer, "_find_terrible_reduction", counted)
+    for t in THRESHOLDS:
+        for graph in corpus[::10]:
+            color(graph, t)
+    for _, graph, genus in GATE_SHAPES:
+        color(graph, capacity(genus))
+    assert scans == []
+    assert color(tripod_lattice(6, 6), 10).trace.fallback
+    assert len(scans) >= 1
+
+
 def _lemma_graphs(corpus):
     return (corpus[::10]
             + [_fixture_graph(name, kwargs) for name, kwargs in FIXTURE_CASES]
@@ -128,8 +153,10 @@ def test_high_counts_follow_every_deletion(corpus, t):
     for graph in _lemma_graphs(corpus):
         residual = _Residual(graph, t)
         deg, highs = residual.deg, residual.highs
-        while (row := residual.next_step()) is not None:
-            residual.delete(row[1])
+        # each row's vertices are deleted when steps() resumes: the counts
+        # are checked at every row, after the deletion before it, and last
+        # after the final deletion
+        for _ in chain(residual.steps(), [None]):
             fresh = _near_high(graph.rotation, deg, high)
             assert all(highs[v] == fresh[v]
                        for v in range(graph.n) if deg[v] >= 0)
@@ -201,10 +228,8 @@ def test_vx_high_general_needs_no_reduction(case):
     _, high = structural_thresholds(t)
     assert sum(1 for v in range(graph.n) if graph.degree(v) >= high) == hubs
     assert "vx-high-general" in audit(graph, t).violated_lemmas
-    residual, left = _Residual(graph, t), graph.n
-    while left:
-        row = residual.next_step()
-        assert row is not None
+    left = graph.n
+    for row in _Residual(graph, t).steps():
         assert row[0] is not ReductionKind.TERRIBLE_RICH_HIGH_VERTEX
-        residual.delete(row[1])
         left -= len(row[1])
+    assert left == 0  # steps() ran out of rows only on an empty graph
