@@ -6,12 +6,17 @@ surface.  Faces are traced from the rotation data and the Euler genus
 follows from ``|V| - |E| + |F| = 2 - genus``.
 
 The constructor numbers the darts once: dart ``offset[u] + i`` is (u,
-rotation[u][i]).  It checks the rotation system against that numbering,
-keeps each dart's reverse and the twisted darts for the face walk, and
-walks no face; ``edges``, the sorted edge tuple, is built on first read.
+rotation[u][i]).  The reverse of dart (u, v) is ``offset[v]`` plus the
+position of u in rotation[v], found by scanning a short rotation and
+through a position map in a long one, so the work is O(|V| + |E|) on any
+input; the rotation system is valid when that reverse is an involution
+without fixed points.  The constructor keeps the offsets, each dart's
+reverse and the twisted darts for the face walk, and walks no face;
+``edges``, the sorted edge tuple, is built on first read.
 
-Crossing a twisted edge flips the sense of the face walk (_walk), which
-traces embeddings in non-orientable surfaces.
+The face walk (_walk) runs over darts alone unless an edge is twisted:
+crossing a twisted edge flips the sense of the walk, which traces
+embeddings in non-orientable surfaces.
 
 A face is its closed boundary walk, a tuple of vertex ids that goes
 from ``face[k]`` to ``face[k+1]``, wrapping at the end, and may revisit
@@ -26,8 +31,9 @@ so instances are safe to share between threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import accumulate, chain, pairwise
-from operator import contains
+from operator import contains, ne
 from typing import Iterable, Sequence
 
 
@@ -75,23 +81,29 @@ class EmbeddedGraph:
         heads = list(chain.from_iterable(rot))
         if heads and not ({*map(type, heads)} <= {int}
                           and min(heads) >= 0 and max(heads) < n):
-            _name_fault(rot)  # returns on bool ids, which are ints
+            _name_fault(rot)
         darts = len(heads)
-        # dart d = (u, v) has key u * n + v, and dart[key] is d
-        dart = dict(zip([u * n + v for u, nbrs in enumerate(rot) for v in nbrs],
-                        range(darts)))
-        reverse = [dart.get(v * n + u, -1) for u, nbrs in enumerate(rot) for v in nbrs]
-        if (len(dart) < darts or -1 in reverse
+        offset = list(accumulate(map(len, rot), initial=0))
+        # the reverse of dart (v, u) is (u, v), at v's position in rot[u]
+        where = _positions(rot)
+        try:
+            reverse = [offset[u] + where[u].index(v)
+                       for v, nbrs in enumerate(rot) for u in nbrs]
+        except (KeyError, ValueError):  # from a position map, from a scan
+            _name_fault(rot)  # a dart without reverse
+        # a repeated dart shares its reverse with its twin, and a loop is
+        # its own reverse
+        if (any(map(ne, map(reverse.__getitem__, reverse), range(darts)))
                 or any(map(contains, rot, range(n)))):
-            _name_fault(rot)  # a repeated dart, a dart without reverse, a loop
+            _name_fault(rot)
 
         twisted = bytearray(darts)
         tw = []
         for u, v in twists:
             a, b = min(u, v), max(u, v)
-            if a == b or b >= n or a < 0 or b not in rot[a]:
+            if a == b or b >= n or a < 0 or b not in where[a]:
                 raise GraphError(f"twist {u}-{v} is not an edge")
-            d = dart[a * n + b]
+            d = offset[a] + where[a].index(b)
             if twisted[d]:  # two sign flips would cancel, not merge
                 raise GraphError(f"twist {u}-{v} listed twice")
             twisted[d] = twisted[reverse[d]] = 1
@@ -113,7 +125,7 @@ class EmbeddedGraph:
         self.m = darts // 2
         self.rotation = rot
         self.twists: frozenset[tuple[int, int]] = frozenset(tw)
-        self._reverse, self._twisted = reverse, twisted
+        self._offset, self._reverse, self._twisted = offset, reverse, twisted
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._short_cycle: float | None = None
         # _walk sets _walked and then _genus on the first genus or face
@@ -190,56 +202,64 @@ class EmbeddedGraph:
 
         Dart ``offset[u] + i`` is (u, rotation[u][i]), as numbered by the
         constructor, which also found each dart's reverse and marked the
-        twisted ones.  State ``2*d + s`` is dart d in sense s.  ``cross``
-        takes a state over its edge to the reverse dart (v, u) in the sense
-        that follows, flipped on a twisted edge; ``turn`` then steps to the
-        next (sense 0) or previous (sense 1) dart in the rotation of v.  Walking a face backwards visits
-        ``cross[x] ^ 1`` for each of its forward states x, so the walk marks
-        both as seen.  States are tried in key order (s, u, v); the first
-        unseen one is the least state of its face in either direction and
-        starts it, so faces come out in index order.  A walk that met its
-        own reverse would stop at a seen state short of its start and fail
-        the closing check.
+        twisted ones.  State ``d + darts*s`` is dart d in sense s, so a
+        sense-0 state is its dart.  ``nxt`` takes a state over its edge to
+        the reverse dart (v, u), in the sense that follows (flipped on a
+        twisted edge), and then to the next (sense 0) or previous (sense 1)
+        dart in the rotation of v.  States are tried in key order (s, u,
+        v); the first unseen one is the least state of its face in either
+        direction and starts it, so faces come out in index order.  Without
+        twists every dart lies on one sense-0 face and each sense-1 walk is
+        a sense-0 face walked backwards, so only darts are walked.  With
+        twists, the states that walk a face backwards (``back``) are marked
+        seen once the face is walked, and must lie on no face walked yet.
         """
-        rot = self.rotation
         walked: list[int] = []
         ends: list[int] = []
         if not self.m:
             ends.append(0)  # a single vertex: the sphere with one empty face
         else:
-            darts = 2 * self.m
-            cross = [0] * (2 * darts)
-            cross[0::2] = [2 * r + t for r, t in zip(self._reverse, self._twisted)]
-            cross[1::2] = [x ^ 1 for x in cross[0::2]]
-            turn = [0] * (2 * darts)
-            turn[0::2] = range(2, 2 * darts + 2, 2)
-            turn[1::2] = range(-1, 2 * darts - 1, 2)
-            # darts a to b - 1 leave one vertex: wrap around its rotation
-            for a, b in pairwise(accumulate(map(len, rot), initial=0)):
-                turn[2 * b - 2] = 2 * a
-                turn[2 * a + 1] = 2 * b - 1
-            # dart d = (u, v) ascends in u, so its reverse (v, u) joins v's
-            # bucket in ascending u: the buckets list the darts in key order
-            buckets: list[list[int]] = [[] for _ in rot]
-            for v, r in zip(chain.from_iterable(rot), self._reverse):
-                buckets[v].append(2 * r)
-            order = list(chain.from_iterable(buckets))
-            seen = bytearray(2 * darts)
-            for s0 in (0, 1):
-                for start in order:
-                    start += s0
-                    if seen[start]:
-                        continue
-                    state = start
-                    while not seen[state]:
-                        seen[state] = 1
-                        walked.append(state)
-                        x = cross[state]
-                        seen[x ^ 1] = 1
-                        state = turn[x]
-                    if state != start:
-                        raise AssertionError("face walk did not close")
-                    ends.append(len(walked))
+            rot, reverse, offset = self.rotation, self._reverse, self._offset
+            darts = len(reverse)
+            nxt = list(map(_successors(offset).__getitem__, reverse))
+            back = None
+            if self.twists:
+                pred = list(range(-1, darts - 1))
+                for a, b in pairwise(offset):
+                    pred[a] = b - 1
+                nxt += [pred[r] + darts for r in reverse]
+                back = [r + darts for r in reverse] + reverse
+                for d in (d for d, t in enumerate(self._twisted) if t):
+                    for table in (nxt, back):  # the edge flips the sense
+                        table[d], table[d + darts] = table[d + darts], table[d]
+            seen = bytearray(len(nxt))
+            for base in range(0, len(nxt), darts):  # sense 0, then sense 1
+                x = seen.find(0, base, base + darts)
+                while x >= 0:
+                    # x is the least unseen state of its sense: the states
+                    # before it leave lesser vertices or are seen, so try
+                    # the rest of its vertex u's states by head, in key order
+                    u = bisect_right(offset, x - base) - 1
+                    end = base + offset[u + 1]
+                    heads = rot[u][x - base - offset[u]:]
+                    for _, start in sorted(zip(heads, range(x, end))):
+                        if seen[start]:
+                            continue
+                        begin, state = len(walked), start
+                        while not seen[state]:
+                            seen[state] = 1
+                            walked.append(state)
+                            state = nxt[state]
+                        if state != start:
+                            raise AssertionError("face walk did not close")
+                        if back is not None:
+                            for y in map(back.__getitem__, walked[begin:]):
+                                if seen[y]:
+                                    raise AssertionError(
+                                        "face walk met its own reverse")
+                                seen[y] = 1
+                        ends.append(len(walked))
+                    x = seen.find(0, end, base + darts)
             if len(walked) != darts:
                 raise AssertionError("face degrees do not sum to 2|E|")
         genus = 2 - (self.n - self.m + len(ends))
@@ -254,22 +274,20 @@ class EmbeddedGraph:
         each corner is passed once, and publish them, faces last; then
         drop the walk.  A state leaving by dart d came in from the
         neighbor before d in sense 0 and after d in sense 1, so it passes
-        corner d or the next corner."""
+        corner d or the next corner: without twists every state is a dart
+        and passes its own corner."""
         walk = self._walked
         if walk is None:
             if self._faces is not None:
                 return  # a racing reader built the faces and dropped the walk
             walk = self._walk()
-        states, ends = walk
-        darts = len(states)
-        offset = list(accumulate(map(len, self.rotation), initial=0))
+        corners, ends = walk
+        darts = len(corners)
+        offset = self._offset
+        if self.twists:
+            corner = [*range(darts), *_successors(offset)]
+            corners = list(map(corner.__getitem__, corners))
         tails = [u for u, nbrs in enumerate(self.rotation) for _ in nbrs]
-        corner = [0] * (2 * darts)  # the corner each state passes
-        corner[0::2], corner[1::2] = range(darts), range(1, darts + 1)
-        for a, b in pairwise(offset):
-            if a < b:  # the corner after a vertex's last dart is its first
-                corner[2 * b - 1] = a
-        corners = list(map(corner.__getitem__, states))
         verts = tuple(map(tails.__getitem__, corners))  # corner c is at tails[c]
         face_of, pos_of = [-1] * darts, [0] * darts
         faces = []
@@ -285,23 +303,52 @@ class EmbeddedGraph:
         self._walked = None
 
 
+_SCAN = 32  # rotations up to this long are scanned; longer ones are mapped
+
+
+class _Positions(dict):
+    """A long rotation's position map, read like the rotation: ``u in p``,
+    and ``p.index(u)`` (a KeyError, not a ValueError, when u is absent)."""
+
+    index = dict.__getitem__
+
+
+def _positions(rot: tuple[tuple[int, ...], ...]) -> Sequence:
+    """rot, with each rotation longer than _SCAN read through a position
+    map, so that finding every neighbor's position costs O(|V| + |E|)."""
+    if max(map(len, rot)) <= _SCAN:
+        return rot
+    return tuple(_Positions(zip(nbrs, range(len(nbrs)))) if len(nbrs) > _SCAN
+                 else nbrs for nbrs in rot)
+
+
+def _successors(offset: list[int]) -> list[int]:
+    """The dart after each dart in its tail's rotation, wrapping around;
+    every vertex has a dart once the graph has an edge."""
+    succ = list(range(1, offset[-1] + 1))
+    for a, b in pairwise(offset):
+        succ[b - 1] = a
+    return succ
+
+
 def _name_fault(rot: tuple[tuple[int, ...], ...]) -> None:
     """Raise the first fault of a rotation system, scanning vertex by
-    vertex: a neighbor id that is not an int in range, a loop or a repeated
-    neighbor, and then a neighbor that does not list the vertex back.
-    Returns if there is none."""
+    vertex: a neighbor id that is not a plain int (no bool) in range, a
+    loop or a repeated neighbor, and then a neighbor that does not list the
+    vertex back.  Returns if there is none."""
     n = len(rot)
     for v, nbrs in enumerate(rot):
         for u in nbrs:
-            if not isinstance(u, int) or not (0 <= u < n):
+            if type(u) is not int or not (0 <= u < n):
                 raise GraphError(f"vertex {v}: neighbor id {u!r} out of range")
             if u == v:
                 raise NonSimpleError(f"vertex {v} lists itself (loop)")
         if len(set(nbrs)) != len(nbrs):
             raise NonSimpleError(f"vertex {v} repeats a neighbor (multi-edge)")
+    where = _positions(rot)
     for v, nbrs in enumerate(rot):
         for u in nbrs:
-            if v not in rot[u]:
+            if v not in where[u]:
                 raise AsymmetricError(f"{v} lists {u} but {u} does not list {v}")
 
 

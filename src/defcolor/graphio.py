@@ -13,9 +13,9 @@ Coloring document: ``coloring <n> defects <d1>,<d2>,...`` then one line
 Both parsers read each body line first as a vertex line, straight into
 ints; only a line that does not read as one is told apart as a twist,
 comment, blank or faulty line.  ``parse_graph`` hands the rotation to
-``EmbeddedGraph``, whose dart index checks it and serves the face walk
-later, and compares the header's edge count with ``EmbeddedGraph.m``, so
-it sorts no edges.
+``EmbeddedGraph``, which checks it by finding each dart's reverse (kept
+for the face walk later), and compares the header's edge count with
+``EmbeddedGraph.m``, so it sorts no edges.
 """
 
 from __future__ import annotations

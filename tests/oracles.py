@@ -698,17 +698,17 @@ def reference_ledger_csv(ledger: ChargeLedger) -> str:
 
 def reference_embedding(rotation: Sequence[Sequence[int]],
                         twists: Iterable[tuple[int, int]] = ()) -> SimpleNamespace:
-    """EmbeddedGraph's input checks, vertex by vertex with sets: ids in
-    range, then loops and multi-edges, then symmetry, then twists, then
-    connectivity.  Returns n, rotation, twists, the sorted edges and the
-    genus from reference_faces."""
+    """EmbeddedGraph's input checks, vertex by vertex with sets: ids that
+    are plain ints (no bools) in range, then loops and multi-edges, then
+    symmetry, then twists, then connectivity.  Returns n, rotation,
+    twists, the sorted edges and the genus from reference_faces."""
     rot = tuple(tuple(nbrs) for nbrs in rotation)
     n = len(rot)
     if n == 0:
         raise GraphError("graph must have at least one vertex")
     for v, nbrs in enumerate(rot):
         for u in nbrs:
-            if not isinstance(u, int) or not (0 <= u < n):
+            if type(u) is not int or not (0 <= u < n):
                 raise GraphError(f"vertex {v}: neighbor id {u!r} out of range")
             if u == v:
                 raise NonSimpleError(f"vertex {v} lists itself (loop)")

@@ -2,6 +2,8 @@ import math
 import random
 import sys
 import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -234,3 +236,71 @@ def test_racing_first_edge_reads_publish_one_finished_tuple():
             assert any(graph.edges is edges for edges in got)
     finally:
         sys.setswitchinterval(interval)
+
+
+HUB = 2 * 10 ** 5  # spokes of the hub graphs below
+
+
+def _cycle(n):
+    return [((v - 1) % n, (v + 1) % n) for v in range(n)]
+
+
+def _star(spokes):
+    """Leaves 0..spokes-1 around the hub, the last vertex."""
+    return [(spokes,)] * spokes + [tuple(range(spokes))]
+
+
+def _wheel(spokes):
+    """A rim cycle 0..spokes-1 around the hub, the last vertex, embedded in
+    the plane: each rim vertex turns from its predecessor to the hub."""
+    rim = [((v - 1) % spokes, spokes, (v + 1) % spokes)
+           for v in range(spokes)]
+    return rim + [tuple(range(spokes - 1, -1, -1))]
+
+
+def _seconds(make):
+    start = time.perf_counter()
+    try:
+        make()
+    except GraphError:
+        pass
+    return time.perf_counter() - start
+
+
+def test_hubs_build_and_fail_in_linear_time():
+    # Finding each neighbor's position by scanning the hub's rotation would
+    # cost about 2 * 10^10 comparisons here (8 s for a 40,000-leaf star);
+    # the hub's position map keeps every graph within a few cycle builds.
+    bad_star = _star(HUB)
+    bad_star[HUB - 1] = ()  # the last leaf does not list the hub back
+    fault = f"^{HUB} lists {HUB - 1} but {HUB - 1} does not list {HUB}$"
+    with pytest.raises(AsymmetricError, match=fault):
+        EmbeddedGraph(bad_star)
+    limit = 10 * _seconds(lambda: EmbeddedGraph(_cycle(HUB))) + 0.5
+    for make in (lambda: EmbeddedGraph(_star(HUB)),
+                 lambda: EmbeddedGraph(bad_star)):
+        assert _seconds(make) < limit
+    wheel = EmbeddedGraph(_wheel(HUB))
+    assert _seconds(lambda: wheel.genus) < limit
+    assert wheel.genus == 0 and len(wheel.faces) == HUB + 1
+    # dart (0, 1) is the least, then (0, HUB - 1) starts the rim
+    assert wheel.faces[:2] == ((0, 1, HUB), (0, *range(HUB - 1, 0, -1)))
+
+
+def test_genus_keeps_only_the_walk():
+    """The walk's tables die with it: what genus leaves alive is the walk
+    (its lists and the ints they hold), nothing per dart beside it."""
+    graph = EmbeddedGraph(_cycle(20_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert graph.genus == 0
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    walked, ends = graph._walked
+    own = sum(map(sys.getsizeof, [walked, ends, *walked, *ends]))
+    assert kept <= own + 4096, (kept, own)
+    lists = {name for name, value in vars(graph).items()
+             if isinstance(value, (list, bytearray))}
+    assert lists == {"_offset", "_reverse", "_twisted"}

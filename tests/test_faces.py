@@ -1,15 +1,16 @@
 """Face tracing against the orbit-pairing reference tracer.
 
-EmbeddedGraph walks each face once, from its least walk state; the genus
-reads only that walk, and the first face read builds the faces and the
-corner store from it.  oracles.reference_faces traces both orbits of
-every face, pairs them and sorts.  Faces (darts and order), passages in
-rotation-corner order, the sides found at the corners beside each edge
-and genus must agree on every input.  Every input is checked on a fresh
-copy whose first read is each face query in turn; a genus read must
-build no face.  networkx's planarity test checks the genus on its own, a
-recording test pins which commands walk and build, and a threaded test
-races the first reads.
+EmbeddedGraph walks each face once, from its least walk state, over darts
+alone when no edge is twisted; the genus reads only that walk, and the
+first face read builds the faces and the corner store from it.  Random
+embeddings come with twists and without.  oracles.reference_faces
+traces both orbits of every face, pairs them and sorts.  Faces (darts
+and order), passages in rotation-corner order, the sides found at the
+corners beside each edge and genus must agree on every input.  Every
+input is checked on a fresh copy whose first read is each face query in
+turn; a genus read must build no face.  networkx's planarity test checks
+the genus on its own, a recording test pins which commands walk and
+build, and a threaded test races the first reads.
 """
 
 import sys
@@ -113,18 +114,32 @@ def _connected_edges(draw, min_extra, max_extra):
     return n, sorted(edges)
 
 
-@st.composite
-def twisted_embeddings(draw, min_extra=0, max_extra=2):
-    """Random connected simple graph, each rotation shuffled and a random
-    subset of edges twisted."""
+def _shuffled_rotation(draw, min_extra, max_extra):
+    """The edges of a random connected simple graph, and its rotation with
+    each vertex's neighbors shuffled."""
     n, edges = _connected_edges(draw, min_extra, max_extra)
     nbrs = [[] for _ in range(n)]
     for a, b in edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    rotation = [draw(st.permutations(r)) for r in nbrs]
+    return edges, [draw(st.permutations(r)) for r in nbrs]
+
+
+@st.composite
+def twisted_embeddings(draw, min_extra=0, max_extra=2):
+    """Random connected simple graph, each rotation shuffled and a random
+    subset of edges twisted."""
+    edges, rotation = _shuffled_rotation(draw, min_extra, max_extra)
     twists = [e for e in edges if draw(st.booleans())]
     return EmbeddedGraph(rotation, twists)
+
+
+@st.composite
+def untwisted_embeddings(draw):
+    """Random connected simple graph, each rotation shuffled and no edge
+    twisted: an orientable embedding, whose walk runs over darts alone.
+    A random twist subset is rarely empty once a graph has a few edges."""
+    return EmbeddedGraph(_shuffled_rotation(draw, 0, 2)[1])
 
 
 @st.composite
@@ -140,6 +155,13 @@ def connected_graphs(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(twisted_embeddings(), st.sampled_from(list(FIRST_READS)))
 def test_random_twisted_embeddings_match_reference(graph, first_read):
+    _assert_traced_like_reference(graph, first_read)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(untwisted_embeddings(), st.sampled_from(["genus", "faces"]))
+def test_random_untwisted_embeddings_match_reference(graph, first_read):
+    assert not graph.twists
     _assert_traced_like_reference(graph, first_read)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from defcolor import cli, fixtures as fx
@@ -73,6 +75,23 @@ def test_twists_given_as_equal_numbers_round_trip(twist):
     assert back.twists == g.twists == {(0, 1)}
     assert back.genus == g.genus == 1
     assert serialize_graph(back) == doc
+
+
+def test_parse_peak_on_a_long_cycle():
+    # 6.7 MiB on CPython 3.11; finding reverses through a dict keyed by
+    # u * n + v peaked at 8.4 MiB, and a per-vertex list of bound index
+    # methods at 9.9 MiB
+    n = 20_000
+    doc = f"graph {n} {n}\n" + "".join(
+        f"{v}: {(v - 1) % n} {(v + 1) % n}\n" for v in range(n))
+    tracemalloc.start()
+    try:
+        graph = parse_graph(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.m == n
+    assert peak < 8 * 2 ** 20, f"parse_graph peaked at {peak} bytes"
 
 
 def test_repeated_twist_rejected(tmp_path, capsys):

@@ -12,7 +12,8 @@ on every document, and EmbeddedGraph with the reference checks on every
 rotation: the same rotation, twists, edges and genus, or the same
 exception class, message and line.  Besides the random documents, small
 graphs with one rotation entry repeated (on one side or both), dropped,
-made a loop or moved out of range reach the rotation checks.
+made a loop or moved out of range reach the rotation checks, and so do
+such edits of a wheel whose hub rotation is read through a position map.
 """
 
 import pytest
@@ -27,6 +28,7 @@ from defcolor.graphio import (ParseError, parse_coloring, parse_graph,
                               serialize_coloring, serialize_graph)
 
 from oracles import reference_embedding, reference_parse_graph
+from test_embedding import _wheel
 
 SMALL = st.integers(-1, 6)
 HUGE = st.integers(10 ** 19, 10 ** 20 - 1)  # 20 digits
@@ -163,7 +165,7 @@ C5 = serialize_graph(fx.c5())  # graph 5 5, then "v: v-1 v+1" lines
     ("graph 3 2\n0: 1\n1: 0 2\n2:\n", AsymmetricError),
     ("graph 2 1\n0: -1\n1: 0\n", GraphError),  # negative id
     ("graph 2 1\n0: 2\n1: 0\n", GraphError),  # id out of range
-    ("graph 1 0\n0: 1\n", GraphError),  # (0, 1) has key 1, as has (1, 0)
+    ("graph 1 0\n0: 1\n", GraphError),  # id 1 is out of range
     (C5 + "twist 0 2\n", GraphError),  # twist on a non-edge
     (C5 + "twist 0 1\ntwist 0 1\n", ParseError),  # repeated twist
     (C5 + "twist 0 1\ntwist 1 0\n", ParseError),  # repeated, reversed
@@ -184,6 +186,20 @@ def test_parse_graph_faults_match_the_reference_parser(text, error):
     assert outcome[0] is error if error else isinstance(outcome[0], tuple)
 
 
+SPOKES = 40  # the hub's rotation is long enough to be read through a map
+
+
+def _hub_wheel(edit=lambda rot: None, hub=SPOKES):
+    """The wheel with its hub swapped to vertex ``hub``, then edited in
+    place."""
+    swap = {hub: SPOKES, SPOKES: hub}
+    wheel = _wheel(SPOKES)
+    rot = [[swap.get(u, u) for u in wheel[swap.get(v, v)]]
+           for v in range(len(wheel))]
+    edit(rot)
+    return rot
+
+
 @pytest.mark.parametrize("rotation, twists, error", [
     ([[1, 1], [0, 0]], (), NonSimpleError),
     ([[0, 1], [0]], (), NonSimpleError),
@@ -191,17 +207,33 @@ def test_parse_graph_faults_match_the_reference_parser(text, error):
     ([[1], ["0"]], (), GraphError),
     ([[1], [0.0]], (), GraphError),
     ([[1.5], [0]], (), GraphError),
-    ([[True], [0]], (), None),  # a bool is an int
+    ([[True], [0]], (), GraphError),  # a bool id would serialize as "True"
     ([[1], [0]], [(1, 2)], GraphError),  # twist on a non-edge
-    # 0.5 * 4 + 1 is the key of dart (0, 3), but 0.5 names no vertex
+    # 0.5 names no vertex, and the rotation is not indexed by it
     ([[1, 3], [0, 2], [1, 3], [2, 0]], [(0.5, 1)], TypeError),
     ([[1], [0]], [(0, 1.0)], None),  # 1.0 == 1 names the edge
     ([[1], [0]], [(0, 1), (0, 1)], GraphError),  # repeated twist
     ([[1], [0]], [(0, 1), (1, 0)], GraphError),  # repeated, reversed
     ([[1], [0], []], (), DisconnectedError),
     ([], (), GraphError),
+    # a hub read through its position map, as the last or the first vertex
+    (_hub_wheel(), [(SPOKES, 3), (5, SPOKES), (0, 1)], None),
+    (_hub_wheel(hub=0), [(0, 3), (5, 0), (1, 2)], None),
+    (_hub_wheel(hub=0), [(0, 3.0)], None),  # 3.0 == 3 names the edge
+    (_hub_wheel(hub=0), [(0, 3), (3, 0)], GraphError),  # repeated
+    (_hub_wheel(hub=0), [(0, 0)], GraphError),  # a loop is no edge
+    (_hub_wheel(hub=0), [(0, 41)], GraphError),
+    (_hub_wheel(lambda r: r[0].remove(9), 0), [(0, 9)], AsymmetricError),
+    (_hub_wheel(lambda r: r[SPOKES].insert(7, 30)), (), NonSimpleError),
+    (_hub_wheel(lambda r: r[SPOKES].append(SPOKES)), (), NonSimpleError),
+    (_hub_wheel(lambda r: r[0].insert(7, 30), 0), (), NonSimpleError),
+    (_hub_wheel(lambda r: r[12].insert(0, SPOKES)), (), NonSimpleError),
+    (_hub_wheel(lambda r: r[SPOKES].remove(9)), (), AsymmetricError),
+    (_hub_wheel(lambda r: r[9].remove(SPOKES)), (), AsymmetricError),
+    (_hub_wheel(lambda r: r[9].remove(0), 0), (), AsymmetricError),
 ])
 def test_embedded_graph_faults_match_the_reference_checks(rotation, twists, error):
     outcome = _outcome(EmbeddedGraph, rotation, twists)
     assert outcome == _outcome(reference_embedding, rotation, twists)
     assert outcome[0] is error if error else isinstance(outcome[0], tuple)
+
