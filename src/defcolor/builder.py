@@ -58,13 +58,6 @@ class PlanarBuilder:
     def occurrences(self, fid: int, v: int) -> list[int]:
         return [i for i, d in enumerate(self.faces[fid]) if d[0] == v]
 
-    def faces_at(self, v: int) -> list[int]:
-        out = []
-        nbrs = self.rotations[v]
-        for u in nbrs:
-            out.append(self.dart_face[(v, u)])
-        return out
-
     def graph(self) -> EmbeddedGraph:
         return EmbeddedGraph(self.rotations)
 
@@ -86,19 +79,17 @@ class PlanarBuilder:
             self.dart_face[d] = fid
         return fid
 
-    def _drop(self, fid: int) -> list[Dart]:
-        walk = self.faces.pop(fid)
+    def _drop(self, fid: int) -> None:
+        del self.faces[fid]
         self.reserved.discard(fid)
-        return walk
 
     def subdivide(self, a: int, b: int) -> int:
         """Replace edge {a, b} with a path a - m - b; returns m."""
+        ra, rb = self.rotations[a], self.rotations[b]
+        i, j = ra.index(b), rb.index(a)  # ValueError if {a, b} is no edge
         m = self._new_vertex()
         self.rotations[m] = [a, b]
-        ra = self.rotations[a]
-        ra[ra.index(b)] = m
-        rb = self.rotations[b]
-        rb[rb.index(a)] = m
+        ra[i] = rb[j] = m
         for x, y, mid in ((a, b, m), (b, a, m)):
             fid = self.dart_face.pop((x, y))
             walk = self.faces[fid]
@@ -116,13 +107,13 @@ class PlanarBuilder:
         (face id of the i..j side, face id of the other side, interior
         vertices).  The caller must ensure the new cycles are long enough.
         """
-        walk = self._drop(fid)
+        walk = self.faces[fid]
         if i == j:
             raise ValueError("equal occurrences; use insert_ear")
         if i > j:
             i, j = j, i
-        u = walk[i][0]
-        w = walk[j][0]
+        u, w = walk[i][0], walk[j][0]
+        self._drop(fid)
         interior = [self._new_vertex() for _ in range(length - 1)]
         chain = [u] + interior + [w]
         for k in range(1, len(chain) - 1):
@@ -142,8 +133,9 @@ class PlanarBuilder:
         """
         if length < 3:
             raise ValueError("ear needs length >= 3")
-        walk = self._drop(fid)
+        walk = self.faces[fid]
         u = walk[i][0]
+        self._drop(fid)
         interior = [self._new_vertex() for _ in range(length - 1)]
         chain = [u] + interior + [u]
         for k in range(1, len(chain) - 1):
@@ -159,8 +151,9 @@ class PlanarBuilder:
 
     def attach_leaf(self, fid: int, i: int) -> int:
         """Attach a pendant vertex at occurrence i of face fid."""
-        walk = self._drop(fid)
+        walk = self.faces[fid]
         u = walk[i][0]
+        self._drop(fid)
         x = self._new_vertex()
         self.rotations[x] = [u]
         self._insert_after(u, walk[i - 1][0], x)
@@ -182,12 +175,12 @@ class PlanarBuilder:
         """
         if fid1 == fid2:
             raise ValueError("handle edge needs two distinct faces")
-        w1 = self._drop(fid1)
-        w2 = self._drop(fid2)
-        u = w1[i][0]
-        w = w2[j][0]
+        w1, w2 = self.faces[fid1], self.faces[fid2]
+        u, w = w1[i][0], w2[j][0]
         if w in self.rotations[u]:
             raise ValueError("edge already present")
+        self._drop(fid1)
+        self._drop(fid2)
         self._insert_after(u, w1[i - 1][0], w)
         self._insert_after(w, w2[j - 1][0], u)
         return self._install([(u, w)] + w2[j:] + w2[:j] + [(w, u)]

@@ -259,31 +259,34 @@ class SponsorInstance:
 def sponsor_instances(graph: EmbeddedGraph) -> list[SponsorInstance]:
     """All sponsorships, one per qualifying (sponsor face, shared edge).
 
-    An edge's two sides are the passages through the two corners beside
-    it at its lower-degree end, so the edges at a hub do not each scan it.
+    Each edge {a, b} with a < b and a high neighbor at both ends is read
+    once, from the rotation of a: its two sides are the passages through
+    the corners before and after b.  Instances come in that order.
     """
     faces, rot = graph.faces, graph.rotation
     deg = [len(nbrs) for nbrs in rot]
     # u1 and u4 are high neighbors of the edge's two ends
     near_high = _near_high(rot, deg, HIGH_DEGREE)
     out = []
-    for a, b in graph.edges:
-        if not (near_high[a] and near_high[b]):
+    for a, nbrs in enumerate(rot):
+        if not near_high[a]:
             continue
-        if deg[a] > deg[b]:
-            a, b = b, a
-        ring, j = graph.passages(a), rot[a].index(b)
-        (f1, p1), (f2, p2) = ring[j], ring[(j + 1) % deg[a]]
-        if f1 == f2:  # also at a 1-vertex, whose two corners are one
-            continue
-        for fi, pos, other in ((f1, p1, f2), (f2, p2, f1)):
-            verts = faces[fi]
-            n = len(verts)
-            if verts[(pos + 1) % n] != b:  # it came from b: walks (b, a)
-                pos = (pos - 1) % n
-            u1, u2, u3 = verts[pos - 1], verts[pos], verts[(pos + 1) % n]
-            if deg[u1] >= HIGH_DEGREE and deg[verts[(pos + 2) % n]] >= HIGH_DEGREE:
-                out.append(SponsorInstance(fi, other, (u2, u3), pos))
+        ring = graph.passages(a)
+        for j, b in enumerate(nbrs):
+            if b < a or not near_high[b]:
+                continue
+            (f1, p1), (f2, p2) = ring[j], ring[(j + 1) % deg[a]]
+            if f1 == f2:  # also at a 1-vertex, whose two corners are one
+                continue
+            for fi, pos, other in ((f1, p1, f2), (f2, p2, f1)):
+                verts = faces[fi]
+                n = len(verts)
+                if verts[(pos + 1) % n] != b:  # it came from b: walks (b, a)
+                    pos = (pos - 1) % n
+                u1, u2, u3 = verts[pos - 1], verts[pos], verts[(pos + 1) % n]
+                if (deg[u1] >= HIGH_DEGREE
+                        and deg[verts[(pos + 2) % n]] >= HIGH_DEGREE):
+                    out.append(SponsorInstance(fi, other, (u2, u3), pos))
     return out
 
 

@@ -22,7 +22,9 @@ more than a few dozen vertices).
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from collections.abc import Callable
 from random import Random
 
 from .builder import PlanarBuilder
@@ -105,6 +107,12 @@ class _EdgePool:
             step >>= 1
         return a, self._edges_at(a)[k]
 
+    def faces_at(self, v: int) -> list[int]:
+        """The open faces at v, each once, in the order of v's rotation."""
+        b = self.b
+        return [f for f in dict.fromkeys(b.dart_face[v, u] for u in b.rotations[v])
+                if f not in b.reserved]
+
     def _drop(self, fid: int) -> None:
         if fid in self.b.reserved:  # its edges may become eligible
             self.dirty.update(self.b.face_verts(fid))
@@ -147,7 +155,13 @@ class _EdgePool:
 
 
 def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
-    """Connected planar graph with girth >= 5 and |V| >= target_size."""
+    """Connected planar graph with girth >= 5 and |V| >= target_size, an
+    integer from 5 to MAX_TARGET_SIZE."""
+    try:
+        target_size = operator.index(target_size)
+    except TypeError:
+        raise ValueError(
+            f"target_size must be an integer, got {target_size!r}") from None
     if target_size < 5:
         raise ValueError("target_size must be at least 5")
     if target_size > MAX_TARGET_SIZE:
@@ -161,144 +175,131 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
     else:
         b = PlanarBuilder.cycle(5)
     pool = _EdgePool(b)
-
     hub_target: dict[int, int] = {}
-    special_motifs = 0
 
-    def eligible(v: int) -> bool:
+    def eligible(v: int) -> bool:  # may still gain an edge
         return b.degree(v) < hub_target.get(v, 5)
 
+    def free(v: int) -> bool:  # may become a hub
+        return v not in hub_target and b.degree(v) <= 4
+
+    def unfinished() -> list[int]:
+        return sorted(v for v, tgt in hub_target.items() if b.degree(v) < tgt)
+
+    def ear(fid: int, v: int) -> tuple[int, int, list[int]]:
+        return pool.insert_ear(fid, rng.choice(b.occurrences(fid, v)), 5)
+
+    def face_pair(tries: int, ok: Callable[[int], bool],
+                  far: bool) -> tuple[int, int, int] | None:
+        """(fid, i, j): a random open face and the first pair, in a shuffle
+        of the positions of its vertices that pass ok, of two distinct
+        vertices, non-adjacent if far.  None if `tries` faces have none."""
+        for _ in range(tries):
+            fid = rng.choice(pool.open_faces)
+            verts = b.face_verts(fid)
+            idxs = [i for i, x in enumerate(verts) if ok(x)]
+            rng.shuffle(idxs)
+            for k, i in enumerate(idxs):
+                for j in idxs[k + 1:]:
+                    if verts[i] != verts[j] and not (
+                            far and verts[j] in b.rotations[verts[i]]):
+                        return fid, i, j
+        return None
+
     def grow_at(v: int) -> bool:
-        faces = [f for f in dict.fromkeys(b.faces_at(v)) if f not in b.reserved]
+        """Add edges at v: a path from v to an eligible vertex on one of
+        its open faces, or else an ear on the first of them.  False if v
+        has no open face."""
+        faces = pool.faces_at(v)
         rng.shuffle(faces)
         for fid in faces:
             verts = b.face_verts(fid)
-            occs = [i for i, x in enumerate(verts) if x == v]
-            others = [i for i, x in enumerate(verts)
-                      if x != v and eligible(x)]
-            if not occs or not others:
-                continue
-            i = rng.choice(occs)
-            j = rng.choice(others)
-            length = 4 if verts[j] in b.rotations[v] else 3
-            pool.insert_path(fid, i, j, length)
-            return True
-        for fid in faces:
-            occs = b.occurrences(fid, v)
-            if occs:
-                pool.insert_ear(fid, rng.choice(occs), 5)
+            others = [j for j, x in enumerate(verts) if x != v and eligible(x)]
+            if others:
+                i = rng.choice(b.occurrences(fid, v))
+                j = rng.choice(others)
+                length = 4 if verts[j] in b.rotations[v] else 3
+                pool.insert_path(fid, i, j, length)
                 return True
-        return False
-
-    def subdivide_random() -> None:
-        if pool:
-            pool.subdivide(*rng.choice(pool))
-
-    def generic_path() -> None:
-        for _ in range(4):
-            fid = rng.choice(pool.open_faces)
-            verts = b.face_verts(fid)
-            idxs = [i for i, x in enumerate(verts) if eligible(x)]
-            rng.shuffle(idxs)
-            pair = next(((i, j) for k, i in enumerate(idxs)
-                         for j in idxs[k + 1:] if verts[i] != verts[j]), None)
-            if pair:
-                pool.insert_path(fid, pair[0], pair[1], rng.randint(4, 7))
-                return
+        if faces:
+            ear(faces[0], v)
+        return bool(faces)
 
     def sponsor_bridge() -> None:
-        for _ in range(6):
-            fid = rng.choice(pool.open_faces)
-            verts = b.face_verts(fid)
-            idxs = [i for i, x in enumerate(verts)
-                    if x not in hub_target and b.degree(x) <= 4]
-            rng.shuffle(idxs)
-            pair = next(((i, j) for k, i in enumerate(idxs) for j in idxs[k + 1:]
-                         if verts[i] != verts[j]
-                         and verts[j] not in b.rotations[verts[i]]), None)
-            if pair is None:
-                continue
-            u, w = verts[pair[0]], verts[pair[1]]
-            f1, f2, (s1, s2) = pool.insert_path(fid, pair[0], pair[1], 3)
+        found = face_pair(6, free, far=True)
+        if found:
+            fid, i, j = found
+            u, w = b.faces[fid][i][0], b.faces[fid][j][0]
+            f1, f2, (s1, s2) = pool.insert_path(fid, i, j, 3)
             pool.reserve(f1 if len(b.faces[f1]) <= len(b.faces[f2]) else f2)
             hub_target[u] = rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2)
             hub_target[w] = rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2)
-            d2, d3 = rng.choice([(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
-            hub_target[s1] = d2
-            hub_target[s2] = d3
-            return
+            hub_target[s1], hub_target[s2] = rng.choice(
+                [(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
 
     def single_hub(with_partner: bool) -> None:
-        cands = [v for v in range(b.vertex_count)
-                 if v not in hub_target and b.degree(v) <= 4]
-        if not cands:
-            return
-        v = rng.choice(cands)
+        # Runs only before growth, while at least three vertices are free,
+        # and with_partner only while no target is set, when every
+        # neighbor of v is free.
+        v = rng.choice([v for v in range(b.vertex_count) if free(v)])
         hub_target[v] = (HIGH_DEGREE if target_size < 90
                          else rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2))
         if with_partner and rng.random() < 0.7:
-            partners = [m for m in b.rotations[v]
-                        if m not in hub_target and b.degree(m) <= 4]
-            if partners:
-                m = rng.choice(partners)
-                hub_target[m] = rng.randint(6, HIGH_DEGREE - 1)
-                pool.protect(v, m)
+            m = rng.choice([m for m in b.rotations[v] if free(m)])
+            hub_target[m] = rng.randint(6, HIGH_DEGREE - 1)
+            pool.protect(v, m)
 
-    def special_motif() -> None:
-        nonlocal special_motifs
+    def special_motif() -> bool:
+        """Install R2's reserved pentagon (2, high, 2, 5, 3) as an ear at a
+        random high hub; False if there is none to take it."""
         highs = sorted(v for v, tgt in hub_target.items()
                        if tgt >= HIGH_DEGREE and b.degree(v) >= 3)
         if not highs:
-            return
+            return False
         h = rng.choice(highs)
-        faces = [f for f in dict.fromkeys(b.faces_at(h)) if f not in b.reserved]
+        faces = pool.faces_at(h)
         if not faces:
-            return
-        fid = rng.choice(faces)
-        occ = rng.choice(b.occurrences(fid, h))
-        cyc, _, interior = pool.insert_ear(fid, occ, 5)
+            return False
+        cyc, _, interior = ear(rng.choice(faces), h)
         pool.reserve(cyc)
         hub_target[interior[1]] = 5
         hub_target[interior[2]] = 3
-        special_motifs += 1
+        return True
 
-    designated = target_size < 50
+    if target_size >= 50:
+        if target_size >= 120 and rng.random() < 0.55:
+            sponsor_bridge()
+        else:
+            single_hub(with_partner=target_size >= 70)
+        if target_size >= 150 and rng.random() < 0.5:
+            single_hub(with_partner=False)
+    special_motifs = 0
     while b.vertex_count < target_size:
-        if not designated:
-            designated = True
-            if target_size >= 120 and rng.random() < 0.55:
-                sponsor_bridge()
-            else:
-                single_hub(with_partner=target_size >= 70)
-            if target_size >= 150 and rng.random() < 0.5:
-                single_hub(with_partner=False)
-        unfinished = sorted(v for v, tgt in hub_target.items()
-                            if b.degree(v) < tgt)
+        hubs = unfinished()
         r = rng.random()
-        if unfinished and r < 0.6:
-            grow_at(rng.choice(unfinished))
+        if hubs and r < 0.6:
+            grow_at(rng.choice(hubs))
         elif r < 0.72:
-            subdivide_random()
+            if pool:
+                pool.subdivide(*rng.choice(pool))
         elif (r < 0.8 and special_motifs < 2
               and target_size - b.vertex_count > 20):
-            special_motif()
+            special_motifs += special_motif()
         else:
-            generic_path()
+            found = face_pair(4, eligible, far=False)
+            if found:
+                pool.insert_path(*found, rng.randint(4, 7))
 
-    for _ in range(10 * target_size + 100):
-        unfinished = sorted(v for v, tgt in hub_target.items()
-                            if b.degree(v) < tgt)
-        if not unfinished:
-            break
-        if not grow_at(unfinished[0]):
+    # Each grow_at raises the degree of hubs[0] and lowers none, so the
+    # hubs' total shortfall falls on every pass and ripening ends.
+    while hubs := unfinished():
+        if not grow_at(hubs[0]):
             raise AssertionError("hub ripening stalled")
-    else:
-        raise AssertionError("hub ripening did not terminate")
 
     graph = b.graph()
     for v in range(graph.n):
-        if 6 <= graph.degree(v) < HIGH_DEGREE:
-            if not any(graph.degree(u) >= HIGH_DEGREE for u in graph.rotation[v]):
-                raise AssertionError(
-                    f"medium vertex {v} lacks a high neighbor (generator bug)")
+        if 6 <= graph.degree(v) < HIGH_DEGREE and not any(
+                graph.degree(u) >= HIGH_DEGREE for u in graph.rotation[v]):
+            raise AssertionError(
+                f"medium vertex {v} lacks a high neighbor (generator bug)")
     return graph

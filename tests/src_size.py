@@ -12,6 +12,13 @@ Run as a script to print the counts of each module under src/defcolor, or
 under another directory, and their total:
 
     python tests/src_size.py [DIRECTORY]
+
+With --functions it prints instead each module-level function and method
+with its physical lines and its branch points: the if, for, while, try,
+except, boolean-operator, conditional-expression and comprehension-clause
+nodes of its syntax tree, those of nested functions included:
+
+    python tests/src_size.py --functions [DIRECTORY]
 """
 
 from __future__ import annotations
@@ -28,6 +35,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "defcolor"
 # tokens that mark no line as code: layout, comments and the stream's ends
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+# the syntax-tree nodes counted as branch points
+_BRANCHES = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.Try,
+             ast.ExceptHandler, ast.BoolOp, ast.IfExp, ast.comprehension)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 class Size(NamedTuple):
@@ -85,7 +98,38 @@ def module_sizes(root: Path = SRC) -> dict[str, Size]:
             for path in sorted(root.glob("*.py"))}
 
 
+class FunctionSize(NamedTuple):
+    name: str  # "module.py:function" or "module.py:Class.method"
+    lines: int
+    branches: int
+
+
+def function_sizes(root: Path = SRC) -> list[FunctionSize]:
+    """The physical lines and branch points of every module-level function
+    and method under root, in file and then source order."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            for fn in defs:
+                if isinstance(fn, _FUNCTIONS):
+                    branches = sum(isinstance(sub, _BRANCHES)
+                                   for sub in ast.walk(fn))
+                    out.append(FunctionSize(
+                        f"{path.name}:{prefix}{fn.name}",
+                        fn.end_lineno - fn.lineno + 1, branches))
+    return out
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--functions"]:
+        sizes = function_sizes(Path(argv[1]) if argv[1:] else SRC)
+        width = max(len(size.name) for size in sizes)
+        print(f"{'function':<{width}}{'lines':>10}{'branches':>10}")
+        for size in sizes:
+            print(f"{size.name:<{width}}{size.lines:>10,}{size.branches:>10,}")
+        return 0
     sizes = module_sizes(Path(argv[0]) if argv else SRC)
     total = [sum(size[i] for size in sizes.values()) for i in range(len(Size._fields))]
     print(f"{'module':<16}" + "".join(f"{f:>10}" for f in Size._fields))

@@ -1,7 +1,10 @@
 """The builder's incrementally maintained faces must agree with a fresh
 face trace of the rotations it produced."""
 
+import copy
 import random
+
+import pytest
 
 from defcolor.builder import PlanarBuilder
 from defcolor.embedding import EmbeddedGraph, girth
@@ -91,3 +94,20 @@ def test_random_operation_sequences_stay_consistent():
         g = b.graph()
         assert g.genus == 0
         assert girth(g) >= 5
+
+
+@pytest.mark.parametrize("name, args, error", [
+    ("subdivide", (0, 2), ValueError),  # not an edge
+    ("insert_path", (0, 1, 1, 4), ValueError),  # equal occurrences
+    ("insert_path", (0, 1, 9, 4), IndexError),
+    ("insert_ear", (0, 9, 5), IndexError),
+    ("attach_leaf", (0, 9), IndexError),
+    ("add_handle_edge", (0, 0, 1, 4), ValueError),  # joins 0 and 1 again
+], ids=["subdivide", "path-equal", "path-range", "ear", "leaf", "handle"])
+def test_a_refused_call_leaves_the_builder_as_it_was(name, args, error):
+    b = PlanarBuilder.cycle(5)
+    b.reserved.update((0, 1))
+    before = copy.deepcopy((b.rotations, b.faces, b.dart_face, b.reserved))
+    with pytest.raises(error):
+        getattr(b, name)(*args)
+    assert (b.rotations, b.faces, b.dart_face, b.reserved) == before

@@ -50,6 +50,13 @@ def test_rejects_tiny_target():
         gen_planar_girth5(1, 4)
 
 
+@pytest.mark.parametrize("size", [50.5, "60"])
+def test_rejects_a_target_that_is_no_integer(size):
+    # refused before any growth, not after a whole graph is grown
+    with pytest.raises(ValueError, match="target_size must be an integer"):
+        gen_planar_girth5(1, size)
+
+
 def test_small_random_graphs():
     for seed in range(30):
         g = gen_girth5_small(seed, 5 + seed % 8)

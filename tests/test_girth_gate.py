@@ -4,14 +4,16 @@
 when it is 3 or 4, else math.inf.  It and the exact ``girth(graph)`` are
 checked against ``networkx.girth`` and ``oracles.girth_oracle`` on cycles,
 K_4, K_{2,3}, the Petersen graphs, every face fixture, a corpus slice and
-random graphs with planted 3-, 4-, 5- and 6-cycles; C_4000 and a
-4,000-vertex path check the exact girth where the oracles are too slow.
+random graphs with planted 3-, 4-, 5- and 6-cycles; C_4000, a
+4,000-vertex path and a 24,000-vertex cycle with a hub check the exact
+girth where the oracles are too slow.
 The pipelines must read only the gate: a recording test pins every girth
 call they make.
 """
 
 import math
 import sys
+import time
 
 import networkx as nx
 import pytest
@@ -80,6 +82,37 @@ def test_long_cycle_and_path():
     assert girth(cycle, below=4000) == math.inf
     path = fx.path_graph(4000)
     assert girth(path) == path.short_cycle == math.inf
+
+
+def _hub_graph(k: int, hub_first: bool) -> EmbeddedGraph:
+    """A 3k-cycle and a hub joined to every third cycle vertex, embedded in
+    the plane: girth 5.  The hub is vertex 0 or vertex 3k."""
+    n, off = 3 * k, int(hub_first)
+    hub = 0 if hub_first else n
+    rim = [((i - 1) % n + off, hub, (i + 1) % n + off) if i % 3 == 0
+           else ((i - 1) % n + off, (i + 1) % n + off) for i in range(n)]
+    spokes = tuple(range(n - 3 + off, off - 1, -3))
+    return EmbeddedGraph([spokes, *rim] if hub_first else [*rim, spokes])
+
+
+def _seconds(run) -> float:
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("hub_first", [True, False], ids=["first", "last"])
+def test_a_hub_keeps_the_girth_linear(hub_first):
+    # With sources in id order each neighbor of a late hub would scan the
+    # hub's whole rotation, about 2 s here with the hub last; sources of
+    # non-increasing degree keep both orders near a cycle's time.
+    graph = _hub_graph(8000, hub_first)
+    assert graph.degree(0 if hub_first else graph.n - 1) == 8000
+    cycle = _cycle(graph.n)
+    for below in (5, math.inf):
+        limit = 10 * _seconds(lambda: girth(cycle, below=below)) + 0.5
+        assert _seconds(lambda: girth(graph, below=below)) < limit
+    assert girth(graph) == 5 and girth(graph, below=5) == math.inf
 
 
 def test_gate_on_face_fixtures():
