@@ -4,11 +4,19 @@ PlanarBuilder tracks rotations together with the current face walks so
 that girth-5 planar graphs can be grown by local operations: edge
 subdivision, path/chord insertion inside a face, pendant attachment,
 closed ears, and handle edges (which raise the Euler genus by two).
-The builder is pure mechanism; callers are responsible for girth-safety
-of the distances they pick.
+
+reserve() closes a face to growth, and ``open_faces`` lists the other
+face ids in ascending order.  ``touched`` collects, until a reader
+clears it, each vertex that is new, was re-rotated, or lies on a face
+that is reserved or dropped while reserved.  A call checks its
+arguments before it changes anything and refuses a loop or a second
+edge.  The builder is pure mechanism; callers are responsible for
+girth-safety of the distances they pick.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .embedding import Dart, EmbeddedGraph
 
@@ -24,6 +32,8 @@ class PlanarBuilder:
                 self.dart_face[d] = fid
         self._next_face = max(faces) + 1 if faces else 0
         self.reserved: set[int] = set()
+        self.open_faces = sorted(faces)
+        self.touched = set(range(len(rotations)))
 
     # -- constructors ------------------------------------------------------
 
@@ -58,6 +68,12 @@ class PlanarBuilder:
     def occurrences(self, fid: int, v: int) -> list[int]:
         return [i for i, d in enumerate(self.faces[fid]) if d[0] == v]
 
+    def faces_at(self, v: int) -> list[int]:
+        """The open faces at v, each once, in the order of v's rotation."""
+        return [f for f in dict.fromkeys(self.dart_face[v, u]
+                                         for u in self.rotations[v])
+                if f not in self.reserved]
+
     def graph(self) -> EmbeddedGraph:
         return EmbeddedGraph(self.rotations)
 
@@ -65,23 +81,37 @@ class PlanarBuilder:
 
     def _new_vertex(self) -> int:
         self.rotations.append([])
+        self.touched.add(len(self.rotations) - 1)
         return len(self.rotations) - 1
 
     def _insert_after(self, v: int, after: int, new: int) -> None:
         r = self.rotations[v]
         r.insert(r.index(after) + 1, new)
+        self.touched.add(v)
 
     def _install(self, walk: list[Dart]) -> int:
         fid = self._next_face
         self._next_face += 1
         self.faces[fid] = walk
+        self.open_faces.append(fid)
         for d in walk:
             self.dart_face[d] = fid
         return fid
 
     def _drop(self, fid: int) -> None:
-        del self.faces[fid]
-        self.reserved.discard(fid)
+        walk = self.faces.pop(fid)
+        if fid in self.reserved:
+            self.reserved.remove(fid)
+            self.touched.update(d[0] for d in walk)
+        else:
+            del self.open_faces[bisect_left(self.open_faces, fid)]
+
+    def reserve(self, fid: int) -> None:
+        """Close face fid to growth (KeyError if there is no such face)."""
+        if fid not in self.reserved:
+            self.touched.update(self.face_verts(fid))
+            del self.open_faces[bisect_left(self.open_faces, fid)]
+            self.reserved.add(fid)
 
     def subdivide(self, a: int, b: int) -> int:
         """Replace edge {a, b} with a path a - m - b; returns m."""
@@ -90,6 +120,7 @@ class PlanarBuilder:
         m = self._new_vertex()
         self.rotations[m] = [a, b]
         ra[i] = rb[j] = m
+        self.touched.update((a, b))
         for x, y, mid in ((a, b, m), (b, a, m)):
             fid = self.dart_face.pop((x, y))
             walk = self.faces[fid]
@@ -113,6 +144,10 @@ class PlanarBuilder:
         if i > j:
             i, j = j, i
         u, w = walk[i][0], walk[j][0]
+        if length < 1 or u == w and length < 3 or (
+                length == 1 and w in self.rotations[u]):
+            raise ValueError("path needs length >= 1 and may make no loop "
+                             "or second edge")
         self._drop(fid)
         interior = [self._new_vertex() for _ in range(length - 1)]
         chain = [u] + interior + [w]
@@ -177,8 +212,8 @@ class PlanarBuilder:
             raise ValueError("handle edge needs two distinct faces")
         w1, w2 = self.faces[fid1], self.faces[fid2]
         u, w = w1[i][0], w2[j][0]
-        if w in self.rotations[u]:
-            raise ValueError("edge already present")
+        if u == w or w in self.rotations[u]:
+            raise ValueError("handle edge would make a loop or a second edge")
         self._drop(fid1)
         self._drop(fid2)
         self._insert_after(u, w1[i - 1][0], w)

@@ -132,18 +132,18 @@ def _flanked_pentagon() -> tuple[PlanarBuilder, list[int], list[int]]:
     outer region stays open for growth.
     """
     b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)
+    b.reserve(0)
     g_hex, g0, p = b.insert_path(1, 1, 4, 3)
-    b.reserved.add(g0)
+    b.reserve(g0)
     g2, _, q = b.insert_path(g_hex, 1, 3, 3)
-    b.reserved.add(g2)
+    b.reserve(g2)
     return b, p, q
 
 
 def special_face(hub: int = HIGH_DEGREE, p_deg: int = 5, q_deg: int = 3) -> FaceFixture:
     """5-face with degrees (2, hub, 2, p, q) around vertices (0, 1, 2, 3, 4)."""
     b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)
+    b.reserve(0)
     _pump(b, 1, hub)
     _pump(b, 3, p_deg)
     _pump(b, 4, q_deg)
@@ -155,7 +155,7 @@ def x1_face(h1: int = HIGH_DEGREE, h2: int = HIGH_DEGREE, s_deg: int = 3,
     """Pentagon (2, h1, 2, h2, s); the 3-vertex's outside neighbor is low
     unless external_high pumps it to 12."""
     b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)
+    b.reserve(0)
     x = b.attach_leaf_at(4)
     _pump(b, 4, s_deg)
     _pump(b, 1, h1)
@@ -171,7 +171,7 @@ def x2_face(h1: int = HIGH_DEGREE, h2: int = HIGH_DEGREE, u_deg: int = 4,
     (h2, a, x, y) so its neighbor degrees match (11-, 2, 12+, 2+).
     names holds x and y."""
     b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)
+    b.reserve(0)
     x = b.attach_leaf_at(4)
     y = b.attach_leaf_at(4)
     _pump(b, 4, u_deg)
@@ -266,8 +266,7 @@ def genus2_bad_face_gadget() -> FaceFixture:
     _pump(b, 1, 13)
     # split the outer region between the chain tips, then join the two
     # sides by an extra edge: the merge raises the Euler genus to 2
-    big = next(fid for fid in b.faces
-               if fid not in b.reserved and a3 in b.face_verts(fid))
+    big = next(fid for fid in b.open_faces if a3 in b.face_verts(fid))
     i = b.occurrences(big, a3)[0]
     j = b.occurrences(big, b3)[0]
     # both chains cross the cut, so a2 and b2 occur once on each side

@@ -23,7 +23,6 @@ more than a few dozen vertices).
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from collections.abc import Callable
 from random import Random
 
@@ -39,28 +38,24 @@ MAX_TARGET_SIZE = 10 ** 5
 
 
 class _EdgePool:
-    """A PlanarBuilder's subdividable edges and open faces, kept current.
+    """The eligible edges of a PlanarBuilder, as a sequence kept current.
 
-    ``open_faces`` lists the ids of the non-reserved faces in ascending
-    order.  The pool is a sequence of the eligible edges (a, w): a < w, not
-    protected, and neither dart on a reserved face, ordered by a and then
-    by w in the rotation of a.  The order is part of the output: for a
-    given seed ``rng.choice(pool)`` must pick the edge it always picked,
-    or every generated graph changes.  ``count[a]`` holds the
-    number of eligible edges at a, summed in a Fenwick tree ``tree``
-    (1-based).  An operation only marks the vertices whose count it may
-    change; they are recounted before the next lookup.  Mutate the builder
-    only through these methods.
+    An edge (a, w) is eligible if a < w, it is not protected, and neither
+    dart lies on a reserved face.  The sequence orders the eligible edges
+    by a and then by w in the rotation of a.  The order is part of the
+    output: for a given seed ``rng.choice(pool)`` must pick the edge it
+    always picked, or every generated graph changes.  ``count[a]`` holds
+    the number of eligible edges at a, summed in a Fenwick tree ``tree``
+    (1-based).  Before each lookup the pool recounts the vertices in the
+    builder's ``touched`` set and clears it.
     """
 
     def __init__(self, b: PlanarBuilder) -> None:
         self.b = b
         self.protected: set[frozenset[int]] = set()
-        self.open_faces = [f for f in sorted(b.faces) if f not in b.reserved]
         self.count: list[int] = []
         self.tree = [0]
         self.total = 0
-        self.dirty = set(range(b.vertex_count))
 
     def _edges_at(self, a: int) -> list[int]:
         """The w of the eligible edges (a, w), in the rotation of a."""
@@ -80,7 +75,7 @@ class _EdgePool:
                 node += tree[i - step]
                 step <<= 1
             tree.append(node)
-        for a in self.dirty:
+        for a in self.b.touched:
             delta = len(self._edges_at(a)) - count[a]
             if delta:
                 count[a] += delta
@@ -89,7 +84,7 @@ class _EdgePool:
                 while i < len(tree):
                     tree[i] += delta
                     i += i & -i
-        self.dirty.clear()
+        self.b.touched.clear()
 
     def __len__(self) -> int:
         self._flush()
@@ -107,51 +102,9 @@ class _EdgePool:
             step >>= 1
         return a, self._edges_at(a)[k]
 
-    def faces_at(self, v: int) -> list[int]:
-        """The open faces at v, each once, in the order of v's rotation."""
-        b = self.b
-        return [f for f in dict.fromkeys(b.dart_face[v, u] for u in b.rotations[v])
-                if f not in b.reserved]
-
-    def _drop(self, fid: int) -> None:
-        if fid in self.b.reserved:  # its edges may become eligible
-            self.dirty.update(self.b.face_verts(fid))
-        else:
-            del self.open_faces[bisect_left(self.open_faces, fid)]
-
-    def subdivide(self, a: int, w: int) -> int:
-        m = self.b.subdivide(a, w)
-        self.dirty.update((a, w, m))
-        return m
-
-    def insert_path(self, fid: int, i: int, j: int,
-                    length: int) -> tuple[int, int, list[int]]:
-        walk = self.b.faces[fid]
-        self.dirty.update((walk[i][0], walk[j][0]))
-        self._drop(fid)
-        f1, f2, interior = self.b.insert_path(fid, i, j, length)
-        self.open_faces += (f1, f2)
-        self.dirty.update(interior)
-        return f1, f2, interior
-
-    def insert_ear(self, fid: int, i: int,
-                   length: int) -> tuple[int, int, list[int]]:
-        self.dirty.add(self.b.faces[fid][i][0])
-        self._drop(fid)
-        cyc, old, interior = self.b.insert_ear(fid, i, length)
-        self.open_faces += (cyc, old)
-        self.dirty.update(interior)
-        return cyc, old, interior
-
-    def reserve(self, fid: int) -> None:
-        if fid not in self.b.reserved:
-            self._drop(fid)
-            self.b.reserved.add(fid)
-            self.dirty.update(self.b.face_verts(fid))
-
     def protect(self, v: int, w: int) -> None:
         self.protected.add(frozenset((v, w)))
-        self.dirty.update((v, w))
+        self.b.touched.update((v, w))
 
 
 def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
@@ -187,7 +140,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         return sorted(v for v, tgt in hub_target.items() if b.degree(v) < tgt)
 
     def ear(fid: int, v: int) -> tuple[int, int, list[int]]:
-        return pool.insert_ear(fid, rng.choice(b.occurrences(fid, v)), 5)
+        return b.insert_ear(fid, rng.choice(b.occurrences(fid, v)), 5)
 
     def face_pair(tries: int, ok: Callable[[int], bool],
                   far: bool) -> tuple[int, int, int] | None:
@@ -195,7 +148,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         of the positions of its vertices that pass ok, of two distinct
         vertices, non-adjacent if far.  None if `tries` faces have none."""
         for _ in range(tries):
-            fid = rng.choice(pool.open_faces)
+            fid = rng.choice(b.open_faces)
             verts = b.face_verts(fid)
             idxs = [i for i, x in enumerate(verts) if ok(x)]
             rng.shuffle(idxs)
@@ -210,7 +163,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         """Add edges at v: a path from v to an eligible vertex on one of
         its open faces, or else an ear on the first of them.  False if v
         has no open face."""
-        faces = pool.faces_at(v)
+        faces = b.faces_at(v)
         rng.shuffle(faces)
         for fid in faces:
             verts = b.face_verts(fid)
@@ -219,7 +172,7 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
                 i = rng.choice(b.occurrences(fid, v))
                 j = rng.choice(others)
                 length = 4 if verts[j] in b.rotations[v] else 3
-                pool.insert_path(fid, i, j, length)
+                b.insert_path(fid, i, j, length)
                 return True
         if faces:
             ear(faces[0], v)
@@ -230,8 +183,8 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         if found:
             fid, i, j = found
             u, w = b.faces[fid][i][0], b.faces[fid][j][0]
-            f1, f2, (s1, s2) = pool.insert_path(fid, i, j, 3)
-            pool.reserve(f1 if len(b.faces[f1]) <= len(b.faces[f2]) else f2)
+            f1, f2, (s1, s2) = b.insert_path(fid, i, j, 3)
+            b.reserve(f1 if len(b.faces[f1]) <= len(b.faces[f2]) else f2)
             hub_target[u] = rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2)
             hub_target[w] = rng.randint(HIGH_DEGREE, HIGH_DEGREE + 2)
             hub_target[s1], hub_target[s2] = rng.choice(
@@ -257,11 +210,11 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
         if not highs:
             return False
         h = rng.choice(highs)
-        faces = pool.faces_at(h)
+        faces = b.faces_at(h)
         if not faces:
             return False
         cyc, _, interior = ear(rng.choice(faces), h)
-        pool.reserve(cyc)
+        b.reserve(cyc)
         hub_target[interior[1]] = 5
         hub_target[interior[2]] = 3
         return True
@@ -281,14 +234,14 @@ def gen_planar_girth5(seed: int, target_size: int) -> EmbeddedGraph:
             grow_at(rng.choice(hubs))
         elif r < 0.72:
             if pool:
-                pool.subdivide(*rng.choice(pool))
+                b.subdivide(*rng.choice(pool))
         elif (r < 0.8 and special_motifs < 2
               and target_size - b.vertex_count > 20):
             special_motifs += special_motif()
         else:
             found = face_pair(4, eligible, far=False)
             if found:
-                pool.insert_path(*found, rng.randint(4, 7))
+                b.insert_path(*found, rng.randint(4, 7))
 
     # Each grow_at raises the degree of hubs[0] and lowers none, so the
     # hubs' total shortfall falls on every pass and ripening ends.

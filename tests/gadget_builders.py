@@ -25,18 +25,17 @@ def r2_gadget():
     eligible pentagon verts, p, h2).
     """
     b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)  # [a=0, h=1, b=2, p=3, q=4]
+    b.reserve(0)  # [a=0, h=1, b=2, p=3, q=4]
     h2 = b.attach_leaf_at(3)
     l1 = b.attach_leaf_at(3)
     l2 = b.attach_leaf_at(3)
     # separate pentagon p - l1 - x - y - l2 - p keeps h2 off it
-    big = next(fid for fid in b.faces
-               if fid not in b.reserved and l1 in b.face_verts(fid))
+    big = next(fid for fid in b.open_faces if l1 in b.face_verts(fid))
     i = b.occurrences(big, l1)[0]
     j = b.occurrences(big, l2)[0]
     pent, rest, (x, y) = b.insert_path(big, i, j, 3)
     small = pent if len(b.faces[pent]) == 5 else rest
-    b.reserved.add(small)
+    b.reserve(small)
     _pump(b, 1, 12)
     _pump(b, h2, 12)
     _pump(b, 4, 3)
@@ -76,14 +75,14 @@ def triple_special_gadget():
     Returns (graph, p).
     """
     b = PlanarBuilder.cycle(5)  # [p=0, n0=1, h0=2, a0=3, n1=4]
-    b.reserved.add(0)
+    b.reserve(0)
     outer = 1
     five, outer, (_, h1, _) = b.insert_path(
         outer, b.occurrences(outer, 4)[0], b.occurrences(outer, 0)[0], 4)
-    b.reserved.add(five)
+    b.reserve(five)
     five, _, (n3, _) = b.insert_path(
         outer, b.occurrences(outer, h1)[0], b.occurrences(outer, 0)[0], 3)
-    b.reserved.add(five)
+    b.reserve(five)
     b.attach_leaf_at(n3)
     b.attach_leaf_at(0)
     _pump(b, 2, 12)
@@ -98,7 +97,7 @@ def sponsor_gadget(d_s: int, d_t: int, w_deg: int):
     Returns (graph, sponsor face verts, s, t).
     """
     b = PlanarBuilder.cycle(5)
-    b.reserved.add(0)  # [h1=0, s=1, t=2, h2=3, w=4]
+    b.reserve(0)  # [h1=0, s=1, t=2, h2=3, w=4]
     _pump(b, 1, d_s)
     _pump(b, 2, d_t)
     _pump(b, 4, w_deg)

@@ -8,6 +8,10 @@ import pytest
 
 from defcolor.builder import PlanarBuilder
 from defcolor.embedding import EmbeddedGraph, girth
+from defcolor.fixtures import path_graph
+from defcolor.generate import _EdgePool
+
+from oracles import reference_eligible_edges
 
 
 def canonical_faces(walks):
@@ -96,18 +100,46 @@ def test_random_operation_sequences_stay_consistent():
         assert girth(g) >= 5
 
 
-@pytest.mark.parametrize("name, args, error", [
-    ("subdivide", (0, 2), ValueError),  # not an edge
-    ("insert_path", (0, 1, 1, 4), ValueError),  # equal occurrences
-    ("insert_path", (0, 1, 9, 4), IndexError),
-    ("insert_ear", (0, 9, 5), IndexError),
-    ("attach_leaf", (0, 9), IndexError),
-    ("add_handle_edge", (0, 0, 1, 4), ValueError),  # joins 0 and 1 again
-], ids=["subdivide", "path-equal", "path-range", "ear", "leaf", "handle"])
-def test_a_refused_call_leaves_the_builder_as_it_was(name, args, error):
-    b = PlanarBuilder.cycle(5)
-    b.reserved.update((0, 1))
-    before = copy.deepcopy((b.rotations, b.faces, b.dart_face, b.reserved))
+def _cycle5():
+    return PlanarBuilder.cycle(5)
+
+
+def _path3():
+    return PlanarBuilder.from_graph(path_graph(3))  # one face: 0, 1, 2, 1
+
+
+@pytest.mark.parametrize("make, name, args, error", [
+    (_cycle5, "subdivide", (0, 2), ValueError),  # not an edge
+    (_cycle5, "insert_path", (0, 1, 1, 4), ValueError),  # equal occurrences
+    (_cycle5, "insert_path", (0, 1, 9, 4), IndexError),
+    (_cycle5, "insert_path", (0, 0, 2, 0), ValueError),
+    (_path3, "insert_path", (0, 1, 3, 1), ValueError),  # loop at 1
+    (_cycle5, "insert_path", (0, 0, 1, 1), ValueError),  # 0-1 again
+    (_path3, "insert_path", (0, 1, 3, 2), ValueError),  # 1-x-1
+    (_cycle5, "insert_ear", (0, 9, 5), IndexError),
+    (_cycle5, "attach_leaf", (0, 9), IndexError),
+    (_cycle5, "add_handle_edge", (0, 0, 1, 4), ValueError),  # 0-1
+    (_cycle5, "add_handle_edge", (0, 0, 1, 0), ValueError),  # 0-0
+    (_cycle5, "reserve", (9,), KeyError),
+], ids=["subdivide", "path-equal", "path-range", "path-length-0",
+        "chord-loop", "chord-twice", "path-2-loop", "ear", "leaf", "handle",
+        "handle-loop", "reserve-missing"])
+def test_a_refused_call_leaves_the_builder_as_it_was(make, name, args, error):
+    b = make()
+    b.reserve(0)
+    b.touched.clear()  # so that a stray mark shows
+    state = ("rotations", "faces", "dart_face", "reserved", "open_faces",
+             "touched")
+    before = copy.deepcopy([getattr(b, a) for a in state])
     with pytest.raises(error):
         getattr(b, name)(*args)
-    assert (b.rotations, b.faces, b.dart_face, b.reserved) == before
+    assert [getattr(b, a) for a in state] == before
+
+
+def test_a_refused_path_leaves_open_faces_and_pool_in_step():
+    b = PlanarBuilder.cycle(5)
+    pool = _EdgePool(b)
+    with pytest.raises(ValueError):
+        b.insert_path(0, 1, 1, 4)
+    assert b.open_faces == [0, 1]
+    assert list(pool) == reference_eligible_edges(b, pool.protected)

@@ -82,11 +82,25 @@ def test_large_graphs_keep_their_bytes(size):
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_DIGESTS[size]
 
 
+# SHA-256 of serialize_graph(gen_planar_girth5(seed, size)), concatenated
+# over seeds 0-39 and these sizes in order.
+SWEEP_SIZES = (5, 12, 30, 50, 90, 130, 200, 400, 800)
+SWEEP_DIGEST = "a17d84482fec5854edd207e1cc99027796cccbd5995c85140ebd2c6684f6dad6"
+
+
+def test_the_seed_sweep_keeps_its_bytes():
+    h = hashlib.sha256()
+    for seed in range(40):
+        for size in SWEEP_SIZES:
+            h.update(serialize_graph(gen_planar_girth5(seed, size)).encode())
+    assert h.hexdigest() == SWEEP_DIGEST
+
+
 def _assert_pool_matches_reference(pool):
     b = pool.b
     assert ([pool[k] for k in range(len(pool))]
             == reference_eligible_edges(b, pool.protected))
-    assert pool.open_faces == [f for f in sorted(b.faces) if f not in b.reserved]
+    assert b.open_faces == [f for f in sorted(b.faces) if f not in b.reserved]
     with pytest.raises(IndexError):
         pool[len(pool)]
 
@@ -94,7 +108,8 @@ def _assert_pool_matches_reference(pool):
 @pytest.mark.parametrize("seed", range(12))
 def test_edge_pool_matches_the_rebuilt_list(seed):
     """Random subdivisions, paths, ears, reservations and protections, on
-    open and reserved faces alike; the pool is checked after each one."""
+    open and reserved faces alike, and calls the builder refuses; the pool
+    and the open faces are checked after each one."""
     rng = Random(seed)
     b = (PlanarBuilder.from_graph(fx.dodecahedron()) if seed % 2
          else PlanarBuilder.cycle(5))
@@ -107,14 +122,21 @@ def test_edge_pool_matches_the_rebuilt_list(seed):
         i, j = rng.sample(range(len(walk)), 2)
         if op < 0.3:
             if pool:
-                pool.subdivide(*pool[rng.randrange(len(pool))])
+                b.subdivide(*pool[rng.randrange(len(pool))])
         elif op < 0.5:
             if walk[i][0] != walk[j][0]:
-                pool.insert_path(fid, i, j, rng.randint(2, 5))
+                b.insert_path(fid, i, j, rng.randint(2, 5))
         elif op < 0.65:
-            pool.insert_ear(fid, i, rng.randint(3, 5))
-        elif op < 0.85:
-            pool.reserve(fid)
+            b.insert_ear(fid, i, rng.randint(3, 5))
+        elif op < 0.8:
+            b.reserve(fid)
+        elif op < 0.85:  # equal occurrences, out of range, no such face
+            call, error = rng.choice([
+                (lambda: b.insert_path(fid, i, i, 4), ValueError),
+                (lambda: b.insert_path(fid, i, len(walk), 4), IndexError),
+                (lambda: b.reserve(max(b.faces) + 1), KeyError)])
+            with pytest.raises(error):
+                call()
         else:
             pool.protect(*walk[i])
         _assert_pool_matches_reference(pool)
