@@ -22,7 +22,8 @@ from json.encoder import encode_basestring_ascii
 
 from .colorer import ReductionKind, color
 from .coloring import SolveStatus, is_valid, solve_exact, validate_defects
-from .discharging import (audit, classify_faces, ledger_csv, report_text,
+from .discharging import (_audit_thresholds, apply_rules, audit,
+                          classify_faces, ledger_csv, report_text,
                           transfers_csv)
 from .embedding import girth
 from .generate import gen_planar_girth5
@@ -209,12 +210,12 @@ def _cmd_color(args) -> int:
 
 def _cmd_audit(args) -> int:
     graph = parse_graph(_read(args.input))
-    report = audit(graph, args.t)
-    if args.format == "csv":
-        out = (ledger_csv(report.ledger) + "\n"
-               + transfers_csv(report.transfers))
+    if args.format == "csv":  # R1-R8's ledger and log; no claim or lemma check
+        _audit_thresholds(graph, args.t)
+        ledger, transfers = apply_rules(graph)
+        out = ledger_csv(ledger) + "\n" + transfers_csv(transfers)
     else:
-        out = report_text(report)
+        out = report_text(audit(graph, args.t))
     _write(args.output, out)
     return EXIT_OK
 

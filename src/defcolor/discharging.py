@@ -94,6 +94,10 @@ def structural_thresholds(t: int) -> tuple[int, int]:
 def capacity(genus: int) -> int:
     """Defect threshold guaranteeing colorability at this Euler genus:
     max(10, 4*genus + 3)."""
+    try:
+        genus = operator.index(genus)
+    except TypeError:
+        raise ValueError(f"genus must be an integer, got {genus!r}") from None
     if genus < 0:
         raise ValueError("genus must be non-negative")
     return max(MIN_T, 4 * genus + 3)
@@ -418,6 +422,8 @@ def apply_rules(graph: EmbeddedGraph,
         return any(fi in passed[u] for u in high)
 
     for v, d in enumerate(deg):
+        if d <= 3:  # "o", "2" and "3" send nothing
+            continue
         sym = _symbol(d)
         if sym == "4":
             rule = "R1"
@@ -535,6 +541,18 @@ class AuditReport:
 _FACE_CLAIMS = {6: "face6-negative", 5: "face5-negative"}
 
 
+def _audit_thresholds(graph: EmbeddedGraph,
+                      t: int | None) -> tuple[int, int, int]:
+    """(t, low, high) for an audit of graph at t, after audit's checks in
+    their order: t first (capacity(genus) when None), then the girth.
+    The CSV export runs these before apply_rules alone."""
+    if t is None:
+        t = capacity(graph.genus)
+    low, high = structural_thresholds(t)
+    require_girth5(graph, "audit")
+    return t, low, high
+
+
 def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     """Run the rules, check the charge claims, and check the structural
     conclusions that the claims rest on.
@@ -549,10 +567,7 @@ def audit(graph: EmbeddedGraph, t: int | None = None) -> AuditReport:
     checked against the general-surface floor 2*genus - 3.5.  t defaults
     to capacity(genus), as in color.
     """
-    if t is None:
-        t = capacity(graph.genus)
-    low, high = structural_thresholds(t)
-    require_girth5(graph, "audit")
+    t, low, high = _audit_thresholds(graph, t)
     classes = classify_faces(graph)
     ledger, transfers = apply_rules(graph, classes)
     n, rot = graph.n, graph.rotation

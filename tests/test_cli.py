@@ -2,15 +2,16 @@ import ast
 import dataclasses
 import gc
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from defcolor import cli, fixtures as fx
+from defcolor import cli, discharging, fixtures as fx
 from defcolor.cli import main
 from defcolor.colorer import (ColoringTrace, ColorResult, ReductionKind,
                               ReductionStep, color)
-from defcolor.discharging import RowLog
+from defcolor.discharging import RowLog, ledger_csv, transfers_csv
 from defcolor.graphio import parse_coloring, serialize_graph
 from defcolor.coloring import Coloring, SolveStatus, is_valid, solve_exact
 from defcolor.generate import gen_planar_girth5
@@ -193,6 +194,53 @@ def test_audit_text_and_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "element_kind,element_id,initial,final" in out
     assert "rule,source_kind" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("t, error", [
+    (None, "audit requires girth >= 5, got 4"),
+    ("9", "threshold t must be at least 10, got 9")])
+def test_audit_formats_share_their_errors_and_order(tmp_path, capsys, fmt,
+                                                    t, error):
+    """Both formats check t first, then the girth, under audit's name."""
+    gpath = tmp_path / "square.txt"
+    gpath.write_text("graph 4 4\n0: 1 3\n1: 0 2\n2: 1 3\n3: 2 0\n")
+    argv = ["audit", "--input", str(gpath), "--format", fmt]
+    if t is not None:
+        argv += ["--t", t]
+    assert main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: input: {error}\n")
+
+
+@pytest.fixture
+def audit_forbidden(monkeypatch):
+    """Make audit raise under each module name that binds it (as the
+    benchmark's span tracer rebinds it); returns the real audit."""
+    real = discharging.audit
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("audit --format csv built the audit report")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "defcolor" and getattr(module, "audit", None) is real:
+            monkeypatch.setattr(module, "audit", forbidden)
+    return real
+
+
+@pytest.mark.parametrize("graph, t", [
+    (gen_planar_girth5(7, 400), None),
+    (chorded_cycle(1, 440, 3, twisted=True), "15"),
+    (tripod_lattice(6, 6), "10")], ids=["planar", "twisted", "lattice"])
+def test_audit_csv_never_builds_the_report(audit_forbidden, tmp_path, capsys,
+                                           graph, t):
+    gpath = write_graph(tmp_path, graph)
+    argv = ["audit", "--input", gpath, "--format", "csv"]
+    if t is not None:
+        argv += ["--t", t]
+    assert main(argv) == 0
+    r = audit_forbidden(graph, None if t is None else int(t))
+    assert capsys.readouterr() == (
+        ledger_csv(r.ledger) + "\n" + transfers_csv(r.transfers), "")
 
 
 def test_input_error_category(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
@@ -366,6 +367,19 @@ def test_audit_rejects_small_girth():
 def test_audit_rejects_a_non_integer_threshold():
     with pytest.raises(ValueError, match="threshold t must be an integer, got 10.5"):
         audit(gen_planar_girth5(1, 200), 10.5)
+
+
+@pytest.mark.parametrize("genus, want", [
+    (0, 10), (1, 10), (2, 11), (3, 15), (5, 23),
+    (2.5, "genus must be an integer, got 2.5"),
+    ("3", "genus must be an integer, got '3'"),
+    (None, "genus must be an integer, got None")])
+def test_capacity_reads_an_integer_genus(genus, want):
+    if isinstance(want, int):
+        assert discharging.capacity(genus) == want
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            discharging.capacity(genus)
 
 
 def test_audit_min_degree_lemma_catches_pendant_vertices():
